@@ -13,7 +13,6 @@ from .surface import (
     SurfaceGeometry,
     object_field,
     reference_field,
-    steering_element,
     steering_field,
 )
 from .channel import ChannelConfig, Path, PathSet, ProfileError, load_cdl_profile, sample_paths
@@ -32,7 +31,6 @@ from .holography import (
 from .beampattern import PatternGrid, array_factor, find_peaks, sidelobe_metrics
 from .link import (
     LinkChannel,
-    LinkResult,
     LinkScenario,
     PulseSpec,
     build_toeplitz,
@@ -50,7 +48,6 @@ __all__ = [
     "Direction",
     "Hologram",
     "LinkChannel",
-    "LinkResult",
     "LinkScenario",
     "Path",
     "PathSet",
@@ -79,7 +76,6 @@ __all__ = [
     "rrc_impulse",
     "sample_paths",
     "sidelobe_metrics",
-    "steering_element",
     "steering_field",
     "verify_reindexing_identities",
 ]

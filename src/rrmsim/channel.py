@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .surface import Direction
+from .surface import Direction, wrap_phi
 
 UNIT_POWER_TOL = 1e-12
 
@@ -77,6 +77,12 @@ class PathSet:
 
     def delays(self) -> np.ndarray:
         return np.array([p.delay for p in self.paths], dtype=float)
+
+    def carrier_gains(self, omega: float) -> np.ndarray:
+        """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain."""
+        return np.array(
+            [p.gain * np.exp(-1j * omega * p.delay) for p in self.paths], dtype=complex
+        )
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,7 @@ def sample_paths(cfg: ChannelConfig, rng=None) -> PathSet:
 
 def _uniform_direction(cfg: ChannelConfig, rng: np.random.Generator) -> Direction:
     theta = rng.uniform(*cfg.theta_range)
-    phi = rng.uniform(*cfg.phi_range) % (2.0 * math.pi)
-    return Direction(theta, phi)
+    return Direction(theta, wrap_phi(rng.uniform(*cfg.phi_range)))
 
 
 def _sample_rician(cfg: ChannelConfig, rng: np.random.Generator) -> PathSet:

@@ -11,15 +11,20 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-import numpy as np
-
 from .. import beampattern as bp
 from .. import holography, link
 from ..channel import ProfileError, sample_paths
 from ..holography import RecordingConfig, noise_power_for_snr
 from . import invariants
-from .config import ConfigError, ExperimentConfig, _to_jsonable, config_from_dict, load_config
-from .presets import PRESET_NAMES, print_summary, run_preset
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    OutageBlock,
+    _to_jsonable,
+    config_from_dict,
+    load_config,
+)
+from .presets import PRESET_NAMES, add_curve_rows, print_summary, run_preset
 from .results import ResultSet, emit_csv
 
 EXIT_OK = 0
@@ -97,46 +102,22 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_mi_sweep(cfg: ExperimentConfig, args) -> int:
+def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    """mi-sweep (mean MI) or outage (Pr{MI < r_th}) for rrm and rhs vs SNR."""
     out = _out_dir(cfg)
     rs = ResultSet(cfg.fingerprint())
+    if args.command == "outage":
+        outage = cfg.outage or OutageBlock()
+        trials, r_th = outage.trials, outage.r_th
+        experiment, prefix = "outage", "outage"
+    else:
+        trials, r_th = args.reps, None
+        experiment, prefix = "mi_sweep", "mi"
     for system in ("rrm", "rhs"):
-        scenario = cfg.scenario(system)
         curves = link.trial_mi_curves(
-            scenario, cfg.link.snr_db, trials=args.reps, seed=cfg.seed
+            cfg.scenario(system), cfg.link.snr_db, trials=trials, seed=cfg.seed
         )
-        for s, snr in enumerate(cfg.link.snr_db):
-            mean = float(np.mean(curves[:, s]))
-            half = (
-                1.96 * float(np.std(curves[:, s], ddof=1)) / math.sqrt(args.reps)
-                if args.reps > 1
-                else None
-            )
-            rs.add("mi_sweep", "snr_db", snr, f"mi_{system}", mean, half, cfg.seed)
-    emit_csv(rs, out / "results.csv")
-    if not args.quiet:
-        print_summary(rs)
-    return EXIT_OK
-
-
-def _cmd_outage(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg)
-    outage = cfg.outage if cfg.outage is not None else None
-    if outage is None:
-        data = _to_jsonable(cfg)
-        data["outage"] = {}
-        cfg = config_from_dict(data)
-        outage = cfg.outage
-    rs = ResultSet(cfg.fingerprint())
-    for system in ("rrm", "rhs"):
-        scenario = cfg.scenario(system)
-        curves = link.trial_mi_curves(
-            scenario, cfg.link.snr_db, trials=outage.trials, seed=cfg.seed
-        )
-        for s, snr in enumerate(cfg.link.snr_db):
-            p = float(np.mean(curves[:, s] < outage.r_th))
-            half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / outage.trials)
-            rs.add("outage", "snr_db", snr, f"outage_{system}", p, half, cfg.seed)
+        add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves, r_th)
     emit_csv(rs, out / "results.csv")
     if not args.quiet:
         print_summary(rs)
@@ -194,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mi-sweep", help="mutual information vs SNR, recorded vs perfect CSI")
     common(p)
     p.add_argument("--reps", type=int, default=10, help="channel/recording realizations")
-    p.set_defaults(fn=_cmd_mi_sweep)
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("outage", help="Monte-Carlo outage probability vs SNR")
     common(p)
-    p.set_defaults(fn=_cmd_outage)
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("preset", help="run a named experiment preset")
     common(p)

@@ -6,9 +6,10 @@ amplitude 2, unit user amplitude, five fixed incident paths, recording at
 10 dB SNR for 5 symbol periods, mean-subtracted weights, 1 W transmit
 power and a 64-symbol block with rolloff 0.25.
 
-Unknown keys are rejected and every schema violation names the offending
-key with its full dotted path. ``load_config(save_config(cfg))`` returns an
-equal config, field for field.
+Unknown keys and non-finite numbers (JSON ``NaN``, ``1e999``) are rejected,
+and every schema violation names the offending key with its full dotted
+path. ``load_config(save_config(cfg))`` returns an equal config, field for
+field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..channel import ChannelConfig, Path, PathSet
 from ..link import LinkScenario, PulseSpec
 from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -165,8 +166,6 @@ class WeightsBlock:
 class LinkBlock:
     K: int = 64
     rolloff: float = 0.25
-    span_symbols: int = 10
-    samples_per_symbol: int = 8
     symbol_period: float = 1.0e-8
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     normalization: str = "normalized"
@@ -177,8 +176,6 @@ class LinkBlock:
             raise ConfigError("K: must be >= 1")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigError("rolloff: must lie in [0, 1]")
-        if self.span_symbols < 4:
-            raise ConfigError("span_symbols: must be >= 4")
         if self.symbol_period <= 0:
             raise ConfigError("symbol_period: must be positive")
         if not self.snr_db:
@@ -252,7 +249,7 @@ class ExperimentConfig:
 
     def pulse(self) -> PulseSpec:
         l = self.link
-        return PulseSpec(l.symbol_period, l.rolloff, l.span_symbols, l.samples_per_symbol)
+        return PulseSpec(l.symbol_period, l.rolloff)
 
     def manual_paths(self) -> PathSet:
         return PathSet(tuple(p.to_path() for p in self.channel.paths), "raw")
@@ -348,7 +345,13 @@ def _coerce(value, hint, path: str):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: must be a finite number")
+        return number
     if hint is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path}: must be a string")

@@ -409,9 +409,7 @@ def toeplitz_structure_and_white_noise_filter():
     for i in range(1, K):
         for j in range(1, K):
             ok &= H[i, j] == H[i - 1, j - 1]
-    chan = link.LinkChannel(taps, ((0j, 0j),)).with_block(K)
-    ok &= np.array_equal(chan.F, np.eye(K, dtype=complex))
-    return ok, "constant diagonals, F = identity"
+    return ok, "constant diagonals"
 
 
 @_register

@@ -91,13 +91,21 @@ def _seed_for(cfg: ExperimentConfig, stream: int) -> int:
     )
 
 
-def _mi_from_eigvals(lam: np.ndarray, gamma: float, k: int) -> float:
-    return float(np.sum(np.log2(1.0 + gamma * lam)) / k)
+def add_curve_rows(
+    rs: ResultSet, experiment: str, metric: str, cfg: ExperimentConfig, mi_samples,
+    r_th: float | None = None,
+) -> None:
+    """One row per SNR of cfg.link.snr_db from (trials, n_snr) MI samples.
 
-
-def _block_eigvals(scenario, paths, recording_seed) -> np.ndarray:
-    H = link.realize_block(scenario, paths, recording_seed)
-    return np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
+    Each row holds the mean MI with its 95% CI, or, when r_th is given, the
+    outage probability Pr{MI < r_th} with its binomial half-width.
+    """
+    for snr, column in zip(cfg.link.snr_db, np.asarray(mi_samples).T):
+        if r_th is None:
+            value, half = link.mean_ci(column)
+        else:
+            value, half = link.outage_ci(column, r_th)
+        rs.add(experiment, "snr_db", snr, metric, value, half, cfg.seed)
 
 
 # ------------------------------------------------------------------ presets
@@ -127,33 +135,22 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
             )
             for d in dirs
         )
-        lobes = beampattern.sidelobe_metrics(pattern, dirs, guard_deg=5.0)
-        rs.add("fig5_beampattern", "strategy", strategy, "max_peak_error_deg", worst, seed=cfg.seed)
-        rs.add(
-            "fig5_beampattern", "strategy", strategy,
-            "mean_sidelobe_db", lobes["mean_sidelobe_db"], seed=cfg.seed,
-        )
-        rs.add(
-            "fig5_beampattern", "strategy", strategy,
-            "peak_sidelobe_db", lobes["peak_sidelobe_db"], seed=cfg.seed,
-        )
+        row = {"max_peak_error_deg": worst}
+        row.update(beampattern.sidelobe_metrics(pattern, dirs, guard_deg=5.0))
+        for metric in ("max_peak_error_deg", "mean_sidelobe_db", "peak_sidelobe_db"):
+            rs.add("fig5_beampattern", "strategy", strategy, metric, row[metric], seed=cfg.seed)
 
 
-def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
+def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet) -> None:
+    paths = cfg.manual_paths()
     for size in (8, 64):
         for strategy in ("none", "mean", "min"):
             scenario = cfg.scenario("rrm", rows=size, cols=size, strategy=strategy)
-            paths = cfg.manual_paths()
-            lam = _block_eigvals(scenario, paths, _seed_for(cfg, size))
-            for snr in cfg.link.snr_db:
-                mi = _mi_from_eigvals(lam, link.gamma_from_db(snr), scenario.K)
-                rs.add(
-                    "fig6_b_sweep", "snr_db", snr,
-                    f"mi_{size}x{size}_{strategy}", mi, seed=cfg.seed,
-                )
+            mi = link.block_mi(scenario, paths, _seed_for(cfg, size), cfg.link.snr_db)
+            add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, [mi])
 
 
-def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
+def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
     n_rep = 50
     paths = cfg.manual_paths()
     for rec_snr in (0.0, 10.0):
@@ -161,25 +158,13 @@ def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
             scenario = cfg.scenario(
                 "rrm", recording_snr_db=rec_snr, duration_symbols=duration
             )
-            samples = np.empty((n_rep, len(cfg.link.snr_db)))
-            for r in range(n_rep):
-                lam = _block_eigvals(scenario, paths, _seed_for(cfg, 1000 + 97 * r))
-                for s, snr in enumerate(cfg.link.snr_db):
-                    samples[r, s] = _mi_from_eigvals(
-                        lam, link.gamma_from_db(snr), scenario.K
-                    )
-            for s, snr in enumerate(cfg.link.snr_db):
-                mean = float(np.mean(samples[:, s]))
-                half = 1.96 * float(np.std(samples[:, s], ddof=1)) / math.sqrt(n_rep)
-                rs.add(
-                    "fig7_recording", "snr_db", snr,
-                    f"mi_dur{duration}_recsnr{rec_snr:g}dB", mean, half, cfg.seed,
-                )
+            seeds = [_seed_for(cfg, 1000 + 97 * r) for r in range(n_rep)]
+            samples = [link.block_mi(scenario, paths, s, cfg.link.snr_db) for s in seeds]
+            metric = f"mi_dur{duration}_recsnr{rec_snr:g}dB"
+            add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
 
 
-def _preset_fig8(
-    cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, large: bool = False
-) -> None:
+def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
     sizes = (8, 16, 32, 64) if large else (8, 16, 32)
     n_rep = 10
     paths = cfg.manual_paths()
@@ -187,29 +172,12 @@ def _preset_fig8(
         for system in ("rrm", "rhs"):
             scenario = cfg.scenario(system, rows=size, cols=size)
             reps = n_rep if system == "rrm" and cfg.recording.snr_db is not None else 1
-            samples = np.empty((reps, len(cfg.link.snr_db)))
-            for r in range(reps):
-                lam = _block_eigvals(scenario, paths, _seed_for(cfg, 2000 + 13 * size + r))
-                for s, snr in enumerate(cfg.link.snr_db):
-                    samples[r, s] = _mi_from_eigvals(
-                        lam, link.gamma_from_db(snr), scenario.K
-                    )
-            for s, snr in enumerate(cfg.link.snr_db):
-                mean = float(np.mean(samples[:, s]))
-                half = (
-                    1.96 * float(np.std(samples[:, s], ddof=1)) / math.sqrt(reps)
-                    if reps > 1
-                    else None
-                )
-                rs.add(
-                    "fig8_size_sweep", "snr_db", snr,
-                    f"mi_{system}_{size}x{size}", mean, half, cfg.seed,
-                )
+            seeds = [_seed_for(cfg, 2000 + 13 * size + r) for r in range(reps)]
+            samples = [link.block_mi(scenario, paths, s, cfg.link.snr_db) for s in seeds]
+            add_curve_rows(rs, "fig8_size_sweep", f"mi_{system}_{size}x{size}", cfg, samples)
 
 
-def _preset_fig9(
-    cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, large: bool = False
-) -> None:
+def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
     sizes = (8, 16, 32, 64) if large else (8, 16, 32)
     n_rep = 20
     for size in sizes:
@@ -218,16 +186,10 @@ def _preset_fig9(
             curves = link.trial_mi_curves(
                 scenario, cfg.link.snr_db, trials=n_rep, seed=_seed_for(cfg, 3000 + size)
             )
-            for s, snr in enumerate(cfg.link.snr_db):
-                mean = float(np.mean(curves[:, s]))
-                half = 1.96 * float(np.std(curves[:, s], ddof=1)) / math.sqrt(n_rep)
-                rs.add(
-                    "fig9_cdl", "snr_db", snr,
-                    f"mi_{system}_{size}x{size}", mean, half, cfg.seed,
-                )
+            add_curve_rows(rs, "fig9_cdl", f"mi_{system}_{size}x{size}", cfg, curves)
 
 
-def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
+def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
     outage = cfg.outage
     for size in (8, 16):
         seed = _seed_for(cfg, 4000 + size)  # shared: pairs rrm/rhs on the same draws
@@ -236,13 +198,8 @@ def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None
             curves = link.trial_mi_curves(
                 scenario, cfg.link.snr_db, trials=outage.trials, seed=seed
             )
-            for s, snr in enumerate(cfg.link.snr_db):
-                p = float(np.mean(curves[:, s] < outage.r_th))
-                half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / outage.trials)
-                rs.add(
-                    "fig10_outage", "snr_db", snr,
-                    f"outage_{system}_{size}x{size}", p, half, cfg.seed,
-                )
+            metric = f"outage_{system}_{size}x{size}"
+            add_curve_rows(rs, "fig10_outage", metric, cfg, curves, outage.r_th)
 
 
 def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, quiet: bool) -> bool:
@@ -288,15 +245,15 @@ def run_preset(
     if name == "fig5_beampattern":
         _preset_fig5(cfg, rs, out)
     elif name == "fig6_b_sweep":
-        _preset_fig6(cfg, rs, out)
+        _preset_fig6(cfg, rs)
     elif name == "fig7_recording":
-        _preset_fig7(cfg, rs, out)
+        _preset_fig7(cfg, rs)
     elif name == "fig8_size_sweep":
-        _preset_fig8(cfg, rs, out, large)
+        _preset_fig8(cfg, rs, large)
     elif name == "fig9_cdl":
-        _preset_fig9(cfg, rs, out, large)
+        _preset_fig9(cfg, rs, large)
     elif name == "fig10_outage":
-        _preset_fig10(cfg, rs, out)
+        _preset_fig10(cfg, rs)
     else:
         _preset_validate(cfg, rs, quiet)
 

@@ -246,24 +246,27 @@ def reconstruction_terms(
     """
     e_r = reference_field(geom, ref).values
     e_o = object_field(geom, paths, ref).values
-    per_path = [
-        p.gain
-        * np.exp(-1j * ref.angular_frequency * p.delay)
-        * steering_field(geom, p.direction)
-        for p in paths.paths
-    ]
-    a_c = ref.amplitude**2 + sum(float(abs(p.gain)) ** 2 for p in paths.paths)
+    a_c = ref.amplitude**2 + paths.total_power()
+    return {
+        "constant": a_c * e_r,
+        "conjugate_object": np.abs(e_r) ** 2 * np.conj(e_o),
+        "cross_path": _cross_path_sum(geom, ref, paths) * e_r,
+        "reference_squared": e_o * e_r**2,
+    }
+
+
+def _cross_path_sum(
+    geom: SurfaceGeometry, ref: ReferenceWaveSpec, paths: PathSet
+) -> np.ndarray:
+    """sum over i != j of e_i * conj(e_j), e_i the incident field of path i."""
+    gains = paths.carrier_gains(ref.angular_frequency)
+    per_path = [g * steering_field(geom, p.direction) for g, p in zip(gains, paths.paths)]
     cross = np.zeros(geom.shape, dtype=complex)
     for i, ei in enumerate(per_path):
         for j, ej in enumerate(per_path):
             if i != j:
                 cross += ei * np.conj(ej)
-    return {
-        "constant": a_c * e_r,
-        "conjugate_object": np.abs(e_r) ** 2 * np.conj(e_o),
-        "cross_path": cross * e_r,
-        "reference_squared": e_o * e_r**2,
-    }
+    return cross
 
 
 def rhs_weights(
@@ -336,24 +339,12 @@ def verify_reindexing_identities(
     res_ref = float(np.max(np.abs(reindex(e_r) - e_r)))
 
     power = np.abs(e_o + e_r) ** 2
-    per_path_power = sum(float(abs(p.gain)) ** 2 for p in paths.paths)
-    per_path = [
-        p.gain
-        * np.exp(-1j * ref.angular_frequency * p.delay)
-        * steering_field(geom, p.direction)
-        for p in paths.paths
-    ]
-    cross = np.zeros(geom.shape, dtype=complex)
-    for i, ei in enumerate(per_path):
-        for j, ej in enumerate(per_path):
-            if i != j:
-                cross += ei * np.conj(ej)
     expansion = (
-        per_path_power
+        paths.total_power()
         + np.abs(e_r) ** 2
         + np.conj(e_o) * np.conj(e_r)
         + e_o * e_r
-        + cross
+        + _cross_path_sum(geom, ref, paths)
     )
     res_exp = float(np.max(np.abs(reindex(power) - expansion)))
     return ReindexReport(res_obj, res_ref, res_exp)

@@ -11,13 +11,15 @@ white noise (identity noise filter at symbol-rate RRC sampling), and
     MI = (1/K) * log2 det(I + gamma * H * H^H)
 
 bits per symbol. Outage is the Monte-Carlo fraction of channel realizations
-whose MI falls below a threshold rate.
+whose MI falls below a threshold rate. Every MI/outage sweep evaluates its
+blocks with ``block_mi`` and summarises trials with ``mean_ci`` or
+``outage_ci``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -158,25 +160,18 @@ def _support_radius(rolloff: float, threshold: float = TAP_TRUNCATION) -> int:
 class LinkChannel:
     """Equivalent discrete-time channel for one scenario.
 
-    taps maps integer lag l to h[l]. alpha_pairs holds per-path
-    (dominant, residual) components of the equivalent amplitudes; the pair
-    sums to the exact per-path amplitude. H/F/K are filled by with_block.
+    taps maps integer lag l to h[l]; ``build_toeplitz`` turns them into the
+    K x K block matrix. alpha_pairs holds per-path (dominant, residual)
+    components of the equivalent amplitudes; the pair sums to the exact
+    per-path amplitude.
     """
 
     taps: dict[int, complex] = field(repr=False)
     alpha_pairs: tuple[tuple[complex, complex], ...]
-    K: int | None = None
-    H: np.ndarray | None = field(default=None, repr=False)
-    F: np.ndarray | None = field(default=None, repr=False)
 
     def alpha(self) -> np.ndarray:
         """Per-path equivalent amplitudes (dominant + residual)."""
         return np.array([a + b for a, b in self.alpha_pairs], dtype=complex)
-
-    def with_block(self, K: int) -> "LinkChannel":
-        """Copy with the K x K Toeplitz matrix and identity noise filter."""
-        H = build_toeplitz(self.taps, K)
-        return replace(self, K=K, H=H, F=np.eye(K, dtype=complex))
 
 
 def alpha_taps(
@@ -201,9 +196,9 @@ def alpha_taps(
     a_tx = math.sqrt(tx_power / den)
     beta = reference_field(geom, ref).values / ref.amplitude
     out = np.zeros(len(paths), dtype=complex)
-    for i, p in enumerate(paths.paths):
-        phase = p.gain * np.exp(-1j * ref.angular_frequency * p.delay)
-        out[i] = a_tx * phase * np.sum(w * beta * steering_field(geom, p.direction))
+    gains = paths.carrier_gains(ref.angular_frequency)
+    for i, (g, p) in enumerate(zip(gains, paths.paths)):
+        out[i] = a_tx * g * np.sum(w * beta * steering_field(geom, p.direction))
     return out
 
 
@@ -247,9 +242,7 @@ def alpha_taps_split(
 
     beta = reference_field(geom, ref).values / a_r
     steer = [steering_field(geom, p.direction) for p in paths.paths]
-    g = np.array(
-        [p.gain * np.exp(-1j * ref.angular_frequency * p.delay) for p in paths.paths]
-    )
+    g = paths.carrier_gains(ref.angular_frequency)
     L = len(paths)
     const = a_r**2 + a_u**2 * paths.total_power()
 
@@ -374,6 +367,16 @@ def normalize_channel(H: np.ndarray) -> np.ndarray:
     return H / math.sqrt(mean_power)
 
 
+def _gram_eigvals(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of H H^H, rounding negatives up to 0."""
+    return np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
+
+
+def _mi_bits(lam: np.ndarray, gamma: float) -> float:
+    """(1/K) * sum_k log2(1 + gamma * lambda_k) over the K eigenvalues of H H^H."""
+    return float(np.sum(np.log2(1.0 + gamma * lam)) / lam.size)
+
+
 def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> float:
     """Block mutual information (1/K) * log2 det(I + gamma * H * H^H) in bits.
 
@@ -388,13 +391,11 @@ def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> floa
         raise ValueError("H contains non-finite entries")
     if gamma < 0:
         raise ValueError("snr must be nonnegative")
-    k = H.shape[0]
-    gram = H @ H.conj().T
     if method == "eig":
-        lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-        return float(np.sum(np.log2(1.0 + gamma * lam)) / k)
+        return _mi_bits(_gram_eigvals(H), gamma)
     if method == "logdet":
-        sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * gram)
+        k = H.shape[0]
+        sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * (H @ H.conj().T))
         if sign <= 0:
             raise ArithmeticError("determinant of I + gamma*H*H^H must be positive")
         return float(logdet / math.log(2.0) / k)
@@ -406,24 +407,6 @@ def gamma_from_db(snr_db: float) -> float:
     if snr_db == -math.inf:
         return 0.0
     return 10.0 ** (snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class LinkResult:
-    """One evaluated operating point."""
-
-    snr_db: float
-    mutual_information_bits: float
-    outage_probability: float | None = None
-    meta: str = ""
-
-    def __post_init__(self):
-        if self.mutual_information_bits < 0:
-            raise ValueError("mutual information must be nonnegative")
-        if self.outage_probability is not None and not (
-            0.0 <= self.outage_probability <= 1.0
-        ):
-            raise ValueError("outage probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -468,13 +451,8 @@ def scenario_weights(
 ) -> WeightMatrix:
     """Weights for one realization: recorded (rrm) or perfect-CSI (rhs)."""
     if scenario.system == "rhs":
-        desired = [
-            (
-                p.direction,
-                p.gain * np.exp(-1j * scenario.ref.angular_frequency * p.delay),
-            )
-            for p in paths.paths
-        ]
+        gains = paths.carrier_gains(scenario.ref.angular_frequency)
+        desired = [(p.direction, g) for p, g in zip(paths.paths, gains)]
         return rhs_weights(scenario.geom, scenario.ref, desired)
     cfg = RecordingConfig(
         user_amplitude=scenario.user_amplitude,
@@ -503,6 +481,14 @@ def realize_block(
     return H
 
 
+def block_mi(
+    scenario: LinkScenario, paths: PathSet, recording_seed: int, snr_db_list
+) -> np.ndarray:
+    """MI in bits per symbol of one realized block at every SNR in snr_db_list."""
+    lam = _gram_eigvals(realize_block(scenario, paths, recording_seed))
+    return np.array([_mi_bits(lam, gamma_from_db(s)) for s in snr_db_list])
+
+
 def _trial_seeds(seed: int, trials: int):
     children = np.random.SeedSequence(seed).spawn(trials)
     for child in children:
@@ -520,15 +506,25 @@ def trial_mi_curves(
     paired across systems that share the seed.
     """
     snr_db_list = list(snr_db_list)
-    gammas = [gamma_from_db(s) for s in snr_db_list]
-    out = np.empty((trials, len(gammas)))
+    out = np.empty((trials, len(snr_db_list)))
     for t, (path_ss, rec_seed) in enumerate(_trial_seeds(seed, trials)):
         paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
-        H = realize_block(scenario, paths, rec_seed)
-        lam = np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
-        for s, g in enumerate(gammas):
-            out[t, s] = float(np.sum(np.log2(1.0 + g * lam)) / scenario.K)
+        out[t] = block_mi(scenario, paths, rec_seed, snr_db_list)
     return out
+
+
+def mean_ci(samples) -> tuple[float, float | None]:
+    """Sample mean and its 95% normal half-width (z * s / sqrt(n)); None when n = 1."""
+    x = np.asarray(samples, dtype=float)
+    half = 1.96 * float(np.std(x, ddof=1)) / math.sqrt(x.size) if x.size > 1 else None
+    return float(np.mean(x)), half
+
+
+def outage_ci(mi_samples, r_th: float) -> tuple[float, float]:
+    """Fraction of MI samples below r_th and its 95% binomial half-width."""
+    below = np.asarray(mi_samples) < r_th
+    p = float(np.mean(below))
+    return p, 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / below.size)
 
 
 class OutageResult(NamedTuple):
@@ -550,6 +546,4 @@ def outage_probability(
     if r_th < 0:
         raise ValueError("threshold rate must be nonnegative")
     mi = trial_mi_curves(scenario, [snr_db], trials, seed)[:, 0]
-    p = float(np.mean(mi < r_th))
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return OutageResult(p, half, trials)
+    return OutageResult(*outage_ci(mi, r_th), trials)

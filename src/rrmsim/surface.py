@@ -7,7 +7,7 @@ the link model) is built from three primitives defined here:
   geometric center is the feed location,
 * the guided reference wave launched by the feed (``reference_field``),
 * the per-element plane-wave phase profile of a far-field direction
-  (``steering_element`` / ``steering_field``).
+  (``steering_field``).
 
 All angles are radians; degrees are accepted only at config/CLI boundaries.
 """
@@ -100,6 +100,15 @@ class SurfaceGeometry:
         return np.hypot(x, y)
 
 
+def wrap_phi(phi: float) -> float:
+    """Azimuth in radians folded into [0, 2*pi).
+
+    Tiny negative phi, where ``phi % (2*pi)`` rounds up to 2*pi, folds to 0.
+    """
+    wrapped = phi % (2.0 * math.pi)
+    return 0.0 if wrapped == 2.0 * math.pi else wrapped
+
+
 @dataclass(frozen=True)
 class Direction:
     """Far-field direction: elevation theta in [0, pi/2], azimuth phi in [0, 2*pi).
@@ -118,7 +127,7 @@ class Direction:
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "Direction":
-        return cls(math.radians(theta_deg), math.radians(phi_deg % 360.0))
+        return cls(math.radians(theta_deg), wrap_phi(math.radians(phi_deg)))
 
     def unit_vector(self) -> np.ndarray:
         """Cartesian unit vector pointing toward this direction."""
@@ -225,21 +234,6 @@ def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
     return np.exp(-1j * geom.k_free * path_length(geom, direction))
 
 
-def steering_element(
-    geom: SurfaceGeometry, direction: Direction, m: int, n: int
-) -> complex:
-    """Single steering entry for 1-based element indices (m, n)."""
-    if not 1 <= m <= geom.rows or not 1 <= n <= geom.cols:
-        raise IndexError(
-            f"element ({m}, {n}) outside {geom.rows}x{geom.cols} grid"
-        )
-    x = geom.dx * (m - (geom.rows + 1) / 2.0)
-    y = geom.dy * (n - (geom.cols + 1) / 2.0)
-    st = math.sin(direction.theta)
-    d = x * st * math.cos(direction.phi) + y * st * math.sin(direction.phi)
-    return complex(np.exp(-1j * geom.k_free * d))
-
-
 def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> ComplexField:
     """Superposition of incident plane waves from a set of propagation paths.
 
@@ -249,8 +243,8 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
 
     Args:
         geom: surface geometry.
-        paths: object with a ``paths`` sequence of (gain, delay, direction)
-            entries (see ``rrmsim.channel.PathSet``).
+        paths: a ``rrmsim.channel.PathSet``; its ``carrier_gains`` and each
+            path's ``direction`` are used.
         ref: supplies omega_r for the delay phase.
 
     Raises:
@@ -260,7 +254,6 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
     total = np.zeros(geom.shape, dtype=complex)
-    for p in paths.paths:
-        g = p.gain * np.exp(-1j * ref.angular_frequency * p.delay)
+    for g, p in zip(paths.carrier_gains(ref.angular_frequency), paths.paths):
         total += g * steering_field(geom, p.direction)
     return ComplexField(total)

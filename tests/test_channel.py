@@ -85,6 +85,19 @@ class TestSamplePaths:
                 assert math.radians(20) <= p.direction.theta <= math.radians(40)
                 assert math.radians(100) <= p.direction.phi <= math.radians(140)
 
+    def test_negative_phi_range_wraps(self):
+        cfg = ChannelConfig(
+            "rician_random", L=6, phi_range=(math.radians(-10), math.radians(10))
+        )
+        seen_wrapped = False
+        for seed in range(10):
+            for p in sample_paths(cfg, seed).paths:
+                phi = p.direction.phi
+                assert 0.0 <= phi < 2 * math.pi
+                assert phi <= math.radians(10) or phi >= math.radians(350)
+                seen_wrapped |= phi >= math.radians(350)
+        assert seen_wrapped
+
 
 def _fast_rician(cfg, rng):
     """Gain-only re-draw mirroring sample_paths' Rician recipe (speed)."""

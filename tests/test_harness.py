@@ -15,6 +15,7 @@ from rrmsim.harness import (
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import config_from_dict
 from rrmsim.harness.results import fmt9
+from rrmsim.link import outage_probability
 
 
 class TestConfig:
@@ -59,7 +60,7 @@ class TestConfig:
 
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
-            config_from_dict({"schema_version": 2})
+            config_from_dict({"schema_version": 1})
 
     def test_type_errors_name_keys(self):
         with pytest.raises(ConfigError, match=r"seed: must be an integer"):
@@ -91,6 +92,21 @@ class TestConfig:
         c = config_from_dict({"seed": 4321})
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"link": {"snr_db": [NaN]}}', r"link\.snr_db\[0\]"),
+            ('{"surface": {"fc": 1e999}}', r"surface\.fc"),
+            ('{"recording": {"snr_db": -1e999}}', r"recording\.snr_db"),
+            ('{"surface": {"fc": 1%s}}' % ("0" * 400), r"surface\.fc"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key + ": must be a finite number"):
+            load_config(path)
 
     def test_strategy_validation(self):
         with pytest.raises(ConfigError, match=r"weights\.strategy"):
@@ -228,6 +244,14 @@ class TestCli:
         assert code == 2
         assert "surface.M" in capsys.readouterr().err
 
+    def test_nan_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"link": {"snr_db": [0.0, NaN]}}')
+        code = main(["mi-sweep", "--config", str(bad), "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "link.snr_db[1]" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["record", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -306,6 +330,15 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
+        loaded = load_config(cfg)
+        for line in lines[1:]:
+            _e, _s, snr, metric, value, ci, seed = line.split(",")
+            system = metric.removeprefix("outage_")
+            expected = outage_probability(
+                loaded.scenario(system), 2.0, float(snr), trials=25, seed=int(seed)
+            )
+            assert float(value) == pytest.approx(expected.probability, rel=1e-8)
+            assert float(ci) == pytest.approx(expected.ci_half_width, rel=1e-8)
 
     def test_preset_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

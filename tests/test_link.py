@@ -21,11 +21,15 @@ from rrmsim import (
 )
 from rrmsim.channel import Path
 from rrmsim.link import (
-    LinkChannel,
     alpha_taps,
     alpha_taps_split,
+    block_mi,
+    gamma_from_db,
+    mean_ci,
     normalize_channel,
+    outage_ci,
     raised_cosine,
+    realize_block,
     trial_mi_curves,
 )
 
@@ -230,12 +234,6 @@ class TestToeplitz:
         for i in range(1, 64):
             assert np.array_equal(H[i, 1:], H[i - 1, :-1])
 
-    def test_with_block_sets_identity_noise_filter(self):
-        chan = LinkChannel({0: 1.0 + 0j}, ((1.0 + 0j, 0j),)).with_block(8)
-        assert chan.K == 8
-        assert np.array_equal(chan.F, np.eye(8, dtype=complex))
-        assert np.array_equal(chan.H, np.eye(8, dtype=complex))
-
 
 class TestMutualInformation:
     def test_zero_snr_is_zero(self):
@@ -287,18 +285,6 @@ class TestMutualInformation:
             mutual_information(np.full((2, 2), np.nan), 1.0)
 
 
-class TestLinkResult:
-    def test_invariants(self):
-        from rrmsim import LinkResult
-
-        ok = LinkResult(10.0, 3.5, 0.25, "demo")
-        assert ok.mutual_information_bits == 3.5
-        with pytest.raises(ValueError):
-            LinkResult(10.0, -0.1)
-        with pytest.raises(ValueError):
-            LinkResult(10.0, 1.0, outage_probability=1.5)
-
-
 def small_scenario(system="rrm", **overrides):
     geom = make_geometry(8, 8)
     base = dict(
@@ -342,6 +328,16 @@ class TestOutage:
         assert rrm.shape == rhs.shape
         assert np.all(rrm > 0) and np.all(rhs > 0)
 
+    def test_block_mi_matches_mutual_information(self):
+        scenario = small_scenario()
+        paths = make_five_paths()
+        snrs = [-math.inf, 0.0, 10.0]
+        mi = block_mi(scenario, paths, 3, snrs)
+        H = realize_block(scenario, paths, 3)
+        expected = [mutual_information(H, gamma_from_db(s)) for s in snrs]
+        assert mi[0] == 0.0
+        assert mi == pytest.approx(expected, rel=1e-12)
+
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             small_scenario(system="mimo")
@@ -349,3 +345,23 @@ class TestOutage:
             small_scenario(normalization="weird")
         with pytest.raises(ValueError):
             outage_probability(small_scenario(), -1.0, 5.0, trials=5, seed=1)
+
+
+class TestSummaries:
+    def test_mean_ci_single_sample_has_no_ci(self):
+        assert mean_ci([2.5]) == (2.5, None)
+
+    def test_mean_ci_normal_half_width(self):
+        x = np.array([1.0, 2.0, 4.0, 7.0])
+        mean, half = mean_ci(x)
+        assert mean == pytest.approx(3.5)
+        assert half == pytest.approx(1.96 * np.std(x, ddof=1) / 2.0)
+
+    def test_outage_ci_extremes_have_zero_width(self):
+        assert outage_ci([3.0, 4.0, 5.0], r_th=2.0) == (0.0, 0.0)
+        assert outage_ci([0.5, 1.0, 1.5], r_th=2.0) == (1.0, 0.0)
+
+    def test_outage_ci_binomial_half_width(self):
+        p, half = outage_ci([1.0, 3.0, 1.0, 3.0], r_th=2.0)
+        assert p == 0.5
+        assert half == pytest.approx(1.96 * math.sqrt(0.25 / 4))
