@@ -184,7 +184,9 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
     of the linear cluster powers with zero phase (per-realization random
     phases are the sampler's job), normalized to unit total power.
     Departure angles map to surface coordinates as theta = |zod - 90 deg|
-    (vertical panel, boresight at the horizon) and phi = aod mod 360 deg.
+    (vertical panel, boresight at the horizon) and phi = aod mod 360 deg,
+    folded into [0, 2*pi) once more in radians by ``wrap_phi`` (a tiny
+    negative aod would otherwise round to exactly 2*pi).
 
     Raises:
         ProfileError: empty profile, or malformed row (names the line number).
@@ -215,7 +217,7 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
         if norm_delay < 0:
             raise ProfileError("normalized delays must be nonnegative")
         theta = math.radians(min(abs(zod - 90.0), 90.0))
-        phi = math.radians(aod % 360.0)
+        phi = wrap_phi(math.radians(aod % 360.0))
         paths.append(Path(complex(amp), norm_delay * delay_spread, Direction(theta, phi)))
     return PathSet(tuple(paths), "unit_power")
 

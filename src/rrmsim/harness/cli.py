@@ -104,15 +104,17 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     """mi-sweep (mean MI) or outage (Pr{MI < r_th}) for rrm and rhs vs SNR."""
-    out = _out_dir(cfg)
-    rs = ResultSet(cfg.fingerprint())
     if args.command == "outage":
         outage = cfg.outage or OutageBlock()
         trials, r_th = outage.trials, outage.r_th
         experiment, prefix = "outage", "outage"
     else:
+        if args.reps < 1:
+            raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
         trials, r_th = args.reps, None
         experiment, prefix = "mi_sweep", "mi"
+    out = _out_dir(cfg)
+    rs = ResultSet(cfg.fingerprint())
     for system in ("rrm", "rhs"):
         curves = link.trial_mi_curves(
             cfg.scenario(system), cfg.link.snr_db, trials=trials, seed=cfg.seed

@@ -149,6 +149,11 @@ class ChannelBlock:
             raise ConfigError("max_delay: must be positive")
         if self.delay_spread <= 0:
             raise ConfigError("delay_spread: must be positive")
+        lo, hi = self.theta_range_deg
+        if not 0.0 <= lo <= hi <= 90.0:
+            raise ConfigError(
+                f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]"
+            )
         if self.kind == "manual" and not self.paths:
             raise ConfigError("paths: manual channel needs at least one path")
 

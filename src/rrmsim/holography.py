@@ -28,6 +28,7 @@ from .surface import (
     SurfaceGeometry,
     object_field,
     reference_field,
+    steering_axes,
     steering_field,
 )
 
@@ -144,6 +145,12 @@ def record_hologram(
     duration_symbols * samples_per_symbol samples, z_k i.i.d. circular
     complex Gaussian with variance noise_power (independent per element).
     With zero noise the entry is exactly |c|^2.
+
+    The noise draws are fixed by the seed: one (M, N, S) array of real parts
+    x, then one of imaginary parts y, from a Philox stream seeded with
+    rng_seed; reordering them would change every noisy hologram. The power
+    is accumulated in float64 as (Re c + x)^2 + (Im c + y)^2, in place, so
+    no complex (M, N, S) temporary is formed.
     """
     if len(paths) == 0:
         raise ValueError("recording needs at least one incident path")
@@ -162,9 +169,14 @@ def record_hologram(
     rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
     scale = math.sqrt(cfg.noise_power / 2.0)
     shape = (geom.rows, geom.cols, n_samples)
-    noise = rng.normal(0.0, scale, size=shape) + 1j * rng.normal(0.0, scale, size=shape)
-    power = np.mean(np.abs(carrier[:, :, None] + noise) ** 2, axis=2)
-    return Hologram(power, geom, cfg)
+    acc = rng.normal(0.0, scale, size=shape)
+    acc += carrier.real[:, :, None]
+    np.square(acc, out=acc)
+    imag = rng.normal(0.0, scale, size=shape)
+    imag += carrier.imag[:, :, None]
+    np.square(imag, out=imag)
+    acc += imag
+    return Hologram(np.mean(acc, axis=2), geom, cfg)
 
 
 def reindex(matrix: np.ndarray) -> np.ndarray:
@@ -285,16 +297,16 @@ def rhs_weights(
 
         weights = (Re[W_int] / max|Re[W_int]| + 1) / 2
 
-    b_used is 0 and rho_used records the 1/max|Re| normalizer.
+    The superposition is evaluated as W_int = conj((ax * g) @ ay^T) * conj(E_r)
+    from the ``steering_axes`` factors, so no per-direction M x N map is
+    formed. b_used is 0 and rho_used records the 1/max|Re| normalizer.
     """
     if not desired:
         raise ValueError("perfect-CSI weights need at least one desired direction")
     e_r = reference_field(geom, ref).values
-    w_int = np.zeros(geom.shape, dtype=complex)
-    for direction, gain in desired:
-        outgoing = np.conj(steering_field(geom, direction))
-        w_int += np.conj(gain) * outgoing
-    w_int = w_int * np.conj(e_r)
+    ax, ay = steering_axes(geom, [direction for direction, _ in desired])
+    g = np.array([gain for _, gain in desired], dtype=complex)
+    w_int = np.conj((ax * g) @ ay.T) * np.conj(e_r)
     real = np.real(w_int)
     peak = float(np.max(np.abs(real)))
     if peak == 0.0:

@@ -33,7 +33,13 @@ from .holography import (
     record_hologram,
     rhs_weights,
 )
-from .surface import ReferenceWaveSpec, SurfaceGeometry, reference_field, steering_field
+from .surface import (
+    ReferenceWaveSpec,
+    SurfaceGeometry,
+    reference_field,
+    steering_axes,
+    steering_field,
+)
 
 TAP_TRUNCATION = 1e-6
 MAX_TAP_RADIUS_SYMBOLS = 600
@@ -188,6 +194,9 @@ def alpha_taps(
 
     with beta the unit-amplitude reference phase profile and A_tx chosen so
     the total radiated power sum_{m,n} (A_tx * W(m,n))^2 equals tx_power.
+    The steering field of path i is separable, steer_i = ax_i ay_i^T (see
+    ``steering_axes``), so all L sums are sum_m ax * ((W * beta) @ ay): one
+    (M, N) x (N, L) product and no per-path M x N map.
     """
     w = weights.values
     den = float(np.sum(w**2))
@@ -195,11 +204,9 @@ def alpha_taps(
         raise ValueError("all-zero weights give a degenerate channel")
     a_tx = math.sqrt(tx_power / den)
     beta = reference_field(geom, ref).values / ref.amplitude
-    out = np.zeros(len(paths), dtype=complex)
-    gains = paths.carrier_gains(ref.angular_frequency)
-    for i, (g, p) in enumerate(zip(gains, paths.paths)):
-        out[i] = a_tx * g * np.sum(w * beta * steering_field(geom, p.direction))
-    return out
+    ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
+    sums = np.sum(ax * ((w * beta) @ ay), axis=0)
+    return a_tx * paths.carrier_gains(ref.angular_frequency) * sums
 
 
 def alpha_taps_split(

@@ -5,21 +5,31 @@ the link model) is built from three primitives defined here:
 
 * the feed-to-element distance map of a rectangular element grid whose
   geometric center is the feed location,
-* the guided reference wave launched by the feed (``reference_field``),
-* the per-element plane-wave phase profile of a far-field direction
-  (``steering_field``).
+* the guided reference wave launched by the feed (``reference_field``); its
+  unit phase map is computed once per (geometry, sign) and cached,
+* the per-element plane-wave phase profile of a far-field direction. It is
+  separable, exp(-j*k*(x*u + y*v)) = exp(-j*k*x*u) * exp(-j*k*y*v), so
+  ``steering_axes`` returns only the (M, L) row and (N, L) column factors of
+  L directions, and every per-path sum over the grid (``object_field``,
+  ``link.alpha_taps``, ``holography.rhs_weights``) is built from them with
+  O((M+N)*L) exponentials instead of O(M*N*L). ``steering_field`` is the
+  single-direction outer product.
 
 All angles are radians; degrees are accepted only at config/CLI boundaries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# Reference phase maps kept per (geometry, sign); a 256x256 map is 1 MiB.
+_REFERENCE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -205,33 +215,52 @@ def _check_frequency(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> None:
         )
 
 
+@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _reference_phase(geom: SurfaceGeometry, sign: int) -> np.ndarray:
+    """Read-only unit phase map exp(j*sign*k_sub*d(m,n)), one per (geom, sign)."""
+    phase = np.exp(1j * (sign * geom.k_sub * geom.feed_distance()))
+    phase.flags.writeable = False
+    return phase
+
+
 def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> ComplexField:
     """Reference wave across the surface: A_r * exp(j*sign*k_sub*d(m,n)).
 
     d(m,n) is the feed-to-element distance, so the field is centrally
     symmetric: value at (m, n) equals value at (M+1-m, N+1-n). The recording
     phase offset is deliberately not included here; recording applies it.
+    The unit phase map is cached per (geometry, sign); every call returns a
+    fresh array, so callers may modify it.
     """
     _check_frequency(geom, ref)
-    phase = ref.sign * geom.k_sub * geom.feed_distance()
-    return ComplexField(ref.amplitude * np.exp(1j * phase))
+    return ComplexField(ref.amplitude * _reference_phase(geom, ref.sign))
 
 
-def path_length(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
-    """(M, N) plane-wave path-length map d(m,n) = x*sin(t)cos(p) + y*sin(t)sin(p)."""
-    st = math.sin(direction.theta)
-    u = st * math.cos(direction.phi)
-    v = st * math.sin(direction.phi)
-    return geom.element_x()[:, None] * u + geom.element_y()[None, :] * v
+def steering_axes(geom: SurfaceGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Separable factors of the plane-wave phase profiles of L directions.
+
+    Returns (ax, ay) with ax[m, l] = exp(-j*k_free*x_m*u_l), shape (M, L),
+    and ay[n, l] = exp(-j*k_free*y_n*v_l), shape (N, L), where
+    (u, v) = sin(theta) * (cos(phi), sin(phi)). The steering field of
+    direction l is the outer product ax[:, l] ay[:, l]^T.
+    """
+    st = [math.sin(d.theta) for d in directions]
+    u = np.array([s * math.cos(d.phi) for s, d in zip(st, directions)], dtype=float)
+    v = np.array([s * math.sin(d.phi) for s, d in zip(st, directions)], dtype=float)
+    k = -1j * geom.k_free
+    ax = np.exp(k * np.multiply.outer(geom.element_x(), u))
+    ay = np.exp(k * np.multiply.outer(geom.element_y(), v))
+    return ax, ay
 
 
 def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
-    """(M, N) incident plane-wave phase profile exp(-j*k_free*d(m,n)).
+    """(M, N) incident plane-wave phase profile exp(-j*k_free*(x*u + y*v)).
 
     Unit modulus everywhere. The value at the index-mirrored element
     (M+1-m, N+1-n) is the complex conjugate of the value at (m, n).
     """
-    return np.exp(-1j * geom.k_free * path_length(geom, direction))
+    ax, ay = steering_axes(geom, (direction,))
+    return np.outer(ax[:, 0], ay[:, 0])
 
 
 def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> ComplexField:
@@ -239,7 +268,9 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
 
     Each path contributes gain * exp(-j*omega_r*delay) * steering(theta, phi);
     the delay term is the baseband carrier rotation accumulated along the
-    path. Linear in the path gains.
+    path. Linear in the path gains. Evaluated as the rank-L product
+    (ax * g) @ ay^T of the ``steering_axes`` factors, g the carrier gains,
+    so no per-path M x N map is formed.
 
     Args:
         geom: surface geometry.
@@ -253,7 +284,6 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
     _check_frequency(geom, ref)
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
-    total = np.zeros(geom.shape, dtype=complex)
-    for g, p in zip(paths.carrier_gains(ref.angular_frequency), paths.paths):
-        total += g * steering_field(geom, p.direction)
-    return ComplexField(total)
+    ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
+    g = paths.carrier_gains(ref.angular_frequency)
+    return ComplexField((ax * g) @ ay.T)

@@ -152,6 +152,20 @@ class TestCdlProfile:
             assert 0.0 <= p.direction.theta <= math.pi / 2
             assert 0.0 <= p.direction.phi < 2 * math.pi
 
+    def test_tiny_negative_azimuth_wraps_to_zero(self):
+        out = load_cdl_profile("0.0, 0.0, -1e-17, 90.0", 1e-8)
+        assert out.paths[0].direction.phi == 0.0
+
+    def test_bundled_azimuths_unchanged_by_wrap(self):
+        out = load_cdl_profile(bundled_cdl_d(), 3e-8)
+        rows = [
+            line.split("#", 1)[0].split(",")
+            for line in bundled_cdl_d().splitlines()
+            if line.split("#", 1)[0].strip()
+        ]
+        for p, row in zip(out.paths, rows):
+            assert p.direction.phi == math.radians(float(row[2]) % 360.0)
+
     def test_sampler_applies_random_phases(self):
         cfg = ChannelConfig("cdl_profile", delay_spread=3e-8, rng_seed=1)
         a = sample_paths(cfg, 1)

@@ -108,6 +108,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key + ": must be a finite number"):
             load_config(path)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 100.0), (-5.0, 60.0), (60.0, 5.0)])
+    def test_theta_range_checked_at_load(self, lo, hi):
+        with pytest.raises(ConfigError, match=r"channel\.theta_range_deg"):
+            config_from_dict({"channel": {"theta_range_deg": [lo, hi]}})
+
+    def test_theta_range_edges_accepted(self):
+        cfg = config_from_dict({"channel": {"theta_range_deg": [0.0, 90.0]}})
+        assert cfg.channel.theta_range_deg == (0.0, 90.0)
+
     def test_strategy_validation(self):
         with pytest.raises(ConfigError, match=r"weights\.strategy"):
             config_from_dict({"weights": {"strategy": "median"}})
@@ -251,6 +260,32 @@ class TestCli:
         assert code == 2
         assert "link.snr_db[1]" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_mi_sweep_rejects_nonpositive_reps(self, tmp_path, capsys, reps):
+        out = tmp_path / "out"
+        code = main(["mi-sweep", "--reps", reps, "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_theta_exits_before_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "surface": {"M": 4, "N": 4},
+                    "channel": {"kind": "rician_random", "theta_range_deg": [0, 100]},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "3", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert "channel.theta_range_deg" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["record", "--config", str(tmp_path / "nope.json")])
