@@ -30,7 +30,6 @@ from .holography import (
 )
 from .beampattern import PatternGrid, array_factor, find_peaks, sidelobe_metrics
 from .link import (
-    LinkChannel,
     LinkScenario,
     PulseSpec,
     build_toeplitz,
@@ -47,7 +46,6 @@ __all__ = [
     "ComplexField",
     "Direction",
     "Hologram",
-    "LinkChannel",
     "LinkScenario",
     "Path",
     "PathSet",

@@ -12,6 +12,7 @@ ensemble for outage Monte-Carlo, and simplified cluster tables in the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -141,14 +142,20 @@ def sample_paths(cfg: ChannelConfig, rng=None) -> PathSet:
     if cfg.kind == "rician_random":
         return _sample_rician(cfg, rng)
 
-    profile = cfg.profile_text if cfg.profile_text is not None else bundled_cdl_d()
-    base = load_cdl_profile(profile, cfg.delay_spread)
+    base = _parsed_profile(cfg.profile_text, cfg.delay_spread)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=len(base))
     rotated = tuple(
         Path(p.gain * np.exp(1j * ph), p.delay, p.direction)
         for p, ph in zip(base.paths, phases)
     )
     return PathSet(rotated, "unit_power")
+
+
+@functools.lru_cache(maxsize=8)
+def _parsed_profile(profile_text: str | None, delay_spread: float) -> PathSet:
+    """Cached ``load_cdl_profile`` of the text (the bundled CDL-D table when None)."""
+    text = bundled_cdl_d() if profile_text is None else profile_text
+    return load_cdl_profile(text, delay_spread)
 
 
 def _uniform_direction(cfg: ChannelConfig, rng: np.random.Generator) -> Direction:

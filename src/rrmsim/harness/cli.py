@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: record, beampattern, mi-sweep, outage, preset, validate.
-Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error,
+4 internal error (any other exception: a library bug, not bad input).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path as FsPath
 
 from .. import beampattern as bp
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -207,9 +210,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

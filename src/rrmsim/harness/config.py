@@ -104,8 +104,8 @@ class ReferenceBlock:
     sign: int = -1
 
     def validate(self):
-        if self.amplitude < 0:
-            raise ConfigError("amplitude: must be nonnegative")
+        if self.amplitude <= 0:
+            raise ConfigError("amplitude: must be positive")
         if self.sign not in (-1, 1):
             raise ConfigError("sign: must be +1 or -1")
 
@@ -154,6 +154,8 @@ class ChannelBlock:
             raise ConfigError(
                 f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]"
             )
+        if self.phi_range_deg[0] > self.phi_range_deg[1]:
+            raise ConfigError("phi_range_deg: must satisfy lo <= hi")
         if self.kind == "manual" and not self.paths:
             raise ConfigError("paths: manual channel needs at least one path")
 

@@ -146,7 +146,7 @@ def reindex_involution():
 
 def _closed_form_power(geom, ref, paths, user_amplitude):
     """Direction-term expansion of the noise-free interference power."""
-    beta = surface.reference_field(geom, ref).values / ref.amplitude
+    beta = surface.reference_phase(geom, ref.sign)
     per_path = [
         user_amplitude
         * p.gain
@@ -367,9 +367,9 @@ def path_reciprocity_shared_pathset():
     paths = channel.sample_paths(ChannelConfig("rician_random", L=4), 3)
     holo = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
     weights = holography.make_weights(holo, "mean")
-    chan = link.equivalent_taps(geom, ref, weights, paths, PulseSpec())
-    finite = all(np.isfinite(v) for v in chan.taps.values())
-    return finite and len(chan.alpha_pairs) == len(paths), (
+    h = link.equivalent_taps(geom, ref, weights, paths, PulseSpec(), K=16)
+    finite = bool(np.all(np.isfinite(h)))
+    return finite and len(link.alpha_taps(geom, ref, weights, paths)) == len(paths), (
         "one path set drives recording and taps"
     )
 
@@ -402,9 +402,8 @@ def mi_unit_modulus_invariance():
 @_register
 def toeplitz_structure_and_white_noise_filter():
     rng = np.random.default_rng(16)
-    taps = {l: complex(rng.normal(), rng.normal()) for l in range(-3, 5)}
     K = 16
-    H = link.build_toeplitz(taps, K)
+    H = link.build_toeplitz(rng.normal(size=2 * K - 1) + 1j * rng.normal(size=2 * K - 1))
     ok = True
     for i in range(1, K):
         for j in range(1, K):

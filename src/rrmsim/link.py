@@ -5,8 +5,9 @@ user through the same resolvable paths that were recorded. Each path
 contributes one complex equivalent amplitude (an exact sum over elements);
 root-raised-cosine transmit/receive filtering turns the path delays into
 discrete-time taps h[l] through the composite raised-cosine pulse evaluated
-at fractional lags. A K-symbol block then sees a Toeplitz channel matrix,
-white noise (identity noise filter at symbol-rate RRC sampling), and
+at fractional offsets, at exactly the 2K-1 lags -(K-1)..K-1 that a K-symbol
+block reads. The block sees a Toeplitz channel matrix, white noise (identity
+noise filter at symbol-rate RRC sampling), and
 
     MI = (1/K) * log2 det(I + gamma * H * H^H)
 
@@ -19,7 +20,7 @@ blocks with ``block_mi`` and summarises trials with ``mean_ci`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,13 +37,10 @@ from .holography import (
 from .surface import (
     ReferenceWaveSpec,
     SurfaceGeometry,
-    reference_field,
+    reference_phase,
     steering_axes,
     steering_field,
 )
-
-TAP_TRUNCATION = 1e-6
-MAX_TAP_RADIUS_SYMBOLS = 600
 
 
 @dataclass(frozen=True)
@@ -152,34 +150,6 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
     return out
 
 
-def _support_radius(rolloff: float, threshold: float = TAP_TRUNCATION) -> int:
-    """Smallest integer radius beyond which |w| stays under the threshold."""
-    grid = np.arange(0.0, MAX_TAP_RADIUS_SYMBOLS, 0.125)
-    w = np.abs(raised_cosine(grid, rolloff))
-    above = np.nonzero(w >= threshold)[0]
-    if above.size == 0:
-        return 1
-    return min(int(math.ceil(grid[above[-1]])) + 1, MAX_TAP_RADIUS_SYMBOLS)
-
-
-@dataclass(frozen=True)
-class LinkChannel:
-    """Equivalent discrete-time channel for one scenario.
-
-    taps maps integer lag l to h[l]; ``build_toeplitz`` turns them into the
-    K x K block matrix. alpha_pairs holds per-path (dominant, residual)
-    components of the equivalent amplitudes; the pair sums to the exact
-    per-path amplitude.
-    """
-
-    taps: dict[int, complex] = field(repr=False)
-    alpha_pairs: tuple[tuple[complex, complex], ...]
-
-    def alpha(self) -> np.ndarray:
-        """Per-path equivalent amplitudes (dominant + residual)."""
-        return np.array([a + b for a, b in self.alpha_pairs], dtype=complex)
-
-
 def alpha_taps(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
@@ -203,7 +173,7 @@ def alpha_taps(
     if den <= 0.0:
         raise ValueError("all-zero weights give a degenerate channel")
     a_tx = math.sqrt(tx_power / den)
-    beta = reference_field(geom, ref).values / ref.amplitude
+    beta = reference_phase(geom, ref.sign)
     ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
     sums = np.sum(ax * ((w * beta) @ ay), axis=0)
     return a_tx * paths.carrier_gains(ref.angular_frequency) * sums
@@ -247,7 +217,7 @@ def alpha_taps_split(
     a_r = ref.amplitude
     phi = ref.phase_offset
 
-    beta = reference_field(geom, ref).values / a_r
+    beta = reference_phase(geom, ref.sign)
     steer = [steering_field(geom, p.direction) for p in paths.paths]
     g = paths.carrier_gains(ref.angular_frequency)
     L = len(paths)
@@ -306,60 +276,32 @@ def equivalent_taps(
     weights: WeightMatrix,
     paths: PathSet,
     pulse: PulseSpec,
+    K: int,
     tx_power: float = 1.0,
-    recording: RecordingConfig | None = None,
-) -> LinkChannel:
-    """Equivalent discrete-time taps of the weighted surface over the paths.
+) -> np.ndarray:
+    """Equivalent discrete-time taps of the weighted surface on a K-symbol block.
 
-    h[l] = sum_i alpha_i * w(l - delay_i / T_s) with w the closed-form
-    composite raised-cosine pulse, evaluated at real arguments so fractional
-    delays need no resampling. Lags where the pulse stays below 1e-6 for
-    every path are dropped.
-
-    When ``recording`` describes a noise-free recording whose weights kept
-    the exact affine form, alpha_pairs carries the true dominant/residual
-    split; otherwise the full amplitude is stored with a zero residual.
+    h[l] = sum_i alpha_i * w(l - delay_i / T_s) at the 2K-1 lags
+    l = -(K-1)..K-1 that a K x K Toeplitz block reads; lag l is h[K-1+l].
+    w is the closed-form composite raised-cosine pulse, evaluated at real
+    arguments so fractional delays need no resampling, and no tap in the
+    window is truncated.
     """
+    if K < 1:
+        raise ValueError("block length K must be >= 1")
     if len(paths) == 0:
         raise ValueError("tap synthesis needs at least one path")
     alpha = alpha_taps(geom, ref, weights, paths, tx_power)
-
-    if (
-        recording is not None
-        and recording.noise_power == 0.0
-        and not weights.clipped
-        and not weights.degenerate
-    ):
-        dom, res = alpha_taps_split(geom, ref, weights, paths, recording, tx_power)
-        pairs = tuple((complex(d), complex(r)) for d, r in zip(dom, res))
-    else:
-        pairs = tuple((complex(a), 0j) for a in alpha)
-
-    delays_sym = paths.delays() / pulse.symbol_period
-    radius = _support_radius(pulse.rolloff)
-    l_min = int(math.floor(np.min(delays_sym))) - radius
-    l_max = int(math.ceil(np.max(delays_sym))) + radius
-    lags = np.arange(l_min, l_max + 1)
-    h = np.zeros(lags.size, dtype=complex)
-    keep = np.zeros(lags.size, dtype=bool)
-    for a, d in zip(alpha, delays_sym):
-        w = raised_cosine(lags - d, pulse.rolloff)
-        h += a * w
-        keep |= np.abs(w) >= TAP_TRUNCATION
-    taps = {int(l): complex(v) for l, v, k in zip(lags, h, keep) if k}
-    if not taps:
-        taps = {0: 0j}
-    return LinkChannel(taps, pairs)
+    t = np.subtract.outer(np.arange(-(K - 1), K), paths.delays() / pulse.symbol_period)
+    return raised_cosine(t, pulse.rolloff) @ alpha
 
 
-def build_toeplitz(taps, K: int) -> np.ndarray:
-    """K x K Toeplitz matrix with H[i, j] = h[i - j] (0 outside tap support)."""
-    if K < 1:
-        raise ValueError("block length K must be >= 1")
-    if isinstance(taps, LinkChannel):
-        taps = taps.taps
-    lags = np.arange(-(K - 1), K)
-    h = np.array([taps.get(int(l), 0j) for l in lags], dtype=complex)
+def build_toeplitz(h) -> np.ndarray:
+    """K x K Toeplitz block H[i, j] = h[K-1 + i-j] from the taps at lags -(K-1)..K-1."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 1 or h.size % 2 == 0:
+        raise ValueError("taps must be a 1-D array of odd length 2K-1")
+    K = (h.size + 1) // 2
     idx = np.subtract.outer(np.arange(K), np.arange(K)) + (K - 1)
     return h[idx]
 
@@ -479,10 +421,8 @@ def realize_block(
 ) -> np.ndarray:
     """K x K channel matrix for one path realization, normalization applied."""
     weights = scenario_weights(scenario, paths, recording_seed)
-    chan = equivalent_taps(
-        scenario.geom, scenario.ref, weights, paths, scenario.pulse, scenario.tx_power
-    )
-    H = build_toeplitz(chan.taps, scenario.K)
+    s = scenario
+    H = build_toeplitz(equivalent_taps(s.geom, s.ref, weights, paths, s.pulse, s.K, s.tx_power))
     if scenario.normalization == "normalized":
         H = normalize_channel(H)
     return H

@@ -6,7 +6,8 @@ the link model) is built from three primitives defined here:
 * the feed-to-element distance map of a rectangular element grid whose
   geometric center is the feed location,
 * the guided reference wave launched by the feed (``reference_field``); its
-  unit phase map is computed once per (geometry, sign) and cached,
+  unit phase map ``reference_phase`` is computed once per (geometry, sign)
+  and cached,
 * the per-element plane-wave phase profile of a far-field direction. It is
   separable, exp(-j*k*(x*u + y*v)) = exp(-j*k*x*u) * exp(-j*k*y*v), so
   ``steering_axes`` returns only the (M, L) row and (N, L) column factors of
@@ -216,8 +217,11 @@ def _check_frequency(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> None:
 
 
 @functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
-def _reference_phase(geom: SurfaceGeometry, sign: int) -> np.ndarray:
-    """Read-only unit phase map exp(j*sign*k_sub*d(m,n)), one per (geom, sign)."""
+def reference_phase(geom: SurfaceGeometry, sign: int) -> np.ndarray:
+    """Unit-amplitude reference wave exp(j*sign*k_sub*d(m,n)) across the surface.
+
+    Cached per (geometry, sign) and returned read-only; copy before modifying.
+    """
     phase = np.exp(1j * (sign * geom.k_sub * geom.feed_distance()))
     phase.flags.writeable = False
     return phase
@@ -233,7 +237,7 @@ def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> ComplexFie
     fresh array, so callers may modify it.
     """
     _check_frequency(geom, ref)
-    return ComplexField(ref.amplitude * _reference_phase(geom, ref.sign))
+    return ComplexField(ref.amplitude * reference_phase(geom, ref.sign))
 
 
 def steering_axes(geom: SurfaceGeometry, directions) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrmsim import ChannelConfig, Direction, PathSet, ProfileError, load_cdl_profile, sample_paths
-from rrmsim.channel import Path, bundled_cdl_d
+from rrmsim.channel import Path, _parsed_profile, bundled_cdl_d
 
 
 class TestPathSet:
@@ -174,3 +174,18 @@ class TestCdlProfile:
         assert any(pa.gain != pb.gain for pa, pb in zip(a.paths, b.paths))
         assert all(pa.delay == pb.delay for pa, pb in zip(a.paths, b.paths))
         assert all(abs(pa.gain) == pytest.approx(abs(pb.gain)) for pa, pb in zip(a.paths, b.paths))
+
+    def test_parsed_profile_cached_and_equal(self):
+        cfg = ChannelConfig("cdl_profile", delay_spread=3e-8)
+        first = _parsed_profile(None, 3e-8)
+        assert _parsed_profile(None, 3e-8) is first
+        assert first == load_cdl_profile(bundled_cdl_d(), 3e-8)
+        a, b = sample_paths(cfg, 5), sample_paths(cfg, 5)
+        assert a == b
+        assert [p.delay for p in a.paths] == [p.delay for p in first.paths]
+
+    def test_cached_sampler_still_rejects_malformed_profile(self):
+        cfg = ChannelConfig("cdl_profile", profile_text="0,0,0,90\n1,x,10,95\n")
+        for _ in range(2):
+            with pytest.raises(ProfileError, match="line 2"):
+                sample_paths(cfg, 0)

@@ -25,7 +25,7 @@ from rrmsim import (
 )
 from rrmsim.channel import ChannelConfig, Path, sample_paths
 from rrmsim.link import alpha_taps
-from rrmsim.surface import _reference_phase, steering_axes
+from rrmsim.surface import reference_phase, steering_axes
 
 from conftest import make_geometry, make_reference
 
@@ -147,7 +147,7 @@ class TestReferenceCache:
         assert np.array_equal(reference_field(geom, ref).values, expected)
 
     def test_cached_phase_is_read_only(self):
-        phase = _reference_phase(make_geometry(4, 4), -1)
+        phase = reference_phase(make_geometry(4, 4), -1)
         with pytest.raises(ValueError):
             phase[0, 0] = 0.0
 
@@ -157,6 +157,7 @@ class TestReferenceCache:
             ref = make_reference(geom, amplitude=2.0, sign=sign)
             direct = 2.0 * np.exp(1j * sign * geom.k_sub * geom.feed_distance())
             assert np.array_equal(reference_field(geom, ref).values, direct)
+            assert np.array_equal(reference_phase(geom, sign), direct / 2.0)
 
     def test_geometries_and_signs_do_not_share_entries(self):
         a = make_geometry(8, 8)

@@ -113,9 +113,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"channel\.theta_range_deg"):
             config_from_dict({"channel": {"theta_range_deg": [lo, hi]}})
 
+    def test_reversed_phi_range_checked_at_load(self):
+        with pytest.raises(ConfigError, match=r"channel\.phi_range_deg"):
+            config_from_dict({"channel": {"phi_range_deg": [90.0, 10.0]}})
+
     def test_theta_range_edges_accepted(self):
         cfg = config_from_dict({"channel": {"theta_range_deg": [0.0, 90.0]}})
         assert cfg.channel.theta_range_deg == (0.0, 90.0)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0])
+    def test_reference_amplitude_must_be_positive(self, amplitude):
+        with pytest.raises(ConfigError, match=r"reference\.amplitude: must be positive"):
+            config_from_dict({"reference": {"amplitude": amplitude}})
 
     def test_strategy_validation(self):
         with pytest.raises(ConfigError, match=r"weights\.strategy"):
@@ -286,6 +295,34 @@ class TestCli:
         assert code == 2
         assert "channel.theta_range_deg" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_zero_reference_amplitude_exits_before_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": {"M": 4, "N": 4}, "reference": {"amplitude": 0.0}}))
+        out = tmp_path / "out"
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "2", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert "reference.amplitude" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_library_error_is_internal_not_config(self, tmp_path, capsys, monkeypatch):
+        from rrmsim import link
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr(link, "trial_mi_curves", broken)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": {"M": 4, "N": 4}}))
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "2", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err and "broken invariant" in err
+        assert "config error" not in err
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         code = main(["record", "--config", str(tmp_path / "nope.json")])

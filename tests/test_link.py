@@ -103,14 +103,15 @@ class TestEquivalentTaps:
         d = Direction.from_degrees(30.0, 60.0)
         paths = PathSet((Path(1.0 + 0j, 0.0, d),))
         pulse = PulseSpec()
-        focused = equivalent_taps(geom, ref, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths, pulse)
-        h0_focused = abs(focused.taps[0])
+        K = 4
+        focused = equivalent_taps(
+            geom, ref, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths, pulse, K
+        )
+        h0_focused = abs(focused[K - 1])
         for _ in range(20):
             w = rng.uniform(0.0, 1.0, size=geom.shape)
-            random_chan = equivalent_taps(
-                geom, ref, _as_weights(w), paths, pulse
-            )
-            assert h0_focused > abs(random_chan.taps[0])
+            random_h = equivalent_taps(geom, ref, _as_weights(w), paths, pulse, K)
+            assert h0_focused > abs(random_h[K - 1])
 
     def test_zero_gain_path_contributes_nothing(self):
         geom = make_geometry(6, 6)
@@ -132,7 +133,7 @@ class TestEquivalentTaps:
         paths = make_five_paths()
         zero = _as_weights(np.zeros(geom.shape))
         with pytest.raises(ValueError):
-            equivalent_taps(geom, ref, zero, paths, PulseSpec())
+            equivalent_taps(geom, ref, zero, paths, PulseSpec(), 8)
 
     def test_radiated_power_scale(self):
         geom = make_geometry(8, 8)
@@ -181,18 +182,6 @@ class TestEquivalentTaps:
         with pytest.raises(ValueError):
             alpha_taps_split(geom, ref, weights, paths, noisy)
 
-    def test_link_channel_split_stored_when_available(self):
-        geom = make_geometry(6, 6)
-        ref = make_reference(geom)
-        paths = make_five_paths()
-        cfg = RecordingConfig(1.0, 0.0, 1, 1, 0)
-        holo = record_hologram(geom, ref, paths, cfg)
-        weights = make_weights(holo, "min")
-        chan = equivalent_taps(geom, ref, weights, paths, PulseSpec(), recording=cfg)
-        assert any(abs(b) > 0 for _a, b in chan.alpha_pairs)
-        direct = alpha_taps(geom, ref, weights, paths)
-        assert np.allclose(chan.alpha(), direct, rtol=1e-9)
-
     def test_fractional_delay_taps_follow_pulse(self):
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
@@ -200,12 +189,61 @@ class TestEquivalentTaps:
         d = Direction.from_degrees(25, 50)
         paths = PathSet((Path(1.0 + 0j, tau, d),))
         pulse = PulseSpec()
-        chan = equivalent_taps(geom, ref, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths, pulse)
-        alpha = alpha_taps(geom, ref, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths)[0]
+        K = 8
+        weights = rhs_weights(geom, ref, [(d, 1.0 + 0j)])
+        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
+        alpha = alpha_taps(geom, ref, weights, paths)[0]
         frac = tau / pulse.symbol_period
         for lag in (-1, 0, 1, 2):
             expected = alpha * raised_cosine(np.array([lag - frac]), pulse.rolloff)[0]
-            assert chan.taps[lag] == pytest.approx(expected, rel=1e-12)
+            assert h[K - 1 + lag] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [1, 5, 64])
+    def test_taps_cover_block_window(self, K):
+        # 2K-1 taps, h[K-1+l] = sum_i alpha_i * w(l - d_i) at every lag l
+        rng = np.random.default_rng(100 + K)
+        geom = make_geometry(6, 7)
+        ref = make_reference(geom)
+        pulse = PulseSpec(rolloff=0.35)
+        paths = PathSet(
+            tuple(
+                Path(
+                    complex(rng.normal(), rng.normal()),
+                    rng.uniform(0.0, 12.0) * pulse.symbol_period,
+                    Direction(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)),
+                )
+                for _ in range(4)
+            )
+        )
+        weights = _as_weights(rng.uniform(0.0, 1.0, size=geom.shape))
+        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
+        assert h.shape == (2 * K - 1,)
+        alpha = alpha_taps(geom, ref, weights, paths)
+        delays = paths.delays() / pulse.symbol_period
+        for l in range(-(K - 1), K):
+            expected = sum(
+                a * raised_cosine(np.array([l - d]), pulse.rolloff)[0]
+                for a, d in zip(alpha, delays)
+            )
+            assert abs(h[K - 1 + l] - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_zero_rolloff_taps_reach_window_edge(self):
+        # the sinc tail beyond lag 600 is kept, not cut at a fixed radius
+        geom = make_geometry(4, 4)
+        ref = make_reference(geom)
+        d = Direction.from_degrees(20.0, 40.0)
+        paths = PathSet((Path(1.0 + 0j, 0.4e-8, d), Path(0.5j, 2.3e-8, d)))
+        pulse = PulseSpec(rolloff=0.0)
+        weights = _as_weights(np.ones(geom.shape))
+        K = 700
+        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
+        alpha = alpha_taps(geom, ref, weights, paths)
+        lags = np.arange(-(K - 1), K)
+        far = np.abs(lags) > 600
+        delays = paths.delays() / pulse.symbol_period
+        expected = sum(a * np.sinc(lags[far] - d) for a, d in zip(alpha, delays))
+        assert np.max(np.abs(expected)) > 1e-6
+        assert np.allclose(h[far], expected, rtol=1e-12, atol=0.0)
 
 
 def _as_weights(values):
@@ -215,13 +253,21 @@ def _as_weights(values):
     return WeightMatrix(scaled, 0.0, 1.0, "none")
 
 
+def _window(K, taps):
+    """Length-(2K-1) tap array with h[K-1+l] = taps[l] and zeros elsewhere."""
+    h = np.zeros(2 * K - 1, dtype=complex)
+    for lag, value in taps.items():
+        h[K - 1 + lag] = value
+    return h
+
+
 class TestToeplitz:
     def test_single_tap_identity(self):
-        H = build_toeplitz({0: 2.5 + 1j}, 4)
+        H = build_toeplitz(_window(4, {0: 2.5 + 1j}))
         assert np.array_equal(H, (2.5 + 1j) * np.eye(4))
 
     def test_two_taps_lower_bidiagonal(self):
-        H = build_toeplitz({0: 1.0 + 0j, 1: 0.5 + 0j}, 3)
+        H = build_toeplitz(_window(3, {0: 1.0 + 0j, 1: 0.5 + 0j}))
         expected = np.array(
             [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.5, 1.0]], dtype=complex
         )
@@ -229,10 +275,17 @@ class TestToeplitz:
 
     def test_constant_diagonals_random(self):
         rng = np.random.default_rng(22)
-        taps = {int(l): complex(rng.normal(), rng.normal()) for l in range(-5, 9)}
-        H = build_toeplitz(taps, 64)
+        h = rng.normal(size=127) + 1j * rng.normal(size=127)
+        H = build_toeplitz(h)
+        assert H.shape == (64, 64)
         for i in range(1, 64):
             assert np.array_equal(H[i, 1:], H[i - 1, :-1])
+        assert H[63, 0] == h[-1] and H[0, 63] == h[0]
+
+    @pytest.mark.parametrize("shape", [(0,), (4,), (126,), (3, 3), ()])
+    def test_rejects_even_length_and_non_vector(self, shape):
+        with pytest.raises(ValueError):
+            build_toeplitz(np.ones(shape, dtype=complex))
 
 
 class TestMutualInformation:
