@@ -38,9 +38,9 @@ class Path:
 
     def __post_init__(self):
         if self.delay < 0:
-            raise ValueError(f"path delay must be nonnegative, got {self.delay}")
+            raise ValueError(f"delay: must be nonnegative, got {self.delay}")
         if not np.isfinite(self.gain):
-            raise ValueError("path gain must be finite")
+            raise ValueError(f"gain: must be finite, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class PathSet:
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
         if self.normalization not in ("raw", "unit_power"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise ValueError("normalization: must be raw or unit_power")
         if self.normalization == "unit_power":
             if abs(self.total_power() - 1.0) > UNIT_POWER_TOL:
-                raise ValueError("unit_power path set does not sum to unit power")
+                raise ValueError("paths: unit_power set must sum to unit power")
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -111,13 +111,16 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.kind not in ("manual", "rician_random", "cdl_profile"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+            raise ValueError("kind: must be manual, rician_random or cdl_profile")
         if self.L < 1:
-            raise ValueError("path count L must be >= 1")
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be positive")
+            raise ValueError(f"L: must be >= 1, got {self.L}")
+        for name, value in (("max_delay", self.max_delay), ("delay_spread", self.delay_spread)):
+            if value <= 0:
+                raise ValueError(f"{name}: must be positive, got {value}")
         if self.kind == "manual" and len(self.paths) == 0:
-            raise ValueError("manual channel needs a nonempty path list")
+            raise ValueError("paths: manual channel needs at least one path")
+        if self.kind == "manual" and PathSet(self.paths).total_power() == 0.0:
+            raise ValueError("paths: manual channel needs nonzero total power")
 
 
 def _as_rng(rng) -> np.random.Generator:

@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 from .. import beampattern as bp
 from .. import holography, link
 from ..channel import ProfileError, sample_paths
-from ..holography import RecordingConfig, noise_power_for_snr
+from ..holography import noise_power_for_snr
 from . import invariants
 from .config import (
     ConfigError,
@@ -58,15 +58,8 @@ def _scenario_paths(cfg: ExperimentConfig):
 
 
 def _recorded_weights(cfg: ExperimentConfig, paths):
-    rec = RecordingConfig(
-        user_amplitude=cfg.recording.user_amplitude,
-        noise_power=noise_power_for_snr(
-            cfg.recording.snr_db, cfg.recording.user_amplitude, paths
-        ),
-        duration_symbols=cfg.recording.duration_symbols,
-        samples_per_symbol=cfg.recording.samples_per_symbol,
-        rng_seed=cfg.seed,
-    )
+    r = cfg.recording
+    rec = cfg.recording_config(noise_power_for_snr(r.snr_db, r.user_amplitude, paths), cfg.seed)
     holo = holography.record_hologram(cfg.geometry(), cfg.reference_wave(), paths, rec)
     return holo, holography.make_weights(holo, cfg.weights.strategy)
 

@@ -8,13 +8,17 @@ power and a 64-symbol block with rolloff 0.25.
 
 Unknown keys and non-finite numbers (JSON ``NaN``, ``1e999``) are rejected,
 and every schema violation names the offending key with its full dotted
-path. ``load_config(save_config(cfg))`` returns an equal config, field for
-field.
+path. A value rule lives in the domain constructor that consumes the value;
+``config_from_dict`` builds those objects once and maps their
+``"<field>: <reason>"`` errors to dotted keys. The blocks check only rules
+with no domain home. ``load_config(save_config(cfg))`` returns an equal
+config, field for field.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from ..channel import ChannelConfig, Path, PathSet
+from ..holography import WEIGHT_STRATEGIES, RecordingConfig
 from ..link import LinkScenario, PulseSpec
 from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
 
@@ -44,11 +49,10 @@ class PathSpec:
     gain_imag: float = 0.0
     delay: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.theta_deg <= 90.0:
-            raise ConfigError("theta_deg: must lie in [0, 90]")
-        if self.delay < 0:
-            raise ConfigError("delay: must be nonnegative")
+            raise ValueError(f"theta_deg: must lie in [0, 90], got {self.theta_deg}")
+        self.to_path()  # Path checks the delay
 
     def to_path(self) -> Path:
         return Path(
@@ -80,19 +84,6 @@ class SurfaceBlock:
     dx: float | None = None  # None -> half wavelength
     dy: float | None = None
 
-    def validate(self):
-        if self.M < 1:
-            raise ConfigError("M: must be a positive integer")
-        if self.N < 1:
-            raise ConfigError("N: must be a positive integer")
-        if self.fc <= 0:
-            raise ConfigError("fc: must be positive")
-        if self.substrate_index < 1.0:
-            raise ConfigError("substrate_index: must be >= 1")
-        for name, v in (("dx", self.dx), ("dy", self.dy)):
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name}: must be positive")
-
 
 @dataclass(frozen=True)
 class ReferenceBlock:
@@ -103,11 +94,10 @@ class ReferenceBlock:
     phase_offset: float = 0.0
     sign: int = -1
 
-    def validate(self):
+    def __post_init__(self):
+        # ReferenceWaveSpec allows 0; a recording needs a reference to interfere with
         if self.amplitude <= 0:
-            raise ConfigError("amplitude: must be positive")
-        if self.sign not in (-1, 1):
-            raise ConfigError("sign: must be +1 or -1")
+            raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +106,6 @@ class RecordingBlock:
     snr_db: float | None = 10.0  # None records without noise
     duration_symbols: int = 5
     samples_per_symbol: int = 1
-
-    def validate(self):
-        if self.user_amplitude < 0:
-            raise ConfigError("user_amplitude: must be nonnegative")
-        if self.duration_symbols < 1:
-            raise ConfigError("duration_symbols: must be >= 1")
-        if self.samples_per_symbol < 1:
-            raise ConfigError("samples_per_symbol: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,35 +120,21 @@ class ChannelBlock:
     profile_path: str | None = None
     paths: tuple[PathSpec, ...] = DEFAULT_PATHS
 
-    def validate(self):
-        if self.kind not in ("manual", "rician_random", "cdl_profile"):
-            raise ConfigError(
-                "kind: must be one of manual, rician_random, cdl_profile"
-            )
-        if self.L < 1:
-            raise ConfigError("L: must be >= 1")
-        if self.max_delay <= 0:
-            raise ConfigError("max_delay: must be positive")
-        if self.delay_spread <= 0:
-            raise ConfigError("delay_spread: must be positive")
+    def __post_init__(self):
         lo, hi = self.theta_range_deg
         if not 0.0 <= lo <= hi <= 90.0:
-            raise ConfigError(
-                f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]"
-            )
+            raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
-            raise ConfigError("phi_range_deg: must satisfy lo <= hi")
-        if self.kind == "manual" and not self.paths:
-            raise ConfigError("paths: manual channel needs at least one path")
+            raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
 
 
 @dataclass(frozen=True)
 class WeightsBlock:
     strategy: str = "mean"
 
-    def validate(self):
-        if self.strategy not in ("none", "mean", "min"):
-            raise ConfigError("strategy: must be one of none, mean, min")
+    def __post_init__(self):
+        if self.strategy not in WEIGHT_STRATEGIES:
+            raise ValueError(f"strategy: must be one of {WEIGHT_STRATEGIES}, got {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -178,19 +146,9 @@ class LinkBlock:
     normalization: str = "normalized"
     tx_power: float = 1.0
 
-    def validate(self):
-        if self.K < 1:
-            raise ConfigError("K: must be >= 1")
-        if not 0.0 <= self.rolloff <= 1.0:
-            raise ConfigError("rolloff: must lie in [0, 1]")
-        if self.symbol_period <= 0:
-            raise ConfigError("symbol_period: must be positive")
+    def __post_init__(self):
         if not self.snr_db:
-            raise ConfigError("snr_db: must be a nonempty list")
-        if self.normalization not in ("normalized", "absolute"):
-            raise ConfigError("normalization: must be normalized or absolute")
-        if self.tx_power <= 0:
-            raise ConfigError("tx_power: must be positive")
+            raise ValueError("snr_db: must be a nonempty list")
 
 
 @dataclass(frozen=True)
@@ -198,20 +156,20 @@ class OutageBlock:
     r_th: float = 2.0
     trials: int = 2000
 
-    def validate(self):
+    def __post_init__(self):
         if self.r_th <= 0:
-            raise ConfigError("r_th: must be positive")
+            raise ValueError(f"r_th: must be positive, got {self.r_th}")
         if self.trials < 1:
-            raise ConfigError("trials: must be >= 1")
+            raise ValueError(f"trials: must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "out"
 
-    def validate(self):
+    def __post_init__(self):
         if not self.directory:
-            raise ConfigError("directory: must be nonempty")
+            raise ValueError("directory: must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -227,17 +185,18 @@ class ExperimentConfig:
     seed: int = 1234
     output: OutputBlock = field(default_factory=OutputBlock)
 
-    def validate(self):
+    def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version: must be {SCHEMA_VERSION}, got {self.schema_version}"
-            )
+            raise ValueError(f"schema_version: must be {SCHEMA_VERSION}, got {self.schema_version}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
     # conversions to domain objects ------------------------------------
 
     def geometry(self, rows: int | None = None, cols: int | None = None) -> SurfaceGeometry:
         s = self.surface
-        lam = 299_792_458.0 / s.fc
+        # fc <= 0 is SurfaceGeometry's to reject; only keep the division from failing first
+        lam = 299_792_458.0 / s.fc if s.fc > 0 else math.inf
         k_free = 2.0 * math.pi / lam
         return SurfaceGeometry(
             rows if rows is not None else s.M,
@@ -252,6 +211,12 @@ class ExperimentConfig:
         r = self.reference
         return ReferenceWaveSpec(
             r.amplitude, 2.0 * math.pi * self.surface.fc, r.phase_offset, r.sign
+        )
+
+    def recording_config(self, noise_power: float = 0.0, rng_seed: int = 0) -> RecordingConfig:
+        r = self.recording
+        return RecordingConfig(
+            r.user_amplitude, noise_power, r.duration_symbols, r.samples_per_symbol, rng_seed
         )
 
     def pulse(self) -> PulseSpec:
@@ -366,10 +331,13 @@ def _coerce(value, hint, path: str):
     raise ConfigError(f"{path}: unsupported value")
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per block class
+
+
 def _build(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: must be an object")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     for key in data:
         if key not in names:
@@ -380,32 +348,34 @@ def _build(cls, data, path: str):
             sub = f"{path}.{f.name}" if path else f.name
             kwargs[f.name] = _coerce(data[f.name], hints[f.name], sub)
     try:
-        obj = cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
-    return obj
+        return cls(**kwargs)
+    except ValueError as exc:  # "<field>: <reason>" from the block's own rules
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
 
 
-def _validate_tree(obj, path: str):
-    if dataclasses.is_dataclass(obj):
-        validator = getattr(obj, "validate", None)
-        if validator is not None:
-            try:
-                validator()
-            except ConfigError as exc:
-                raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
-        for f in dataclasses.fields(obj):
-            sub = f"{path}.{f.name}" if path else f.name
-            _validate_tree(getattr(obj, f.name), sub)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _validate_tree(v, f"{path}[{i}]")
+_KEY_RENAMES = {"rows": "M", "cols": "N", "k_sub": "substrate_index"}  # domain field -> key
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate a config from a parsed JSON object."""
+    """Build a config from a parsed JSON object and validate it.
+
+    Builds each domain object the sweeps use once; a constructor's
+    ``"<field>: <reason>"`` becomes ``ConfigError("<block>.<key>: <reason>")``.
+    """
     cfg = _build(ExperimentConfig, data, "")
-    _validate_tree(cfg, "")
+    for block, make in (
+        ("surface", cfg.geometry),
+        ("reference", cfg.reference_wave),
+        ("recording", cfg.recording_config),
+        ("channel", cfg.channel_config),
+        ("link", cfg.pulse),
+        ("link", cfg.scenario),
+    ):
+        try:
+            make()
+        except ValueError as exc:
+            key, _, reason = str(exc).partition(": ")
+            raise ConfigError(f"{block}.{_KEY_RENAMES.get(key, key)}: {reason}") from None
     return cfg
 
 
@@ -415,6 +385,7 @@ def load_config(path) -> ExperimentConfig:
     Raises:
         ConfigError: JSON syntax errors (with line and column), unknown keys,
             or schema violations (naming the offending key).
+        OSError: an unreadable ``channel.profile_path``.
     """
     try:
         text = FsPath(path).read_text("utf-8")

@@ -26,8 +26,10 @@ from .surface import (
     Direction,
     ReferenceWaveSpec,
     SurfaceGeometry,
+    _check_frequency,
     object_field,
     reference_field,
+    reference_phase,
     steering_axes,
     steering_field,
 )
@@ -57,11 +59,13 @@ class RecordingConfig:
 
     def __post_init__(self):
         if self.user_amplitude < 0:
-            raise ValueError("user amplitude must be nonnegative")
+            raise ValueError(f"user_amplitude: must be nonnegative, got {self.user_amplitude}")
         if self.noise_power < 0:
-            raise ValueError("noise power must be nonnegative")
-        if self.duration_symbols < 1 or self.samples_per_symbol < 1:
-            raise ValueError("recording needs at least one sample")
+            raise ValueError(f"noise_power: must be nonnegative, got {self.noise_power}")
+        if self.duration_symbols < 1:
+            raise ValueError(f"duration_symbols: must be >= 1, got {self.duration_symbols}")
+        if self.samples_per_symbol < 1:
+            raise ValueError(f"samples_per_symbol: must be >= 1, got {self.samples_per_symbol}")
 
     @property
     def num_samples(self) -> int:
@@ -93,9 +97,9 @@ class Hologram:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
-            raise ValueError("hologram must be a 2-D matrix")
+            raise ValueError(f"values: must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("hologram entries must be finite and nonnegative")
+            raise ValueError("values: must be finite and nonnegative")
         object.__setattr__(self, "values", v)
 
 
@@ -118,9 +122,9 @@ class WeightMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if np.any(v < 0) or np.any(v > 1 + 1e-12):
-            raise ValueError("weights must lie in [0, 1]")
+            raise ValueError("values: must lie in [0, 1]")
         if self.rho_used <= 0:
-            raise ValueError("rho_used must be positive")
+            raise ValueError(f"rho_used: must be positive, got {self.rho_used}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -158,7 +162,7 @@ def record_hologram(
         raise ValueError("recording needs a positive reference amplitude")
 
     user = cfg.user_amplitude * object_field(geom, paths, ref).values
-    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref).values
+    reference = np.exp(1j * ref.phase_offset) * (ref.amplitude * reference_phase(geom, ref.sign))
     carrier = user + reference
 
     if cfg.noise_power == 0.0:
@@ -303,7 +307,8 @@ def rhs_weights(
     """
     if not desired:
         raise ValueError("perfect-CSI weights need at least one desired direction")
-    e_r = reference_field(geom, ref).values
+    _check_frequency(geom, ref)
+    e_r = ref.amplitude * reference_phase(geom, ref.sign)
     ax, ay = steering_axes(geom, [direction for direction, _ in desired])
     g = np.array([gain for _, gain in desired], dtype=complex)
     w_int = np.conj((ax * g) @ ay.T) * np.conj(e_r)

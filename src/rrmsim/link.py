@@ -54,13 +54,13 @@ class PulseSpec:
 
     def __post_init__(self):
         if self.symbol_period <= 0:
-            raise ValueError("symbol period must be positive")
+            raise ValueError(f"symbol_period: must be positive, got {self.symbol_period}")
         if not 0.0 <= self.rolloff <= 1.0:
-            raise ValueError("rolloff must lie in [0, 1]")
+            raise ValueError(f"rolloff: must lie in [0, 1], got {self.rolloff}")
         if self.span_symbols < 4:
-            raise ValueError("filter span must be at least 4 symbols")
+            raise ValueError(f"span_symbols: must be >= 4, got {self.span_symbols}")
         if self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be >= 1")
+            raise ValueError(f"samples_per_symbol: must be >= 1, got {self.samples_per_symbol}")
 
 
 def _rrc_closed_form(t: np.ndarray, a: float) -> np.ndarray:
@@ -386,13 +386,13 @@ class LinkScenario:
 
     def __post_init__(self):
         if self.system not in ("rrm", "rhs"):
-            raise ValueError(f"unknown system {self.system!r}")
+            raise ValueError(f"system: must be rrm or rhs, got {self.system!r}")
         if self.normalization not in ("normalized", "absolute"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+            raise ValueError("normalization: must be normalized or absolute")
         if self.K < 1:
-            raise ValueError("K must be >= 1")
+            raise ValueError(f"K: must be >= 1, got {self.K}")
         if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
+            raise ValueError(f"tx_power: must be positive, got {self.tx_power}")
 
 
 def scenario_weights(

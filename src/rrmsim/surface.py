@@ -59,14 +59,17 @@ class SurfaceGeometry:
     k_sub: float
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("element spacings must be positive")
+        for name, count in (("rows", self.rows), ("cols", self.cols)):
+            if count < 1:
+                raise ValueError(f"{name}: must be >= 1, got {count}")
+        # fc first: a nonpositive fc also makes half-wavelength spacings nonpositive
         if self.fc <= 0:
-            raise ValueError("carrier frequency must be positive")
+            raise ValueError(f"fc: must be positive, got {self.fc}")
+        for name, spacing in (("dx", self.dx), ("dy", self.dy)):
+            if spacing <= 0:
+                raise ValueError(f"{name}: must be positive, got {spacing}")
         if self.k_sub < self.k_free - 1e-9:
-            raise ValueError("substrate wavenumber must be >= free-space wavenumber")
+            raise ValueError("k_sub: must be >= k_free (substrate index >= 1)")
 
     @property
     def k_free(self) -> float:
@@ -132,9 +135,9 @@ class Direction:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi / 2.0:
-            raise ValueError(f"theta must be in [0, pi/2], got {self.theta}")
+            raise ValueError(f"theta: must lie in [0, pi/2], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must be in [0, 2*pi), got {self.phi}")
+            raise ValueError(f"phi: must lie in [0, 2*pi), got {self.phi}")
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "Direction":
@@ -157,9 +160,9 @@ class ComplexField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2:
-            raise ValueError(f"field must be 2-D, got shape {v.shape}")
+            raise ValueError(f"values: must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite entries")
+            raise ValueError("values: must be finite")
         object.__setattr__(self, "values", v)
 
     @property
@@ -190,11 +193,11 @@ class ReferenceWaveSpec:
 
     def __post_init__(self):
         if self.amplitude < 0:
-            raise ValueError("reference amplitude must be nonnegative")
+            raise ValueError(f"amplitude: must be nonnegative, got {self.amplitude}")
         if self.angular_frequency <= 0:
-            raise ValueError("angular frequency must be positive")
+            raise ValueError(f"angular_frequency: must be positive, got {self.angular_frequency}")
         if self.sign not in (-1, +1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+            raise ValueError(f"sign: must be +1 or -1, got {self.sign}")
 
     @classmethod
     def for_geometry(

@@ -37,6 +37,13 @@ class TestSamplePaths:
         out = sample_paths(cfg, 7)
         assert out.paths == paths
 
+    def test_manual_zero_power_rejected(self):
+        silent = (Path(0j, 0.0, Direction(0.2, 1.0)), Path(0j, 1e-9, Direction(0.3, 2.0)))
+        with pytest.raises(ValueError, match="paths: "):
+            ChannelConfig("manual", paths=silent)
+        # the source kinds that draw their own paths ignore the manual list
+        assert ChannelConfig("rician_random", paths=silent).kind == "rician_random"
+
     def test_rician_degenerate_single_los(self):
         cfg = ChannelConfig("rician_random", L=1, k_factor_db=math.inf)
         out = sample_paths(cfg, 0)

@@ -18,6 +18,55 @@ from rrmsim.harness.results import fmt9
 from rrmsim.link import outage_probability
 
 
+def _path(**fields):
+    return {"theta_deg": 10.0, "phi_deg": 0.0, **fields}
+
+
+# One config per load-time rule, with the dotted key its ConfigError must name.
+REJECTED = [
+    ({"surface": {"M": 0}}, "surface.M"),
+    ({"surface": {"N": 0}}, "surface.N"),
+    ({"surface": {"fc": 0.0}}, "surface.fc"),
+    ({"surface": {"fc": -1.0}}, "surface.fc"),
+    ({"surface": {"substrate_index": 0.5}}, "surface.substrate_index"),
+    ({"surface": {"dx": 0.0}}, "surface.dx"),
+    ({"surface": {"dy": -1.0}}, "surface.dy"),
+    ({"reference": {"amplitude": 0.0}}, "reference.amplitude"),
+    ({"reference": {"amplitude": -1.0}}, "reference.amplitude"),
+    ({"reference": {"sign": 0}}, "reference.sign"),
+    ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
+    ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
+    ({"recording": {"samples_per_symbol": 0}}, "recording.samples_per_symbol"),
+    ({"channel": {"kind": "ray_traced"}}, "channel.kind"),
+    ({"channel": {"L": 0}}, "channel.L"),
+    ({"channel": {"max_delay": 0.0}}, "channel.max_delay"),
+    ({"channel": {"delay_spread": 0.0}}, "channel.delay_spread"),
+    ({"channel": {"theta_range_deg": [0.0, 100.0]}}, "channel.theta_range_deg"),
+    ({"channel": {"theta_range_deg": [-5.0, 60.0]}}, "channel.theta_range_deg"),
+    ({"channel": {"theta_range_deg": [60.0, 5.0]}}, "channel.theta_range_deg"),
+    ({"channel": {"phi_range_deg": [90.0, 10.0]}}, "channel.phi_range_deg"),
+    ({"channel": {"paths": []}}, "channel.paths"),
+    ({"channel": {"paths": [_path(theta_deg=95.0)]}}, "channel.paths[0].theta_deg"),
+    ({"channel": {"paths": [_path(), _path(theta_deg=-1.0)]}}, "channel.paths[1].theta_deg"),
+    ({"channel": {"paths": [_path(delay=-1e-9)]}}, "channel.paths[0].delay"),
+    ({"channel": {"paths": [_path(gain_real=0.0)]}}, "channel.paths"),
+    ({"weights": {"strategy": "median"}}, "weights.strategy"),
+    ({"link": {"K": 0}}, "link.K"),
+    ({"link": {"rolloff": 1.5}}, "link.rolloff"),
+    ({"link": {"rolloff": -0.1}}, "link.rolloff"),
+    ({"link": {"symbol_period": 0.0}}, "link.symbol_period"),
+    ({"link": {"snr_db": []}}, "link.snr_db"),
+    ({"link": {"normalization": "peak"}}, "link.normalization"),
+    ({"link": {"tx_power": 0.0}}, "link.tx_power"),
+    ({"outage": {"r_th": 0.0}}, "outage.r_th"),
+    ({"outage": {"trials": 0}}, "outage.trials"),
+    ({"output": {"directory": ""}}, "output.directory"),
+    ({"schema_version": 1}, "schema_version"),
+    ({"seed": -1}, "seed"),
+]
+REJECTED_IDS = [json.dumps(data, separators=(",", ":")) for data, _key in REJECTED]
+
+
 class TestConfig:
     def test_empty_object_gives_standard_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -129,6 +178,12 @@ class TestConfig:
     def test_strategy_validation(self):
         with pytest.raises(ConfigError, match=r"weights\.strategy"):
             config_from_dict({"weights": {"strategy": "median"}})
+
+    @pytest.mark.parametrize("data, key", REJECTED, ids=REJECTED_IDS)
+    def test_rejected_value_names_dotted_key(self, data, key):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert str(info.value).startswith(key + ": ")
 
 
 class TestEmitCsv:
@@ -305,6 +360,43 @@ class TestCli:
         )
         assert code == 2
         assert "reference.amplitude" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("data, key", REJECTED, ids=REJECTED_IDS)
+    def test_rejected_config_exits_before_sweep(self, tmp_path, capsys, data, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": {"M": 4, "N": 4}, **data}))
+        out = tmp_path / "out"
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "1", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_negative_seed_flag_exits_before_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["record", "--seed", "-1", "--out", str(out), "--quiet"]) == 2
+        assert "config error: seed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_profile_is_io_error_at_load(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        missing = tmp_path / "missing.profile"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "surface": {"M": 4, "N": 4},
+                    "channel": {"kind": "cdl_profile", "profile_path": str(missing)},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "1", "--out", str(out), "--quiet"]
+        )
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
     def test_library_error_is_internal_not_config(self, tmp_path, capsys, monkeypatch):
