@@ -7,7 +7,10 @@ channel is assumed quasi-static and reciprocal across both phases.
 
 Three sources of path sets are supported: manual lists, a seeded Rician
 ensemble for outage Monte-Carlo, and simplified cluster tables in the
-`normalized_delay,power_db,aod_deg,zod_deg` text format.
+`normalized_delay,power_db,aod_deg,zod_deg` text format. ``draw_paths``
+makes the draws of T realizations, one Generator each, into a ``PathArrays``
+of (T, L) arrays for the Monte-Carlo kernel; ``sample_paths`` wraps the
+draw of one Generator into a ``PathSet``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +47,43 @@ class Path:
             raise ValueError(f"gain: must be finite, got {self.gain}")
 
 
+class PathArrays(NamedTuple):
+    """Path parameters as arrays of shape (..., L): one row of L paths per trial.
+
+    gain is complex, delay in seconds, theta and phi in radians (theta in
+    [0, pi/2], phi in [0, 2*pi)). Leading axes stack realizations.
+    """
+
+    gain: np.ndarray
+    delay: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+
+    def total_power(self) -> np.ndarray:
+        """sum_i |gain_i|^2 over the last axis, added in path order.
+
+        hypot and float_power round as Python's abs(g) ** 2 does, and the
+        running sum adds as Python's sum(), so a PathSet's total keeps its bits.
+        """
+        power = np.float_power(np.hypot(self.gain.real, self.gain.imag), 2.0)
+        if power.shape[-1] == 0:
+            return np.zeros(power.shape[:-1])
+        return np.add.accumulate(power, axis=-1)[..., -1]
+
+    def carrier_gains(self, omega: float) -> np.ndarray:
+        """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain.
+
+        The product is formed from real parts, rounded as a scalar complex
+        product is; numpy's vector complex multiply fuses and can differ in
+        the last bit.
+        """
+        g, rot = self.gain, np.exp(-1j * omega * self.delay)
+        out = np.empty(np.broadcast_shapes(g.shape, rot.shape), dtype=complex)
+        out.real = g.real * rot.real - g.imag * rot.imag
+        out.imag = g.real * rot.imag + g.imag * rot.real
+        return out
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Ordered collection of paths shared by recording and transmission."""
@@ -61,8 +102,32 @@ class PathSet:
     def __len__(self) -> int:
         return len(self.paths)
 
+    @functools.cached_property
+    def arrays(self) -> PathArrays:
+        """The paths as read-only (L,) arrays, built once per set."""
+        columns = (
+            np.array([p.gain for p in self.paths], dtype=complex),
+            np.array([p.delay for p in self.paths], dtype=float),
+            np.array([p.direction.theta for p in self.paths], dtype=float),
+            np.array([p.direction.phi for p in self.paths], dtype=float),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return PathArrays(*columns)
+
+    @classmethod
+    def from_arrays(cls, arrays: PathArrays, normalization: str = "raw") -> "PathSet":
+        """PathSet of one realization's (L,) arrays."""
+        return cls(
+            tuple(
+                Path(complex(g), float(d), Direction(float(t), float(p)))
+                for g, d, t, p in zip(*arrays)
+            ),
+            normalization,
+        )
+
     def total_power(self) -> float:
-        return float(sum(abs(p.gain) ** 2 for p in self.paths))
+        return float(self.arrays.total_power())
 
     def unit_power(self) -> "PathSet":
         """Rescaled copy with sum |gain|^2 == 1."""
@@ -74,16 +139,14 @@ class PathSet:
         return PathSet(scaled, "unit_power")
 
     def gains(self) -> np.ndarray:
-        return np.array([p.gain for p in self.paths], dtype=complex)
+        return self.arrays.gain.copy()
 
     def delays(self) -> np.ndarray:
-        return np.array([p.delay for p in self.paths], dtype=float)
+        return self.arrays.delay.copy()
 
     def carrier_gains(self, omega: float) -> np.ndarray:
         """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain."""
-        return np.array(
-            [p.gain * np.exp(-1j * omega * p.delay) for p in self.paths], dtype=complex
-        )
+        return self.arrays.carrier_gains(omega)
 
 
 @dataclass(frozen=True)
@@ -136,22 +199,50 @@ def sample_paths(cfg: ChannelConfig, rng=None) -> PathSet:
         cfg: channel description.
         rng: numpy Generator, seed, or None (None uses cfg.rng_seed).
             The same (cfg, seed) pair always yields the same realization.
+
+    Returns the ``draw_paths`` row of this one Generator as a PathSet
+    ("raw" for manual paths, "unit_power" otherwise).
     """
     rng = _as_rng(cfg.rng_seed if rng is None else rng)
+    row = PathArrays(*(column[0] for column in draw_paths(cfg, [rng])))
+    return PathSet.from_arrays(row, "raw" if cfg.kind == "manual" else "unit_power")
 
+
+def draw_paths(cfg: ChannelConfig, rngs) -> PathArrays:
+    """(T, L) path arrays of T realizations, realization t drawn from rngs[t].
+
+    Each Generator makes the draws of one realization, in this order:
+    manual makes none (every row is the configured paths). rician_random
+    draws the LOS theta and phi, then L-1 real parts and L-1 imaginary parts
+    of the scattered gains, L-1 delays, then theta and phi of each scattered
+    path in turn, and the row is rescaled to unit power. cdl_profile draws
+    L cluster phases for the parsed unit-power table. A uniform draw on
+    [lo, hi) is lo + (hi - lo) * u and a normal one sigma * z, from the
+    Generator's ``random`` and ``standard_normal``, which is how
+    ``Generator.uniform`` and ``Generator.normal`` form them.
+    """
     if cfg.kind == "manual":
-        return PathSet(cfg.paths, "raw")
-
+        row = PathSet(cfg.paths).arrays
+        return PathArrays(*(np.broadcast_to(c, (len(rngs),) + c.shape) for c in row))
     if cfg.kind == "rician_random":
-        return _sample_rician(cfg, rng)
-
-    base = _parsed_profile(cfg.profile_text, cfg.delay_spread)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=len(base))
-    rotated = tuple(
-        Path(p.gain * np.exp(1j * ph), p.delay, p.direction)
-        for p, ph in zip(base.paths, phases)
+        return _draw_rician(cfg, rngs)
+    base = _parsed_profile(cfg.profile_text, cfg.delay_spread).arrays
+    (u,) = _fill(rngs, (("random", base.gain.size),))
+    phases = 2.0 * math.pi * u
+    T = len(rngs)
+    return PathArrays(
+        base.gain * np.exp(1j * phases),
+        *(np.broadcast_to(c, (T,) + c.shape) for c in base[1:]),
     )
-    return PathSet(rotated, "unit_power")
+
+
+def _fill(rngs, draws):
+    """Per Generator, in turn, the draws (method, count) into one (T, count) array each."""
+    out = [np.empty((len(rngs), count)) for _, count in draws]
+    for t, rng in enumerate(rngs):
+        for (method, _), array in zip(draws, out):
+            getattr(rng, method)(out=array[t])
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,26 +252,45 @@ def _parsed_profile(profile_text: str | None, delay_spread: float) -> PathSet:
     return load_cdl_profile(text, delay_spread)
 
 
-def _uniform_direction(cfg: ChannelConfig, rng: np.random.Generator) -> Direction:
-    theta = rng.uniform(*cfg.theta_range)
-    return Direction(theta, wrap_phi(rng.uniform(*cfg.phi_range)))
+def check_profile(cfg: ChannelConfig) -> None:
+    """Parse a cdl_profile config's table now (cached), so a bad row fails at load.
+
+    Raises:
+        ProfileError: malformed or empty table.
+    """
+    if cfg.kind == "cdl_profile":
+        _parsed_profile(cfg.profile_text, cfg.delay_spread)
 
 
-def _sample_rician(cfg: ChannelConfig, rng: np.random.Generator) -> PathSet:
+def _directions(cfg: ChannelConfig, u: np.ndarray):
+    """theta and phi of uniform draws u (..., 2n) taken theta, phi, theta, phi, ..."""
+    (t_lo, t_hi), (p_lo, p_hi) = cfg.theta_range, cfg.phi_range
+    theta = t_lo + (t_hi - t_lo) * u[..., 0::2]
+    phi = (p_lo + (p_hi - p_lo) * u[..., 1::2]) % (2.0 * math.pi)
+    return theta, np.where(phi == 2.0 * math.pi, 0.0, phi)  # as wrap_phi
+
+
+def _draw_rician(cfg: ChannelConfig, rngs) -> PathArrays:
     # LOS power fraction k/(k+1) written as 1/(1+10^(-K/10)) so K = +inf is exact.
     los_frac = 1.0 / (1.0 + 10.0 ** (-cfg.k_factor_db / 10.0))
-    paths = [Path(math.sqrt(los_frac), 0.0, _uniform_direction(cfg, rng))]
-    n_scatter = cfg.L - 1
-    if n_scatter > 0:
-        sigma2 = (1.0 - los_frac) / n_scatter
-        re = rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=n_scatter)
-        im = rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=n_scatter)
-        delays = rng.uniform(0.0, cfg.max_delay, size=n_scatter)
-        for k in range(n_scatter):
-            paths.append(
-                Path(complex(re[k], im[k]), float(delays[k]), _uniform_direction(cfg, rng))
-            )
-    return PathSet(tuple(paths), "raw").unit_power()
+    n = cfg.L - 1
+    u_los, z, u_delay, u_dir = _fill(
+        rngs, (("random", 2), ("standard_normal", 2 * n), ("random", n), ("random", 2 * n))
+    )
+    z *= math.sqrt((1.0 - los_frac) / max(n, 1) / 2.0)
+    T = len(rngs)
+    los_theta, los_phi = _directions(cfg, u_los)
+    theta, phi = _directions(cfg, u_dir)
+    raw = PathArrays(
+        np.concatenate((np.full((T, 1), math.sqrt(los_frac)), z[:, :n] + 1j * z[:, n:]), axis=1),
+        np.concatenate((np.zeros((T, 1)), cfg.max_delay * u_delay), axis=1),
+        np.concatenate((los_theta, theta), axis=1),
+        np.concatenate((los_phi, phi), axis=1),
+    )
+    power = raw.total_power()
+    if np.any(power <= 0.0):
+        raise ValueError("cannot normalize a zero-power path set")
+    return raw._replace(gain=raw.gain * (1.0 / np.sqrt(power))[:, None])
 
 
 def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
@@ -199,7 +309,8 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
     negative aod would otherwise round to exactly 2*pi).
 
     Raises:
-        ProfileError: empty profile, or malformed row (names the line number).
+        ProfileError: empty profile, malformed or non-finite row (names the
+            line number), or powers beyond the float range.
     """
     if delay_spread <= 0:
         raise ValueError("delay_spread must be positive")
@@ -214,14 +325,23 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
                 f"line {lineno}: expected 4 comma-separated values, got {len(parts)}"
             )
         try:
-            rows.append(tuple(float(p) for p in parts))
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ProfileError(f"line {lineno}: non-numeric value ({exc})") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ProfileError(f"line {lineno}: values must be finite")
+        rows.append(row)
     if not rows:
         raise ProfileError("profile contains no cluster rows")
 
-    amps = np.sqrt(np.array([10.0 ** (r[1] / 10.0) for r in rows]))
-    amps = amps / math.sqrt(float(np.sum(amps**2)))
+    try:
+        amps = np.sqrt(np.array([10.0 ** (r[1] / 10.0) for r in rows]))
+    except OverflowError:
+        raise ProfileError("cluster powers overflow; power_db is too large") from None
+    total = float(np.sum(amps**2))
+    if total == 0.0:
+        raise ProfileError("cluster powers underflow to zero; power_db is too small")
+    amps = amps / math.sqrt(total)
     paths = []
     for (norm_delay, _power, aod, zod), amp in zip(rows, amps):
         if norm_delay < 0:

@@ -27,7 +27,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from ..channel import ChannelConfig, Path, PathSet
+from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
 from ..holography import WEIGHT_STRATEGIES, RecordingConfig
 from ..link import LinkScenario, PulseSpec
 from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
@@ -226,11 +226,19 @@ class ExperimentConfig:
     def manual_paths(self) -> PathSet:
         return PathSet(tuple(p.to_path() for p in self.channel.paths), "raw")
 
+    @functools.cached_property
+    def _profile_text(self) -> str | None:
+        """Text of ``channel.profile_path``, read once per config (None: bundled table)."""
+        c = self.channel
+        if c.kind != "cdl_profile" or c.profile_path is None:
+            return None
+        try:
+            return FsPath(c.profile_path).read_text("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError("channel.profile_path: not UTF-8") from None
+
     def channel_config(self, seed: int = 0) -> ChannelConfig:
         c = self.channel
-        profile_text = None
-        if c.kind == "cdl_profile" and c.profile_path is not None:
-            profile_text = FsPath(c.profile_path).read_text("utf-8")
         return ChannelConfig(
             kind=c.kind,
             L=c.L,
@@ -241,7 +249,7 @@ class ExperimentConfig:
             phi_range=tuple(math.radians(v) for v in c.phi_range_deg),
             rng_seed=seed,
             paths=tuple(p.to_path() for p in c.paths),
-            profile_text=profile_text,
+            profile_text=self._profile_text,
         )
 
     def scenario(
@@ -360,23 +368,40 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object and validate it.
 
     Builds each domain object the sweeps use once; a constructor's
-    ``"<field>: <reason>"`` becomes ``ConfigError("<block>.<key>: <reason>")``.
+    ``"<field>: <reason>"``, where <field> is one of that object's fields,
+    becomes ``ConfigError("<block>.<key>: <reason>")``. Any other
+    ValueError is not a rule on a config value and propagates unchanged. A
+    cdl_profile table is read and parsed here too, so a malformed row fails
+    as ``channel.profile_path: line <n>: ...``.
     """
     cfg = _build(ExperimentConfig, data, "")
-    for block, make in (
-        ("surface", cfg.geometry),
-        ("reference", cfg.reference_wave),
-        ("recording", cfg.recording_config),
-        ("channel", cfg.channel_config),
-        ("link", cfg.pulse),
-        ("link", cfg.scenario),
+    for block, make, domain in (
+        ("surface", cfg.geometry, SurfaceGeometry),
+        ("reference", cfg.reference_wave, ReferenceWaveSpec),
+        ("recording", cfg.recording_config, RecordingConfig),
+        ("channel", cfg.channel_config, ChannelConfig),
+        ("link", cfg.pulse, PulseSpec),
+        ("link", cfg.scenario, LinkScenario),
     ):
         try:
             make()
+        except ConfigError:
+            raise
         except ValueError as exc:
             key, _, reason = str(exc).partition(": ")
+            if key not in _field_names(domain):
+                raise
             raise ConfigError(f"{block}.{_KEY_RENAMES.get(key, key)}: {reason}") from None
+    try:
+        check_profile(cfg.channel_config())
+    except ProfileError as exc:
+        raise ConfigError(f"channel.profile_path: {exc}") from None
     return cfg
+
+
+@functools.cache
+def _field_names(cls) -> frozenset:
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -10,17 +10,22 @@ contributed by the power matrix's direction-independent terms.
 
 ``rhs_weights`` implements the baseline that skips recording entirely and
 computes weights from known directions and gains (perfect CSI).
+
+The formulas work on stacks: ``record_power``, ``weight_stack`` and
+``rhs_weight_stack`` take path arrays of shape (..., L) and return
+(..., M, N) matrices, one per Monte-Carlo trial. ``record_hologram``,
+``make_weights`` and ``rhs_weights`` are their single-matrix views.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathSet
+from .channel import PathArrays, PathSet
 from .surface import (
     ComplexField,
     Direction,
@@ -30,8 +35,8 @@ from .surface import (
     object_field,
     reference_field,
     reference_phase,
-    steering_axes,
     steering_field,
+    superpose,
 )
 
 WEIGHT_STRATEGIES = ("none", "mean", "min")
@@ -72,13 +77,12 @@ class RecordingConfig:
         return self.duration_symbols * self.samples_per_symbol
 
 
-def noise_power_for_snr(
-    snr_db: float | None, user_amplitude: float, paths: PathSet
-) -> float:
+def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):
     """Noise variance giving the requested recording SNR.
 
     Recording SNR is defined as A_u^2 * sum_i |gain_i|^2 / noise_power.
-    None means noise-free recording.
+    None means noise-free recording. ``paths`` is a PathSet (a float is
+    returned) or a stack of ``PathArrays`` (one variance per realization).
     """
     if snr_db is None:
         return 0.0
@@ -140,93 +144,160 @@ def record_hologram(
 ) -> Hologram:
     """Record the interference power matrix at complex baseband.
 
+    The single-recording view of ``record_power``; see there for the model
+    and the noise stream.
+    """
+    power = record_power(
+        geom, ref, paths.arrays, cfg.user_amplitude, cfg.noise_power, cfg.num_samples,
+        [cfg.rng_seed],
+    )
+    return Hologram(power, geom, cfg)
+
+
+def record_power(
+    geom: SurfaceGeometry,
+    ref: ReferenceWaveSpec,
+    paths: PathArrays,
+    user_amplitude: float,
+    noise_power,
+    num_samples: int,
+    seeds,
+) -> np.ndarray:
+    """(..., M, N) recorded power matrices of a stack of path sets (..., L).
+
     Per element, the deterministic baseband sample is
 
         c = A_u * sum_i gain_i * exp(-j*omega_r*delay_i) * steer_i
             + A_r * exp(j*phase_offset) * ref_phase
 
-    and the recorded entry is the mean of |c + z_k|^2 over
-    duration_symbols * samples_per_symbol samples, z_k i.i.d. circular
-    complex Gaussian with variance noise_power (independent per element).
-    With zero noise the entry is exactly |c|^2.
+    and the recorded entry is the mean of |c + z_k|^2 over num_samples
+    samples, z_k i.i.d. circular complex Gaussian with variance noise_power
+    (independent per element). With zero noise the entry is exactly |c|^2.
 
-    The noise draws are fixed by the seed: one (M, N, S) array of real parts
-    x, then one of imaginary parts y, from a Philox stream seeded with
-    rng_seed; reordering them would change every noisy hologram. The power
-    is accumulated in float64 as (Re c + x)^2 + (Im c + y)^2, in place, so
-    no complex (M, N, S) temporary is formed.
+    noise_power broadcasts over the leading shape; seeds holds one seed per
+    matrix, in C order of the leading shape. Each noisy matrix draws from
+    its own Philox stream seeded with its seed: one (M, N, S) array of
+    standard normals for the real parts x, then one for the imaginary parts
+    y, each scaled by sqrt(noise_power / 2); reordering them would change
+    every noisy hologram. The power is accumulated in float64 as
+    (Re c + x)^2 + (Im c + y)^2, in place, so no complex (..., M, N, S)
+    temporary is formed.
     """
-    if len(paths) == 0:
+    if paths.gain.shape[-1] == 0:
         raise ValueError("recording needs at least one incident path")
     if ref.amplitude <= 0:
         raise ValueError("recording needs a positive reference amplitude")
+    _check_frequency(geom, ref)
 
-    user = cfg.user_amplitude * object_field(geom, paths, ref).values
+    gains = paths.carrier_gains(ref.angular_frequency)
+    user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
     reference = np.exp(1j * ref.phase_offset) * (ref.amplitude * reference_phase(geom, ref.sign))
     carrier = user + reference
+    flat = carrier.reshape((-1,) + geom.shape)
+    noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
+    noisy = np.flatnonzero(noise != 0.0)
+    if noisy.size == 0:
+        return np.abs(carrier) ** 2
 
-    if cfg.noise_power == 0.0:
-        power = np.abs(carrier) ** 2
-        return Hologram(power, geom, cfg)
-
-    n_samples = cfg.num_samples
-    rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
-    scale = math.sqrt(cfg.noise_power / 2.0)
-    shape = (geom.rows, geom.cols, n_samples)
-    acc = rng.normal(0.0, scale, size=shape)
-    acc += carrier.real[:, :, None]
+    every = noisy.size == noise.size
+    c = flat if every else flat[noisy]
+    acc = np.empty(c.shape + (num_samples,))
+    imag = np.empty_like(acc)
+    for i, t in enumerate(noisy):
+        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
+        rng.standard_normal(out=acc[i])
+        rng.standard_normal(out=imag[i])
+    scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
+    acc *= scale
+    acc += c.real[..., None]
     np.square(acc, out=acc)
-    imag = rng.normal(0.0, scale, size=shape)
-    imag += carrier.imag[:, :, None]
+    imag *= scale
+    imag += c.imag[..., None]
     np.square(imag, out=imag)
     acc += imag
-    return Hologram(np.mean(acc, axis=2), geom, cfg)
+    mean = np.mean(acc, axis=-1)
+    if every:
+        return mean.reshape(carrier.shape)
+    power = np.abs(carrier) ** 2
+    power.reshape(flat.shape)[noisy] = mean
+    return power
 
 
 def reindex(matrix: np.ndarray) -> np.ndarray:
     """180-degree rotation about the grid center: out(m,n) = in(M-m+1, N-n+1).
 
-    Returns a copy; involutive and entry-preserving.
+    Rotates each matrix of a (..., M, N) stack. Returns a contiguous copy;
+    involutive and entry-preserving.
     """
     m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise ValueError("reindex expects a 2-D matrix")
-    return m[::-1, ::-1].copy()
+    if m.ndim < 2:
+        raise ValueError("reindex expects a matrix or a stack of matrices")
+    return m[..., ::-1, ::-1].copy()
+
+
+class WeightStack(NamedTuple):
+    """Weights of a stack of recordings: values (..., M, N) and per-matrix scalars.
+
+    b is the subtracted constant, rho the normalization factor, clipped
+    marks that negatives were forced to zero and degenerate an all-zero
+    result; each has the leading shape (...).
+    """
+
+    values: np.ndarray
+    b: np.ndarray
+    rho: np.ndarray
+    clipped: np.ndarray
+    degenerate: np.ndarray
+
+    def matrix(self, strategy: str) -> WeightMatrix:
+        """The ``WeightMatrix`` of an unstacked (M, N) entry."""
+        return WeightMatrix(
+            self.values, float(self.b), float(self.rho), strategy,
+            clipped=bool(self.clipped), degenerate=bool(self.degenerate),
+        )
+
+
+def weight_stack(power: np.ndarray, strategy: str = "mean") -> WeightStack:
+    """Reindex recorded power matrices (..., M, N) and map each to weights in [0, 1].
+
+    Per matrix, the constant to subtract is 0 ("none"), the mean ("mean")
+    or the minimum ("min") of the reindexed matrix; negatives after
+    subtraction are forced to zero; the result is scaled so its maximum is
+    1. A matrix that is all zero after subtraction (e.g. a constant hologram
+    under "mean") gives all-zero weights with rho = 1, marked degenerate.
+    """
+    if strategy not in WEIGHT_STRATEGIES:
+        raise ValueError(f"strategy must be one of {WEIGHT_STRATEGIES}, got {strategy!r}")
+    w_prime = reindex(power)  # contiguous: each mean adds in the reindexed order
+    axes = (-2, -1)
+    if strategy == "none":
+        b = np.zeros(power.shape[:-2])
+    elif strategy == "mean":
+        b = np.mean(w_prime, axis=axes)
+    else:
+        b = np.min(w_prime, axis=axes)
+    shifted = w_prime - b[..., None, None]
+    clipped = np.any(shifted < 0, axis=axes)
+    np.maximum(shifted, 0.0, out=shifted)
+    peak = np.max(shifted, axis=axes)
+    degenerate = peak <= 0.0
+    rho = 1.0 / np.where(degenerate, 1.0, peak)
+    values = np.where(degenerate[..., None, None], 0.0, shifted * rho[..., None, None])
+    return WeightStack(values, b, rho, clipped, degenerate)
 
 
 def make_weights(holo: Hologram, strategy: str = "mean") -> WeightMatrix:
     """Reindex the recorded power matrix and map it to weights in [0, 1].
 
-    The constant to subtract is 0 ("none"), the mean ("mean") or the minimum
-    ("min") of the reindexed matrix; negatives after subtraction are forced
-    to zero; the result is scaled so its maximum is 1.
-
-    A matrix that is all zero after subtraction (e.g. a constant hologram
-    under "mean") is returned as all-zero weights with rho_used = 1 and the
-    degenerate flag set.
+    The single-matrix view of ``weight_stack``; an all-zero result also
+    warns.
     """
-    if strategy not in WEIGHT_STRATEGIES:
-        raise ValueError(f"strategy must be one of {WEIGHT_STRATEGIES}, got {strategy!r}")
-    w_prime = reindex(holo.values)
-    if strategy == "none":
-        b = 0.0
-    elif strategy == "mean":
-        b = float(np.mean(w_prime))
-    else:
-        b = float(np.min(w_prime))
-    shifted = w_prime - b
-    clipped = bool(np.any(shifted < 0))
-    shifted = np.maximum(shifted, 0.0)
-    peak = float(np.max(shifted))
-    if peak <= 0.0:
+    weights = weight_stack(holo.values, strategy)
+    if weights.degenerate:
         warnings.warn(
             "weight matrix is all zero after constant subtraction", RuntimeWarning
         )
-        return WeightMatrix(
-            np.zeros_like(shifted), b, 1.0, strategy, clipped=clipped, degenerate=True
-        )
-    rho = 1.0 / peak
-    return WeightMatrix(shifted * rho, b, rho, strategy, clipped=clipped)
+    return weights.matrix(strategy)
 
 
 def reconstruct_field(
@@ -292,6 +363,25 @@ def rhs_weights(
 ) -> WeightMatrix:
     """Perfect-CSI baseline weights for a list of desired directions.
 
+    The single-matrix view of ``rhs_weight_stack``.
+    """
+    if not desired:
+        raise ValueError("perfect-CSI weights need at least one desired direction")
+    theta = np.array([direction.theta for direction, _ in desired], dtype=float)
+    phi = np.array([direction.phi for direction, _ in desired], dtype=float)
+    gains = np.array([gain for _, gain in desired], dtype=complex)
+    return rhs_weight_stack(geom, ref, theta, phi, gains).matrix("none")
+
+
+def rhs_weight_stack(
+    geom: SurfaceGeometry,
+    ref: ReferenceWaveSpec,
+    theta: np.ndarray,
+    phi: np.ndarray,
+    gains: np.ndarray,
+) -> WeightStack:
+    """Perfect-CSI weights for stacks of desired directions and gains (..., L).
+
     For each desired direction the outgoing field profile is the conjugate
     of that direction's incident steering profile (a wave transmitted toward
     a direction conjugates the phase profile of a wave received from it).
@@ -301,22 +391,19 @@ def rhs_weights(
 
         weights = (Re[W_int] / max|Re[W_int]| + 1) / 2
 
-    The superposition is evaluated as W_int = conj((ax * g) @ ay^T) * conj(E_r)
-    from the ``steering_axes`` factors, so no per-direction M x N map is
-    formed. b_used is 0 and rho_used records the 1/max|Re| normalizer.
+    with W_int = conj(superpose(theta, phi, gains)) * conj(E_r). b is 0 and
+    rho records the 1/max|Re| normalizer; an all-zero W_int gives weights of
+    0.5 with rho = 1.
     """
-    if not desired:
-        raise ValueError("perfect-CSI weights need at least one desired direction")
     _check_frequency(geom, ref)
     e_r = ref.amplitude * reference_phase(geom, ref.sign)
-    ax, ay = steering_axes(geom, [direction for direction, _ in desired])
-    g = np.array([gain for _, gain in desired], dtype=complex)
-    w_int = np.conj((ax * g) @ ay.T) * np.conj(e_r)
-    real = np.real(w_int)
-    peak = float(np.max(np.abs(real)))
-    if peak == 0.0:
-        return WeightMatrix(np.full(geom.shape, 0.5), 0.0, 1.0, "none")
-    return WeightMatrix((real / peak + 1.0) / 2.0, 0.0, 1.0 / peak, "none")
+    real = np.real(np.conj(superpose(geom, theta, phi, gains)) * np.conj(e_r))
+    peak = np.max(np.abs(real), axis=(-2, -1))
+    flat = peak == 0.0
+    safe = np.where(flat, 1.0, peak)
+    values = np.where(flat[..., None, None], 0.5, (real / safe[..., None, None] + 1.0) / 2.0)
+    no = np.zeros(peak.shape, dtype=bool)
+    return WeightStack(values, np.zeros(peak.shape), 1.0 / safe, no, no)
 
 
 @dataclass(frozen=True)

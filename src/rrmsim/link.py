@@ -12,35 +12,54 @@ noise filter at symbol-rate RRC sampling), and
     MI = (1/K) * log2 det(I + gamma * H * H^H)
 
 bits per symbol. Outage is the Monte-Carlo fraction of channel realizations
-whose MI falls below a threshold rate. Every MI/outage sweep evaluates its
-blocks with ``block_mi`` and summarises trials with ``mean_ci`` or
-``outage_ci``.
+whose MI falls below a threshold rate.
+
+Monte-Carlo trials run as stacks. ``trial_mi_curves`` splits the trials
+into chunks of ``chunk_trials`` trials, which keeps each (T, K, K) and
+(T, M, N, S) stack within STACK_BYTES (16 MiB). Trial t draws its paths
+with its own Generator, in the order of one ``sample_paths`` call, into
+the chunk's (T, L) arrays, and its recording noise from its own Philox
+seed. ``stack_mi`` carries the chunk through ``weight_stack_for`` (recorded
+or perfect-CSI weights), ``alpha_stack``, ``tap_stack`` (one
+``raised_cosine`` call) and a (T, K, K) stack of the blocks' Gram matrices
+into one ``eigvalsh`` call and one (T, n_snr) MI expression.
+``block_mi``, ``realize_block``, ``scenario_weights``, ``alpha_taps``,
+``equivalent_taps``, ``build_toeplitz`` and ``normalize_channel`` are
+single-block views of the same functions, as ``holography.record_hologram``
+and ``make_weights`` are of ``record_power`` and ``weight_stack``. Sweeps
+summarise trials with ``mean_ci`` or ``outage_ci``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelConfig, PathSet, sample_paths
+from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
     RecordingConfig,
     WeightMatrix,
-    make_weights,
+    WeightStack,
     noise_power_for_snr,
-    record_hologram,
-    rhs_weights,
+    record_power,
+    rhs_weight_stack,
+    weight_stack,
 )
 from .surface import (
     ReferenceWaveSpec,
     SurfaceGeometry,
     reference_phase,
-    steering_axes,
     steering_field,
+    steering_stack,
 )
+
+# Bytes that one Monte-Carlo chunk may spend on each of its (T, K, K) complex
+# and (T, M, N, S) float stacks; trials per chunk follow from it.
+STACK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -141,13 +160,12 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
     a = rolloff
     if a == 0.0:
         return np.sinc(t)
-    out = np.empty(t.shape, dtype=float)
-    sing = np.isclose(np.abs(t), 1.0 / (2.0 * a))
-    out[sing] = (math.pi / 4.0) * np.sinc(1.0 / (2.0 * a))
-    rest = ~sing
-    tr = t[rest]
-    out[rest] = np.sinc(tr) * np.cos(math.pi * a * tr) / (1.0 - (2.0 * a * tr) ** 2)
-    return out
+    edge = 1.0 / (2.0 * a)
+    # np.isclose(|t|, edge) at its default tolerances, without its overhead
+    rest = ~(np.abs(np.abs(t) - edge) <= 1e-8 + 1e-5 * edge)
+    out = np.full(t.shape, (math.pi / 4.0) * np.sinc(edge))
+    num = np.sinc(t) * np.cos(math.pi * a * t)
+    return np.divide(num, 1.0 - (2.0 * a * t) ** 2, out=out, where=rest)
 
 
 def alpha_taps(
@@ -157,7 +175,18 @@ def alpha_taps(
     paths: PathSet,
     tx_power: float = 1.0,
 ) -> np.ndarray:
-    """Per-path equivalent amplitudes via the exact per-element sum.
+    """Per-path equivalent amplitudes of one weight matrix; the view of ``alpha_stack``."""
+    return alpha_stack(geom, ref, weights.values, paths.arrays, tx_power)
+
+
+def alpha_stack(
+    geom: SurfaceGeometry,
+    ref: ReferenceWaveSpec,
+    weights: np.ndarray,
+    paths: PathArrays,
+    tx_power: float = 1.0,
+) -> np.ndarray:
+    """(..., L) equivalent amplitudes of weight stacks (..., M, N) via the exact per-element sum.
 
     alpha_i = A_tx * sum_{m,n} W(m,n) * beta(m,n) * gain_i
               * steer_i(m,n) * exp(-j*omega_r*delay_i)
@@ -165,18 +194,20 @@ def alpha_taps(
     with beta the unit-amplitude reference phase profile and A_tx chosen so
     the total radiated power sum_{m,n} (A_tx * W(m,n))^2 equals tx_power.
     The steering field of path i is separable, steer_i = ax_i ay_i^T (see
-    ``steering_axes``), so all L sums are sum_m ax * ((W * beta) @ ay): one
-    (M, N) x (N, L) product and no per-path M x N map.
+    ``steering_stack``), so all L sums are sum_m ax * ((W * beta) @ ay): one
+    (M, N) x (N, L) product per matrix and no per-path M x N map.
+
+    Raises:
+        ValueError: if any weight matrix is all zero.
     """
-    w = weights.values
-    den = float(np.sum(w**2))
-    if den <= 0.0:
+    den = np.sum(weights**2, axis=(-2, -1))
+    if np.any(den <= 0.0):
         raise ValueError("all-zero weights give a degenerate channel")
-    a_tx = math.sqrt(tx_power / den)
+    a_tx = np.sqrt(tx_power / den)
     beta = reference_phase(geom, ref.sign)
-    ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
-    sums = np.sum(ax * ((w * beta) @ ay), axis=0)
-    return a_tx * paths.carrier_gains(ref.angular_frequency) * sums
+    ax, ay = steering_stack(geom, paths.theta, paths.phi)
+    sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
+    return a_tx[..., None] * paths.carrier_gains(ref.angular_frequency) * sums
 
 
 def alpha_taps_split(
@@ -281,19 +312,28 @@ def equivalent_taps(
 ) -> np.ndarray:
     """Equivalent discrete-time taps of the weighted surface on a K-symbol block.
 
-    h[l] = sum_i alpha_i * w(l - delay_i / T_s) at the 2K-1 lags
-    l = -(K-1)..K-1 that a K x K Toeplitz block reads; lag l is h[K-1+l].
-    w is the closed-form composite raised-cosine pulse, evaluated at real
-    arguments so fractional delays need no resampling, and no tap in the
-    window is truncated.
+    ``tap_stack`` of the ``alpha_taps`` amplitudes: the 2K-1 taps at lags
+    -(K-1)..K-1 that a K x K Toeplitz block reads; lag l is h[K-1+l].
     """
     if K < 1:
         raise ValueError("block length K must be >= 1")
     if len(paths) == 0:
         raise ValueError("tap synthesis needs at least one path")
     alpha = alpha_taps(geom, ref, weights, paths, tx_power)
-    t = np.subtract.outer(np.arange(-(K - 1), K), paths.delays() / pulse.symbol_period)
-    return raised_cosine(t, pulse.rolloff) @ alpha
+    return tap_stack(alpha, paths.arrays.delay, pulse, K)
+
+
+def tap_stack(alpha: np.ndarray, delays: np.ndarray, pulse: PulseSpec, K: int) -> np.ndarray:
+    """(..., 2K-1) taps h[l] = sum_i alpha_i * w(l - delay_i / T_s) from (..., L) paths.
+
+    The lags are l = -(K-1)..K-1, lag l at h[..., K-1+l]. w is the
+    closed-form composite raised-cosine pulse, evaluated at real arguments
+    so fractional delays need no resampling, in one call for the whole
+    stack; no tap in the window is truncated.
+    """
+    lags = np.arange(-(K - 1), K)[:, None]
+    t = lags - (delays / pulse.symbol_period)[..., None, :]
+    return (raised_cosine(t, pulse.rolloff) @ alpha[..., None])[..., 0]
 
 
 def build_toeplitz(h) -> np.ndarray:
@@ -301,29 +341,72 @@ def build_toeplitz(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 1 or h.size % 2 == 0:
         raise ValueError("taps must be a 1-D array of odd length 2K-1")
-    K = (h.size + 1) // 2
+    return _toeplitz(h)
+
+
+def _toeplitz(h: np.ndarray) -> np.ndarray:
+    """(..., K, K) Toeplitz blocks gathered from (..., 2K-1) taps."""
+    return h[..., _toeplitz_index((h.shape[-1] + 1) // 2)]
+
+
+@functools.lru_cache(maxsize=8)
+def _toeplitz_index(K: int) -> np.ndarray:
+    """Read-only (K, K) tap indices K-1 + i-j of a Toeplitz block."""
     idx = np.subtract.outer(np.arange(K), np.arange(K)) + (K - 1)
-    return h[idx]
+    idx.flags.writeable = False
+    return idx
 
 
 def normalize_channel(H: np.ndarray) -> np.ndarray:
     """Scale H so that (1/K) * trace(H H^H) = 1 (unit average receive power)."""
-    H = np.asarray(H, dtype=complex)
-    k = H.shape[0]
-    mean_power = float(np.real(np.trace(H @ H.conj().T))) / k
-    if mean_power <= 0.0:
+    return _normalize(np.asarray(H, dtype=complex))
+
+
+def _normalize(H: np.ndarray) -> np.ndarray:
+    """``normalize_channel`` of each matrix of a (..., K, K) stack."""
+    mean_power = np.real(np.trace(_gram(H), axis1=-2, axis2=-1)) / H.shape[-1]
+    if np.any(mean_power <= 0.0):
         raise ValueError("cannot normalize a zero channel matrix")
-    return H / math.sqrt(mean_power)
+    return H / np.sqrt(mean_power)[..., None, None]
 
 
-def _gram_eigvals(H: np.ndarray) -> np.ndarray:
-    """Eigenvalues of H H^H, rounding negatives up to 0."""
-    return np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
+def _gram(H: np.ndarray) -> np.ndarray:
+    """H H^H of each matrix of a (..., K, K) stack."""
+    return H @ np.swapaxes(H.conj(), -1, -2)
 
 
-def _mi_bits(lam: np.ndarray, gamma: float) -> float:
-    """(1/K) * sum_k log2(1 + gamma * lambda_k) over the K eigenvalues of H H^H."""
-    return float(np.sum(np.log2(1.0 + gamma * lam)) / lam.size)
+def _gram_stack(h: np.ndarray, normalized: bool) -> np.ndarray:
+    """(..., K, K) Gram matrices H H^H of the Toeplitz blocks of (..., 2K-1) taps.
+
+    Each block is gathered (and normalized) on its own and its product
+    written into the preallocated stack, so the stack of blocks and of
+    their conjugates is never held: at the Monte-Carlo chunk sizes those
+    temporaries cost more in fresh memory pages than the products
+    themselves.
+    """
+    K = (h.shape[-1] + 1) // 2
+    G = np.empty(h.shape[:-1] + (K, K), dtype=complex)
+    for idx in np.ndindex(h.shape[:-1]):
+        H = _toeplitz(h[idx])
+        if normalized:
+            H = _normalize(H)
+        np.matmul(H, H.conj().T, out=G[idx])
+    return G
+
+
+def _eigvals(G: np.ndarray) -> np.ndarray:
+    """(..., K) eigenvalues of Gram matrices, one eigvalsh call, negatives rounded up to 0."""
+    return np.clip(np.linalg.eigvalsh(G), 0.0, None)
+
+
+def _mi_bits(lam: np.ndarray, gammas) -> np.ndarray:
+    """(..., n) values of (1/K) * sum_k log2(1 + gamma * lambda_k) for the n gammas.
+
+    lam holds the K eigenvalues of H H^H on its last axis.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    terms = np.log2(1.0 + gammas[:, None] * lam[..., None, :])
+    return np.sum(terms, axis=-1) / lam.shape[-1]
 
 
 def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> float:
@@ -341,7 +424,7 @@ def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> floa
     if gamma < 0:
         raise ValueError("snr must be nonnegative")
     if method == "eig":
-        return _mi_bits(_gram_eigvals(H), gamma)
+        return float(_mi_bits(_eigvals(_gram(H)), [gamma])[0])
     if method == "logdet":
         k = H.shape[0]
         sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * (H @ H.conj().T))
@@ -399,47 +482,73 @@ def scenario_weights(
     scenario: LinkScenario, paths: PathSet, recording_seed: int = 0
 ) -> WeightMatrix:
     """Weights for one realization: recorded (rrm) or perfect-CSI (rhs)."""
-    if scenario.system == "rhs":
-        gains = paths.carrier_gains(scenario.ref.angular_frequency)
-        desired = [(p.direction, g) for p, g in zip(paths.paths, gains)]
-        return rhs_weights(scenario.geom, scenario.ref, desired)
-    cfg = RecordingConfig(
-        user_amplitude=scenario.user_amplitude,
-        noise_power=noise_power_for_snr(
-            scenario.recording_snr_db, scenario.user_amplitude, paths
-        ),
-        duration_symbols=scenario.duration_symbols,
-        samples_per_symbol=scenario.samples_per_symbol,
-        rng_seed=recording_seed,
-    )
-    holo = record_hologram(scenario.geom, scenario.ref, paths, cfg)
-    return make_weights(holo, scenario.strategy)
+    weights = weight_stack_for(scenario, paths.arrays, [recording_seed])
+    return weights.matrix(scenario.strategy if scenario.system == "rrm" else "none")
+
+
+def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
+    """Weights of each realization of a (..., L) path stack; seeds as ``record_power``'s."""
+    s = scenario
+    if s.system == "rhs":
+        gains = paths.carrier_gains(s.ref.angular_frequency)
+        return rhs_weight_stack(s.geom, s.ref, paths.theta, paths.phi, gains)
+    noise = noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
+    samples = s.duration_symbols * s.samples_per_symbol
+    power = record_power(s.geom, s.ref, paths, s.user_amplitude, noise, samples, seeds)
+    return weight_stack(power, s.strategy)
 
 
 def realize_block(
     scenario: LinkScenario, paths: PathSet, recording_seed: int = 0
 ) -> np.ndarray:
     """K x K channel matrix for one path realization, normalization applied."""
-    weights = scenario_weights(scenario, paths, recording_seed)
+    H = _toeplitz(_scenario_taps(scenario, paths.arrays, [recording_seed]))
+    return _normalize(H) if scenario.normalization == "normalized" else H
+
+
+def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
+    """(..., 2K-1) block taps of a (..., L) path stack: weights, amplitudes, taps."""
     s = scenario
-    H = build_toeplitz(equivalent_taps(s.geom, s.ref, weights, paths, s.pulse, s.K, s.tx_power))
-    if scenario.normalization == "normalized":
-        H = normalize_channel(H)
-    return H
+    if paths.gain.shape[-1] == 0:
+        raise ValueError("tap synthesis needs at least one path")
+    weights = weight_stack_for(s, paths, seeds).values
+    alpha = alpha_stack(s.geom, s.ref, weights, paths, s.tx_power)
+    return tap_stack(alpha, paths.delay, s.pulse, s.K)
 
 
 def block_mi(
     scenario: LinkScenario, paths: PathSet, recording_seed: int, snr_db_list
 ) -> np.ndarray:
     """MI in bits per symbol of one realized block at every SNR in snr_db_list."""
-    lam = _gram_eigvals(realize_block(scenario, paths, recording_seed))
-    return np.array([_mi_bits(lam, gamma_from_db(s)) for s in snr_db_list])
+    return stack_mi(scenario, paths.arrays, [recording_seed], snr_db_list)
+
+
+def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> np.ndarray:
+    """(..., n_snr) MI in bits per symbol of each block of a (..., L) path stack."""
+    h = _scenario_taps(scenario, paths, seeds)
+    G = _gram_stack(h, scenario.normalization == "normalized")
+    return _mi_bits(_eigvals(G), [gamma_from_db(snr) for snr in snr_db_list])
+
+
+def chunk_trials(scenario: LinkScenario) -> int:
+    """Trials per Monte-Carlo chunk: as many as keep each stack within STACK_BYTES."""
+    s = scenario
+    per_trial = 16 * s.K * s.K  # complex (K, K) Gram matrix
+    if s.system == "rrm" and s.recording_snr_db is not None:
+        samples = s.duration_symbols * s.samples_per_symbol
+        per_trial = max(per_trial, 8 * s.geom.rows * s.geom.cols * samples)
+    return max(1, STACK_BYTES // per_trial)
 
 
 def _trial_seeds(seed: int, trials: int):
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
-        path_ss, rec_ss = child.spawn(2)
+    """(path SeedSequence, recording seed) of each trial.
+
+    Trial t uses the two children of child t of SeedSequence(seed), built
+    directly from their spawn keys (t, 0) and (t, 1), as ``spawn`` makes them.
+    """
+    for t in range(trials):
+        path_ss = np.random.SeedSequence(seed, spawn_key=(t, 0))
+        rec_ss = np.random.SeedSequence(seed, spawn_key=(t, 1))
         yield path_ss, int(rec_ss.generate_state(1, np.uint64)[0])
 
 
@@ -448,15 +557,27 @@ def trial_mi_curves(
 ) -> np.ndarray:
     """(trials, n_snr) mutual-information samples over channel realizations.
 
-    Trial t draws its paths and recording noise from seeds derived
-    deterministically from (seed, t), so results are order-independent and
+    Trial t takes child t of SeedSequence(seed) and splits it in two: the
+    first seeds a Generator for ``draw_paths`` (the draws of one
+    ``sample_paths`` call, in its order), the second gives the 64-bit Philox
+    seed of its recording noise. Results are therefore order-independent and
     paired across systems that share the seed.
+
+    Trials run in chunks of ``chunk_trials(scenario)``, which keeps each
+    (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); each chunk
+    is one ``stack_mi`` call with one ``eigvalsh``. A chunk that meets an
+    all-zero weight matrix raises ValueError, as a single block does.
     """
     snr_db_list = list(snr_db_list)
     out = np.empty((trials, len(snr_db_list)))
-    for t, (path_ss, rec_seed) in enumerate(_trial_seeds(seed, trials)):
-        paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
-        out[t] = block_mi(scenario, paths, rec_seed, snr_db_list)
+    seeds = list(_trial_seeds(seed, trials))
+    step = chunk_trials(scenario)
+    for start in range(0, trials, step):
+        chunk = seeds[start : start + step]
+        paths = draw_paths(scenario.channel, [np.random.default_rng(ss) for ss, _ in chunk])
+        out[start : start + len(chunk)] = stack_mi(
+            scenario, paths, [rec_seed for _, rec_seed in chunk], snr_db_list
+        )
     return out
 
 

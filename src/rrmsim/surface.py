@@ -10,11 +10,13 @@ the link model) is built from three primitives defined here:
   and cached,
 * the per-element plane-wave phase profile of a far-field direction. It is
   separable, exp(-j*k*(x*u + y*v)) = exp(-j*k*x*u) * exp(-j*k*y*v), so
-  ``steering_axes`` returns only the (M, L) row and (N, L) column factors of
-  L directions, and every per-path sum over the grid (``object_field``,
-  ``link.alpha_taps``, ``holography.rhs_weights``) is built from them with
-  O((M+N)*L) exponentials instead of O(M*N*L). ``steering_field`` is the
-  single-direction outer product.
+  ``steering_stack`` returns only the (..., M, L) row and (..., N, L) column
+  factors of direction arrays of shape (..., L), and every per-path sum over
+  the grid (``superpose``, ``link.alpha_taps``, ``holography.rhs_weights``)
+  is built from them with O((M+N)*L) exponentials instead of O(M*N*L).
+  Leading axes stack Monte-Carlo trials; ``steering_axes`` (a list of
+  ``Direction``s), ``object_field`` and ``steering_field`` are the
+  single-set views.
 
 All angles are radians; degrees are accepted only at config/CLI boundaries.
 """
@@ -243,21 +245,31 @@ def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> ComplexFie
     return ComplexField(ref.amplitude * reference_phase(geom, ref.sign))
 
 
-def steering_axes(geom: SurfaceGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Separable factors of the plane-wave phase profiles of L directions.
+def steering_stack(
+    geom: SurfaceGeometry, theta: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Separable steering factors of direction arrays of shape (..., L).
 
-    Returns (ax, ay) with ax[m, l] = exp(-j*k_free*x_m*u_l), shape (M, L),
-    and ay[n, l] = exp(-j*k_free*y_n*v_l), shape (N, L), where
-    (u, v) = sin(theta) * (cos(phi), sin(phi)). The steering field of
-    direction l is the outer product ax[:, l] ay[:, l]^T.
+    Returns (ax, ay) with ax[..., m, l] = exp(-j*k_free*x_m*u_l), shape
+    (..., M, L), and ay[..., n, l] = exp(-j*k_free*y_n*v_l), shape
+    (..., N, L), where (u, v) = sin(theta) * (cos(phi), sin(phi)). The
+    steering field of direction l is the outer product ax[..., :, l]
+    ay[..., :, l]^T. Leading axes stack independent direction sets.
     """
-    st = [math.sin(d.theta) for d in directions]
-    u = np.array([s * math.cos(d.phi) for s, d in zip(st, directions)], dtype=float)
-    v = np.array([s * math.sin(d.phi) for s, d in zip(st, directions)], dtype=float)
+    st = np.sin(theta)
+    u = (st * np.cos(phi))[..., None, :]
+    v = (st * np.sin(phi))[..., None, :]
     k = -1j * geom.k_free
-    ax = np.exp(k * np.multiply.outer(geom.element_x(), u))
-    ay = np.exp(k * np.multiply.outer(geom.element_y(), v))
+    ax = np.exp(k * (geom.element_x()[:, None] * u))
+    ay = np.exp(k * (geom.element_y()[:, None] * v))
     return ax, ay
+
+
+def steering_axes(geom: SurfaceGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
+    """``steering_stack`` of a list of L ``Direction``s: (M, L) and (N, L) factors."""
+    theta = np.array([d.theta for d in directions], dtype=float)
+    phi = np.array([d.phi for d in directions], dtype=float)
+    return steering_stack(geom, theta, phi)
 
 
 def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
@@ -270,19 +282,29 @@ def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
     return np.outer(ax[:, 0], ay[:, 0])
 
 
+def superpose(
+    geom: SurfaceGeometry, theta: np.ndarray, phi: np.ndarray, gains: np.ndarray
+) -> np.ndarray:
+    """(..., M, N) sum over l of gains[..., l] * steering field of (theta, phi)[..., l].
+
+    Evaluated as the rank-L product (ax * gains) @ ay^T of the
+    ``steering_stack`` factors, so no per-path M x N map is formed.
+    """
+    ax, ay = steering_stack(geom, theta, phi)
+    return (ax * gains[..., None, :]) @ np.swapaxes(ay, -1, -2)
+
+
 def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> ComplexField:
     """Superposition of incident plane waves from a set of propagation paths.
 
     Each path contributes gain * exp(-j*omega_r*delay) * steering(theta, phi);
     the delay term is the baseband carrier rotation accumulated along the
-    path. Linear in the path gains. Evaluated as the rank-L product
-    (ax * g) @ ay^T of the ``steering_axes`` factors, g the carrier gains,
-    so no per-path M x N map is formed.
+    path. Linear in the path gains. This is ``superpose`` of the paths'
+    directions with their carrier gains.
 
     Args:
         geom: surface geometry.
-        paths: a ``rrmsim.channel.PathSet``; its ``carrier_gains`` and each
-            path's ``direction`` are used.
+        paths: a ``rrmsim.channel.PathSet``; its ``arrays`` are used.
         ref: supplies omega_r for the delay phase.
 
     Raises:
@@ -291,6 +313,5 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
     _check_frequency(geom, ref)
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
-    ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
-    g = paths.carrier_gains(ref.angular_frequency)
-    return ComplexField((ax * g) @ ay.T)
+    p = paths.arrays
+    return ComplexField(superpose(geom, p.theta, p.phi, p.carrier_gains(ref.angular_frequency)))

@@ -399,6 +399,58 @@ class TestCli:
         assert "i/o error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (b"\xff\xfe\x00", "channel.profile_path: not UTF-8"),
+            (
+                b"0.0, 0.0, 90.0\n",
+                "channel.profile_path: line 1: expected 4 comma-separated values, got 3",
+            ),
+            (b"0.0, 0.0, 0.0, 90.0\n1.0, nan, 0.0, 90.0\n", "channel.profile_path: line 2: "),
+            (b"0.0, 5000.0, 0.0, 90.0\n", "channel.profile_path: cluster powers overflow"),
+            (b"# comments only\n", "channel.profile_path: profile contains no cluster rows"),
+        ],
+    )
+    def test_bad_profile_exits_2_before_output(self, tmp_path, capsys, profile, message):
+        prof = tmp_path / "bad.profile"
+        prof.write_bytes(profile)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "surface": {"M": 4, "N": 4},
+                    "channel": {"kind": "cdl_profile", "profile_path": str(prof)},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["mi-sweep", "--config", str(cfg), "--reps", "1", "--out", str(out), "--quiet"]
+        )
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_profile_read_once_at_load(self, tmp_path):
+        prof = tmp_path / "two.profile"
+        prof.write_text("0.0, 0.0, 10.0, 90.0\n1.0, -3.0, 200.0, 80.0\n")
+        cfg = config_from_dict(
+            {"channel": {"kind": "cdl_profile", "profile_path": str(prof)}}
+        )
+        prof.unlink()  # later scenarios must not read the file again
+        for system in ("rrm", "rhs"):
+            assert cfg.scenario(system).channel.profile_text.startswith("0.0, 0.0, 10.0")
+
+    def test_only_domain_value_errors_become_config_errors(self, monkeypatch):
+        def broken(self):
+            raise ValueError("not a rule on any field")
+
+        monkeypatch.setattr(ExperimentConfig, "pulse", broken)
+        with pytest.raises(ValueError, match="not a rule on any field") as info:
+            config_from_dict({})
+        assert not isinstance(info.value, ConfigError)
+
     def test_library_error_is_internal_not_config(self, tmp_path, capsys, monkeypatch):
         from rrmsim import link
 

@@ -1,0 +1,145 @@
+"""The stacked Monte-Carlo kernel against its single-block views.
+
+``trial_mi_curves`` evaluates chunks of trials as (T, ...) stacks; every
+trial must give what ``sample_paths`` plus ``block_mi`` give for that trial
+alone, whatever the chunk boundaries.
+"""
+
+import numpy as np
+import pytest
+
+from rrmsim import link
+from rrmsim.channel import ChannelConfig, PathArrays, PathSet, draw_paths, sample_paths
+from rrmsim.harness.config import config_from_dict
+from rrmsim.holography import (
+    Hologram,
+    RecordingConfig,
+    WeightMatrix,
+    make_weights,
+    record_hologram,
+    record_power,
+    weight_stack,
+)
+
+from conftest import make_five_paths, make_geometry, make_reference
+
+SNRS = [-10.0, 0.0, 10.0]
+SEED = 321
+KINDS = ("manual", "rician_random", "cdl_profile")
+
+
+def _scenario(kind, system, normalization):
+    cfg = config_from_dict(
+        {
+            "surface": {"M": 8, "N": 8},
+            "channel": {"kind": kind},
+            "link": {"K": 16, "normalization": normalization},
+        }
+    )
+    return cfg.scenario(system)
+
+
+def _per_trial(scenario, trials):
+    """Each trial on its own: one sample_paths draw and one block_mi call."""
+    rows = []
+    for path_ss, rec_seed in link._trial_seeds(SEED, trials):
+        paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
+        rows.append(link.block_mi(scenario, paths, rec_seed, SNRS))
+    return np.array(rows).reshape(trials, len(SNRS))
+
+
+@pytest.mark.parametrize("normalization", ("absolute", "normalized"))
+@pytest.mark.parametrize("system", ("rrm", "rhs"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeypatch):
+    scenario = _scenario(kind, system, normalization)
+    assert link.chunk_trials(scenario) >= 5
+    for trials in (1, 5):  # one trial; several trials in one chunk
+        got = link.trial_mi_curves(scenario, SNRS, trials, SEED)
+        np.testing.assert_allclose(got, _per_trial(scenario, trials), rtol=1e-12, atol=0)
+
+    # 7 trials in chunks of 3: two full chunks and a partial one
+    per_trial = 16 * scenario.K**2
+    monkeypatch.setattr(link, "STACK_BYTES", 3 * per_trial + per_trial // 2)
+    assert link.chunk_trials(scenario) == 3
+    got = link.trial_mi_curves(scenario, SNRS, 7, SEED)
+    np.testing.assert_allclose(got, _per_trial(scenario, 7), rtol=1e-12, atol=0)
+
+
+def test_chunk_bounds_the_stacks():
+    cfg = config_from_dict({"channel": {"kind": "rician_random"}})
+    fig10 = cfg.scenario("rrm", rows=16, cols=16)
+    T = link.chunk_trials(fig10)
+    assert 1 < T < 2000
+    assert T * 16 * fig10.K**2 <= link.STACK_BYTES
+    big = cfg.scenario("rrm", rows=256, cols=256)
+    T = link.chunk_trials(big)
+    assert T >= 1
+    assert T * 8 * 256 * 256 * big.duration_symbols <= link.STACK_BYTES
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sample_paths_is_the_array_draw(kind):
+    cfg = ChannelConfig(kind, L=4, paths=make_five_paths().paths)
+    for seed in range(5):
+        draw = draw_paths(cfg, [np.random.default_rng(seed), np.random.default_rng(seed + 100)])
+        for row, s in enumerate((seed, seed + 100)):
+            paths = sample_paths(cfg, np.random.default_rng(s))
+            assert [p.gain for p in paths.paths] == draw.gain[row].tolist()
+            assert [p.delay for p in paths.paths] == draw.delay[row].tolist()
+            assert [p.direction.theta for p in paths.paths] == draw.theta[row].tolist()
+            assert [p.direction.phi for p in paths.paths] == draw.phi[row].tolist()
+
+
+def test_path_set_arrays_round_trip():
+    paths = sample_paths(ChannelConfig("rician_random", L=5), 3)
+    again = PathSet.from_arrays(paths.arrays, "unit_power")
+    assert again == paths
+    assert again.total_power() == paths.total_power()
+    assert float(paths.arrays.total_power()) == sum(abs(p.gain) ** 2 for p in paths.paths)
+
+
+def test_degenerate_weights_raise_in_a_chunk():
+    geom = make_geometry(8, 8)
+    ref = make_reference(geom)
+    cfg = ChannelConfig("rician_random", L=3)
+    paths = draw_paths(cfg, [np.random.default_rng(s) for s in range(3)])
+    weights = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 8, 8))
+    assert link.alpha_stack(geom, ref, weights, paths).shape == (3, 3)
+    weights[1] = 0.0
+    with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
+        link.alpha_stack(geom, ref, weights, paths)
+    # the single-block view fails the same way
+    zero = WeightMatrix(np.zeros((8, 8)), 0.0, 1.0, "mean", degenerate=True)
+    single = PathSet.from_arrays(PathArrays(*(c[1] for c in paths)))
+    with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
+        link.alpha_taps(geom, ref, zero, single)
+
+
+def test_record_power_mixed_noise_equals_single_recordings():
+    geom = make_geometry(6, 5)
+    ref = make_reference(geom)
+    cfg = ChannelConfig("rician_random", L=4)
+    rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+    stack = draw_paths(cfg, rngs)
+    noise = np.array([0.3, 0.0, 0.05])
+    seeds = [11, 12, 13]
+    got = record_power(geom, ref, stack, 1.0, noise, 4, seeds)
+    for t in range(3):
+        paths = PathSet.from_arrays(PathArrays(*(c[t] for c in stack)))
+        single = record_hologram(geom, ref, paths, RecordingConfig(1.0, noise[t], 2, 2, seeds[t]))
+        assert np.array_equal(got[t], single.values)
+
+
+@pytest.mark.parametrize("strategy", ("none", "mean", "min"))
+def test_weight_stack_equals_make_weights(strategy):
+    power = np.random.default_rng(4).uniform(0.0, 3.0, size=(4, 7, 9))
+    stack = weight_stack(power, strategy)
+    for t in range(4):
+        single = make_weights(Hologram(power[t]), strategy)
+        assert np.array_equal(stack.values[t], single.values)
+        assert (stack.b[t], stack.rho[t], stack.clipped[t]) == (
+            single.b_used,
+            single.rho_used,
+            single.clipped,
+        )
