@@ -6,6 +6,16 @@ same per-direction phase factor the downlink tap model applies, so a pattern
 peak at a direction means the link actually delivers power there. Grid
 evaluation uses factored axis sums and must match the direct per-element
 double sum to 1e-9 (the unit tests hold it to that).
+
+Element coordinates are mirror-symmetric about the feed bit for bit
+(``x[::-1] == -x``, since x = dx*(m - (M+1)/2)), so the axis steering factor
+of a mirrored element equals the conjugate of the original's in value:
+exp(-j*k*(-x)*u) = conj(exp(-j*k*x*u)). ``array_factor`` evaluates the
+exponentials for the first (M+1)//2 coordinates of each axis and conjugates
+them into the rest; the centre element of an odd axis is computed directly.
+Bit-identity contract: the power grid, the peak list and the CSV bytes equal
+those of a full per-row evaluation, a nested-loop peak search and a per-cell
+CSV writer, which the unit tests keep as references.
 """
 
 from __future__ import annotations
@@ -52,10 +62,24 @@ class PatternGrid:
         return 10.0 ** (self.power_db / 10.0)
 
     def value_at(self, direction: Direction) -> float:
-        """power_db at the nearest grid point to a direction."""
+        """power_db at the nearest grid point to a direction.
+
+        phi distances are circular when the phi axis spans the full circle.
+        """
         it = int(np.argmin(np.abs(self.theta_rad - direction.theta)))
-        ip = int(np.argmin(np.abs(self.phi_rad - direction.phi)))
+        dphi = np.abs(self.phi_rad - direction.phi)
+        if _phi_wraps(self.phi_rad):
+            dphi = np.minimum(dphi, 2.0 * math.pi - dphi)
+        ip = int(np.argmin(dphi))
         return float(self.power_db[it, ip])
+
+
+def _phi_wraps(phi_rad: np.ndarray) -> bool:
+    """True when a uniform phi axis of more than 2 points spans the full circle."""
+    if phi_rad.size <= 2:
+        return False
+    step = phi_rad[1] - phi_rad[0]
+    return abs((phi_rad[-1] + step) % (2 * math.pi) - phi_rad[0]) < 1e-9
 
 
 def default_axes(step_deg: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
@@ -105,10 +129,8 @@ def array_factor(
     power = np.empty((theta.size, phi.size), dtype=float)
     for it, th in enumerate(theta):
         st = math.sin(th)
-        u = st * cos_phi  # (P,)
-        v = st * sin_phi
-        ay = np.exp(-1j * k * np.outer(y, v))  # (N, P)
-        ax = np.exp(-1j * k * np.outer(x, u))  # (M, P)
+        ay = _mirrored_steering(y, k, st * sin_phi)  # (N, P)
+        ax = _mirrored_steering(x, k, st * cos_phi)  # (M, P)
         f_row = np.sum(ax * (aperture @ ay), axis=0)
         power[it, :] = np.abs(f_row) ** 2
 
@@ -116,6 +138,23 @@ def array_factor(
     with np.errstate(divide="ignore"):
         power_db = 10.0 * np.log10(power / peak)
     return PatternGrid(theta, phi, power_db, peak)
+
+
+def _mirrored_steering(c: np.ndarray, k: float, s: np.ndarray) -> np.ndarray:
+    """exp(-1j*k*outer(c, s)) for coordinates with c[::-1] == -c exactly.
+
+    Only the first (len(c)+1)//2 rows are exponentiated; the mirrored rows are
+    their conjugates. These equal the direct exponentials in value; only the
+    sign of a zero imaginary part (where s is 0) can differ. The cheap
+    argument is formed for every row, so the temporaries keep the shapes of a
+    full evaluation and the heap, and the peak RSS, grow as they did.
+    """
+    h = (c.size + 1) // 2
+    arg = -1j * k * np.outer(c, s)
+    out = np.empty_like(arg)
+    np.exp(arg[:h], out=out[:h])
+    np.conjugate(out[: c.size - h][::-1], out=out[h:])
+    return out
 
 
 def angular_separation(a: Direction, b: Direction) -> float:
@@ -143,42 +182,24 @@ def find_peaks(
     if count < 1:
         raise ValueError("count must be >= 1")
     db = pattern.power_db
-    nt, npnts = db.shape
-    phi_step = pattern.phi_rad[1] - pattern.phi_rad[0] if npnts > 1 else 0.0
-    phi_wraps = (
-        npnts > 2
-        and abs((pattern.phi_rad[-1] + phi_step) % (2 * math.pi) - pattern.phi_rad[0])
-        < 1e-9
-    )
+    nt, nphi = db.shape
+    padded = np.full((nt + 2, nphi + 2), -np.inf)
+    padded[1:-1, 1:-1] = db
+    if _phi_wraps(pattern.phi_rad):
+        padded[1:-1, 0] = db[:, -1]
+        padded[1:-1, -1] = db[:, 0]
+    above = np.zeros(db.shape, dtype=bool)  # some neighbour is above the point
+    for dt in range(3):
+        for dp in range(3):
+            if (dt, dp) != (1, 1):
+                above |= padded[dt : dt + nt, dp : dp + nphi] > db
+    it, ip = np.nonzero(~above)
+    theta = pattern.theta_rad[it]
+    phi = pattern.phi_rad[ip]
+    values = db[it, ip]
+    order = np.lexsort((phi, theta, -values))
+    candidates = zip(theta[order].tolist(), phi[order].tolist(), values[order].tolist())
 
-    candidates = []
-    for it in range(nt):
-        for ip in range(npnts):
-            val = db[it, ip]
-            is_max = True
-            for dt in (-1, 0, 1):
-                for dp in (-1, 0, 1):
-                    if dt == 0 and dp == 0:
-                        continue
-                    jt = it + dt
-                    jp = ip + dp
-                    if jt < 0 or jt >= nt:
-                        continue
-                    if jp < 0 or jp >= npnts:
-                        if not phi_wraps:
-                            continue
-                        jp %= npnts
-                    if db[jt, jp] > val:
-                        is_max = False
-                        break
-                if not is_max:
-                    break
-            if is_max:
-                candidates.append(
-                    (float(pattern.theta_rad[it]), float(pattern.phi_rad[ip]), float(val))
-                )
-
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
     min_sep = math.radians(min_separation_deg)
     selected: list[tuple[Direction, float]] = []
     for th, ph, val in candidates:
@@ -224,9 +245,16 @@ def sidelobe_metrics(
 
 
 def export_pattern_csv(pattern: PatternGrid, path) -> None:
-    """Write `theta_deg,phi_deg,power_db` rows, row-major over theta then phi."""
+    """Write `theta_deg,phi_deg,power_db` rows, row-major over theta then phi.
+
+    Each axis value is formatted once: a theta row is one %-template of the
+    preformatted phi strings, filled with the row's power values ("%.9g"
+    formats a float exactly as f"{v:.9g}"). The file is written one theta row
+    at a time, so no whole-file string is built.
+    """
+    theta = [f"{v:.9g}," for v in np.degrees(pattern.theta_rad).tolist()]
+    phi = [f"{v:.9g},%.9g\n" for v in np.degrees(pattern.phi_rad).tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("theta_deg,phi_deg,power_db\n")
-        for it, th in enumerate(np.degrees(pattern.theta_rad)):
-            for ip, ph in enumerate(np.degrees(pattern.phi_rad)):
-                fh.write(f"{th:.9g},{ph:.9g},{pattern.power_db[it, ip]:.9g}\n")
+        for th, row in zip(theta, pattern.power_db):
+            fh.write((th + th.join(phi)) % tuple(row.tolist()))

@@ -138,9 +138,6 @@ class PathSet:
         scaled = tuple(Path(p.gain * s, p.delay, p.direction) for p in self.paths)
         return PathSet(scaled, "unit_power")
 
-    def gains(self) -> np.ndarray:
-        return self.arrays.gain.copy()
-
     def delays(self) -> np.ndarray:
         return self.arrays.delay.copy()
 

@@ -7,6 +7,7 @@ import pytest
 from rrmsim import (
     Direction,
     RecordingConfig,
+    SurfaceGeometry,
     make_weights,
     record_hologram,
     reference_field,
@@ -20,6 +21,7 @@ from rrmsim.beampattern import (
     find_peaks,
     sidelobe_metrics,
 )
+from rrmsim.harness.presets import resolve_config
 
 from conftest import make_five_paths, make_geometry, make_reference
 
@@ -41,6 +43,68 @@ def pattern_oracle(geom, ref, weights, theta, phi):
                     total += aperture[m - 1, n - 1] * cmath.exp(-1j * k * d)
             power[it, ip] = abs(total) ** 2
     return power
+
+
+def array_factor_reference(geom, ref, weights, theta, phi):
+    """Per-row full-exponential evaluation; array_factor must match it bit for bit."""
+    aperture = np.asarray(weights) * reference_field(geom, ref).values
+    x = geom.element_x()
+    y = geom.element_y()
+    k = geom.k_free
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi)
+    power = np.empty((theta.size, phi.size), dtype=float)
+    for it, th in enumerate(theta):
+        st = math.sin(th)
+        ay = np.exp(-1j * k * np.outer(y, st * sin_phi))
+        ax = np.exp(-1j * k * np.outer(x, st * cos_phi))
+        power[it, :] = np.abs(np.sum(ax * (aperture @ ay), axis=0)) ** 2
+    peak = float(np.max(power))
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(power / peak), peak
+
+
+def fig5_weights(size):
+    """Both weight matrices of the fig5 preset at size x size."""
+    cfg = resolve_config("fig5_beampattern", overrides={"surface": {"M": size, "N": size}})
+    geom = cfg.geometry()
+    ref = cfg.reference_wave()
+    holo = record_hologram(
+        geom, ref, cfg.manual_paths(), RecordingConfig(cfg.recording.user_amplitude, 0.0, 1, 1, 0)
+    )
+    return geom, ref, [make_weights(holo, s).values for s in ("none", "mean")]
+
+
+class TestHalfExponentials:
+    @pytest.mark.parametrize(
+        "rows, cols, dx, dy",
+        [(1, 2, 0.005, 0.005), (7, 12, 0.0037, 0.0051), (8, 8, 0.005, 0.005), (33, 32, 0.0049, 0.0031)],
+    )
+    def test_element_coordinates_mirror_exactly(self, rows, cols, dx, dy):
+        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+        for c in (geom.element_x(), geom.element_y()):
+            assert np.array_equal(c[::-1], -c)
+
+    @pytest.mark.parametrize("rows, cols", [(7, 12), (8, 8), (33, 32)])
+    def test_bit_identical_to_full_evaluation(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        geom = make_geometry(rows, cols)
+        ref = make_reference(geom)
+        weights = rng.uniform(0.0, 1.0, size=geom.shape)
+        theta, phi = default_axes(1.5)
+        pattern = array_factor(geom, ref, weights, theta, phi)
+        power_db, peak = array_factor_reference(geom, ref, weights, theta, phi)
+        assert np.array_equal(pattern.power_db, power_db)
+        assert pattern.peak_linear == peak
+
+    def test_bit_identical_on_fig5_inputs(self):
+        geom, ref, weights = fig5_weights(16)
+        theta, phi = default_axes(0.5)
+        for w in weights:
+            pattern = array_factor(geom, ref, w, theta, phi)
+            power_db, peak = array_factor_reference(geom, ref, w, theta, phi)
+            assert np.array_equal(pattern.power_db, power_db)
+            assert pattern.peak_linear == peak
 
 
 class TestArrayFactor:
@@ -185,6 +249,87 @@ class TestFindPeaks:
         assert power == 5.0
 
 
+def find_peaks_reference(pattern, count, min_separation_deg):
+    """Nested-loop peak search; find_peaks must return the same peaks."""
+    db = pattern.power_db
+    nt, npnts = db.shape
+    phi_step = pattern.phi_rad[1] - pattern.phi_rad[0] if npnts > 1 else 0.0
+    phi_wraps = (
+        npnts > 2
+        and abs((pattern.phi_rad[-1] + phi_step) % (2 * math.pi) - pattern.phi_rad[0])
+        < 1e-9
+    )
+    candidates = []
+    for it in range(nt):
+        for ip in range(npnts):
+            val = db[it, ip]
+            is_max = True
+            for dt in (-1, 0, 1):
+                for dp in (-1, 0, 1):
+                    if dt == 0 and dp == 0:
+                        continue
+                    jt = it + dt
+                    jp = ip + dp
+                    if jt < 0 or jt >= nt:
+                        continue
+                    if jp < 0 or jp >= npnts:
+                        if not phi_wraps:
+                            continue
+                        jp %= npnts
+                    if db[jt, jp] > val:
+                        is_max = False
+                        break
+                if not is_max:
+                    break
+            if is_max:
+                candidates.append(
+                    (float(pattern.theta_rad[it]), float(pattern.phi_rad[ip]), float(val))
+                )
+    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
+    min_sep = math.radians(min_separation_deg)
+    selected = []
+    for th, ph, val in candidates:
+        d = Direction(th, ph)
+        if all(angular_separation(d, s) >= min_sep for s, _ in selected):
+            selected.append((d, val))
+        if len(selected) == count:
+            break
+    return selected, len(selected) == count
+
+
+def random_peak_grid(rng, nt, nphi, wraps):
+    theta = np.sort(rng.choice(np.arange(0.0, 90.5, 0.5), size=nt, replace=False))
+    if wraps:
+        phi = np.arange(nphi) * (360.0 / nphi)
+    else:
+        phi = np.sort(rng.choice(np.arange(0.0, 300.0, 2.5), size=nphi, replace=False))
+    db = np.round(rng.normal(-20.0, 4.0, size=(nt, nphi)))  # integer plateaus
+    db[rng.random((nt, nphi)) < 0.1] = -np.inf
+    db[rng.integers(nt), rng.integers(nphi)] = 0.0
+    return synthetic_pattern(db, theta, phi)
+
+
+class TestFindPeaksAgainstLoop:
+    @pytest.mark.parametrize("wraps", [True, False])
+    @pytest.mark.parametrize("nt, nphi", [(1, 8), (1, 3), (6, 2), (7, 3), (12, 24), (25, 40)])
+    def test_same_peaks_as_nested_loop(self, nt, nphi, wraps):
+        rng = np.random.default_rng(nt * 1000 + nphi * 10 + wraps)
+        for _ in range(5):
+            pattern = random_peak_grid(rng, nt, nphi, wraps)
+            # every candidate in order, then a separated, possibly incomplete subset
+            for count, sep in ((nt * nphi, 0.0), (4, 10.0), (nt * nphi, 25.0)):
+                want, complete = find_peaks_reference(pattern, count, sep)
+                got = find_peaks(pattern, count, sep)
+                assert got.complete == complete
+                assert got.peaks == want
+
+    def test_all_equal_grid_keeps_every_point(self):
+        pattern = synthetic_pattern(np.zeros((3, 4)), [0, 10, 20], [0, 90, 180, 270])
+        got = find_peaks(pattern, 12, 0.0)
+        assert got.peaks == find_peaks_reference(pattern, 12, 0.0)[0]
+        assert len(got.peaks) == 12
+
+
 class TestSidelobeMetrics:
     def test_delta_beam_floor(self):
         theta = list(range(0, 91, 5))
@@ -207,7 +352,54 @@ class TestSidelobeMetrics:
             sidelobe_metrics(pattern, [Direction.from_degrees(10, 40)], 0.0)
 
 
+def export_pattern_csv_reference(pattern, path):
+    """Per-cell f-string writer; export_pattern_csv must write the same bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("theta_deg,phi_deg,power_db\n")
+        for it, th in enumerate(np.degrees(pattern.theta_rad)):
+            for ip, ph in enumerate(np.degrees(pattern.phi_rad)):
+                fh.write(f"{th:.9g},{ph:.9g},{pattern.power_db[it, ip]:.9g}\n")
+
+
+class TestValueAt:
+    def test_nearest_phi_across_the_wrap(self):
+        phi = list(np.arange(0.0, 360.0, 45.0))
+        grid = np.full((3, 8), -40.0)
+        grid[:, 0] = 0.0
+        grid[:, 7] = -20.0
+        pattern = synthetic_pattern(grid, [0, 10, 20], phi)
+        assert pattern.value_at(Direction.from_degrees(10, 359.0)) == 0.0
+        assert pattern.value_at(Direction.from_degrees(10, 340.0)) == 0.0
+        assert pattern.value_at(Direction.from_degrees(10, 330.0)) == -20.0
+        assert pattern.value_at(Direction.from_degrees(10, 1.0)) == 0.0
+
+    def test_partial_phi_axis_does_not_wrap(self):
+        phi = [0, 45, 90, 135, 180]
+        grid = np.full((3, 5), -40.0)
+        grid[:, 0] = 0.0
+        grid[:, 4] = -20.0
+        pattern = synthetic_pattern(grid, [0, 10, 20], phi)
+        # 359 deg is 1 deg from 0 around the circle, but the axis stops at 180
+        assert pattern.value_at(Direction.from_degrees(10, 359.0)) == -20.0
+        assert pattern.value_at(Direction.from_degrees(10, 20.0)) == 0.0
+
+
 class TestCsvExport:
+    def test_same_bytes_as_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(12)
+        theta, phi = default_axes(1.5)
+        db = rng.normal(-25.0, 12.0, size=(theta.size, phi.size))
+        db[rng.random(db.shape) < 0.05] = -np.inf
+        db[0, 0] = 0.0
+        db[1, 1] = -0.0
+        db[2, 2] = -1.0e-12
+        pattern = PatternGrid(theta, phi, db)
+        export_pattern_csv(pattern, tmp_path / "got.csv")
+        export_pattern_csv_reference(pattern, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert b"-inf" in got
+        assert got == (tmp_path / "want.csv").read_bytes()
+
     def test_format_and_order(self, tmp_path):
         pattern = synthetic_pattern([[0.0, -3.5], [-10.0, -20.25]], [0, 10], [0, 180])
         out = tmp_path / "pattern.csv"
