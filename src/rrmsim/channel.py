@@ -70,6 +70,10 @@ class PathArrays(NamedTuple):
             return np.zeros(power.shape[:-1])
         return np.add.accumulate(power, axis=-1)[..., -1]
 
+    def broadcast(self, trials: int) -> "PathArrays":
+        """Read-only (trials, L) view of one (L,) row, the same paths in every trial."""
+        return PathArrays(*(np.broadcast_to(c, (trials,) + c.shape) for c in self))
+
     def carrier_gains(self, omega: float) -> np.ndarray:
         """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain.
 
@@ -138,9 +142,6 @@ class PathSet:
         scaled = tuple(Path(p.gain * s, p.delay, p.direction) for p in self.paths)
         return PathSet(scaled, "unit_power")
 
-    def delays(self) -> np.ndarray:
-        return self.arrays.delay.copy()
-
     def carrier_gains(self, omega: float) -> np.ndarray:
         """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain."""
         return self.arrays.carrier_gains(omega)
@@ -165,7 +166,6 @@ class ChannelConfig:
     delay_spread: float = 3.0e-8
     theta_range: tuple[float, float] = (math.radians(5.0), math.radians(60.0))
     phi_range: tuple[float, float] = (0.0, 2.0 * math.pi)
-    rng_seed: int = 0
     paths: tuple[Path, ...] = field(default=())
     profile_text: str | None = None
 
@@ -189,19 +189,18 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def sample_paths(cfg: ChannelConfig, rng=None) -> PathSet:
+def sample_paths(cfg: ChannelConfig, rng) -> PathSet:
     """Draw one channel realization from the configured source.
 
     Args:
         cfg: channel description.
-        rng: numpy Generator, seed, or None (None uses cfg.rng_seed).
-            The same (cfg, seed) pair always yields the same realization.
+        rng: numpy Generator or seed. The same (cfg, seed) pair always
+            yields the same realization.
 
     Returns the ``draw_paths`` row of this one Generator as a PathSet
     ("raw" for manual paths, "unit_power" otherwise).
     """
-    rng = _as_rng(cfg.rng_seed if rng is None else rng)
-    row = PathArrays(*(column[0] for column in draw_paths(cfg, [rng])))
+    row = PathArrays(*(column[0] for column in draw_paths(cfg, [_as_rng(rng)])))
     return PathSet.from_arrays(row, "raw" if cfg.kind == "manual" else "unit_power")
 
 
@@ -219,18 +218,13 @@ def draw_paths(cfg: ChannelConfig, rngs) -> PathArrays:
     ``Generator.uniform`` and ``Generator.normal`` form them.
     """
     if cfg.kind == "manual":
-        row = PathSet(cfg.paths).arrays
-        return PathArrays(*(np.broadcast_to(c, (len(rngs),) + c.shape) for c in row))
+        return PathSet(cfg.paths).arrays.broadcast(len(rngs))
     if cfg.kind == "rician_random":
         return _draw_rician(cfg, rngs)
     base = _parsed_profile(cfg.profile_text, cfg.delay_spread).arrays
     (u,) = _fill(rngs, (("random", base.gain.size),))
     phases = 2.0 * math.pi * u
-    T = len(rngs)
-    return PathArrays(
-        base.gain * np.exp(1j * phases),
-        *(np.broadcast_to(c, (T,) + c.shape) for c in base[1:]),
-    )
+    return base.broadcast(len(rngs))._replace(gain=base.gain * np.exp(1j * phases))
 
 
 def _fill(rngs, draws):

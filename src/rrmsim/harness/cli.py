@@ -14,7 +14,7 @@ import traceback
 from pathlib import Path as FsPath
 
 from .. import beampattern as bp
-from .. import holography, link
+from .. import holography
 from ..channel import ProfileError, sample_paths
 from ..holography import noise_power_for_snr
 from . import invariants
@@ -26,7 +26,7 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .presets import PRESET_NAMES, add_curve_rows, print_summary, run_preset
+from .presets import PRESET_NAMES, add_curve_rows, paired_curves, print_summary, run_preset
 from .results import ResultSet, emit_csv
 
 EXIT_OK = 0
@@ -54,7 +54,7 @@ def _out_dir(cfg: ExperimentConfig) -> FsPath:
 
 def _scenario_paths(cfg: ExperimentConfig):
     """One path realization per the channel block (manual lists verbatim)."""
-    return sample_paths(cfg.channel_config(cfg.seed), cfg.seed)
+    return sample_paths(cfg.channel_config(), cfg.seed)
 
 
 def _recorded_weights(cfg: ExperimentConfig, paths):
@@ -111,10 +111,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         experiment, prefix = "mi_sweep", "mi"
     out = _out_dir(cfg)
     rs = ResultSet(cfg.fingerprint())
-    for system in ("rrm", "rhs"):
-        curves = link.trial_mi_curves(
-            cfg.scenario(system), cfg.link.snr_db, trials=trials, seed=cfg.seed
-        )
+    for system, curves in paired_curves(cfg, trials, cfg.seed):
         add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves, r_th)
     emit_csv(rs, out / "results.csv")
     if not args.quiet:

@@ -237,7 +237,7 @@ class ExperimentConfig:
         except UnicodeDecodeError:
             raise ConfigError("channel.profile_path: not UTF-8") from None
 
-    def channel_config(self, seed: int = 0) -> ChannelConfig:
+    def channel_config(self) -> ChannelConfig:
         c = self.channel
         return ChannelConfig(
             kind=c.kind,
@@ -247,7 +247,6 @@ class ExperimentConfig:
             delay_spread=c.delay_spread,
             theta_range=tuple(math.radians(v) for v in c.theta_range_deg),
             phi_range=tuple(math.radians(v) for v in c.phi_range_deg),
-            rng_seed=seed,
             paths=tuple(p.to_path() for p in c.paths),
             profile_text=self._profile_text,
         )
@@ -263,7 +262,7 @@ class ExperimentConfig:
             geom=self.geometry(rows, cols),
             ref=self.reference_wave(),
             pulse=self.pulse(),
-            channel=self.channel_config(self.seed),
+            channel=self.channel_config(),
             system=system,
             strategy=self.weights.strategy,
             user_amplitude=self.recording.user_amplitude,

@@ -320,7 +320,7 @@ def pattern_path_direction_dominance():
 
 @_register
 def path_unit_power_exactness():
-    cfg = ChannelConfig("rician_random", L=5, rng_seed=21)
+    cfg = ChannelConfig("rician_random", L=5)
     worst = 0.0
     for seed in range(20):
         ps = channel.sample_paths(cfg, seed)
@@ -332,7 +332,7 @@ def path_unit_power_exactness():
 
 @_register
 def path_sampling_reproducibility():
-    cfg = ChannelConfig("rician_random", L=4, rng_seed=5)
+    cfg = ChannelConfig("rician_random", L=4)
     a = channel.sample_paths(cfg, 42)
     b = channel.sample_paths(cfg, 42)
     same = all(

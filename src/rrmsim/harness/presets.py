@@ -142,24 +142,24 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
 
 
 def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet) -> None:
-    paths = cfg.manual_paths()
+    paths = cfg.manual_paths().arrays.broadcast(1)
     for size in (8, 64):
         for strategy in ("none", "mean", "min"):
             scenario = cfg.scenario("rrm", rows=size, cols=size, strategy=strategy)
-            mi = link.block_mi(scenario, paths, _seed_for(cfg, size), cfg.link.snr_db)
-            add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, [mi])
+            mi = link.stack_mi(scenario, paths, [_seed_for(cfg, size)], cfg.link.snr_db)
+            add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, mi)
 
 
 def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
     n_rep = 50
-    paths = cfg.manual_paths()
+    paths = cfg.manual_paths().arrays.broadcast(n_rep)
+    seeds = [_seed_for(cfg, 1000 + 97 * r) for r in range(n_rep)]
     for rec_snr in (0.0, 10.0):
         for duration in (1, 5):
             scenario = cfg.scenario(
                 "rrm", recording_snr_db=rec_snr, duration_symbols=duration
             )
-            seeds = [_seed_for(cfg, 1000 + 97 * r) for r in range(n_rep)]
-            samples = [link.block_mi(scenario, paths, s, cfg.link.snr_db) for s in seeds]
+            samples = link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
             metric = f"mi_dur{duration}_recsnr{rec_snr:g}dB"
             add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
 
@@ -167,37 +167,42 @@ def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
 def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
     sizes = (8, 16, 32, 64) if large else (8, 16, 32)
     n_rep = 10
-    paths = cfg.manual_paths()
+    paths = cfg.manual_paths().arrays
     for size in sizes:
         for system in ("rrm", "rhs"):
             scenario = cfg.scenario(system, rows=size, cols=size)
             reps = n_rep if system == "rrm" and cfg.recording.snr_db is not None else 1
             seeds = [_seed_for(cfg, 2000 + 13 * size + r) for r in range(reps)]
-            samples = [link.block_mi(scenario, paths, s, cfg.link.snr_db) for s in seeds]
+            samples = link.stack_mi(scenario, paths.broadcast(reps), seeds, cfg.link.snr_db)
             add_curve_rows(rs, "fig8_size_sweep", f"mi_{system}_{size}x{size}", cfg, samples)
+
+
+def paired_curves(cfg: ExperimentConfig, trials: int, seed: int, size: int | None = None):
+    """(system, (trials, n_snr) MI samples) of rrm, then rhs, on one shared draw.
+
+    Both systems see the same path draws and recording seeds of the trials
+    (``link.draw_trials``), so they are paired trial by trial. size gives a
+    size x size surface in place of the configured one.
+    """
+    paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
+    for system in ("rrm", "rhs"):
+        scenario = cfg.scenario(system, rows=size, cols=size)
+        yield system, link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
 
 
 def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
     sizes = (8, 16, 32, 64) if large else (8, 16, 32)
     n_rep = 20
     for size in sizes:
-        for system in ("rrm", "rhs"):
-            scenario = cfg.scenario(system, rows=size, cols=size)
-            curves = link.trial_mi_curves(
-                scenario, cfg.link.snr_db, trials=n_rep, seed=_seed_for(cfg, 3000 + size)
-            )
+        for system, curves in paired_curves(cfg, n_rep, _seed_for(cfg, 3000 + size), size):
             add_curve_rows(rs, "fig9_cdl", f"mi_{system}_{size}x{size}", cfg, curves)
 
 
 def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
     outage = cfg.outage
     for size in (8, 16):
-        seed = _seed_for(cfg, 4000 + size)  # shared: pairs rrm/rhs on the same draws
-        for system in ("rrm", "rhs"):
-            scenario = cfg.scenario(system, rows=size, cols=size)
-            curves = link.trial_mi_curves(
-                scenario, cfg.link.snr_db, trials=outage.trials, seed=seed
-            )
+        seed = _seed_for(cfg, 4000 + size)
+        for system, curves in paired_curves(cfg, outage.trials, seed, size):
             metric = f"outage_{system}_{size}x{size}"
             add_curve_rows(rs, "fig10_outage", metric, cfg, curves, outage.r_th)
 

@@ -92,11 +92,9 @@ def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):
 
 @dataclass(frozen=True)
 class Hologram:
-    """Recorded M x N interference-power matrix plus its provenance."""
+    """Recorded M x N interference-power matrix."""
 
     values: np.ndarray = field(repr=False)
-    geometry: SurfaceGeometry | None = None
-    config: RecordingConfig | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -151,7 +149,7 @@ def record_hologram(
         geom, ref, paths.arrays, cfg.user_amplitude, cfg.noise_power, cfg.num_samples,
         [cfg.rng_seed],
     )
-    return Hologram(power, geom, cfg)
+    return Hologram(power)
 
 
 def record_power(

@@ -14,20 +14,21 @@ noise filter at symbol-rate RRC sampling), and
 bits per symbol. Outage is the Monte-Carlo fraction of channel realizations
 whose MI falls below a threshold rate.
 
-Monte-Carlo trials run as stacks. ``trial_mi_curves`` splits the trials
-into chunks of ``chunk_trials`` trials, which keeps each (T, K, K) and
-(T, M, N, S) stack within STACK_BYTES (16 MiB). Trial t draws its paths
-with its own Generator, in the order of one ``sample_paths`` call, into
-the chunk's (T, L) arrays, and its recording noise from its own Philox
-seed. ``stack_mi`` carries the chunk through ``weight_stack_for`` (recorded
-or perfect-CSI weights), ``alpha_stack``, ``tap_stack`` (one
-``raised_cosine`` call) and a (T, K, K) stack of the blocks' Gram matrices
-into one ``eigvalsh`` call and one (T, n_snr) MI expression.
-``block_mi``, ``realize_block``, ``scenario_weights``, ``alpha_taps``,
-``equivalent_taps``, ``build_toeplitz`` and ``normalize_channel`` are
-single-block views of the same functions, as ``holography.record_hologram``
-and ``make_weights`` are of ``record_power`` and ``weight_stack``. Sweeps
-summarise trials with ``mean_ci`` or ``outage_ci``.
+Monte-Carlo trials run as stacks. ``draw_trials`` gives each trial its
+own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
+arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi``
+splits a (T, L) stack into chunks of ``chunk_trials`` trials, which keeps
+each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB), and
+carries each chunk through ``weight_stack_for`` (recorded or perfect-CSI
+weights), ``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
+(T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and
+one (T, n_snr) MI expression. Every MI and outage sweep is ``stack_mi`` of
+one stack per curve: seeded draws, or a manual path set broadcast over its
+recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps``,
+``build_toeplitz`` and ``normalize_channel`` are single-block views of the
+same functions, as ``holography.record_hologram`` and ``make_weights`` are
+of ``record_power`` and ``weight_stack``. Sweeps summarise trials with
+``mean_ci`` or ``outage_ci``.
 """
 
 from __future__ import annotations
@@ -478,14 +479,6 @@ class LinkScenario:
             raise ValueError(f"tx_power: must be positive, got {self.tx_power}")
 
 
-def scenario_weights(
-    scenario: LinkScenario, paths: PathSet, recording_seed: int = 0
-) -> WeightMatrix:
-    """Weights for one realization: recorded (rrm) or perfect-CSI (rhs)."""
-    weights = weight_stack_for(scenario, paths.arrays, [recording_seed])
-    return weights.matrix(scenario.strategy if scenario.system == "rrm" else "none")
-
-
 def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
     """Weights of each realization of a (..., L) path stack; seeds as ``record_power``'s."""
     s = scenario
@@ -516,18 +509,23 @@ def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     return tap_stack(alpha, paths.delay, s.pulse, s.K)
 
 
-def block_mi(
-    scenario: LinkScenario, paths: PathSet, recording_seed: int, snr_db_list
-) -> np.ndarray:
-    """MI in bits per symbol of one realized block at every SNR in snr_db_list."""
-    return stack_mi(scenario, paths.arrays, [recording_seed], snr_db_list)
-
-
 def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> np.ndarray:
-    """(..., n_snr) MI in bits per symbol of each block of a (..., L) path stack."""
-    h = _scenario_taps(scenario, paths, seeds)
-    G = _gram_stack(h, scenario.normalization == "normalized")
-    return _mi_bits(_eigvals(G), [gamma_from_db(snr) for snr in snr_db_list])
+    """(T, n_snr) MI in bits per symbol of each block of a (T, L) path stack.
+
+    Block t records with seeds[t] (rrm). The blocks run in chunks of
+    ``chunk_trials(scenario)``; each chunk is one (T, K, K) Gram stack and
+    one ``eigvalsh`` call, and a block's MI does not depend on the chunk it
+    falls in. A chunk that meets an all-zero weight matrix raises ValueError.
+    """
+    gammas = [gamma_from_db(snr) for snr in snr_db_list]
+    out = np.empty((len(seeds), len(gammas)))
+    step = chunk_trials(scenario)
+    for start in range(0, len(seeds), step):
+        chunk = slice(start, start + step)
+        h = _scenario_taps(scenario, PathArrays(*(c[chunk] for c in paths)), seeds[chunk])
+        G = _gram_stack(h, scenario.normalization == "normalized")
+        out[chunk] = _mi_bits(_eigvals(G), gammas)
+    return out
 
 
 def chunk_trials(scenario: LinkScenario) -> int:
@@ -552,33 +550,26 @@ def _trial_seeds(seed: int, trials: int):
         yield path_ss, int(rec_ss.generate_state(1, np.uint64)[0])
 
 
-def trial_mi_curves(
-    scenario: LinkScenario, snr_db_list, trials: int, seed: int
-) -> np.ndarray:
-    """(trials, n_snr) mutual-information samples over channel realizations.
+def draw_trials(channel: ChannelConfig, trials: int, seed: int) -> tuple[PathArrays, list[int]]:
+    """(trials, L) path draws and the recording seeds of ``trials`` Monte-Carlo trials.
 
     Trial t takes child t of SeedSequence(seed) and splits it in two: the
     first seeds a Generator for ``draw_paths`` (the draws of one
     ``sample_paths`` call, in its order), the second gives the 64-bit Philox
-    seed of its recording noise. Results are therefore order-independent and
-    paired across systems that share the seed.
-
-    Trials run in chunks of ``chunk_trials(scenario)``, which keeps each
-    (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); each chunk
-    is one ``stack_mi`` call with one ``eigvalsh``. A chunk that meets an
-    all-zero weight matrix raises ValueError, as a single block does.
+    seed of its recording noise. Results are therefore order-independent,
+    and systems handed the same draws are paired trial by trial.
     """
-    snr_db_list = list(snr_db_list)
-    out = np.empty((trials, len(snr_db_list)))
     seeds = list(_trial_seeds(seed, trials))
-    step = chunk_trials(scenario)
-    for start in range(0, trials, step):
-        chunk = seeds[start : start + step]
-        paths = draw_paths(scenario.channel, [np.random.default_rng(ss) for ss, _ in chunk])
-        out[start : start + len(chunk)] = stack_mi(
-            scenario, paths, [rec_seed for _, rec_seed in chunk], snr_db_list
-        )
-    return out
+    paths = draw_paths(channel, [np.random.default_rng(ss) for ss, _ in seeds])
+    return paths, [rec_seed for _, rec_seed in seeds]
+
+
+def trial_mi_curves(
+    scenario: LinkScenario, snr_db_list, trials: int, seed: int
+) -> np.ndarray:
+    """(trials, n_snr) MI samples over channel realizations: ``stack_mi`` of ``draw_trials``."""
+    paths, seeds = draw_trials(scenario.channel, trials, seed)
+    return stack_mi(scenario, paths, seeds, snr_db_list)
 
 
 def mean_ci(samples) -> tuple[float, float | None]:

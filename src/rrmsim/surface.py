@@ -14,9 +14,8 @@ the link model) is built from three primitives defined here:
   factors of direction arrays of shape (..., L), and every per-path sum over
   the grid (``superpose``, ``link.alpha_taps``, ``holography.rhs_weights``)
   is built from them with O((M+N)*L) exponentials instead of O(M*N*L).
-  Leading axes stack Monte-Carlo trials; ``steering_axes`` (a list of
-  ``Direction``s), ``object_field`` and ``steering_field`` are the
-  single-set views.
+  Leading axes stack Monte-Carlo trials; ``object_field`` (a path set)
+  and ``steering_field`` (one ``Direction``) are the single-set views.
 
 All angles are radians; degrees are accepted only at config/CLI boundaries.
 """
@@ -265,20 +264,13 @@ def steering_stack(
     return ax, ay
 
 
-def steering_axes(geom: SurfaceGeometry, directions) -> tuple[np.ndarray, np.ndarray]:
-    """``steering_stack`` of a list of L ``Direction``s: (M, L) and (N, L) factors."""
-    theta = np.array([d.theta for d in directions], dtype=float)
-    phi = np.array([d.phi for d in directions], dtype=float)
-    return steering_stack(geom, theta, phi)
-
-
 def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
     """(M, N) incident plane-wave phase profile exp(-j*k_free*(x*u + y*v)).
 
     Unit modulus everywhere. The value at the index-mirrored element
     (M+1-m, N+1-n) is the complex conjugate of the value at (m, n).
     """
-    ax, ay = steering_axes(geom, (direction,))
+    ax, ay = steering_stack(geom, np.array([direction.theta]), np.array([direction.phi]))
     return np.outer(ax[:, 0], ay[:, 0])
 
 

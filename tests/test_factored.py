@@ -25,7 +25,7 @@ from rrmsim import (
 )
 from rrmsim.channel import ChannelConfig, Path, sample_paths
 from rrmsim.link import alpha_taps
-from rrmsim.surface import reference_phase, steering_axes
+from rrmsim.surface import reference_phase, steering_stack
 
 from conftest import make_geometry, make_reference
 
@@ -95,9 +95,9 @@ class TestFactoredAgainstLoops:
             direct = _steer(geom, p.direction)
             assert np.max(np.abs(steering_field(geom, p.direction) - direct)) < UNIT_TOL
 
-    def test_steering_axes_shapes(self, case):
+    def test_steering_stack_shapes(self, case):
         geom, paths = case()
-        ax, ay = steering_axes(geom, [p.direction for p in paths.paths])
+        ax, ay = steering_stack(geom, paths.arrays.theta, paths.arrays.phi)
         assert ax.shape == (geom.rows, len(paths))
         assert ay.shape == (geom.cols, len(paths))
 

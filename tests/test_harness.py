@@ -457,7 +457,7 @@ class TestCli:
         def broken(*args, **kwargs):
             raise ValueError("broken invariant")
 
-        monkeypatch.setattr(link, "trial_mi_curves", broken)
+        monkeypatch.setattr(link, "stack_mi", broken)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"surface": {"M": 4, "N": 4}}))
         code = main(

@@ -143,7 +143,7 @@ class TestReindex:
 
 class TestMakeWeights:
     def _hologram(self, values):
-        return Hologram(values, None, None)
+        return Hologram(values)
 
     def test_constant_hologram_mean_strategy_degenerates(self):
         holo = self._hologram(np.full((4, 4), 2.5))

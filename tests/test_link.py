@@ -23,13 +23,13 @@ from rrmsim.channel import Path
 from rrmsim.link import (
     alpha_taps,
     alpha_taps_split,
-    block_mi,
     gamma_from_db,
     mean_ci,
     normalize_channel,
     outage_ci,
     raised_cosine,
     realize_block,
+    stack_mi,
     trial_mi_curves,
 )
 
@@ -219,7 +219,7 @@ class TestEquivalentTaps:
         h = equivalent_taps(geom, ref, weights, paths, pulse, K)
         assert h.shape == (2 * K - 1,)
         alpha = alpha_taps(geom, ref, weights, paths)
-        delays = paths.delays() / pulse.symbol_period
+        delays = paths.arrays.delay / pulse.symbol_period
         for l in range(-(K - 1), K):
             expected = sum(
                 a * raised_cosine(np.array([l - d]), pulse.rolloff)[0]
@@ -240,7 +240,7 @@ class TestEquivalentTaps:
         alpha = alpha_taps(geom, ref, weights, paths)
         lags = np.arange(-(K - 1), K)
         far = np.abs(lags) > 600
-        delays = paths.delays() / pulse.symbol_period
+        delays = paths.arrays.delay / pulse.symbol_period
         expected = sum(a * np.sinc(lags[far] - d) for a, d in zip(alpha, delays))
         assert np.max(np.abs(expected)) > 1e-6
         assert np.allclose(h[far], expected, rtol=1e-12, atol=0.0)
@@ -381,11 +381,11 @@ class TestOutage:
         assert rrm.shape == rhs.shape
         assert np.all(rrm > 0) and np.all(rhs > 0)
 
-    def test_block_mi_matches_mutual_information(self):
+    def test_stack_mi_matches_mutual_information(self):
         scenario = small_scenario()
         paths = make_five_paths()
         snrs = [-math.inf, 0.0, 10.0]
-        mi = block_mi(scenario, paths, 3, snrs)
+        (mi,) = stack_mi(scenario, paths.arrays.broadcast(1), [3], snrs)
         H = realize_block(scenario, paths, 3)
         expected = [mutual_information(H, gamma_from_db(s)) for s in snrs]
         assert mi[0] == 0.0

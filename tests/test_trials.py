@@ -1,15 +1,18 @@
 """The stacked Monte-Carlo kernel against its single-block views.
 
-``trial_mi_curves`` evaluates chunks of trials as (T, ...) stacks; every
-trial must give what ``sample_paths`` plus ``block_mi`` give for that trial
-alone, whatever the chunk boundaries.
+``stack_mi`` evaluates chunks of trials as (T, ...) stacks; every trial must
+give what ``sample_paths``, ``realize_block`` and ``mutual_information`` give
+for that trial alone, and the same bits whatever the chunk boundaries. The
+sweeps draw each trial once and hand the same draws to rrm and rhs.
 """
 
 import numpy as np
 import pytest
 
-from rrmsim import link
+from rrmsim import channel, link
 from rrmsim.channel import ChannelConfig, PathArrays, PathSet, draw_paths, sample_paths
+from rrmsim.harness import run_preset
+from rrmsim.harness.cli import main
 from rrmsim.harness.config import config_from_dict
 from rrmsim.holography import (
     Hologram,
@@ -40,12 +43,14 @@ def _scenario(kind, system, normalization):
 
 
 def _per_trial(scenario, trials):
-    """Each trial on its own: one sample_paths draw and one block_mi call."""
+    """Each trial on its own: one sample_paths draw, one block, MI per SNR."""
+    gammas = [link.gamma_from_db(snr) for snr in SNRS]
     rows = []
     for path_ss, rec_seed in link._trial_seeds(SEED, trials):
         paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
-        rows.append(link.block_mi(scenario, paths, rec_seed, SNRS))
-    return np.array(rows).reshape(trials, len(SNRS))
+        H = link.realize_block(scenario, paths, rec_seed)
+        rows.append([link.mutual_information(H, gamma) for gamma in gammas])
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("normalization", ("absolute", "normalized"))
@@ -53,17 +58,22 @@ def _per_trial(scenario, trials):
 @pytest.mark.parametrize("kind", KINDS)
 def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeypatch):
     scenario = _scenario(kind, system, normalization)
-    assert link.chunk_trials(scenario) >= 5
+    assert link.chunk_trials(scenario) >= 50
     for trials in (1, 5):  # one trial; several trials in one chunk
         got = link.trial_mi_curves(scenario, SNRS, trials, SEED)
         np.testing.assert_allclose(got, _per_trial(scenario, trials), rtol=1e-12, atol=0)
+    # fig7's shape: one path set broadcast over 50 recording seeds, one chunk
+    paths, seeds = link.draw_trials(scenario.channel, 50, SEED)
+    fig7 = PathArrays(*(c[0] for c in paths)).broadcast(50)
+    whole = link.stack_mi(scenario, fig7, seeds, SNRS)
 
-    # 7 trials in chunks of 3: two full chunks and a partial one
+    # chunks of 3: 7 trials in two full chunks and a partial one, 50 in 16 and a partial one
     per_trial = 16 * scenario.K**2
     monkeypatch.setattr(link, "STACK_BYTES", 3 * per_trial + per_trial // 2)
     assert link.chunk_trials(scenario) == 3
     got = link.trial_mi_curves(scenario, SNRS, 7, SEED)
     np.testing.assert_allclose(got, _per_trial(scenario, 7), rtol=1e-12, atol=0)
+    assert np.array_equal(link.stack_mi(scenario, fig7, seeds, SNRS), whole)
 
 
 def test_chunk_bounds_the_stacks():
@@ -76,6 +86,37 @@ def test_chunk_bounds_the_stacks():
     T = link.chunk_trials(big)
     assert T >= 1
     assert T * 8 * 256 * 256 * big.duration_symbols <= link.STACK_BYTES
+
+
+def _count_draws(monkeypatch) -> list:
+    """Sizes of the ``draw_paths`` calls made from now on, wherever it is bound."""
+    calls = []
+    original = channel.draw_paths
+
+    def counted(cfg, rngs):
+        calls.append(len(rngs))
+        return original(cfg, rngs)
+
+    for module in (channel, link):
+        monkeypatch.setattr(module, "draw_paths", counted)
+    return calls
+
+
+def test_fig10_draws_each_size_once(tmp_path, monkeypatch):
+    calls = _count_draws(monkeypatch)
+    run_preset("fig10_outage", overrides={"outage": {"trials": 4}}, out_dir=tmp_path, quiet=True)
+    assert calls == [4, 4]  # 8x8 and 16x16, each shared by rrm and rhs
+
+
+def test_cli_outage_draws_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"surface": {"M": 4, "N": 4}, "channel": {"kind": "rician_random"},'
+        ' "link": {"K": 8}, "outage": {"trials": 3}}'
+    )
+    calls = _count_draws(monkeypatch)
+    assert main(["outage", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("kind", KINDS)
