@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._cores import thread_map, workers
 from .holography import WeightMatrix
 from .surface import Direction, ReferenceWaveSpec, SurfaceGeometry, reference_field
 
@@ -106,6 +107,12 @@ def array_factor(
     normalized to its peak. ``weights`` may be a WeightMatrix or a raw
     nonnegative array (the pattern is invariant to positive scaling).
 
+    When ``_cores.workers`` allows several threads (BLAS pinned to one
+    thread), the theta rows are split into that many contiguous blocks, one
+    per thread, each with its own work arrays and written into its own rows
+    of the shared power grid. Every row is computed by the same operations on
+    either path, so the grid keeps its bytes.
+
     Raises:
         ValueError: all-zero weights or empty axes.
     """
@@ -127,12 +134,28 @@ def array_factor(
     sin_phi = np.sin(phi)
 
     power = np.empty((theta.size, phi.size), dtype=float)
-    for it, th in enumerate(theta):
-        st = math.sin(th)
-        ay = _mirrored_steering(y, k, st * sin_phi)  # (N, P)
-        ax = _mirrored_steering(x, k, st * cos_phi)  # (M, P)
-        f_row = np.sum(ax * (aperture @ ay), axis=0)
-        power[it, :] = np.abs(f_row) ** 2
+
+    def fill(block: tuple[range, _RowBuffers]) -> None:
+        rows, buf = block
+        for it in rows:
+            st = math.sin(theta[it])
+            ay = _mirrored_steering(y, k, st * sin_phi, buf.ay, buf)  # (N, P)
+            ax = _mirrored_steering(x, k, st * cos_phi, buf.ax, buf)  # (M, P)
+            f_rows = np.matmul(aperture, ay, out=buf.prod)
+            np.multiply(ax, f_rows, out=f_rows)
+            power[it, :] = np.abs(np.sum(f_rows, axis=0)) ** 2
+
+    n = workers(theta.size)
+    bounds = [theta.size * i // n for i in range(n + 1)]
+    # Every block's work arrays are allocated here, in the calling thread:
+    # glibc gives each thread its own heap arena and keeps what a thread
+    # frees resident there, so large temporaries made on a worker thread
+    # would stay in memory after the pool is gone.
+    blocks = [
+        (range(a, b), _RowBuffers.for_grid(geom.shape, phi.size))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    thread_map(fill, blocks)
 
     peak = float(np.max(power))
     with np.errstate(divide="ignore"):
@@ -140,19 +163,42 @@ def array_factor(
     return PatternGrid(theta, phi, power_db, peak)
 
 
-def _mirrored_steering(c: np.ndarray, k: float, s: np.ndarray) -> np.ndarray:
-    """exp(-1j*k*outer(c, s)) for coordinates with c[::-1] == -c exactly.
+class _RowBuffers(NamedTuple):
+    """Work arrays of one block of pattern rows on an (M, N) grid with P phi values."""
 
-    Only the first (len(c)+1)//2 rows are exponentiated; the mirrored rows are
+    real: np.ndarray  # (H, P) float, H = (max(M, N) + 1) // 2: steering phases
+    arg: np.ndarray  # (H, P) complex: exponent arguments
+    ax: np.ndarray  # (M, P) complex: x-axis steering factors
+    ay: np.ndarray  # (N, P) complex: y-axis steering factors
+    prod: np.ndarray  # (M, P) complex: aperture @ ay, then times ax
+
+    @classmethod
+    def for_grid(cls, shape: tuple[int, int], n_phi: int) -> "_RowBuffers":
+        rows, cols = shape
+        half = (max(rows, cols) + 1) // 2
+        return cls(
+            np.empty((half, n_phi)),
+            np.empty((half, n_phi), dtype=complex),
+            np.empty((rows, n_phi), dtype=complex),
+            np.empty((cols, n_phi), dtype=complex),
+            np.empty((rows, n_phi), dtype=complex),
+        )
+
+
+def _mirrored_steering(
+    c: np.ndarray, k: float, s: np.ndarray, out: np.ndarray, buf: _RowBuffers
+) -> np.ndarray:
+    """exp(-1j*k*outer(c, s)) into out, for coordinates with c[::-1] == -c exactly.
+
+    Only the first h = (len(c)+1)//2 rows are formed and exponentiated, in
+    the first h rows of ``buf.real`` and ``buf.arg``; the mirrored rows are
     their conjugates. These equal the direct exponentials in value; only the
-    sign of a zero imaginary part (where s is 0) can differ. The cheap
-    argument is formed for every row, so the temporaries keep the shapes of a
-    full evaluation and the heap, and the peak RSS, grow as they did.
+    sign of a zero imaginary part (where s is 0) can differ.
     """
     h = (c.size + 1) // 2
-    arg = -1j * k * np.outer(c, s)
-    out = np.empty_like(arg)
-    np.exp(arg[:h], out=out[:h])
+    np.outer(c[:h], s, out=buf.real[:h])
+    np.multiply(-1j * k, buf.real[:h], out=buf.arg[:h])
+    np.exp(buf.arg[:h], out=out[:h])
     np.conjugate(out[: c.size - h][::-1], out=out[h:])
     return out
 
@@ -211,37 +257,62 @@ def find_peaks(
     return PeakSearchResult(selected, complete=len(selected) == count)
 
 
+# Rows farther than guard + _ROW_MARGIN in theta from a mainlobe direction
+# lie outside its cone. The great-circle distance between two directions is
+# at least their theta difference (for theta in [0, pi]), and the margin is
+# far above the rounding of arccos(clip(cos_sep)), at most ~3e-8 rad (at
+# separations near pi), so those rows pass the arccos test too.
+_ROW_MARGIN = 1e-6
+
+
 def sidelobe_metrics(
     pattern: PatternGrid, mainlobe_dirs: list[Direction], guard_deg: float
 ) -> dict[str, float]:
     """Peak and mean sidelobe level outside guard cones around the mainlobes.
 
     A grid point is a sidelobe point if its great-circle distance to every
-    mainlobe direction exceeds guard_deg. The mean is taken over linear
-    power and converted to dB.
+    mainlobe direction, arccos of the clipped cosine of the separation,
+    exceeds guard_deg. The mean is taken over the linear power of the
+    sidelobe points and converted to dB.
 
     Raises:
         ValueError: nonpositive guard, or guard cones covering the whole grid.
     """
     if guard_deg <= 0:
         raise ValueError("guard_deg must be positive")
-    guard = math.radians(guard_deg)
-    ct = np.cos(pattern.theta_rad)[:, None]
-    st = np.sin(pattern.theta_rad)[:, None]
+    mask = _sidelobe_mask(pattern, mainlobe_dirs, math.radians(guard_deg))
+    if not np.any(mask):
+        raise ValueError("guard regions cover the entire pattern grid")
+    sidelobe_db = pattern.power_db[mask]
+    return {
+        "peak_sidelobe_db": float(np.max(sidelobe_db)),
+        "mean_sidelobe_db": float(10.0 * np.log10(np.mean(10.0 ** (sidelobe_db / 10.0)))),
+    }
+
+
+def _sidelobe_mask(
+    pattern: PatternGrid, mainlobe_dirs: list[Direction], guard: float
+) -> np.ndarray:
+    """Grid points whose arccos(clip(cos_sep)) exceeds ``guard`` for every mainlobe direction.
+
+    Each direction's test runs only on the theta rows within guard +
+    _ROW_MARGIN of it (and on any row outside [0, pi]); every other row is
+    outside its cone. The tested rows form the same per-point expression as
+    a full-grid evaluation, so the mask equals it point for point.
+    """
+    theta = pattern.theta_rad
+    unbounded = (theta < 0.0) | (theta > math.pi)
+    ct = np.cos(theta)[:, None]
+    st = np.sin(theta)[:, None]
     cp = np.cos(pattern.phi_rad)[None, :]
     sp = np.sin(pattern.phi_rad)[None, :]
     mask = np.ones(pattern.power_db.shape, dtype=bool)
     for d in mainlobe_dirs:
+        rows = np.flatnonzero((np.abs(theta - d.theta) <= guard + _ROW_MARGIN) | unbounded)
         ux, uy, uz = d.unit_vector()
-        cos_sep = st * cp * ux + st * sp * uy + ct * uz
-        mask &= np.arccos(np.clip(cos_sep, -1.0, 1.0)) > guard
-    if not np.any(mask):
-        raise ValueError("guard regions cover the entire pattern grid")
-    linear = pattern.linear()[mask]
-    return {
-        "peak_sidelobe_db": float(np.max(pattern.power_db[mask])),
-        "mean_sidelobe_db": float(10.0 * np.log10(np.mean(linear))),
-    }
+        cos_sep = st[rows] * cp * ux + st[rows] * sp * uy + ct[rows] * uz
+        mask[rows] &= np.arccos(np.clip(cos_sep, -1.0, 1.0)) > guard
+    return mask
 
 
 def export_pattern_csv(pattern: PatternGrid, path) -> None:

@@ -20,6 +20,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .. import beampattern, holography, link
+from .._cores import thread_map
 from ..holography import RecordingConfig
 from . import invariants
 from .config import ExperimentConfig, config_from_dict, _to_jsonable
@@ -183,11 +184,23 @@ def paired_curves(cfg: ExperimentConfig, trials: int, seed: int, size: int | Non
     Both systems see the same path draws and recording seeds of the trials
     (``link.draw_trials``), so they are paired trial by trial. size gives a
     size x size surface in place of the configured one.
+
+    When ``_cores.workers(2)`` allows two threads (BLAS pinned to one thread,
+    two usable CPUs), the rhs curve runs on a worker thread while the rrm
+    curve runs in the calling thread, so one curve's eigen-solve overlaps the
+    other's Python glue. Each curve is the same ``link.stack_mi`` call on the
+    same draws, which neither curve writes, so the samples keep their bytes.
+    Both curves are computed before the first is yielded; an exception from
+    either is raised here.
     """
     paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
-    for system in ("rrm", "rhs"):
+    systems = ("rrm", "rhs")
+
+    def curve(system):
         scenario = cfg.scenario(system, rows=size, cols=size)
-        yield system, link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
+        return link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
+
+    yield from zip(systems, thread_map(curve, systems))
 
 
 def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:

@@ -1,4 +1,6 @@
 
+import os
+
 import pytest
 
 from rrmsim import Direction, PathSet, ReferenceWaveSpec, SurfaceGeometry
@@ -37,3 +39,18 @@ def five_paths():
 @pytest.fixture
 def five_dirs():
     return [Direction.from_degrees(t, p) for t, p in FIVE_PATH_ANGLES]
+
+@pytest.fixture
+def force_threads(monkeypatch):
+    """force(cpus) pins BLAS in the environment and claims ``cpus`` usable CPUs.
+
+    rrmsim._cores then takes its threaded path in this process (the BLAS
+    library already loaded keeps its own thread count; only the rule reads
+    the environment).
+    """
+
+    def force(cpus=2):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return force

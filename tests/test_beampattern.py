@@ -13,7 +13,9 @@ from rrmsim import (
     reference_field,
 )
 from rrmsim.beampattern import (
+    _ROW_MARGIN,
     PatternGrid,
+    _sidelobe_mask,
     angular_separation,
     array_factor,
     default_axes,
@@ -350,6 +352,110 @@ class TestSidelobeMetrics:
         pattern = synthetic_pattern(np.zeros((2, 2)), [10, 11], [40, 41])
         with pytest.raises(ValueError):
             sidelobe_metrics(pattern, [Direction.from_degrees(10, 40)], 0.0)
+
+
+def _cos_separation(pattern, d):
+    ct = np.cos(pattern.theta_rad)[:, None]
+    st = np.sin(pattern.theta_rad)[:, None]
+    cp = np.cos(pattern.phi_rad)[None, :]
+    sp = np.sin(pattern.phi_rad)[None, :]
+    ux, uy, uz = d.unit_vector()
+    return st * cp * ux + st * sp * uy + ct * uz
+
+
+def sidelobe_mask_reference(pattern, dirs, guard):
+    """Full-grid arccos per direction; _sidelobe_mask must equal it."""
+    mask = np.ones(pattern.power_db.shape, dtype=bool)
+    for d in dirs:
+        mask &= np.arccos(np.clip(_cos_separation(pattern, d), -1.0, 1.0)) > guard
+    return mask
+
+
+def sidelobe_metrics_reference(pattern, dirs, guard_deg):
+    """Full-grid arccos mask and full-grid linear power; sidelobe_metrics must equal it."""
+    mask = sidelobe_mask_reference(pattern, dirs, math.radians(guard_deg))
+    if not np.any(mask):
+        raise ValueError("guard regions cover the entire pattern grid")
+    linear = pattern.linear()[mask]
+    return {
+        "peak_sidelobe_db": float(np.max(pattern.power_db[mask])),
+        "mean_sidelobe_db": float(10.0 * np.log10(np.mean(linear))),
+    }
+
+
+def random_pattern(rng, step_deg=1.0):
+    theta, phi = default_axes(step_deg)
+    db = rng.uniform(-60.0, 0.0, size=(theta.size, phi.size))
+    db[rng.integers(theta.size), rng.integers(phi.size)] = 0.0
+    return PatternGrid(theta, phi, db)
+
+
+def assert_sidelobes_match_reference(pattern, dirs, guard_deg):
+    guard = math.radians(guard_deg)
+    assert np.array_equal(
+        _sidelobe_mask(pattern, dirs, guard), sidelobe_mask_reference(pattern, dirs, guard)
+    )
+    try:
+        want = sidelobe_metrics_reference(pattern, dirs, guard_deg)
+    except ValueError:
+        with pytest.raises(ValueError, match="cover the entire"):
+            sidelobe_metrics(pattern, dirs, guard_deg)
+    else:
+        assert sidelobe_metrics(pattern, dirs, guard_deg) == want
+
+
+class TestSidelobeMaskWindow:
+    def test_random_directions_match_arccos_reference(self):
+        rng = np.random.default_rng(55)
+        pattern = random_pattern(rng)
+        for _ in range(25):
+            dirs = [
+                Direction(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2 * math.pi))
+                for _ in range(rng.integers(1, 6))
+            ]
+            assert_sidelobes_match_reference(pattern, dirs, rng.uniform(0.2, 60.0))
+
+    @pytest.mark.parametrize("guard_deg", [0.01, 95.0, 179.0, 180.0, 250.0])
+    def test_extreme_guards_match_arccos_reference(self, guard_deg):
+        pattern = random_pattern(np.random.default_rng(3), step_deg=2.0)
+        dirs = [Direction.from_degrees(30.0, 90.0), Direction.from_degrees(0.0, 0.0)]
+        assert_sidelobes_match_reference(pattern, dirs, guard_deg)
+
+    def test_rows_outside_zero_to_pi_match_arccos_reference(self):
+        theta = np.radians(np.arange(-30.0, 215.0, 5.0))
+        phi = np.radians(np.arange(0.0, 360.0, 10.0))
+        db = np.random.default_rng(4).uniform(-40.0, 0.0, size=(theta.size, phi.size))
+        pattern = PatternGrid(theta, phi, db)
+        dirs = [Direction.from_degrees(10.0, 200.0), Direction.from_degrees(80.0, 20.0)]
+        for guard_deg in (3.0, 25.0, 70.0):
+            assert_sidelobes_match_reference(pattern, dirs, guard_deg)
+
+    def test_cone_boundary_and_window_edge_match_arccos_reference(self):
+        """Guards at a cell's separation or a row's window edge, one ulp either way."""
+        rng = np.random.default_rng(9)
+        pattern = random_pattern(rng)
+        theta = pattern.theta_rad
+        nt, nphi = pattern.power_db.shape
+        for _ in range(12):
+            ip = rng.integers(nphi)
+            d = Direction(float(theta[rng.integers(nt)]), float(pattern.phi_rad[ip]))
+            cos_sep = _cos_separation(pattern, d)
+            guards = [
+                # a random cell on the cone, and one in the direction's own
+                # phi column, where the separation is the theta difference
+                math.acos(np.clip(cos_sep[rng.integers(nt), rng.integers(nphi)], -1.0, 1.0)),
+                math.acos(np.clip(cos_sep[rng.integers(nt), ip], -1.0, 1.0)),
+                # a row exactly on the edge of the tested window
+                abs(float(theta[rng.integers(nt)]) - d.theta) - _ROW_MARGIN,
+            ]
+            for guard in guards:
+                if guard <= 0.0:
+                    continue
+                for g in (guard, math.nextafter(guard, 0.0), math.nextafter(guard, 4.0)):
+                    assert np.array_equal(
+                        _sidelobe_mask(pattern, [d], g), sidelobe_mask_reference(pattern, [d], g)
+                    )
+                    assert_sidelobes_match_reference(pattern, [d], math.degrees(g))
 
 
 def export_pattern_csv_reference(pattern, path):
