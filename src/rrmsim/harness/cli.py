@@ -111,8 +111,8 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         experiment, prefix = "mi_sweep", "mi"
     out = _out_dir(cfg)
     rs = ResultSet(cfg.fingerprint())
-    for system, curves in paired_curves(cfg, trials, cfg.seed):
-        add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves, r_th)
+    for system, curves in paired_curves(cfg, trials, cfg.seed, r_th=r_th):
+        add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves)
     emit_csv(rs, out / "results.csv")
     if not args.quiet:
         print_summary(rs)

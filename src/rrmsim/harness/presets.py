@@ -93,19 +93,17 @@ def _seed_for(cfg: ExperimentConfig, stream: int) -> int:
 
 
 def add_curve_rows(
-    rs: ResultSet, experiment: str, metric: str, cfg: ExperimentConfig, mi_samples,
-    r_th: float | None = None,
+    rs: ResultSet, experiment: str, metric: str, cfg: ExperimentConfig, samples
 ) -> None:
-    """One row per SNR of cfg.link.snr_db from (trials, n_snr) MI samples.
+    """One row per SNR of cfg.link.snr_db from (trials, n_snr) samples.
 
-    Each row holds the mean MI with its 95% CI, or, when r_th is given, the
-    outage probability Pr{MI < r_th} with its binomial half-width.
+    Each row holds the mean MI with its 95% CI for float MI samples, or the
+    outage probability with its binomial half-width for boolean outage bits.
     """
-    for snr, column in zip(cfg.link.snr_db, np.asarray(mi_samples).T):
-        if r_th is None:
-            value, half = link.mean_ci(column)
-        else:
-            value, half = link.outage_ci(column, r_th)
+    samples = np.asarray(samples)
+    summarise = link.outage_ci if samples.dtype == bool else link.mean_ci
+    for snr, column in zip(cfg.link.snr_db, samples.T):
+        value, half = summarise(column)
         rs.add(experiment, "snr_db", snr, metric, value, half, cfg.seed)
 
 
@@ -178,29 +176,42 @@ def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> N
             add_curve_rows(rs, "fig8_size_sweep", f"mi_{system}_{size}x{size}", cfg, samples)
 
 
-def paired_curves(cfg: ExperimentConfig, trials: int, seed: int, size: int | None = None):
-    """(system, (trials, n_snr) MI samples) of rrm, then rhs, on one shared draw.
+def paired_curves(
+    cfg: ExperimentConfig, trials: int, seed: int, size: int | None = None,
+    r_th: float | None = None,
+):
+    """(system, (trials, n_snr) samples) of rrm, then rhs, on one shared draw.
 
-    Both systems see the same path draws and recording seeds of the trials
-    (``link.draw_trials``), so they are paired trial by trial. size gives a
-    size x size surface in place of the configured one.
+    The samples are MI values (``link.stack_mi``), or, when r_th is given,
+    the outage bits MI < r_th (``link.stack_outage``). Both systems see the
+    same path draws and recording seeds of the trials (``link.draw_trials``),
+    so they are paired trial by trial. size gives a size x size surface in
+    place of the configured one.
 
-    When ``_cores.workers(2)`` allows two threads (BLAS pinned to one thread,
-    two usable CPUs), the rhs curve runs on a worker thread while the rrm
-    curve runs in the calling thread, so one curve's eigen-solve overlaps the
-    other's Python glue. Each curve is the same ``link.stack_mi`` call on the
-    same draws, which neither curve writes, so the samples keep their bytes.
-    Both curves are computed before the first is yielded; an exception from
-    either is raised here.
+    Outage curves run one after the other in the calling thread: their
+    eigen-solves are mostly screened away, and two glue-bound curves on two
+    threads would only contend for the interpreter lock. For MI curves, when
+    ``_cores.workers(2)`` allows two threads (BLAS pinned to one thread, two
+    usable CPUs), the rhs curve runs on a worker thread while the rrm curve
+    runs in the calling thread, so one curve's eigen-solve overlaps the
+    other's Python glue. Each curve is the same call on the same draws,
+    which neither curve writes, so the samples keep their bytes. Both curves
+    are computed before the first is yielded; an exception from either is
+    raised here.
     """
     paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
     systems = ("rrm", "rhs")
-
-    def curve(system):
-        scenario = cfg.scenario(system, rows=size, cols=size)
-        return link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
-
-    yield from zip(systems, thread_map(curve, systems))
+    scenarios = [cfg.scenario(system, rows=size, cols=size) for system in systems]
+    if r_th is not None:
+        curves = [
+            link.stack_outage(scenario, paths, seeds, cfg.link.snr_db, r_th)
+            for scenario in scenarios
+        ]
+    else:
+        curves = thread_map(
+            lambda scenario: link.stack_mi(scenario, paths, seeds, cfg.link.snr_db), scenarios
+        )
+    yield from zip(systems, curves)
 
 
 def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
@@ -215,9 +226,8 @@ def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
     outage = cfg.outage
     for size in (8, 16):
         seed = _seed_for(cfg, 4000 + size)
-        for system, curves in paired_curves(cfg, outage.trials, seed, size):
-            metric = f"outage_{system}_{size}x{size}"
-            add_curve_rows(rs, "fig10_outage", metric, cfg, curves, outage.r_th)
+        for system, bits in paired_curves(cfg, outage.trials, seed, size, outage.r_th):
+            add_curve_rows(rs, "fig10_outage", f"outage_{system}_{size}x{size}", cfg, bits)
 
 
 def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, quiet: bool) -> bool:

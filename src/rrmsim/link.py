@@ -27,8 +27,19 @@ one stack per curve: seeded draws, or a manual path set broadcast over its
 recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps``,
 ``build_toeplitz`` and ``normalize_channel`` are single-block views of the
 same functions, as ``holography.record_hologram`` and ``make_weights`` are
-of ``record_power`` and ``weight_stack``. Sweeps summarise trials with
-``mean_ci`` or ``outage_ci``.
+of ``record_power`` and ``weight_stack``.
+
+An outage sweep needs only the bit MI < r_th of each block and SNR.
+``stack_outage`` runs the chunks of ``stack_mi`` and decides most bits from
+two bounds read off the taps: Hadamard's upper bound from the diagonal of
+H H^H, and a lower bound from the concavity of log2(1 + gamma lambda) on an
+eigenvalue range [lam_min, lam_max] that the taps bound. A bound decides a
+pair when it clears r_th by a margin larger than the rounding of the bounds
+and of the eigen MI. The remaining pairs take a batched Cholesky
+log-determinant, and the few whose value lies within the margin of r_th
+take the eigen MI itself, so every bit equals ``stack_mi(...) < r_th``.
+Sweeps summarise MI samples with ``mean_ci`` and outage bits with
+``outage_ci``.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
@@ -519,13 +531,150 @@ def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> n
     """
     gammas = [gamma_from_db(snr) for snr in snr_db_list]
     out = np.empty((len(seeds), len(gammas)))
-    step = chunk_trials(scenario)
-    for start in range(0, len(seeds), step):
-        chunk = slice(start, start + step)
-        h = _scenario_taps(scenario, PathArrays(*(c[chunk] for c in paths)), seeds[chunk])
+    for chunk, h in _chunk_taps(scenario, paths, seeds):
         G = _gram_stack(h, scenario.normalization == "normalized")
         out[chunk] = _mi_bits(_eigvals(G), gammas)
     return out
+
+
+def stack_outage(
+    scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list, r_th: float
+) -> np.ndarray:
+    """(T, n_snr) outage bits: ``stack_mi(...) < r_th``, element for element.
+
+    The blocks run in the chunks of ``stack_mi`` and get the same taps. Two
+    bounds read off each block's taps decide most bits without a Gram
+    matrix (``_outage_bounds``); only blocks with an undecided SNR get one,
+    and only pairs whose MI lies within the rounding margin of r_th reach
+    ``eigvalsh`` (``_outage_bits``). A chunk that meets an all-zero weight
+    matrix, or a zero channel in normalized mode, raises ValueError, as
+    ``stack_mi`` does.
+    """
+    gammas = np.array([gamma_from_db(snr) for snr in snr_db_list])
+    out = np.empty((len(seeds), gammas.size), dtype=bool)
+    for chunk, h in _chunk_taps(scenario, paths, seeds):
+        out[chunk] = _outage_bits(h, scenario.normalization == "normalized", gammas, r_th)
+    return out
+
+
+def _chunk_taps(scenario: LinkScenario, paths: PathArrays, seeds):
+    """(slice, (t, 2K-1) taps) of each ``chunk_trials`` chunk of a (T, L) path stack."""
+    step = chunk_trials(scenario)
+    for start in range(0, len(seeds), step):
+        chunk = slice(start, start + step)
+        taps = _scenario_taps(scenario, PathArrays(*(c[chunk] for c in paths)), seeds[chunk])
+        yield chunk, taps
+
+
+def _tap_spectrum(h: np.ndarray):
+    """(diag, lam_min, lam_max) of the Gram matrices H H^H of (T, 2K-1) taps, from the taps alone.
+
+    diag[:, k] = sum_{i=k}^{k+K-1} |h[i]|^2 (direct window sums) is the
+    diagonal of H H^H. H is h_0 I plus the other lags' shift matrices, each
+    of norm <= 1, weighted by their taps; with e = sum_{l != 0} |h_l|, every
+    singular value of H lies in [|h_0| - e, |h_0| + e] (Weyl), so every
+    eigenvalue of H H^H lies in [lam_min, lam_max] with
+    lam_min = max(|h_0| - e, 0)^2 and lam_max = (sum |h|)^2.
+    """
+    K = (h.shape[-1] + 1) // 2
+    diag = sliding_window_view(h.real**2 + h.imag**2, K, axis=-1).sum(axis=-1)
+    total = np.abs(h).sum(axis=-1)
+    lam_min = np.maximum(2.0 * np.abs(h[:, K - 1]) - total, 0.0) ** 2
+    return diag, lam_min, total**2
+
+
+def _outage_bounds(h: np.ndarray, normalized: bool, gammas: np.ndarray):
+    """(upper, lower, lam_max): bounds on the (T, n) eigen MI of (T, 2K-1) taps.
+
+    From ``_tap_spectrum``; in normalized mode the diagonal and both ends of
+    the eigenvalue range are divided by sum(diag)/K, as ``_normalize``
+    divides H H^H. With f(x) = log2(1 + gamma x):
+    - Hadamard's inequality gives MI <= upper = (1/K) sum_k f(diag_k);
+    - f is concave, so on [lam_min, lam_max] it lies above its chord, and
+      the eigenvalues sum to sum(diag): MI >= lower, the chord's value at
+      the mean eigenvalue sum(diag)/K. With lam_min = 0 this is
+      sum(diag) / (K lam_max) * f(lam_max).
+    For a single-tap block (H = h_0 I) both bounds equal f(|h_0|^2).
+
+    Raises:
+        ValueError: in normalized mode, if a block's taps are all zero.
+    """
+    diag, lam_min, lam_max = _tap_spectrum(h)
+    K = diag.shape[-1]
+    mean = diag.sum(axis=-1) / K
+    if normalized:
+        if np.any(mean <= 0.0):
+            raise ValueError("cannot normalize a zero channel matrix")
+        diag = diag / mean[:, None]
+        lam_min = lam_min / mean
+        lam_max = lam_max / mean
+        mean = np.ones_like(mean)
+    upper = np.sum(np.log2(1.0 + gammas[:, None] * diag[:, None, :]), axis=-1) / K
+    spread = lam_max - lam_min
+    weight = np.divide(mean - lam_min, spread, out=np.zeros_like(spread), where=spread > 0.0)
+    f_min = np.log2(1.0 + gammas * lam_min[:, None])
+    f_max = np.log2(1.0 + gammas * lam_max[:, None])
+    lower = f_min + np.clip(weight, 0.0, 1.0)[:, None] * (f_max - f_min)
+    return upper, lower, lam_max
+
+
+def _outage_bits(h: np.ndarray, normalized: bool, gammas: np.ndarray, r_th: float) -> np.ndarray:
+    """(T, n) bits ``_mi_bits(_eigvals(_gram_stack(h, normalized)), gammas) < r_th``.
+
+    A pair is out if its upper bound (``_outage_bounds``) is below
+    r_th - m and not out if its lower bound is above r_th + m, with the
+    margin m = 1e-9 + 1e-12 * gamma * lam_max bits. m exceeds the rounding
+    of the bounds and of the eigen MI (eigenvalue errors are of order
+    K * eps * lam_max, which moves each log term by at most
+    gamma * K * eps * lam_max / ln 2), so a decided bit is the bit the eigen
+    MI gives. Every other pair takes log det(I + gamma G) from a batched
+    Cholesky factor of its block's Gram matrix, whose backward error is of
+    the same order; a pair whose Cholesky MI still lies within m of r_th
+    (or whose factorization failed) is decided by ``_mi_bits(_eigvals(G))``
+    itself, on the block's ``_gram_stack`` matrix. So every bit equals the
+    eigen MI's.
+    """
+    upper, lower, lam_max = _outage_bounds(h, normalized, gammas)
+    margin = 1e-9 + 1e-12 * gammas * lam_max[:, None]
+    bits = upper < r_th - margin
+    undecided = ~bits & ~(lower > r_th + margin)
+    rows = np.flatnonzero(undecided.any(axis=1))
+    if rows.size == 0:
+        return bits
+    G = _gram_stack(h[rows], normalized)
+    block, snr = np.nonzero(undecided[rows])
+    mi = _cholesky_mi(G, block, gammas[snr])
+    bits[rows[block], snr] = mi < r_th
+    near = ~(np.abs(mi - r_th) > margin[rows[block], snr])  # NaN counts as near
+    if np.any(near):
+        block, snr = block[near], snr[near]
+        solved, at = np.unique(block, return_inverse=True)
+        exact = _mi_bits(_eigvals(G[solved]), gammas)
+        bits[rows[block], snr] = exact[at, snr] < r_th
+    return bits
+
+
+def _cholesky_mi(G: np.ndarray, blocks: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """MI (1/K) log2 det(I + gammas[p] G[blocks[p]]) of each pair p; NaN where Cholesky fails.
+
+    One ``cholesky`` call per STACK_BYTES of pairs; log det is twice the sum
+    of the logs of the factor's diagonal.
+    """
+    K = G.shape[-1]
+    step = max(1, STACK_BYTES // (16 * K * K))
+    out = np.empty(blocks.size)
+    for start in range(0, blocks.size, step):
+        part = slice(start, start + step)
+        A = G[blocks[part]]
+        A *= gammas[part, None, None]
+        A.reshape(-1, K * K)[:, :: K + 1] += 1.0  # + I
+        try:
+            factor = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            out[part] = np.nan
+            continue
+        out[part] = np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1).real), axis=-1)
+    return out * (2.0 / (K * math.log(2.0)))
 
 
 def chunk_trials(scenario: LinkScenario) -> int:
@@ -579,9 +728,9 @@ def mean_ci(samples) -> tuple[float, float | None]:
     return float(np.mean(x)), half
 
 
-def outage_ci(mi_samples, r_th: float) -> tuple[float, float]:
-    """Fraction of MI samples below r_th and its 95% binomial half-width."""
-    below = np.asarray(mi_samples) < r_th
+def outage_ci(below) -> tuple[float, float]:
+    """Fraction of true outage bits and its 95% binomial half-width."""
+    below = np.asarray(below)
     p = float(np.mean(below))
     return p, 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / below.size)
 
@@ -597,12 +746,17 @@ def outage_probability(
 ) -> OutageResult:
     """Monte-Carlo outage Pr{MI < r_th} with a 95% binomial half-width.
 
-    Each trial runs the full pipeline: sample paths, record (rrm only),
-    derive weights, build taps and the block matrix, evaluate MI.
+    Each trial runs the full pipeline on the ``draw_trials`` draws: sample
+    paths, record (rrm only), derive weights and taps; ``stack_outage`` then
+    decides MI < r_th from two spectral bounds of the taps where they clear
+    the threshold, and from the block's log-determinant or eigenvalues where
+    they do not, so every bit is the one ``trial_mi_curves(...) < r_th``
+    gives.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if r_th < 0:
         raise ValueError("threshold rate must be nonnegative")
-    mi = trial_mi_curves(scenario, [snr_db], trials, seed)[:, 0]
-    return OutageResult(*outage_ci(mi, r_th), trials)
+    paths, seeds = draw_trials(scenario.channel, trials, seed)
+    below = stack_outage(scenario, paths, seeds, [snr_db], r_th)[:, 0]
+    return OutageResult(*outage_ci(below), trials)

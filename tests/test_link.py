@@ -411,10 +411,10 @@ class TestSummaries:
         assert half == pytest.approx(1.96 * np.std(x, ddof=1) / 2.0)
 
     def test_outage_ci_extremes_have_zero_width(self):
-        assert outage_ci([3.0, 4.0, 5.0], r_th=2.0) == (0.0, 0.0)
-        assert outage_ci([0.5, 1.0, 1.5], r_th=2.0) == (1.0, 0.0)
+        assert outage_ci(np.array([3.0, 4.0, 5.0]) < 2.0) == (0.0, 0.0)
+        assert outage_ci(np.array([0.5, 1.0, 1.5]) < 2.0) == (1.0, 0.0)
 
     def test_outage_ci_binomial_half_width(self):
-        p, half = outage_ci([1.0, 3.0, 1.0, 3.0], r_th=2.0)
+        p, half = outage_ci(np.array([1.0, 3.0, 1.0, 3.0]) < 2.0)
         assert p == 0.5
         assert half == pytest.approx(1.96 * math.sqrt(0.25 / 4))
