@@ -13,6 +13,17 @@ of a mirrored element equals the conjugate of the original's in value:
 exp(-j*k*(-x)*u) = conj(exp(-j*k*x*u)). ``array_factor`` evaluates the
 exponentials for the first (M+1)//2 coordinates of each axis and conjugates
 them into the rest; the centre element of an odd axis is computed directly.
+
+The same sign argument holds for the direction cosines: s*cos(phi) for a
+negative cos(phi) is the exact negation of s*|cos(phi)| (a product's sign is
+the XOR of its factors' signs, signed zeros included), so its factor is the
+conjugate of the one at |cos(phi)|. Each theta row therefore exponentiates
+only the distinct magnitudes |cos(phi)| and |sin(phi)|, appends their
+conjugates, and gathers every phi column from that table. On a square grid
+with dx == dy the x and y coordinates are the same array, so both axes share
+one table over the distinct values of |cos(phi)| and |sin(phi)| together:
+789 of the 1,440 per-row arguments on the 0.5 degree grid. Otherwise each
+axis has its own table (510 distinct |cos(phi)| and 529 |sin(phi)| there).
 Bit-identity contract: the power grid, the peak list and the CSV bytes equal
 those of a full per-row evaluation, a nested-loop peak search and a per-cell
 CSV writer, which the unit tests keep as references.
@@ -129,9 +140,16 @@ def array_factor(
     aperture = w * reference_field(geom, ref).values
     x = geom.element_x()
     y = geom.element_y()
-    k = geom.k_free
     cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
+    if np.array_equal(x, y):  # square grid with dx == dy: one shared table
+        mag, cols = _table_columns(np.concatenate([cos_phi, sin_phi]))
+        axes = ((x, mag),)
+        x_cols, y_cols = cols[: phi.size], cols[phi.size :]
+    else:
+        x_mag, x_cols = _table_columns(cos_phi)
+        y_mag, y_cols = _table_columns(sin_phi)
+        axes = ((x, x_mag), (y, y_mag))
 
     power = np.empty((theta.size, phi.size), dtype=float)
 
@@ -139,8 +157,10 @@ def array_factor(
         rows, buf = block
         for it in rows:
             st = math.sin(theta[it])
-            ay = _mirrored_steering(y, k, st * sin_phi, buf.ay, buf)  # (N, P)
-            ax = _mirrored_steering(x, k, st * cos_phi, buf.ax, buf)  # (M, P)
+            for table in buf.tables:
+                table.evaluate(st)
+            ay = buf.tables[-1].gather(y_cols, buf.ay)  # (N, P)
+            ax = buf.tables[0].gather(x_cols, buf.ax)  # (M, P)
             f_rows = np.matmul(aperture, ay, out=buf.prod)
             np.multiply(ax, f_rows, out=f_rows)
             power[it, :] = np.abs(np.sum(f_rows, axis=0)) ** 2
@@ -152,7 +172,7 @@ def array_factor(
     # frees resident there, so large temporaries made on a worker thread
     # would stay in memory after the pool is gone.
     blocks = [
-        (range(a, b), _RowBuffers.for_grid(geom.shape, phi.size))
+        (range(a, b), _RowBuffers.for_grid(geom.shape, geom.k_free, axes, phi.size))
         for a, b in zip(bounds, bounds[1:])
     ]
     thread_map(fill, blocks)
@@ -163,44 +183,80 @@ def array_factor(
     return PatternGrid(theta, phi, power_db, peak)
 
 
+def _table_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct magnitudes of ``values`` and each value's column in a steering table.
+
+    Column u < U (U distinct magnitudes) holds the factor at magnitude u,
+    column U + u its conjugate, which is the factor at the negated value.
+    """
+    mag, inv = np.unique(np.abs(values), return_inverse=True)
+    return mag, inv + mag.size * np.signbit(values)
+
+
+class _SteeringTable:
+    """Steering factors of one axis at the distinct magnitudes of its direction cosines.
+
+    For a theta row with s = sin(theta), ``evaluate`` fills the first U
+    columns of ``values`` with exp(-j*k*c*(s*mag)) for the first h =
+    (len(c)+1)//2 coordinates c, and the last U with their conjugates. The
+    exponent is formed as in the direct evaluation: -k*(c*(s*mag)), written
+    into the imaginary part of a zero-real argument.
+    """
+
+    def __init__(self, c: np.ndarray, k: float, mag: np.ndarray):
+        self.size = c.size
+        self.half = c[: (c.size + 1) // 2, None]
+        self.neg_k = -k
+        self.mag = mag
+        self.scaled = np.empty(mag.size)
+        self.phase = np.empty((self.half.size, mag.size))
+        self.values = np.empty((self.half.size, 2 * mag.size), dtype=complex)
+
+    def evaluate(self, s: float) -> None:
+        u = self.mag.size
+        # The conjugate half holds the arguments first; the previous row's
+        # conjugates left their real parts there, so those are reset to 0.
+        arg = self.values[:, u:]
+        np.multiply(s, self.mag, out=self.scaled)
+        np.multiply(self.half, self.scaled, out=self.phase)
+        np.multiply(self.phase, self.neg_k, out=arg.imag)
+        arg.real = 0.0
+        np.exp(arg, out=self.values[:, :u])
+        np.conjugate(self.values[:, :u], out=arg)
+
+    def gather(self, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The (len(c), P) factors of columns ``cols`` into out, for c[::-1] == -c exactly.
+
+        The first h rows are taken from the table; the mirrored rows are
+        their conjugates. These equal the direct exponentials in value; only
+        the sign of a zero imaginary part can differ.
+        """
+        h = self.half.size
+        self.values.take(cols, axis=1, out=out[:h], mode="clip")
+        np.conjugate(out[: self.size - h][::-1], out=out[h:])
+        return out
+
+
 class _RowBuffers(NamedTuple):
     """Work arrays of one block of pattern rows on an (M, N) grid with P phi values."""
 
-    real: np.ndarray  # (H, P) float, H = (max(M, N) + 1) // 2: steering phases
-    arg: np.ndarray  # (H, P) complex: exponent arguments
+    tables: tuple[_SteeringTable, ...]  # the x table first, the y table last (one if shared)
     ax: np.ndarray  # (M, P) complex: x-axis steering factors
     ay: np.ndarray  # (N, P) complex: y-axis steering factors
     prod: np.ndarray  # (M, P) complex: aperture @ ay, then times ax
 
     @classmethod
-    def for_grid(cls, shape: tuple[int, int], n_phi: int) -> "_RowBuffers":
+    def for_grid(
+        cls, shape: tuple[int, int], k: float, axes: tuple, n_phi: int
+    ) -> "_RowBuffers":
+        """``axes`` holds (coordinates, distinct magnitudes) for each table."""
         rows, cols = shape
-        half = (max(rows, cols) + 1) // 2
         return cls(
-            np.empty((half, n_phi)),
-            np.empty((half, n_phi), dtype=complex),
+            tuple(_SteeringTable(c, k, mag) for c, mag in axes),
             np.empty((rows, n_phi), dtype=complex),
             np.empty((cols, n_phi), dtype=complex),
             np.empty((rows, n_phi), dtype=complex),
         )
-
-
-def _mirrored_steering(
-    c: np.ndarray, k: float, s: np.ndarray, out: np.ndarray, buf: _RowBuffers
-) -> np.ndarray:
-    """exp(-1j*k*outer(c, s)) into out, for coordinates with c[::-1] == -c exactly.
-
-    Only the first h = (len(c)+1)//2 rows are formed and exponentiated, in
-    the first h rows of ``buf.real`` and ``buf.arg``; the mirrored rows are
-    their conjugates. These equal the direct exponentials in value; only the
-    sign of a zero imaginary part (where s is 0) can differ.
-    """
-    h = (c.size + 1) // 2
-    np.outer(c[:h], s, out=buf.real[:h])
-    np.multiply(-1j * k, buf.real[:h], out=buf.arg[:h])
-    np.exp(buf.arg[:h], out=out[:h])
-    np.conjugate(out[: c.size - h][::-1], out=out[h:])
-    return out
 
 
 def angular_separation(a: Direction, b: Direction) -> float:

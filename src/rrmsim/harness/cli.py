@@ -81,6 +81,10 @@ def _cmd_record(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
+    if not (math.isfinite(args.step_deg) and args.step_deg > 0):
+        raise ConfigError(f"--step-deg: must be finite and > 0, got {args.step_deg}")
+    if args.peaks < 1:
+        raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
     out = _out_dir(cfg)
     paths = _scenario_paths(cfg)
     _holo, weights = _recorded_weights(cfg, paths)

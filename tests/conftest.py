@@ -41,6 +41,12 @@ def five_dirs():
     return [Direction.from_degrees(t, p) for t, p in FIVE_PATH_ANGLES]
 
 @pytest.fixture
+def serial(monkeypatch):
+    """Leave BLAS unpinned in the environment, so every caller runs its serial loop."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+@pytest.fixture
 def force_threads(monkeypatch):
     """force(cpus) pins BLAS in the environment and claims ``cpus`` usable CPUs.
 

@@ -264,10 +264,14 @@ def test_criterion_8_nyquist_property():
 
 
 def test_criterion_9_outage_sanity():
-    """8x8, R_th=2, 2000 paired trials: outage falls with SNR; ordering reported.
+    """8x8, R_th=2, 2000 paired trials: outage falls with SNR, rrm at or below rhs.
 
     The transmit-referred grid covers the 8x8 transition region (the array
-    gain of 64 elements moves it below 0 dB in absolute mode).
+    gain of 64 elements moves it below 0 dB in absolute mode). Both systems
+    see the same path draws (seed 909); in absolute mode RRM's per-path
+    amplitude power is about twice RHS's (docs/rrm_vs_rhs.md), so its
+    outage is at most RHS's at every SNR (measured: rrm [1, 1, .048, 0, 0,
+    0] against rhs [1, 1, .728, .072, .002, 0]).
     """
     snrs = [-12.0, -8.0, -4.0, 0.0, 4.0, 8.0]
     trials = 2000
@@ -290,6 +294,7 @@ def test_criterion_9_outage_sanity():
         assert np.all((0.0 <= p) & (p <= 1.0))
         # paired trials and MI monotone in SNR make this exact, not statistical
         assert np.all(np.diff(p) <= 0.0)
+    assert np.all(outs["rrm"][0] <= outs["rhs"][0])
     detail = "; ".join(
         f"{system} outage {np.array2string(outs[system][0], precision=3)}"
         f" +/- {np.array2string(outs[system][1], precision=3)}"

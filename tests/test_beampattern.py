@@ -12,6 +12,7 @@ from rrmsim import (
     record_hologram,
     reference_field,
 )
+from rrmsim import beampattern
 from rrmsim.beampattern import (
     _ROW_MARGIN,
     PatternGrid,
@@ -107,6 +108,87 @@ class TestHalfExponentials:
             power_db, peak = array_factor_reference(geom, ref, w, theta, phi)
             assert np.array_equal(pattern.power_db, power_db)
             assert pattern.peak_linear == peak
+
+
+class TestSteeringTables:
+    """The sign and shared-axis lookups against the full evaluation, bit for bit."""
+
+    @pytest.fixture(params=[False, True], ids=["serial", "threads"])
+    def threads(self, request, serial, force_threads):
+        if request.param:
+            force_threads(3)
+
+    def assert_bit_identical(self, geom, theta, phi, seed=0):
+        weights = np.random.default_rng(seed).uniform(0.0, 1.0, size=geom.shape)
+        ref = make_reference(geom)
+        pattern = array_factor(geom, ref, weights, theta, phi)
+        power_db, peak = array_factor_reference(geom, ref, weights, theta, phi)
+        assert np.array_equal(pattern.power_db, power_db)
+        assert pattern.peak_linear == peak
+
+    @pytest.mark.parametrize(
+        "rows, cols, dx, dy",
+        [
+            (12, 12, 0.0049, 0.0031),  # square, dx != dy: one table per axis
+            (7, 7, 0.005, 0.005),  # odd square: one shared table
+            (9, 5, 0.005, 0.005),  # odd, non-square
+            (1, 1, 0.005, 0.005),
+        ],
+    )
+    def test_grid_shapes_and_spacings(self, threads, rows, cols, dx, dy):
+        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+        self.assert_bit_identical(geom, *default_axes(1.5), seed=rows * cols)
+
+    def test_partial_phi_axis(self, threads):
+        phi = np.radians(np.arange(10.0, 200.0, 1.5))
+        theta, _ = default_axes(1.5)
+        for size in (8, 9):
+            self.assert_bit_identical(make_geometry(size, size), theta, phi, seed=size)
+
+    def test_theta_outside_zero_to_pi(self, threads):
+        theta = np.radians(np.arange(-40.0, 260.0, 7.5))
+        _, phi = default_axes(2.5)
+        self.assert_bit_identical(make_geometry(8, 8), theta, phi)
+        self.assert_bit_identical(make_geometry(6, 9), theta, phi)
+
+    @pytest.mark.parametrize(
+        "phi_deg",
+        [
+            [-180.0, -90.0, 0.0, 90.0, 180.0, 270.0, 360.0, 450.0],
+            [-0.0, 90.0, 180.0, 270.0],  # sin(-0.0) is -0.0: its conjugate column
+        ],
+    )
+    def test_phi_at_multiples_of_90_degrees(self, threads, phi_deg):
+        theta, _ = default_axes(3.0)
+        phi = np.radians(np.array(phi_deg))
+        self.assert_bit_identical(make_geometry(8, 8), theta, phi)
+        self.assert_bit_identical(make_geometry(5, 4), theta, phi)
+
+    def test_single_phi_value(self, threads):
+        theta, _ = default_axes(1.5)
+        for phi_deg in (0.0, 37.0, 243.5):
+            phi = np.radians(np.array([phi_deg]))
+            self.assert_bit_identical(make_geometry(8, 8), theta, phi)
+            self.assert_bit_identical(make_geometry(7, 10), theta, phi)
+
+    def test_fig5_grid_exponentiates_each_distinct_argument_once(self, monkeypatch):
+        """181 rows x 16 half coordinates x 789 distinct |cos|, |sin| values on 32x32."""
+        geom, ref, weights = fig5_weights(32)
+        theta, phi = default_axes(0.5)
+        counted = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                counted.append(np.size(x))  # list.append is atomic across threads
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(beampattern, "np", CountingNumpy())
+        array_factor(geom, ref, weights[1], theta, phi)
+        assert sum(counted) == 181 * 16 * 789
 
 
 class TestArrayFactor:

@@ -27,13 +27,6 @@ from conftest import make_geometry, make_reference
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.fixture
-def serial(monkeypatch):
-    """Leave BLAS unpinned in the environment, so every caller runs its serial loop."""
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-
-
 class TestWorkers:
     def test_unset_environment_is_serial(self, serial, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

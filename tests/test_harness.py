@@ -497,6 +497,23 @@ class TestCli:
         header = (tmp_path / "pattern.csv").read_text().splitlines()[0]
         assert header == "theta_deg,phi_deg,power_db"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--step-deg", "0"], "--step-deg: must be finite and > 0"),
+            (["--step-deg", "-1"], "--step-deg: must be finite and > 0"),
+            (["--step-deg", "nan"], "--step-deg: must be finite and > 0"),
+            (["--step-deg", "inf"], "--step-deg: must be finite and > 0"),
+            (["--peaks", "0"], "--peaks: must be >= 1"),
+            (["--peaks", "-3"], "--peaks: must be >= 1"),
+        ],
+    )
+    def test_bad_beampattern_flag_exits_2_before_output(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["beampattern", "--out", str(out), "--quiet", *flags]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mi_sweep_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
