@@ -7,7 +7,6 @@ config/preset/CLI layer (``harness``).
 """
 
 from .surface import (
-    ComplexField,
     Direction,
     ReferenceWaveSpec,
     SurfaceGeometry,
@@ -17,9 +16,8 @@ from .surface import (
 )
 from .channel import ChannelConfig, Path, PathSet, ProfileError, load_cdl_profile, sample_paths
 from .holography import (
-    Hologram,
     RecordingConfig,
-    WeightMatrix,
+    WeightStack,
     make_weights,
     noise_power_for_snr,
     record_hologram,
@@ -43,9 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig",
-    "ComplexField",
     "Direction",
-    "Hologram",
     "LinkScenario",
     "Path",
     "PathSet",
@@ -55,7 +51,7 @@ __all__ = [
     "RecordingConfig",
     "ReferenceWaveSpec",
     "SurfaceGeometry",
-    "WeightMatrix",
+    "WeightStack",
     "array_factor",
     "build_toeplitz",
     "equivalent_taps",

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._cores import thread_map, workers
-from .holography import WeightMatrix
+from .holography import WeightStack
 from .surface import Direction, ReferenceWaveSpec, SurfaceGeometry, reference_field
 
 
@@ -60,6 +60,8 @@ class PatternGrid:
         p = np.asarray(self.phi_rad, dtype=float)
         if t.ndim != 1 or p.ndim != 1 or t.size == 0 or p.size == 0:
             raise ValueError("pattern axes must be nonempty 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise ValueError("pattern axes must be finite")
         if np.any(np.diff(t) <= 0) or np.any(np.diff(p) <= 0):
             raise ValueError("pattern axes must be strictly increasing")
         db = np.asarray(self.power_db, dtype=float)
@@ -102,7 +104,7 @@ def default_axes(step_deg: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weight_values(weights) -> np.ndarray:
-    return weights.values if isinstance(weights, WeightMatrix) else np.asarray(weights)
+    return weights.values if isinstance(weights, WeightStack) else np.asarray(weights)
 
 
 def array_factor(
@@ -115,7 +117,7 @@ def array_factor(
     """Normalized far-field power pattern of the weighted, reference-fed surface.
 
     P(theta, phi) = |sum_{m,n} W(m,n) * E_r(m,n) * exp(-j*k_free*d_mn(theta,phi))|^2,
-    normalized to its peak. ``weights`` may be a WeightMatrix or a raw
+    normalized to its peak. ``weights`` may be a WeightStack or a raw
     nonnegative array (the pattern is invariant to positive scaling).
 
     When ``_cores.workers`` allows several threads (BLAS pinned to one
@@ -125,7 +127,7 @@ def array_factor(
     either path, so the grid keeps its bytes.
 
     Raises:
-        ValueError: all-zero weights or empty axes.
+        ValueError: all-zero weights, or empty or non-finite axes.
     """
     w = _weight_values(weights)
     if w.shape != geom.shape:
@@ -136,8 +138,10 @@ def array_factor(
     phi = np.asarray(phi_rad, dtype=float)
     if theta.size == 0 or phi.size == 0:
         raise ValueError("pattern axes must be nonempty")
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise ValueError("pattern axes must be finite")
 
-    aperture = w * reference_field(geom, ref).values
+    aperture = w * reference_field(geom, ref)
     x = geom.element_x()
     y = geom.element_y()
     cos_phi = np.cos(phi)

@@ -60,21 +60,21 @@ def _scenario_paths(cfg: ExperimentConfig):
 def _recorded_weights(cfg: ExperimentConfig, paths):
     r = cfg.recording
     rec = cfg.recording_config(noise_power_for_snr(r.snr_db, r.user_amplitude, paths), cfg.seed)
-    holo = holography.record_hologram(cfg.geometry(), cfg.reference_wave(), paths, rec)
-    return holo, holography.make_weights(holo, cfg.weights.strategy)
+    power = holography.record_hologram(cfg.geometry(), cfg.reference_wave(), paths, rec)
+    return power, holography.make_weights(power, cfg.weights.strategy)
 
 
 def _cmd_record(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg)
     paths = _scenario_paths(cfg)
-    holo, weights = _recorded_weights(cfg, paths)
-    holography.save_matrix_csv(holo.values, out / "hologram.csv")
+    power, weights = _recorded_weights(cfg, paths)
+    holography.save_matrix_csv(power, out / "hologram.csv")
     holography.save_matrix_csv(weights.values, out / "weights.csv")
     if not args.quiet:
-        print(f"recorded {holo.values.shape[0]}x{holo.values.shape[1]} power matrix")
+        print(f"recorded {power.shape[0]}x{power.shape[1]} power matrix")
         print(
-            f"weights: strategy={weights.strategy} b={weights.b_used:.6g} "
-            f"rho={weights.rho_used:.6g} clipped={weights.clipped}"
+            f"weights: strategy={cfg.weights.strategy} b={float(weights.b):.6g} "
+            f"rho={float(weights.rho):.6g} clipped={bool(weights.clipped)}"
         )
         print(f"wrote {out / 'hologram.csv'} and {out / 'weights.csv'}")
     return EXIT_OK
@@ -87,7 +87,7 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
     out = _out_dir(cfg)
     paths = _scenario_paths(cfg)
-    _holo, weights = _recorded_weights(cfg, paths)
+    _power, weights = _recorded_weights(cfg, paths)
     theta, phi = bp.default_axes(args.step_deg)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
     bp.export_pattern_csv(pattern, out / "pattern.csv")

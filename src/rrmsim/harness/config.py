@@ -30,7 +30,7 @@ from pathlib import Path as FsPath
 from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
 from ..holography import WEIGHT_STRATEGIES, RecordingConfig
 from ..link import LinkScenario, PulseSpec
-from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
+from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
 SCHEMA_VERSION = 2
 
@@ -196,7 +196,7 @@ class ExperimentConfig:
     def geometry(self, rows: int | None = None, cols: int | None = None) -> SurfaceGeometry:
         s = self.surface
         # fc <= 0 is SurfaceGeometry's to reject; only keep the division from failing first
-        lam = 299_792_458.0 / s.fc if s.fc > 0 else math.inf
+        lam = SPEED_OF_LIGHT / s.fc if s.fc > 0 else math.inf
         k_free = 2.0 * math.pi / lam
         return SurfaceGeometry(
             rows if rows is not None else s.M,

@@ -114,7 +114,7 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
     geom = cfg.geometry()
     ref = cfg.reference_wave()
     paths = cfg.manual_paths()
-    holo = holography.record_hologram(
+    power = holography.record_hologram(
         geom,
         ref,
         paths,
@@ -123,7 +123,7 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
     theta, phi = beampattern.default_axes(0.5)
     dirs = [p.direction for p in paths.paths]
     for strategy in ("none", "mean"):
-        weights = holography.make_weights(holo, strategy)
+        weights = holography.make_weights(power, strategy)
         pattern = beampattern.array_factor(geom, ref, weights, theta, phi)
         beampattern.export_pattern_csv(pattern, out_dir / f"pattern_b_{strategy}.csv")
         peaks = beampattern.find_peaks(pattern, count=len(dirs), min_separation_deg=5.0)

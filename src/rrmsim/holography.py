@@ -14,20 +14,22 @@ computes weights from known directions and gains (perfect CSI).
 The formulas work on stacks: ``record_power``, ``weight_stack`` and
 ``rhs_weight_stack`` take path arrays of shape (..., L) and return
 (..., M, N) matrices, one per Monte-Carlo trial. ``record_hologram``,
-``make_weights`` and ``rhs_weights`` are their single-matrix views.
+``make_weights`` and ``rhs_weights`` are their single-matrix views and
+return what the stacked functions return for one matrix: an (M, N) power
+array, and a ``WeightStack`` with (M, N) values and 0-d b, rho, clipped and
+degenerate.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import PathArrays, PathSet
 from .surface import (
-    ComplexField,
     Direction,
     ReferenceWaveSpec,
     SurfaceGeometry,
@@ -90,66 +92,21 @@ def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):
     return signal / 10.0 ** (snr_db / 10.0)
 
 
-@dataclass(frozen=True)
-class Hologram:
-    """Recorded M x N interference-power matrix."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"values: must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("values: must be finite and nonnegative")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Post-processed amplitude weights in [0, 1].
-
-    b_used and rho_used record the exact subtraction constant and
-    normalization factor. ``clipped`` marks that negative entries were
-    forced to zero; ``degenerate`` marks an all-zero result.
-    """
-
-    values: np.ndarray = field(repr=False)
-    b_used: float
-    rho_used: float
-    strategy: str
-    clipped: bool = False
-    degenerate: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if np.any(v < 0) or np.any(v > 1 + 1e-12):
-            raise ValueError("values: must lie in [0, 1]")
-        if self.rho_used <= 0:
-            raise ValueError(f"rho_used: must be positive, got {self.rho_used}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def record_hologram(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
     paths: PathSet,
     cfg: RecordingConfig,
-) -> Hologram:
-    """Record the interference power matrix at complex baseband.
+) -> np.ndarray:
+    """Record the (M, N) interference power matrix at complex baseband.
 
     The single-recording view of ``record_power``; see there for the model
     and the noise stream.
     """
-    power = record_power(
+    return record_power(
         geom, ref, paths.arrays, cfg.user_amplitude, cfg.noise_power, cfg.num_samples,
         [cfg.rng_seed],
     )
-    return Hologram(power)
 
 
 def record_power(
@@ -247,13 +204,6 @@ class WeightStack(NamedTuple):
     clipped: np.ndarray
     degenerate: np.ndarray
 
-    def matrix(self, strategy: str) -> WeightMatrix:
-        """The ``WeightMatrix`` of an unstacked (M, N) entry."""
-        return WeightMatrix(
-            self.values, float(self.b), float(self.rho), strategy,
-            clipped=bool(self.clipped), degenerate=bool(self.degenerate),
-        )
-
 
 def weight_stack(power: np.ndarray, strategy: str = "mean") -> WeightStack:
     """Reindex recorded power matrices (..., M, N) and map each to weights in [0, 1].
@@ -284,35 +234,42 @@ def weight_stack(power: np.ndarray, strategy: str = "mean") -> WeightStack:
     return WeightStack(values, b, rho, clipped, degenerate)
 
 
-def make_weights(holo: Hologram, strategy: str = "mean") -> WeightMatrix:
-    """Reindex the recorded power matrix and map it to weights in [0, 1].
+def make_weights(power: np.ndarray, strategy: str = "mean") -> WeightStack:
+    """Reindex a recorded (M, N) power matrix and map it to weights in [0, 1].
 
     The single-matrix view of ``weight_stack``; an all-zero result also
-    warns.
+    warns. A power matrix that is not 2-D, finite and nonnegative raises
+    ValueError.
     """
-    weights = weight_stack(holo.values, strategy)
+    power = np.asarray(power, dtype=float)
+    if power.ndim != 2 or not np.all(np.isfinite(power)) or np.any(power < 0):
+        raise ValueError(f"power: must be finite, nonnegative and 2-D, got shape {power.shape}")
+    weights = weight_stack(power, strategy)
     if weights.degenerate:
         warnings.warn(
             "weight matrix is all zero after constant subtraction", RuntimeWarning
         )
-    return weights.matrix(strategy)
+    return weights
 
 
 def reconstruct_field(
     geom: SurfaceGeometry, ref: ReferenceWaveSpec, weights_raw: np.ndarray
-) -> ComplexField:
-    """Field radiated by raw (reindexed, un-subtracted) weights: E_r * W'.
+) -> np.ndarray:
+    """(M, N) field radiated by raw (reindexed, un-subtracted) weights: E_r * W'.
 
     Elementwise product of the reference field with the raw weight matrix.
     For a noise-free recording of paths with real gains and zero delays this
     decomposes exactly into a constant-times-reference term, the
     conjugate-object term |E_r|^2 * conj(E_o) that carries the beams, a
-    cross-path term and a reference-squared term.
+    cross-path term and a reference-squared term. Weights that do not
+    match the grid or are not finite raise ValueError.
     """
     w = np.asarray(weights_raw, dtype=float)
     if w.shape != geom.shape:
         raise ValueError(f"weights shape {w.shape} does not match grid {geom.shape}")
-    return ComplexField(reference_field(geom, ref).values * w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights: must be finite")
+    return reference_field(geom, ref) * w
 
 
 def reconstruction_terms(
@@ -329,8 +286,8 @@ def reconstruction_terms(
         dict with keys "constant", "conjugate_object", "cross_path",
         "reference_squared": M x N complex arrays.
     """
-    e_r = reference_field(geom, ref).values
-    e_o = object_field(geom, paths, ref).values
+    e_r = reference_field(geom, ref)
+    e_o = object_field(geom, paths, ref)
     a_c = ref.amplitude**2 + paths.total_power()
     return {
         "constant": a_c * e_r,
@@ -358,7 +315,7 @@ def rhs_weights(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
     desired: list[tuple[Direction, complex]],
-) -> WeightMatrix:
+) -> WeightStack:
     """Perfect-CSI baseline weights for a list of desired directions.
 
     The single-matrix view of ``rhs_weight_stack``.
@@ -368,7 +325,7 @@ def rhs_weights(
     theta = np.array([direction.theta for direction, _ in desired], dtype=float)
     phi = np.array([direction.phi for direction, _ in desired], dtype=float)
     gains = np.array([gain for _, gain in desired], dtype=complex)
-    return rhs_weight_stack(geom, ref, theta, phi, gains).matrix("none")
+    return rhs_weight_stack(geom, ref, theta, phi, gains)
 
 
 def rhs_weight_stack(
@@ -434,8 +391,8 @@ def verify_reindexing_identities(
     (complex gains rotate per-path phases, which moves no beam but breaks
     elementwise conjugation).
     """
-    e_r = reference_field(geom, ref).values
-    e_o = object_field(geom, paths, ref).values
+    e_r = reference_field(geom, ref)
+    e_o = object_field(geom, paths, ref)
 
     res_obj = float(np.max(np.abs(reindex(e_o) - np.conj(e_o))))
     res_ref = float(np.max(np.abs(reindex(e_r) - e_r)))

@@ -27,7 +27,8 @@ one stack per curve: seeded draws, or a manual path set broadcast over its
 recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps``,
 ``build_toeplitz`` and ``normalize_channel`` are single-block views of the
 same functions, as ``holography.record_hologram`` and ``make_weights`` are
-of ``record_power`` and ``weight_stack``.
+of ``record_power`` and ``weight_stack``; the weight views take the
+one-matrix ``WeightStack`` that ``make_weights`` and ``rhs_weights`` return.
 
 An outage sweep needs only the bit MI < r_th of each block and SNR.
 ``stack_outage`` runs the chunks of ``stack_mi`` and decides most bits from
@@ -55,7 +56,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
     RecordingConfig,
-    WeightMatrix,
     WeightStack,
     noise_power_for_snr,
     record_power,
@@ -184,7 +184,7 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
 def alpha_taps(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
-    weights: WeightMatrix,
+    weights: WeightStack,
     paths: PathSet,
     tx_power: float = 1.0,
 ) -> np.ndarray:
@@ -226,7 +226,7 @@ def alpha_stack(
 def alpha_taps_split(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
-    weights: WeightMatrix,
+    weights: WeightStack,
     paths: PathSet,
     recording: RecordingConfig,
     tx_power: float = 1.0,
@@ -255,8 +255,8 @@ def alpha_taps_split(
     if den <= 0.0:
         raise ValueError("all-zero weights give a degenerate channel")
     a_tx = math.sqrt(tx_power / den)
-    rho = weights.rho_used
-    b = weights.b_used
+    rho = float(weights.rho)
+    b = float(weights.b)
     a_u = recording.user_amplitude
     a_r = ref.amplitude
     phi = ref.phase_offset
@@ -317,7 +317,7 @@ def alpha_taps_split(
 def equivalent_taps(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
-    weights: WeightMatrix,
+    weights: WeightStack,
     paths: PathSet,
     pulse: PulseSpec,
     K: int,
@@ -490,6 +490,11 @@ class LinkScenario:
         if self.tx_power <= 0:
             raise ValueError(f"tx_power: must be positive, got {self.tx_power}")
 
+    @property
+    def num_samples(self) -> int:
+        """Sensor samples per recording, as ``RecordingConfig.num_samples``."""
+        return self.duration_symbols * self.samples_per_symbol
+
 
 def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
     """Weights of each realization of a (..., L) path stack; seeds as ``record_power``'s."""
@@ -498,8 +503,7 @@ def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> Weight
         gains = paths.carrier_gains(s.ref.angular_frequency)
         return rhs_weight_stack(s.geom, s.ref, paths.theta, paths.phi, gains)
     noise = noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-    samples = s.duration_symbols * s.samples_per_symbol
-    power = record_power(s.geom, s.ref, paths, s.user_amplitude, noise, samples, seeds)
+    power = record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.num_samples, seeds)
     return weight_stack(power, s.strategy)
 
 
@@ -682,8 +686,7 @@ def chunk_trials(scenario: LinkScenario) -> int:
     s = scenario
     per_trial = 16 * s.K * s.K  # complex (K, K) Gram matrix
     if s.system == "rrm" and s.recording_snr_db is not None:
-        samples = s.duration_symbols * s.samples_per_symbol
-        per_trial = max(per_trial, 8 * s.geom.rows * s.geom.cols * samples)
+        per_trial = max(per_trial, 8 * s.geom.rows * s.geom.cols * s.num_samples)
     return max(1, STACK_BYTES // per_trial)
 
 

@@ -17,6 +17,9 @@ the link model) is built from three primitives defined here:
   Leading axes stack Monte-Carlo trials; ``object_field`` (a path set)
   and ``steering_field`` (one ``Direction``) are the single-set views.
 
+``reference_field``, ``object_field`` and ``steering_field`` return plain
+(M, N) complex arrays, as ``superpose`` does for one path set.
+
 All angles are radians; degrees are accepted only at config/CLI boundaries.
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,25 +156,6 @@ class Direction:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """M x N grid of complex field amplitudes (dimensionless)."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2:
-            raise ValueError(f"values: must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values: must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass(frozen=True)
 class ReferenceWaveSpec:
     """Guided reference wave fed at the surface center.
 
@@ -231,8 +215,8 @@ def reference_phase(geom: SurfaceGeometry, sign: int) -> np.ndarray:
     return phase
 
 
-def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> ComplexField:
-    """Reference wave across the surface: A_r * exp(j*sign*k_sub*d(m,n)).
+def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> np.ndarray:
+    """(M, N) reference wave across the surface: A_r * exp(j*sign*k_sub*d(m,n)).
 
     d(m,n) is the feed-to-element distance, so the field is centrally
     symmetric: value at (m, n) equals value at (M+1-m, N+1-n). The recording
@@ -241,7 +225,7 @@ def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> ComplexFie
     fresh array, so callers may modify it.
     """
     _check_frequency(geom, ref)
-    return ComplexField(ref.amplitude * reference_phase(geom, ref.sign))
+    return ref.amplitude * reference_phase(geom, ref.sign)
 
 
 def steering_stack(
@@ -286,8 +270,8 @@ def superpose(
     return (ax * gains[..., None, :]) @ np.swapaxes(ay, -1, -2)
 
 
-def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> ComplexField:
-    """Superposition of incident plane waves from a set of propagation paths.
+def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> np.ndarray:
+    """(M, N) superposition of incident plane waves from a set of propagation paths.
 
     Each path contributes gain * exp(-j*omega_r*delay) * steering(theta, phi);
     the delay term is the baseband carrier rotation accumulated along the
@@ -306,4 +290,4 @@ def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> Comple
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
     p = paths.arrays
-    return ComplexField(superpose(geom, p.theta, p.phi, p.carrier_gains(ref.angular_frequency)))
+    return superpose(geom, p.theta, p.phi, p.carrier_gains(ref.angular_frequency))

@@ -31,7 +31,7 @@ from conftest import make_five_paths, make_geometry, make_reference
 
 def pattern_oracle(geom, ref, weights, theta, phi):
     """Direct per-element double sum, one direction at a time."""
-    e_r = reference_field(geom, ref).values
+    e_r = reference_field(geom, ref)
     aperture = np.asarray(weights) * e_r
     k = geom.k_free
     power = np.zeros((len(theta), len(phi)))
@@ -50,7 +50,7 @@ def pattern_oracle(geom, ref, weights, theta, phi):
 
 def array_factor_reference(geom, ref, weights, theta, phi):
     """Per-row full-exponential evaluation; array_factor must match it bit for bit."""
-    aperture = np.asarray(weights) * reference_field(geom, ref).values
+    aperture = np.asarray(weights) * reference_field(geom, ref)
     x = geom.element_x()
     y = geom.element_y()
     k = geom.k_free
@@ -208,7 +208,7 @@ class TestArrayFactor:
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
         # compensating the reference phases makes the aperture co-phased
-        comp = np.conj(reference_field(geom, ref).values) / ref.amplitude
+        comp = np.conj(reference_field(geom, ref)) / ref.amplitude
         theta, phi = default_axes(2.0)
         pattern = array_factor(geom, ref, comp, theta, phi)
         it, ip = np.unravel_index(np.argmax(pattern.power_db), pattern.power_db.shape)
@@ -275,6 +275,26 @@ class TestArrayFactor:
         theta, phi = default_axes(10.0)
         with pytest.raises(ValueError):
             array_factor(geom, make_reference(geom), np.zeros((3, 3)), theta, phi)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("axis", ("theta", "phi"))
+    def test_non_finite_axis_rejected(self, axis, bad):
+        geom = make_geometry(4, 4)
+        axes = {"theta": np.array([0.1, 0.2, 0.3]), "phi": np.array([0.0, 1.0, 2.0])}
+        axes[axis][1] = bad
+        w = np.ones(geom.shape)
+        with pytest.raises(ValueError, match="finite"):
+            array_factor(geom, make_reference(geom), w, axes["theta"], axes["phi"])
+
+
+class TestPatternGrid:
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("axis", ("theta", "phi"))
+    def test_non_finite_axis_rejected(self, axis, bad):
+        axes = {"theta": np.array([0.1, 0.2, 0.3]), "phi": np.array([0.0, 1.0, 2.0])}
+        axes[axis][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PatternGrid(axes["theta"], axes["phi"], np.zeros((3, 3)))
 
 
 def synthetic_pattern(power_db, theta_deg, phi_deg):

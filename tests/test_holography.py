@@ -20,7 +20,6 @@ from rrmsim import (
 from rrmsim import beampattern as bp
 from rrmsim.channel import Path
 from rrmsim.holography import (
-    Hologram,
     load_matrix_csv,
     reconstruction_terms,
     save_matrix_csv,
@@ -36,7 +35,7 @@ def closed_form_power(geom, ref, paths, user_amplitude):
     Built from the constant, the two reference cross terms and the pairwise
     path cross terms, never via |total field|^2.
     """
-    beta = reference_field(geom, ref).values / ref.amplitude
+    beta = reference_field(geom, ref) / ref.amplitude
     per_path = [
         user_amplitude
         * p.gain
@@ -63,9 +62,9 @@ class TestRecordHologram:
         tau = 3.0e-9
         paths = PathSet((Path(alpha + 0j, tau, d),))
         cfg = RecordingConfig(user_amplitude=1.0, noise_power=0.0)
-        holo = record_hologram(geom, ref, paths, cfg).values
+        holo = record_hologram(geom, ref, paths, cfg)
         steer = steering_field(geom, d)
-        beta = reference_field(geom, ref).values
+        beta = reference_field(geom, ref)
         expected = (
             1.0
             + alpha**2
@@ -79,13 +78,13 @@ class TestRecordHologram:
         geom = make_geometry(4, 5)
         ref = make_reference(geom, amplitude=1.3)
         cfg = RecordingConfig(user_amplitude=0.0, noise_power=0.0)
-        holo = record_hologram(geom, ref, make_five_paths(), cfg).values
+        holo = record_hologram(geom, ref, make_five_paths(), cfg)
         assert np.allclose(holo, 1.3**2, atol=1e-12)
 
     def test_noise_free_matches_term_expansion(self, geom32, five_paths):
         ref = make_reference(geom32, amplitude=2.0, phase=0.7)
         cfg = RecordingConfig(user_amplitude=0.9, noise_power=0.0)
-        holo = record_hologram(geom32, ref, five_paths, cfg).values
+        holo = record_hologram(geom32, ref, five_paths, cfg)
         expected = closed_form_power(geom32, ref, five_paths, 0.9)
         assert np.max(np.abs(holo - expected)) < 1e-10
 
@@ -99,15 +98,15 @@ class TestRecordHologram:
         excess = []
         for seed in range(100):
             cfg = RecordingConfig(1.0, sigma2, 5, 1, seed)
-            holo = record_hologram(geom32, ref, five_paths, cfg).values
+            holo = record_hologram(geom32, ref, five_paths, cfg)
             excess.append(np.mean(holo - clean))
         assert np.mean(excess) == pytest.approx(sigma2, rel=0.05)
 
     def test_entries_nonnegative_and_reproducible(self, geom32, five_paths):
         ref = make_reference(geom32)
         cfg = RecordingConfig(1.0, 0.5, 3, 2, 42)
-        a = record_hologram(geom32, ref, five_paths, cfg).values
-        b = record_hologram(geom32, ref, five_paths, cfg).values
+        a = record_hologram(geom32, ref, five_paths, cfg)
+        b = record_hologram(geom32, ref, five_paths, cfg)
         assert np.array_equal(a, b)
         assert np.min(a) >= 0.0
 
@@ -143,21 +142,21 @@ class TestReindex:
 
 class TestMakeWeights:
     def _hologram(self, values):
-        return Hologram(values)
+        return values
 
     def test_constant_hologram_mean_strategy_degenerates(self):
         holo = self._hologram(np.full((4, 4), 2.5))
         with pytest.warns(RuntimeWarning):
             w = make_weights(holo, "mean")
         assert w.degenerate
-        assert w.rho_used == 1.0
+        assert w.rho == 1.0
         assert np.all(w.values == 0.0)
 
     def test_min_strategy_affine_range(self):
         rng = np.random.default_rng(1)
         holo = self._hologram(rng.uniform(1.0, 9.0, size=(6, 7)))
         w = make_weights(holo, "min")
-        assert w.b_used == np.min(holo.values)
+        assert w.b == np.min(holo)
         assert float(np.min(w.values)) == 0.0
         assert float(np.max(w.values)) == pytest.approx(1.0, abs=1e-15)
         assert not w.clipped
@@ -166,14 +165,14 @@ class TestMakeWeights:
         rng = np.random.default_rng(2)
         holo = self._hologram(rng.uniform(0.0, 4.0, size=(5, 5)))
         w = make_weights(holo, "mean")
-        assert w.b_used == pytest.approx(float(np.mean(holo.values)))
+        assert w.b == pytest.approx(float(np.mean(holo)))
         assert w.clipped
         assert np.min(w.values) == 0.0
 
     def test_none_strategy_preserves_shape(self):
         holo = self._hologram(np.array([[1.0, 2.0], [3.0, 4.0]]))
         w = make_weights(holo, "none")
-        assert w.b_used == 0.0
+        assert w.b == 0.0
         # reindex then scale by 1/max
         assert np.allclose(w.values, np.array([[4.0, 3.0], [2.0, 1.0]]) / 4.0)
 
@@ -199,24 +198,46 @@ class TestMakeWeights:
         with pytest.raises(ValueError):
             make_weights(holo, "median")
 
+    @pytest.mark.parametrize(
+        "power",
+        (
+            np.ones(4),
+            np.ones((2, 2, 2)),
+            [[1.0, -0.5], [1.0, 1.0]],
+            [[1.0, np.nan], [1.0, 1.0]],
+            [[1.0, np.inf], [1.0, 1.0]],
+        ),
+    )
+    def test_power_not_finite_nonnegative_2d_rejected(self, power):
+        with pytest.raises(ValueError, match="power"):
+            make_weights(power, "mean")
+
 
 class TestReconstruction:
     def test_identity_weights_return_reference(self):
         geom = make_geometry(5, 4)
         ref = make_reference(geom)
-        field = reconstruct_field(geom, ref, np.ones(geom.shape)).values
-        assert np.allclose(field, reference_field(geom, ref).values, atol=1e-15)
+        field = reconstruct_field(geom, ref, np.ones(geom.shape))
+        assert np.allclose(field, reference_field(geom, ref), atol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         geom = make_geometry(3, 3)
         with pytest.raises(ValueError):
             reconstruct_field(geom, make_reference(geom), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_weights_rejected(self, bad):
+        geom = make_geometry(3, 3)
+        w = np.ones(geom.shape)
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_field(geom, make_reference(geom), w)
+
     def _decomposition_residual(self, geom, ref, paths):
-        e_o = object_field(geom, paths, ref).values
-        e_r = reference_field(geom, ref).values
+        e_o = object_field(geom, paths, ref)
+        e_r = reference_field(geom, ref)
         w_prime = reindex(np.abs(e_o + e_r) ** 2)
-        e_h = reconstruct_field(geom, ref, w_prime).values
+        e_h = reconstruct_field(geom, ref, w_prime)
         terms = reconstruction_terms(geom, ref, paths)
         return float(np.max(np.abs(e_h - sum(terms.values()))))
 
@@ -259,7 +280,7 @@ class TestRhsWeights:
         assert float(np.max(w.values)) == pytest.approx(1.0, abs=1e-3)
         assert float(np.min(w.values)) == pytest.approx(0.0, abs=1e-3)
         assert np.all(w.values >= 0.0) and np.all(w.values <= 1.0)
-        assert w.b_used == 0.0
+        assert w.b == 0.0
 
     def test_five_beams_near_all_directions(self, geom32, five_paths, five_dirs):
         # Cross terms between the five superposed beams (and the affine

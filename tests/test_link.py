@@ -247,10 +247,10 @@ class TestEquivalentTaps:
 
 
 def _as_weights(values):
-    from rrmsim.holography import WeightMatrix
+    from rrmsim.holography import WeightStack
 
     scaled = values / np.max(values) if np.max(values) > 0 else values
-    return WeightMatrix(scaled, 0.0, 1.0, "none")
+    return WeightStack(scaled, 0.0, 1.0, False, False)
 
 
 def _window(K, taps):

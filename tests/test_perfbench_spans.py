@@ -14,6 +14,9 @@ from pathlib import Path
 import pytest
 
 import rrmsim.harness.cli  # noqa: F401  (binds the layers in every rrmsim module)
+from rrmsim import RecordingConfig
+
+from conftest import make_five_paths, make_geometry, make_reference
 
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,3 +59,33 @@ def test_install_then_uninstall_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_weight_counters_read_the_traced_views():
+    """Under the tracer, the weight counters read what the traced views return.
+
+    The benchmark's reference replay runs untraced, so only this test would
+    catch a counter that cannot read the ``make_weights`` result.
+    """
+    from rrmsim import beampattern, holography
+
+    geom = make_geometry(8, 8)
+    ref = make_reference(geom, amplitude=8.0)
+    tracer = spans.Tracer()
+    tracer.op = 0
+    try:
+        tracer.install()
+        power = holography.record_hologram(geom, ref, make_five_paths(), RecordingConfig())
+        weights = holography.make_weights(power, "mean")
+        theta, phi = beampattern.default_axes(10.0)
+        beampattern.array_factor(geom, ref, weights, theta, phi)
+    finally:
+        tracer.uninstall()
+    counts = {key: value for (op, key), value in tracer.counts.items() if op == 0}
+    for key in ("holography.weights_clipped", "holography.weights_degenerate"):
+        assert type(counts[key]) is int, key
+    assert counts["holography.weights_clipped"] == int(weights.clipped)
+    assert counts["holography.weights_degenerate"] == 0
+    for layer in ("record_hologram", "make_weights"):
+        assert counts[f"holography.{layer}.calls"] == 1
+    assert counts["beampattern.array_factor.dirs"] == theta.size * phi.size

@@ -15,9 +15,8 @@ from rrmsim.harness import run_preset
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import config_from_dict
 from rrmsim.holography import (
-    Hologram,
     RecordingConfig,
-    WeightMatrix,
+    WeightStack,
     make_weights,
     record_hologram,
     record_power,
@@ -151,7 +150,7 @@ def test_degenerate_weights_raise_in_a_chunk():
     with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
         link.alpha_stack(geom, ref, weights, paths)
     # the single-block view fails the same way
-    zero = WeightMatrix(np.zeros((8, 8)), 0.0, 1.0, "mean", degenerate=True)
+    zero = WeightStack(np.zeros((8, 8)), 0.0, 1.0, False, True)
     single = PathSet.from_arrays(PathArrays(*(c[1] for c in paths)))
     with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
         link.alpha_taps(geom, ref, zero, single)
@@ -169,7 +168,7 @@ def test_record_power_mixed_noise_equals_single_recordings():
     for t in range(3):
         paths = PathSet.from_arrays(PathArrays(*(c[t] for c in stack)))
         single = record_hologram(geom, ref, paths, RecordingConfig(1.0, noise[t], 2, 2, seeds[t]))
-        assert np.array_equal(got[t], single.values)
+        assert np.array_equal(got[t], single)
 
 
 @pytest.mark.parametrize("strategy", ("none", "mean", "min"))
@@ -177,10 +176,10 @@ def test_weight_stack_equals_make_weights(strategy):
     power = np.random.default_rng(4).uniform(0.0, 3.0, size=(4, 7, 9))
     stack = weight_stack(power, strategy)
     for t in range(4):
-        single = make_weights(Hologram(power[t]), strategy)
+        single = make_weights(power[t], strategy)
         assert np.array_equal(stack.values[t], single.values)
         assert (stack.b[t], stack.rho[t], stack.clipped[t]) == (
-            single.b_used,
-            single.rho_used,
+            single.b,
+            single.rho,
             single.clipped,
         )
