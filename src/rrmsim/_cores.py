@@ -5,8 +5,9 @@ LAPACK/BLAS calls on large enough operands, so threads can overlap two
 curves' eigen-solves or two blocks of pattern rows. They only help when BLAS
 itself is pinned to one thread: a multi-threaded BLAS already spreads each
 call over the cores, and extra Python threads then contend with its threads
-(on a 2-core x86_64 box with OpenBLAS 0.3.31, fig10 took 8.7 s instead of
-5.2 s that way, and fig5 0.74 s instead of 0.58 s).
+(on a 2-core x86_64 box with OpenBLAS 0.3.31, fig5 with its pattern rows
+forced onto two threads over an unpinned BLAS took 0.34-0.45 s, no faster
+than 0.32-0.44 s serial; with BLAS pinned the two threads took 0.23-0.28 s).
 So ``workers`` allows more than one thread only when the environment pins
 BLAS: ``OPENBLAS_NUM_THREADS``, or ``OMP_NUM_THREADS`` when that is unset,
 is ``"1"``. Otherwise every caller keeps its serial loop and starts no pool.

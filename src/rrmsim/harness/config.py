@@ -29,7 +29,7 @@ from pathlib import Path as FsPath
 
 from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
 from ..holography import WEIGHT_STRATEGIES, RecordingConfig
-from ..link import LinkScenario, PulseSpec
+from ..link import LinkScenario, PulseSpec, gamma_from_db
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
 SCHEMA_VERSION = 2
@@ -100,12 +100,26 @@ class ReferenceBlock:
             raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
 
 
+def _check_db(key: str, db: float) -> None:
+    """Reject a dB value whose linear value overflows or underflows to 0."""
+    try:
+        linear = gamma_from_db(db)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"{key}: linear value of {db} dB must be finite and nonzero")
+
+
 @dataclass(frozen=True)
 class RecordingBlock:
     user_amplitude: float = 1.0
     snr_db: float | None = 10.0  # None records without noise
     duration_symbols: int = 5
     samples_per_symbol: int = 1
+
+    def __post_init__(self):
+        if self.snr_db is not None:
+            _check_db("snr_db", self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -149,6 +163,8 @@ class LinkBlock:
     def __post_init__(self):
         if not self.snr_db:
             raise ValueError("snr_db: must be a nonempty list")
+        for i, db in enumerate(self.snr_db):
+            _check_db(f"snr_db[{i}]", db)
 
 
 @dataclass(frozen=True)

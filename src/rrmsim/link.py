@@ -22,13 +22,15 @@ each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB), and
 carries each chunk through ``weight_stack_for`` (recorded or perfect-CSI
 weights), ``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
 (T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and
-one (T, n_snr) MI expression. Every MI and outage sweep is ``stack_mi`` of
+one (T, n_snr) MI expression. In normalized mode the taps of each block are
+scaled to unit average receive power before any matrix is formed, so no
+later step knows the mode. Every MI and outage sweep is ``stack_mi`` of
 one stack per curve: seeded draws, or a manual path set broadcast over its
-recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps``,
-``build_toeplitz`` and ``normalize_channel`` are single-block views of the
-same functions, as ``holography.record_hologram`` and ``make_weights`` are
-of ``record_power`` and ``weight_stack``; the weight views take the
-one-matrix ``WeightStack`` that ``make_weights`` and ``rhs_weights`` return.
+recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps`` and
+``build_toeplitz`` are single-block views of the same functions, as
+``holography.record_hologram`` and ``make_weights`` are of ``record_power``
+and ``weight_stack``; the weight views take the one-matrix ``WeightStack``
+that ``make_weights`` and ``rhs_weights`` return.
 
 An outage sweep needs only the bit MI < r_th of each block and SNR.
 ``stack_outage`` runs the chunks of ``stack_mi`` and decides most bits from
@@ -370,39 +372,23 @@ def _toeplitz_index(K: int) -> np.ndarray:
     return idx
 
 
-def normalize_channel(H: np.ndarray) -> np.ndarray:
-    """Scale H so that (1/K) * trace(H H^H) = 1 (unit average receive power)."""
-    return _normalize(np.asarray(H, dtype=complex))
-
-
-def _normalize(H: np.ndarray) -> np.ndarray:
-    """``normalize_channel`` of each matrix of a (..., K, K) stack."""
-    mean_power = np.real(np.trace(_gram(H), axis1=-2, axis2=-1)) / H.shape[-1]
-    if np.any(mean_power <= 0.0):
-        raise ValueError("cannot normalize a zero channel matrix")
-    return H / np.sqrt(mean_power)[..., None, None]
-
-
 def _gram(H: np.ndarray) -> np.ndarray:
     """H H^H of each matrix of a (..., K, K) stack."""
     return H @ np.swapaxes(H.conj(), -1, -2)
 
 
-def _gram_stack(h: np.ndarray, normalized: bool) -> np.ndarray:
+def _gram_stack(h: np.ndarray) -> np.ndarray:
     """(..., K, K) Gram matrices H H^H of the Toeplitz blocks of (..., 2K-1) taps.
 
-    Each block is gathered (and normalized) on its own and its product
-    written into the preallocated stack, so the stack of blocks and of
-    their conjugates is never held: at the Monte-Carlo chunk sizes those
-    temporaries cost more in fresh memory pages than the products
-    themselves.
+    Each block is gathered on its own and its product written into the
+    preallocated stack, so the stack of blocks and of their conjugates is
+    never held: at the Monte-Carlo chunk sizes those temporaries cost more
+    in fresh memory pages than the products themselves.
     """
     K = (h.shape[-1] + 1) // 2
     G = np.empty(h.shape[:-1] + (K, K), dtype=complex)
     for idx in np.ndindex(h.shape[:-1]):
         H = _toeplitz(h[idx])
-        if normalized:
-            H = _normalize(H)
         np.matmul(H, H.conj().T, out=G[idx])
     return G
 
@@ -511,18 +497,35 @@ def realize_block(
     scenario: LinkScenario, paths: PathSet, recording_seed: int = 0
 ) -> np.ndarray:
     """K x K channel matrix for one path realization, normalization applied."""
-    H = _toeplitz(_scenario_taps(scenario, paths.arrays, [recording_seed]))
-    return _normalize(H) if scenario.normalization == "normalized" else H
+    return _toeplitz(_scenario_taps(scenario, paths.arrays, [recording_seed]))
 
 
 def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
-    """(..., 2K-1) block taps of a (..., L) path stack: weights, amplitudes, taps."""
+    """(..., 2K-1) block taps of a (..., L) path stack: weights, amplitudes, taps, normalization."""
     s = scenario
     if paths.gain.shape[-1] == 0:
         raise ValueError("tap synthesis needs at least one path")
     weights = weight_stack_for(s, paths, seeds).values
     alpha = alpha_stack(s.geom, s.ref, weights, paths, s.tx_power)
-    return tap_stack(alpha, paths.delay, s.pulse, s.K)
+    h = tap_stack(alpha, paths.delay, s.pulse, s.K)
+    return _normalize_taps(h) if s.normalization == "normalized" else h
+
+
+def _normalize_taps(h: np.ndarray) -> np.ndarray:
+    """(..., 2K-1) taps scaled so that each block has (1/K) trace(H H^H) = 1.
+
+    Lag l fills K - |l| entries of the Toeplitz block H, so that trace is
+    sum_l (K - |l|) |h_l|^2, summed per block; dividing the taps divides H.
+
+    Raises:
+        ValueError: if a block's taps are all zero.
+    """
+    K = (h.shape[-1] + 1) // 2
+    fill = K - np.abs(np.arange(1 - K, K))
+    mean_power = np.sum(fill * (h.real**2 + h.imag**2), axis=-1) / K
+    if np.any(mean_power <= 0.0):
+        raise ValueError("cannot normalize a zero channel matrix")
+    return h / np.sqrt(mean_power)[..., None]
 
 
 def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> np.ndarray:
@@ -536,7 +539,7 @@ def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> n
     gammas = [gamma_from_db(snr) for snr in snr_db_list]
     out = np.empty((len(seeds), len(gammas)))
     for chunk, h in _chunk_taps(scenario, paths, seeds):
-        G = _gram_stack(h, scenario.normalization == "normalized")
+        G = _gram_stack(h)
         out[chunk] = _mi_bits(_eigvals(G), gammas)
     return out
 
@@ -557,7 +560,7 @@ def stack_outage(
     gammas = np.array([gamma_from_db(snr) for snr in snr_db_list])
     out = np.empty((len(seeds), gammas.size), dtype=bool)
     for chunk, h in _chunk_taps(scenario, paths, seeds):
-        out[chunk] = _outage_bits(h, scenario.normalization == "normalized", gammas, r_th)
+        out[chunk] = _outage_bits(h, gammas, r_th)
     return out
 
 
@@ -587,32 +590,20 @@ def _tap_spectrum(h: np.ndarray):
     return diag, lam_min, total**2
 
 
-def _outage_bounds(h: np.ndarray, normalized: bool, gammas: np.ndarray):
+def _outage_bounds(h: np.ndarray, gammas: np.ndarray):
     """(upper, lower, lam_max): bounds on the (T, n) eigen MI of (T, 2K-1) taps.
 
-    From ``_tap_spectrum``; in normalized mode the diagonal and both ends of
-    the eigenvalue range are divided by sum(diag)/K, as ``_normalize``
-    divides H H^H. With f(x) = log2(1 + gamma x):
+    From ``_tap_spectrum``. With f(x) = log2(1 + gamma x):
     - Hadamard's inequality gives MI <= upper = (1/K) sum_k f(diag_k);
     - f is concave, so on [lam_min, lam_max] it lies above its chord, and
       the eigenvalues sum to sum(diag): MI >= lower, the chord's value at
       the mean eigenvalue sum(diag)/K. With lam_min = 0 this is
       sum(diag) / (K lam_max) * f(lam_max).
     For a single-tap block (H = h_0 I) both bounds equal f(|h_0|^2).
-
-    Raises:
-        ValueError: in normalized mode, if a block's taps are all zero.
     """
     diag, lam_min, lam_max = _tap_spectrum(h)
     K = diag.shape[-1]
     mean = diag.sum(axis=-1) / K
-    if normalized:
-        if np.any(mean <= 0.0):
-            raise ValueError("cannot normalize a zero channel matrix")
-        diag = diag / mean[:, None]
-        lam_min = lam_min / mean
-        lam_max = lam_max / mean
-        mean = np.ones_like(mean)
     upper = np.sum(np.log2(1.0 + gammas[:, None] * diag[:, None, :]), axis=-1) / K
     spread = lam_max - lam_min
     weight = np.divide(mean - lam_min, spread, out=np.zeros_like(spread), where=spread > 0.0)
@@ -622,8 +613,8 @@ def _outage_bounds(h: np.ndarray, normalized: bool, gammas: np.ndarray):
     return upper, lower, lam_max
 
 
-def _outage_bits(h: np.ndarray, normalized: bool, gammas: np.ndarray, r_th: float) -> np.ndarray:
-    """(T, n) bits ``_mi_bits(_eigvals(_gram_stack(h, normalized)), gammas) < r_th``.
+def _outage_bits(h: np.ndarray, gammas: np.ndarray, r_th: float) -> np.ndarray:
+    """(T, n) bits ``_mi_bits(_eigvals(_gram_stack(h)), gammas) < r_th``.
 
     A pair is out if its upper bound (``_outage_bounds``) is below
     r_th - m and not out if its lower bound is above r_th + m, with the
@@ -638,14 +629,14 @@ def _outage_bits(h: np.ndarray, normalized: bool, gammas: np.ndarray, r_th: floa
     itself, on the block's ``_gram_stack`` matrix. So every bit equals the
     eigen MI's.
     """
-    upper, lower, lam_max = _outage_bounds(h, normalized, gammas)
+    upper, lower, lam_max = _outage_bounds(h, gammas)
     margin = 1e-9 + 1e-12 * gammas * lam_max[:, None]
     bits = upper < r_th - margin
     undecided = ~bits & ~(lower > r_th + margin)
     rows = np.flatnonzero(undecided.any(axis=1))
     if rows.size == 0:
         return bits
-    G = _gram_stack(h[rows], normalized)
+    G = _gram_stack(h[rows])
     block, snr = np.nonzero(undecided[rows])
     mi = _cholesky_mi(G, block, gammas[snr])
     bits[rows[block], snr] = mi < r_th
@@ -725,9 +716,17 @@ def trial_mi_curves(
 
 
 def mean_ci(samples) -> tuple[float, float | None]:
-    """Sample mean and its 95% normal half-width (z * s / sqrt(n)); None when n = 1."""
+    """Sample mean and its 95% normal half-width (z * s / sqrt(n)); None when n = 1.
+
+    Equal samples give a half-width of exactly 0, not the rounding of their mean.
+    """
     x = np.asarray(samples, dtype=float)
-    half = 1.96 * float(np.std(x, ddof=1)) / math.sqrt(x.size) if x.size > 1 else None
+    if x.size == 1:
+        half = None
+    elif x.min() == x.max():
+        half = 0.0
+    else:
+        half = 1.96 * float(np.std(x, ddof=1)) / math.sqrt(x.size)
     return float(np.mean(x)), half
 
 

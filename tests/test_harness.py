@@ -37,6 +37,8 @@ REJECTED = [
     ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
     ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
     ({"recording": {"samples_per_symbol": 0}}, "recording.samples_per_symbol"),
+    ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
+    ({"recording": {"snr_db": -3240.0}}, "recording.snr_db"),
     ({"channel": {"kind": "ray_traced"}}, "channel.kind"),
     ({"channel": {"L": 0}}, "channel.L"),
     ({"channel": {"max_delay": 0.0}}, "channel.max_delay"),
@@ -56,6 +58,8 @@ REJECTED = [
     ({"link": {"rolloff": -0.1}}, "link.rolloff"),
     ({"link": {"symbol_period": 0.0}}, "link.symbol_period"),
     ({"link": {"snr_db": []}}, "link.snr_db"),
+    ({"link": {"snr_db": [0.0, 3090.0]}}, "link.snr_db[1]"),
+    ({"link": {"snr_db": [-3240.0]}}, "link.snr_db[0]"),
     ({"link": {"normalization": "peak"}}, "link.normalization"),
     ({"link": {"tx_power": 0.0}}, "link.tx_power"),
     ({"outage": {"r_th": 0.0}}, "outage.r_th"),
@@ -324,6 +328,16 @@ class TestCli:
         assert code == 2
         assert "link.snr_db[1]" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_recording_db_beyond_the_float_range_exits_2(self, tmp_path, capsys, snr_db):
+        # record divides by the linear SNR, so neither end may reach it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": {"M": 4, "N": 4}, "recording": {"snr_db": snr_db}}))
+        out = tmp_path / "out"
+        assert main(["record", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert "config error: recording.snr_db: linear value of " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_mi_sweep_rejects_nonpositive_reps(self, tmp_path, capsys, reps):

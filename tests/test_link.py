@@ -19,13 +19,13 @@ from rrmsim import (
     rhs_weights,
     rrc_impulse,
 )
+from rrmsim import link
 from rrmsim.channel import Path
 from rrmsim.link import (
     alpha_taps,
     alpha_taps_split,
     gamma_from_db,
     mean_ci,
-    normalize_channel,
     outage_ci,
     raised_cosine,
     realize_block,
@@ -324,10 +324,22 @@ class TestMutualInformation:
                 base, abs=1e-9
             )
 
-    def test_normalize_channel_trace(self):
-        rng = np.random.default_rng(27)
-        H = normalize_channel(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
-        assert np.real(np.trace(H @ H.conj().T)) / 16 == pytest.approx(1.0, rel=1e-12)
+    def test_normalized_block_has_unit_receive_power(self, monkeypatch):
+        scenario = small_scenario(normalization="normalized")
+        calls = []
+        normalize = link._normalize_taps
+        monkeypatch.setattr(link, "_normalize_taps", lambda h: calls.append(h) or normalize(h))
+        H = realize_block(scenario, make_five_paths(), 3)
+        K = scenario.K
+        assert H.shape == (K, K)
+        assert len(calls) == 1
+        assert np.real(np.trace(H @ H.conj().T)) / K == pytest.approx(1.0, abs=1e-12)
+        # all-zero taps: the one normalization raises
+        monkeypatch.setattr(link, "tap_stack", lambda *args: np.zeros(2 * K - 1, complex))
+        calls.clear()
+        with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
+            realize_block(scenario, make_five_paths(), 3)
+        assert len(calls) == 1
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -409,6 +421,13 @@ class TestSummaries:
         mean, half = mean_ci(x)
         assert mean == pytest.approx(3.5)
         assert half == pytest.approx(1.96 * np.std(x, ddof=1) / 2.0)
+
+    def test_mean_ci_equal_samples_have_zero_width(self):
+        # a mean of 100 copies of 0.1 is not exactly 0.1, so np.std is not 0
+        x = np.full(100, 0.1)
+        assert np.std(x, ddof=1) > 0.0
+        assert mean_ci(x)[1] == 0.0
+        assert mean_ci([3.0, 3.0])[1] == 0.0
 
     def test_outage_ci_extremes_have_zero_width(self):
         assert outage_ci(np.array([3.0, 4.0, 5.0]) < 2.0) == (0.0, 0.0)

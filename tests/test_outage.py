@@ -32,8 +32,8 @@ def _scenario(kind, system, normalization, size, rolloff=0.25, K=16):
     return cfg.scenario(system)
 
 
-def _eigen_bits(h, normalized, gammas, r_th):
-    return link._mi_bits(link._eigvals(link._gram_stack(h, normalized)), gammas) < r_th
+def _eigen_bits(h, gammas, r_th):
+    return link._mi_bits(link._eigvals(link._gram_stack(h)), gammas) < r_th
 
 
 def _thresholds(mi):
@@ -100,14 +100,16 @@ def test_bits_on_synthetic_taps(normalized):
             _random_taps(rng, 10, K, spread=1e-9),
         ]
     )
-    if not normalized:
+    if normalized:
+        h = link._normalize_taps(h)
+    else:
         h = np.concatenate([h, np.zeros((2, 2 * K - 1), dtype=complex)])
     gammas = np.array([link.gamma_from_db(snr) for snr in SNRS])
-    mi = link._mi_bits(link._eigvals(link._gram_stack(h, normalized)), gammas)
+    mi = link._mi_bits(link._eigvals(link._gram_stack(h)), gammas)
     # The bounds of a single-tap block are tight, so its exact MI tests the margins.
     for r_th in [0.0] + _thresholds(mi) + _thresholds(mi[: len(single)]):
         assert np.array_equal(
-            link._outage_bits(h, normalized, gammas, r_th), _eigen_bits(h, normalized, gammas, r_th)
+            link._outage_bits(h, gammas, r_th), _eigen_bits(h, gammas, r_th)
         ), r_th
 
 
@@ -140,14 +142,14 @@ class TestBounds:
     def test_window_sums_are_the_gram_diagonal(self):
         h = self._taps()
         diag, _, _ = link._tap_spectrum(h)
-        G = link._gram_stack(h, False)
+        G = link._gram_stack(h)
         want = np.real(np.diagonal(G, axis1=-2, axis2=-1))
         assert diag == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_eigenvalues_lie_in_the_tap_range(self):
         h = self._taps()
         _, lam_min, lam_max = link._tap_spectrum(h)
-        lam = np.linalg.eigvalsh(link._gram_stack(h, False))
+        lam = np.linalg.eigvalsh(link._gram_stack(h))
         tol = 1e-12 * lam_max
         assert np.all(lam_max >= lam[:, -1] - tol)
         assert np.all(lam_min <= lam[:, 0] + tol)
@@ -157,10 +159,10 @@ class TestBounds:
 
     @pytest.mark.parametrize("normalized", (False, True))
     def test_bounds_enclose_the_eigen_mi(self, normalized):
-        h = self._taps()
+        h = link._normalize_taps(self._taps()) if normalized else self._taps()
         gammas = np.array([link.gamma_from_db(snr) for snr in SNRS])
-        upper, lower, _ = link._outage_bounds(h, normalized, gammas)
-        mi = link._mi_bits(link._eigvals(link._gram_stack(h, normalized)), gammas)
+        upper, lower, _ = link._outage_bounds(h, gammas)
+        mi = link._mi_bits(link._eigvals(link._gram_stack(h)), gammas)
         tol = 1e-12 * (1.0 + mi)
         assert np.all(upper >= mi - tol)
         assert np.all(lower <= mi + tol)
@@ -171,16 +173,16 @@ class TestBounds:
     def test_zero_taps(self):
         h = np.zeros((3, 2 * self.K - 1), dtype=complex)
         gammas = np.array([0.0, 1.0, 1e4])
-        upper, lower, lam_max = link._outage_bounds(h, False, gammas)
+        upper, lower, lam_max = link._outage_bounds(h, gammas)
         assert np.all(upper == 0.0) and np.all(lower == 0.0) and np.all(lam_max == 0.0)
-        assert not link._outage_bits(h, False, gammas, 0.0).any()
-        assert link._outage_bits(h, False, gammas, 1e-300).all()
+        assert not link._outage_bits(h, gammas, 0.0).any()
+        assert link._outage_bits(h, gammas, 1e-300).all()
 
     def test_normalized_zero_channel_raises_like_stack_mi(self, monkeypatch):
         scenario = _scenario("rician_random", "rhs", "normalized", 4)
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
         zeros = np.zeros((3, 2 * scenario.K - 1), dtype=complex)
-        monkeypatch.setattr(link, "_scenario_taps", lambda *args: zeros)
+        monkeypatch.setattr(link, "tap_stack", lambda *args: zeros)
         with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
             link.stack_mi(scenario, paths, seeds, SNRS)
         with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
