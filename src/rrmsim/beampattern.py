@@ -24,6 +24,14 @@ with dx == dy the x and y coordinates are the same array, so both axes share
 one table over the distinct values of |cos(phi)| and |sin(phi)| together:
 789 of the 1,440 per-row arguments on the 0.5 degree grid. Otherwise each
 axis has its own table (510 distinct |cos(phi)| and 529 |sin(phi)| there).
+
+The CSV writer formats the dB values of a block of theta rows together: for
+1 <= |v| < 1000 the 9 significant digits come from one product by an exact
+power of ten and its rounding, and the text from digit tables, into
+NUL-padded fixed-width records that are compacted and written in binary. The
+few other values (main-lobe cells, infinities, NaN, near-ties) are formatted
+one at a time by "%.9g".
+
 Bit-identity contract: the power grid, the peak list and the CSV bytes equal
 those of a full per-row evaluation, a nested-loop peak search and a per-cell
 CSV writer, which the unit tests keep as references.
@@ -31,13 +39,14 @@ CSV writer, which the unit tests keep as references.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._cores import thread_map, workers
+from ._cores import pipeline, thread_map, workers
 from .holography import WeightStack
 from .surface import Direction, ReferenceWaveSpec, SurfaceGeometry, reference_field
 
@@ -378,14 +387,184 @@ def _sidelobe_mask(
 def export_pattern_csv(pattern: PatternGrid, path) -> None:
     """Write `theta_deg,phi_deg,power_db` rows, row-major over theta then phi.
 
-    Each axis value is formatted once: a theta row is one %-template of the
-    preformatted phi strings, filled with the row's power values ("%.9g"
-    formats a float exactly as f"{v:.9g}"). The file is written one theta row
-    at a time, so no whole-file string is built.
+    Every number is written as f"{v:.9g}" writes it. Each axis value is
+    formatted once. The dB values with 1 <= |v| < 1000, every cell of a
+    pattern but those of its main lobes, are formatted in bulk from digit
+    tables (see ``_CsvBlock``). The rest go through "%.9g" one at a time:
+    |v| < 1 (the 0 dB peak and -0.0 among them), |v| >= 1000, infinities,
+    NaN, and the values within 1e-6 units of the 9th significant digit of a
+    rounding tie.
+
+    The rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, so no whole-file
+    buffer is built. When ``_cores.workers`` allows several threads, a worker
+    thread fills the next block's records while the calling thread compacts
+    and writes the block before it (``_cores.pipeline``).
     """
-    theta = [f"{v:.9g}," for v in np.degrees(pattern.theta_rad).tolist()]
-    phi = [f"{v:.9g},%.9g\n" for v in np.degrees(pattern.phi_rad).tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("theta_deg,phi_deg,power_db\n")
-        for th, row in zip(theta, pattern.power_db):
-            fh.write((th + th.join(phi)) % tuple(row.tolist()))
+    db = pattern.power_db
+    theta = _field_words([f"\n{v:.9g}," for v in np.degrees(pattern.theta_rad).tolist()], False)
+    phi = _field_words([f"{v:.9g}," for v in np.degrees(pattern.phi_rad).tolist()], True)
+    rows = min(_CSV_BLOCK_ROWS, db.shape[0])
+    with open(path, "wb") as fh:
+        # Each record starts with its newline, so the header's comes first
+        # and the last record's at the end.
+        fh.write(b"theta_deg,phi_deg,power_db")
+        pipeline(
+            lambda block, a: block.fill(db[a : a + rows], theta[a : a + rows]),
+            lambda block: fh.write(block.compact()),
+            range(0, db.shape[0], rows),
+            lambda: _CsvBlock(theta.shape[1], phi, rows),
+        )
+        fh.write(b"\n")
+
+
+# Theta rows formatted per block of the CSV writer.
+_CSV_BLOCK_ROWS = 16
+# A fast-path value whose scaled digits y lie within this of a rounding tie
+# (|frac(y) - 1/2| <= _TIE_BAND) goes to "%.9g".
+_TIE_BAND = 1e-6
+_SCALE = np.array([1e8, 1e7, 1e6])  # 10**(8 - x) for x + 1 integer digits
+_SHIFT = np.array([1.0, 10.0, 100.0])  # 10**x
+
+
+class _DigitTables(NamedTuple):
+    """ASCII words of the fast path; NUL bytes stand for dropped characters.
+
+    head[q + 1000*negative + 2000*has_fraction] is the sign, the integer part
+    q < 1000 and the decimal point, right-aligned in 8 bytes.
+    high[h + 10000*(low half is 0)] is the 4-digit high fraction half h, its
+    trailing zeros dropped when the low half is 0; low[l] is the 4-digit low
+    half l, its trailing zeros dropped.
+    """
+
+    head: np.ndarray  # uint64
+    high: np.ndarray  # uint32
+    low: np.ndarray  # uint32
+
+
+# Built on the first export, in about 0.5 ms. The numpy loops that build them
+# page in about 0.45 MB of numpy's code, which a process that writes no
+# pattern CSV need not pay.
+@functools.cache
+def _digit_tables() -> _DigitTables:
+    i = np.arange(10_000, dtype=np.uint16)
+    digits = np.empty((10_000, 4), dtype=np.uint8)
+    low = np.zeros((10_000, 4), dtype=np.uint8)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        digits[:, k] = i // place % 10 + ord("0")
+        # digit k and every digit after it are 0 exactly when i % (10 * place) == 0
+        np.copyto(low[:, k], digits[:, k], where=i % (10 * place) != 0)
+    q = np.arange(1000)
+    ndigits = 1 + (q >= 10) + (q >= 100)
+    shown = np.where(ndigits[:, None] > np.arange(2, -1, -1), digits[:1000, 1:], 0)
+    head = np.zeros((2, 2, 1000, 8), dtype=np.uint8)  # [has fraction, negative, q]
+    head[0, :, :, 5:] = shown
+    head[0, 1, q, 7 - ndigits] = ord("-")
+    head[1, :, :, 4:7] = shown
+    head[1, 1, q, 6 - ndigits] = ord("-")
+    head[1, :, :, 7] = ord(".")
+    return _DigitTables(
+        head.reshape(4000, 8).view(np.uint64).ravel(),
+        np.concatenate([digits, low]).view(np.uint32).ravel(),
+        low.view(np.uint32).ravel(),
+    )
+
+
+def _field_words(texts: list[str], left: bool) -> np.ndarray:
+    """ASCII texts NUL-padded to a common multiple of 8 bytes, as (len, words) uint64.
+
+    Left-aligned texts are padded after the text, right-aligned ones before it.
+    """
+    data = [t.encode("ascii") for t in texts]
+    width = -(-max(map(len, data)) // 8) * 8
+    pad = bytes.ljust if left else bytes.rjust
+    joined = b"".join(pad(d, width, b"\0") for d in data)
+    return np.frombuffer(joined, dtype=np.uint64).reshape(len(data), width // 8)
+
+
+class _CsvBlock:
+    """NUL-padded fixed-width records of a block of pattern rows, and its work arrays.
+
+    A record is one line: the theta field (newline, theta and comma,
+    right-aligned), the phi field (phi and comma, left-aligned), then 16
+    value bytes: the head word and the two fraction halves from the digit
+    tables, or the "%.9g" text of a fallback value. Dropping every NUL byte
+    leaves the lines. The padding of neighbouring fields sits together, so
+    each line is two runs of text; the compaction costs per run.
+
+    Every array is made by the constructor, which ``_cores.pipeline`` runs
+    in the calling thread, and reused for each row block, so a block filled
+    on a worker thread allocates little there.
+    """
+
+    def __init__(self, theta_words: int, phi: np.ndarray, rows: int):
+        cols, phi_words = phi.shape
+        self.tables = _digit_tables()
+        self.theta_words = theta_words
+        self.value = theta_words + phi_words  # word index of the value bytes
+        self.records = np.zeros((rows, cols, self.value + 2), dtype=np.uint64)
+        self.records[:, :, theta_words : self.value] = phi
+        self.rows = rows
+        self.floats = np.empty((4, rows, cols))
+        self.flags = np.empty((2, rows, cols), dtype=bool)
+        self.decade = np.empty((rows, cols), dtype=np.int8)
+        self.index = np.empty((rows, cols), dtype=np.intp)
+        self.head = np.empty((rows, cols), dtype=np.uint64)
+        self.halves = np.empty((2, rows, cols), dtype=np.uint32)
+        self.kept = np.empty(self.records.nbytes, dtype=bool)
+
+    def fill(self, db: np.ndarray, theta: np.ndarray) -> None:
+        """Write the records of ``db`` (rows, cols) with theta fields ``theta``."""
+        r = self.rows = db.shape[0]
+        rec = self.records[:r]
+        rec[:, :, : self.theta_words] = theta[:, None, :]
+        mag, y, fixed, high = self.floats[:, :r]
+        fast, flag = self.flags[:, :r]
+        decade, index = self.decade[:r], self.index[:r]
+        # |v| to 9 significant digits is rint(y) * 10**(x - 8), for x + 1
+        # integer digits and y = |v| * 10**(8 - x): one rounded product by an
+        # exact power of ten, off by at most half an ulp of 1e9 (6e-8), so
+        # away from a tie rint(y) is the rounding "%.9g" makes. fmin maps NaN
+        # and everything above 1000 to 1000, which the fast test rejects.
+        np.fmin(np.abs(db, out=mag), 1000.0, out=mag)
+        np.greater_equal(mag, 10.0, out=fast)
+        np.add(fast, np.greater_equal(mag, 100.0, out=flag), out=decade, dtype=np.int8)
+        np.multiply(mag, _SCALE.take(decade, out=y, mode="clip"), out=y)
+        np.rint(y, out=fixed)
+        np.less(np.abs(np.subtract(y, fixed, out=y), out=y), 0.5 - _TIE_BAND, out=fast)
+        fast &= np.greater_equal(mag, 1.0, out=flag)
+        fast &= np.less(fixed, 1e9, out=flag)
+        # The value times 1e8, an integer below 1e11, split into its integer
+        # part and two 4-digit fraction halves. Each quotient is of integers
+        # and is either whole or at least 1e-8 below the next integer, so the
+        # rounded division floors exactly.
+        np.multiply(fixed, _SHIFT.take(decade, out=y, mode="clip"), out=fixed)
+        whole = np.floor(np.divide(fixed, 1e8, out=mag), out=mag)
+        fraction = np.subtract(fixed, np.multiply(whole, 1e8, out=y), out=fixed)
+        np.floor(np.divide(fraction, 1e4, out=high), out=high)
+        low = np.subtract(fraction, np.multiply(high, 1e4, out=y), out=y)
+        np.add(whole, 1000.0, out=whole, where=np.signbit(db, out=flag))
+        np.add(whole, 2000.0, out=whole, where=np.not_equal(fraction, 0.0, out=flag))
+        np.add(high, 10_000.0, out=high, where=np.equal(low, 0.0, out=flag))
+        # Fallback values index anywhere; mode="clip" keeps them in the
+        # tables, and their bytes are replaced below.
+        t, head, halves = self.tables, self.head[:r], self.halves[:, :r]
+        for table, key, out in (
+            (t.head, whole, head),
+            (t.high, high, halves[0]),
+            (t.low, low, halves[1]),
+        ):
+            np.copyto(index, key, casting="unsafe")
+            np.take(table, index, out=out, mode="clip")
+        v = self.value
+        rec[:, :, v] = head
+        rec[:, :, v + 1 :].view(np.uint32)[..., 0] = halves[0]
+        rec[:, :, v + 1 :].view(np.uint32)[..., 1] = halves[1]
+        slow = np.nonzero(np.logical_not(fast, out=flag))
+        for i, j, value in zip(*slow, db[slow].tolist()):
+            text = ("%.9g" % value).encode("ascii").ljust(16, b"\0")
+            rec[i, j, v:] = np.frombuffer(text, dtype=np.uint64)
+
+    def compact(self) -> np.ndarray:
+        """The bytes of the filled lines."""
+        flat = self.records[: self.rows].reshape(-1).view(np.uint8)
+        return flat[np.not_equal(flat, 0, out=self.kept[: flat.size])]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim import (
     Direction,
@@ -12,7 +14,7 @@ from rrmsim import (
     record_hologram,
     reference_field,
 )
-from rrmsim import beampattern
+from rrmsim import _cores, beampattern
 from rrmsim.beampattern import (
     _ROW_MARGIN,
     PatternGrid,
@@ -592,6 +594,42 @@ class TestValueAt:
         assert pattern.value_at(Direction.from_degrees(10, 20.0)) == 0.0
 
 
+def assert_csv_matches_reference(pattern, tmp_path):
+    export_pattern_csv(pattern, tmp_path / "got.csv")
+    export_pattern_csv_reference(pattern, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got
+
+
+def values_pattern(values, cols=7):
+    """The values in row-major order on a synthetic grid, padded with -20.5 dB."""
+    values = np.asarray(values, dtype=float)
+    rows = -(-values.size // cols)
+    grid = np.full(rows * cols, -20.5)
+    grid[: values.size] = values
+    theta, phi = np.arange(rows) * 0.5, np.arange(cols) * 45.0
+    return synthetic_pattern(grid.reshape(rows, cols), theta, phi)
+
+
+def neighbours(v):
+    """v and the floats one ulp either side of it."""
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+def ninth_digit_ties():
+    """Exact binary values whose 10th significant digit is a trailing 5, per decade.
+
+    An odd m over 512, 256 or 128 puts |v| in [1, 10), [10, 100) or [100, 1000)
+    with y = |v| * 10**(8 - x) an odd multiple of 1/2: the tie goes to even.
+    """
+    ties = []
+    for denominator, lo, hi in ((512, 1, 10), (256, 10, 100), (128, 100, 1000)):
+        for m in (lo * denominator + 1, (lo + hi) * denominator // 2 + 1, hi * denominator - 1):
+            ties.append(m / denominator)
+    return ties
+
+
 class TestCsvExport:
     def test_same_bytes_as_per_cell_writer(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -601,12 +639,8 @@ class TestCsvExport:
         db[0, 0] = 0.0
         db[1, 1] = -0.0
         db[2, 2] = -1.0e-12
-        pattern = PatternGrid(theta, phi, db)
-        export_pattern_csv(pattern, tmp_path / "got.csv")
-        export_pattern_csv_reference(pattern, tmp_path / "want.csv")
-        got = (tmp_path / "got.csv").read_bytes()
+        got = assert_csv_matches_reference(PatternGrid(theta, phi, db), tmp_path)
         assert b"-inf" in got
-        assert got == (tmp_path / "want.csv").read_bytes()
 
     def test_format_and_order(self, tmp_path):
         pattern = synthetic_pattern([[0.0, -3.5], [-10.0, -20.25]], [0, 10], [0, 180])
@@ -618,6 +652,78 @@ class TestCsvExport:
         assert lines[2] == "0,180,-3.5"
         assert lines[3] == "10,0,-10"
         assert lines[4] == "10,180,-20.25"
+
+    def test_decade_edges(self, tmp_path):
+        edges = [w for v in (1.0, 10.0, 100.0, 1000.0) for w in neighbours(v)]
+        assert_csv_matches_reference(values_pattern(edges + [-v for v in edges]), tmp_path)
+
+    def test_ninth_digit_ties(self, tmp_path):
+        ties = ninth_digit_ties()
+        assert all(f"{v:.10g}"[-1] == "5" for v in ties)
+        near = [w for v in ties for w in neighbours(v)]
+        # Decimal ties that are not exact doubles. For these y rounds to
+        # exactly k + 1/2, where rint's choice of the even neighbour is the
+        # wrong one, so they must take the fallback.
+        near += [1.368761715, 8.319432155, 34.28080425, 92.14800195, 589.2624925, 861.9177155]
+        assert_csv_matches_reference(values_pattern(near + [-v for v in near]), tmp_path)
+
+    def test_rounding_carries_into_the_next_decade(self, tmp_path):
+        carries = [9.999999995, 99.99999995, 999.9999995, 9.9999999951, 99.999999951, 999.99999951]
+        pattern = values_pattern(carries + [-v for v in carries])
+        got = assert_csv_matches_reference(pattern, tmp_path)
+        for text in (b",10\n", b",100\n", b",1000\n", b",-10\n", b",-100\n", b",-1000\n"):
+            assert text in got
+
+    def test_zeros_infinities_and_nan(self, tmp_path):
+        got = assert_csv_matches_reference(
+            values_pattern([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.5, -0.999999999]),
+            tmp_path,
+        )
+        for text in (b",0\n", b",-0\n", b",inf\n", b",-inf\n", b",nan\n"):
+            assert text in got
+
+    def test_exponent_form(self, tmp_path):
+        small = [9.99999999e-5, -1.23456789e-5, 5e-324, -2.2250738585072014e-308, 1e-4]
+        large = [1e9, -1.5e9, 123456789012.0, -1.7976931348623157e308, 999999999.5]
+        got = assert_csv_matches_reference(values_pattern(small + large), tmp_path)
+        assert b"e-05" in got and b"e+308" in got
+
+    def test_long_axis_strings(self, tmp_path):
+        theta = [0.123456789, 1.00000001, 45.987654321, 89.9999999]
+        phi = [0.0, 1e-7, 123.456789012, 359.999999]
+        db = np.random.default_rng(3).uniform(-60.0, 0.0, size=(len(theta), len(phi)))
+        got = assert_csv_matches_reference(synthetic_pattern(db, theta, phi), tmp_path)
+        assert b"\n45.9876543,123.456789," in got  # a 12-byte theta field
+
+    def test_threaded_and_serial_bytes_match(self, tmp_path, serial, force_threads):
+        rng = np.random.default_rng(5)
+        theta, phi = default_axes(2.0)  # 46 rows: two full blocks and a short one
+        db = rng.uniform(-80.0, 0.5, size=(theta.size, phi.size))
+        db[rng.random(db.shape) < 0.02] = -np.inf
+        pattern = PatternGrid(theta, phi, db)
+        export_pattern_csv(pattern, tmp_path / "serial.csv")
+        force_threads(2)
+        assert _cores.workers(3) == 2
+        want = assert_csv_matches_reference(pattern, tmp_path)
+        assert want == (tmp_path / "serial.csv").read_bytes()
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_property_same_bytes(self, tmp_path_factory, data):
+        rows = data.draw(st.integers(1, 40), label="rows")
+        cols = data.draw(st.integers(1, 12), label="cols")
+        axis = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+        theta = data.draw(st.lists(axis, min_size=rows, max_size=rows, unique=True), label="theta")
+        phi = data.draw(st.lists(axis, min_size=cols, max_size=cols, unique=True), label="phi")
+        edges = [w for v in ninth_digit_ties() + [1.0, 10.0, 100.0, 1000.0] for w in neighbours(v)]
+        value = st.one_of(
+            st.floats(-1000.0, 1000.0),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(edges + [-v for v in edges]),
+        )
+        db = data.draw(st.lists(value, min_size=rows * cols, max_size=rows * cols), label="db")
+        pattern = synthetic_pattern(np.reshape(db, (rows, cols)), sorted(theta), sorted(phi))
+        assert_csv_matches_reference(pattern, tmp_path_factory.mktemp("csv"))
 
 
 class TestApertureGrowth:

@@ -329,7 +329,8 @@ class TestCli:
         assert "link.snr_db[1]" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
-    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    # -3100 dB loaded before the +-300 dB bound, then overflowed the noise power (exit 4)
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0, 300.5])
     def test_recording_db_beyond_the_float_range_exits_2(self, tmp_path, capsys, snr_db):
         # record divides by the linear SNR, so neither end may reach it
         cfg = tmp_path / "cfg.json"
@@ -338,6 +339,31 @@ class TestCli:
         assert main(["record", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
         assert "config error: recording.snr_db: linear value of " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db, key", [([3082.0], "[0]"), ([0.0, 300.5], "[1]")])
+    def test_link_db_beyond_the_limit_exits_2(self, tmp_path, capsys, snr_db, key):
+        # 3082 dB loaded before the +-300 dB bound, then overflowed the MI (exit 4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"surface": {"M": 8, "N": 8}, "link": {"snr_db": snr_db}}))
+        out = tmp_path / "out"
+        args = ["--config", str(cfg), "--out", str(out), "--quiet", "--reps", "2"]
+        assert main(["mi-sweep", *args]) == 2
+        assert f"config error: link.snr_db{key}: linear value of " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("db", [300.0, -300.0])
+    def test_db_at_the_limit_runs(self, tmp_path, db):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"surface": {"M": 8, "N": 8}, "recording": {"snr_db": db}, "link": {"snr_db": [db]}}
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["record", "--config", str(cfg), "--out", str(out / "record"), "--quiet"]) == 0
+        args = ["--config", str(cfg), "--out", str(out / "mi"), "--quiet", "--reps", "2"]
+        assert main(["mi-sweep", *args]) == 0
+        assert (out / "mi" / "results.csv").exists()
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_mi_sweep_rejects_nonpositive_reps(self, tmp_path, capsys, reps):
