@@ -65,14 +65,7 @@ class PatternGrid:
     peak_linear: float = 1.0
 
     def __post_init__(self):
-        t = np.asarray(self.theta_rad, dtype=float)
-        p = np.asarray(self.phi_rad, dtype=float)
-        if t.ndim != 1 or p.ndim != 1 or t.size == 0 or p.size == 0:
-            raise ValueError("pattern axes must be nonempty 1-D arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-            raise ValueError("pattern axes must be finite")
-        if np.any(np.diff(t) <= 0) or np.any(np.diff(p) <= 0):
-            raise ValueError("pattern axes must be strictly increasing")
+        t, p = _pattern_axes(self.theta_rad, self.phi_rad)
         db = np.asarray(self.power_db, dtype=float)
         if db.shape != (t.size, p.size):
             raise ValueError("power grid shape does not match axes")
@@ -95,6 +88,19 @@ class PatternGrid:
             dphi = np.minimum(dphi, 2.0 * math.pi - dphi)
         ip = int(np.argmin(dphi))
         return float(self.power_db[it, ip])
+
+
+def _pattern_axes(theta_rad, phi_rad) -> tuple[np.ndarray, np.ndarray]:
+    """The (theta, phi) axes as float arrays, checked nonempty, 1-D, finite and increasing."""
+    t = np.asarray(theta_rad, dtype=float)
+    p = np.asarray(phi_rad, dtype=float)
+    if t.ndim != 1 or p.ndim != 1 or t.size == 0 or p.size == 0:
+        raise ValueError("pattern axes must be nonempty 1-D arrays")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        raise ValueError("pattern axes must be finite")
+    if np.any(np.diff(t) <= 0) or np.any(np.diff(p) <= 0):
+        raise ValueError("pattern axes must be strictly increasing")
+    return t, p
 
 
 def _phi_wraps(phi_rad: np.ndarray) -> bool:
@@ -136,19 +142,14 @@ def array_factor(
     either path, so the grid keeps its bytes.
 
     Raises:
-        ValueError: all-zero weights, or empty or non-finite axes.
+        ValueError: all-zero weights, or axes that ``PatternGrid`` rejects.
     """
     w = _weight_values(weights)
     if w.shape != geom.shape:
         raise ValueError(f"weights shape {w.shape} does not match grid {geom.shape}")
     if not np.any(w):
         raise ValueError("cannot form a pattern from all-zero weights")
-    theta = np.asarray(theta_rad, dtype=float)
-    phi = np.asarray(phi_rad, dtype=float)
-    if theta.size == 0 or phi.size == 0:
-        raise ValueError("pattern axes must be nonempty")
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-        raise ValueError("pattern axes must be finite")
+    theta, phi = _pattern_axes(theta_rad, phi_rad)
 
     aperture = w * reference_field(geom, ref)
     x = geom.element_x()

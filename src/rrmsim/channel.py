@@ -183,12 +183,6 @@ class ChannelConfig:
             raise ValueError("paths: manual channel needs nonzero total power")
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def sample_paths(cfg: ChannelConfig, rng) -> PathSet:
     """Draw one channel realization from the configured source.
 
@@ -200,7 +194,7 @@ def sample_paths(cfg: ChannelConfig, rng) -> PathSet:
     Returns the ``draw_paths`` row of this one Generator as a PathSet
     ("raw" for manual paths, "unit_power" otherwise).
     """
-    row = PathArrays(*(column[0] for column in draw_paths(cfg, [_as_rng(rng)])))
+    row = PathArrays(*(column[0] for column in draw_paths(cfg, [np.random.default_rng(rng)])))
     return PathSet.from_arrays(row, "raw" if cfg.kind == "manual" else "unit_power")
 
 

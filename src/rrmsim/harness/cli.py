@@ -11,23 +11,21 @@ import argparse
 import math
 import sys
 import traceback
-from pathlib import Path as FsPath
 
 from .. import beampattern as bp
-from .. import holography
+from .. import holography, link
 from ..channel import ProfileError, sample_paths
-from ..holography import noise_power_for_snr
 from . import invariants
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    OutageBlock,
-    _to_jsonable,
-    config_from_dict,
-    load_config,
+from .config import ConfigError, ExperimentConfig, OutageBlock, load_config, merge_config
+from .presets import (
+    PRESET_NAMES,
+    add_curve_rows,
+    output_dir,
+    paired_curves,
+    run_preset,
+    write_results,
 )
-from .presets import PRESET_NAMES, add_curve_rows, paired_curves, print_summary, run_preset
-from .results import ResultSet, emit_csv
+from .results import ResultSet
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,38 +34,27 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    data = _to_jsonable(cfg)
+def _overrides(args) -> dict:
+    """The --seed and --out flags as a config override layer."""
+    layer = {}
     if args.seed is not None:
-        data["seed"] = args.seed
+        layer["seed"] = args.seed
     if args.out is not None:
-        data["output"] = dict(data["output"], directory=args.out)
-    return config_from_dict(data)
+        layer["output"] = {"directory": args.out}
+    return layer
 
 
-def _out_dir(cfg: ExperimentConfig) -> FsPath:
-    out = FsPath(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _scenario_paths(cfg: ExperimentConfig):
-    """One path realization per the channel block (manual lists verbatim)."""
-    return sample_paths(cfg.channel_config(), cfg.seed)
-
-
-def _recorded_weights(cfg: ExperimentConfig, paths):
-    r = cfg.recording
-    rec = cfg.recording_config(noise_power_for_snr(r.snr_db, r.user_amplitude, paths), cfg.seed)
-    power = holography.record_hologram(cfg.geometry(), cfg.reference_wave(), paths, rec)
+def _recorded_weights(cfg: ExperimentConfig):
+    """Power matrix and weights of one recording of one path realization (manual lists verbatim)."""
+    scenario = cfg.scenario("rrm")
+    paths = sample_paths(scenario.channel, cfg.seed)
+    power = link.recorded_power(scenario, paths.arrays, [cfg.seed])
     return power, holography.make_weights(power, cfg.weights.strategy)
 
 
 def _cmd_record(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg)
-    paths = _scenario_paths(cfg)
-    power, weights = _recorded_weights(cfg, paths)
+    out = output_dir(cfg)
+    power, weights = _recorded_weights(cfg)
     holography.save_matrix_csv(power, out / "hologram.csv")
     holography.save_matrix_csv(weights.values, out / "weights.csv")
     if not args.quiet:
@@ -85,9 +72,8 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--step-deg: must be finite and > 0, got {args.step_deg}")
     if args.peaks < 1:
         raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
-    out = _out_dir(cfg)
-    paths = _scenario_paths(cfg)
-    _power, weights = _recorded_weights(cfg, paths)
+    out = output_dir(cfg)
+    _power, weights = _recorded_weights(cfg)
     theta, phi = bp.default_axes(args.step_deg)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
     bp.export_pattern_csv(pattern, out / "pattern.csv")
@@ -113,24 +99,16 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
             raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
         trials, r_th = args.reps, None
         experiment, prefix = "mi_sweep", "mi"
-    out = _out_dir(cfg)
+    out = output_dir(cfg)
     rs = ResultSet(cfg.fingerprint())
     for system, curves in paired_curves(cfg, trials, cfg.seed, r_th=r_th):
         add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves)
-    emit_csv(rs, out / "results.csv")
-    if not args.quiet:
-        print_summary(rs)
+    write_results(rs, out, args.quiet)
     return EXIT_OK
 
 
-def _cmd_preset(cfg: ExperimentConfig, args) -> int:
-    rs = run_preset(
-        args.name,
-        config=cfg,
-        out_dir=cfg.output.directory,
-        quiet=args.quiet,
-        large=args.large,
-    )
+def _cmd_preset(base: ExperimentConfig | None, overrides: dict, args) -> int:
+    rs = run_preset(args.name, base, overrides, quiet=args.quiet, large=args.large)
     if args.name == "validate":
         failed = [r for r in rs.rows if r.metric == "passed" and r.value != 1.0]
         return EXIT_VALIDATION if failed else EXIT_OK
@@ -184,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("name", choices=PRESET_NAMES)
     p.add_argument("--large", action="store_true", help="extend size sweeps to 64x64")
-    p.set_defaults(fn=_cmd_preset)
 
     p = sub.add_parser("validate", help="run the named invariant suite")
     common(p)
@@ -196,8 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return args.fn(cfg, args)
+        base = load_config(args.config) if args.config else None
+        overrides = _overrides(args)
+        if args.command == "preset":  # the preset merges its own defaults under the flags
+            return _cmd_preset(base, overrides, args)
+        return args.fn(merge_config(base, overrides), args)
     except (ConfigError, ProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

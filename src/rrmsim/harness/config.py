@@ -419,6 +419,29 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _deep_merge(base: dict, extra: dict) -> dict:
+    out = dict(base)
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = _deep_merge(out[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+def merge_config(config: ExperimentConfig | None, *layers: dict | None) -> ExperimentConfig:
+    """config (defaults when None) with each layer merged over it in turn, validated once.
+
+    A layer is a nested dict of JSON config keys; nested objects merge key
+    by key, anything else replaces. None and empty layers are skipped.
+    """
+    data = _to_jsonable(config if config is not None else ExperimentConfig())
+    for layer in layers:
+        if layer:
+            data = _deep_merge(data, layer)
+    return config_from_dict(data)
+
+
 @functools.cache
 def _field_names(cls) -> frozenset:
     return frozenset(f.name for f in dataclasses.fields(cls))

@@ -2,9 +2,11 @@
 
 Every preset resolves a config (preset defaults, then caller overrides, on
 top of the standard scenario), runs its sweep with seeds derived from the
-config seed, writes `results.csv` (and per-pattern CSVs where applicable)
-into the output directory, and prints a summary table. Identical config and
-seed produce byte-identical output files.
+config seed, writes `results.csv` and `meta.json` (and per-pattern CSVs
+where applicable) into the output directory, and prints a summary table.
+Identical config and seed produce byte-identical output files. The CLI
+commands use the same output directory (``output_dir``) and results writer
+(``write_results``).
 
 The figure-style presets that compare beamforming efficiency (fig6 through
 fig10) default to the absolute-power normalization so array gain stays in
@@ -21,9 +23,8 @@ import numpy as np
 
 from .. import beampattern, holography, link
 from .._cores import thread_map
-from ..holography import RecordingConfig
 from . import invariants
-from .config import ExperimentConfig, config_from_dict, _to_jsonable
+from .config import ExperimentConfig, _to_jsonable, merge_config
 from .results import ResultSet, emit_csv
 
 PRESET_NAMES = (
@@ -65,25 +66,28 @@ _PRESET_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = dict(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def resolve_config(
     name: str, config: ExperimentConfig | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
     """Preset defaults, then user overrides, applied over the base config."""
-    base = _to_jsonable(config if config is not None else ExperimentConfig())
-    merged = _deep_merge(base, _PRESET_DEFAULTS[name])
-    if overrides:
-        merged = _deep_merge(merged, overrides)
-    return config_from_dict(merged)
+    return merge_config(config, _PRESET_DEFAULTS[name], overrides)
+
+
+def output_dir(cfg: ExperimentConfig, out_dir=None) -> FsPath:
+    """The run's output directory, out_dir or else ``cfg.output.directory``, created if missing."""
+    out = FsPath(out_dir if out_dir is not None else cfg.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def write_results(rs: ResultSet, out: FsPath, quiet: bool, meta: dict | None = None) -> None:
+    """Write ``results.csv`` (and ``meta.json``, given meta) into out; the summary unless quiet."""
+    emit_csv(rs, out / "results.csv")
+    if meta is not None:
+        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        (out / "meta.json").write_text(text, "utf-8")
+    if not quiet:
+        print_summary(rs)
 
 
 def _seed_for(cfg: ExperimentConfig, stream: int) -> int:
@@ -111,15 +115,10 @@ def add_curve_rows(
 
 
 def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
-    geom = cfg.geometry()
-    ref = cfg.reference_wave()
+    scenario = cfg.scenario("rrm", recording_snr_db=None)
+    geom, ref = scenario.geom, scenario.ref
     paths = cfg.manual_paths()
-    power = holography.record_hologram(
-        geom,
-        ref,
-        paths,
-        RecordingConfig(cfg.recording.user_amplitude, 0.0, 1, 1, _seed_for(cfg, 0)),
-    )
+    power = link.recorded_power(scenario, paths.arrays, [_seed_for(cfg, 0)])
     theta, phi = beampattern.default_axes(0.5)
     dirs = [p.direction for p in paths.paths]
     for strategy in ("none", "mean"):
@@ -180,7 +179,7 @@ def paired_curves(
     cfg: ExperimentConfig, trials: int, seed: int, size: int | None = None,
     r_th: float | None = None,
 ):
-    """(system, (trials, n_snr) samples) of rrm, then rhs, on one shared draw.
+    """[(system, (trials, n_snr) samples)] of rrm, then rhs, on one shared draw.
 
     The samples are MI values (``link.stack_mi``), or, when r_th is given,
     the outage bits MI < r_th (``link.stack_outage``). Both systems see the
@@ -195,9 +194,8 @@ def paired_curves(
     usable CPUs), the rhs curve runs on a worker thread while the rrm curve
     runs in the calling thread, so one curve's eigen-solve overlaps the
     other's Python glue. Each curve is the same call on the same draws,
-    which neither curve writes, so the samples keep their bytes. Both curves
-    are computed before the first is yielded; an exception from either is
-    raised here.
+    which neither curve writes, so the samples keep their bytes. An
+    exception from either curve is raised here.
     """
     paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
     systems = ("rrm", "rhs")
@@ -211,7 +209,7 @@ def paired_curves(
         curves = thread_map(
             lambda scenario: link.stack_mi(scenario, paths, seeds, cfg.link.snr_db), scenarios
         )
-    yield from zip(systems, curves)
+    return list(zip(systems, curves))
 
 
 def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
@@ -230,11 +228,9 @@ def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
             add_curve_rows(rs, "fig10_outage", f"outage_{system}_{size}x{size}", cfg, bits)
 
 
-def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, quiet: bool) -> bool:
-    rows = invariants.run_all(quiet=quiet)
-    for name, ok, _detail in rows:
+def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, quiet: bool) -> None:
+    for name, ok, _detail in invariants.run_all(quiet=quiet):
         rs.add("validate", "check", name, "passed", 1.0 if ok else 0.0, seed=cfg.seed)
-    return all(ok for _name, ok, _detail in rows)
 
 
 def run_preset(
@@ -267,8 +263,7 @@ def run_preset(
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     cfg = resolve_config(name, config, overrides)
     rs = ResultSet(cfg.fingerprint())
-    out = FsPath(out_dir) if out_dir is not None else FsPath(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(cfg, out_dir)
 
     if name == "fig5_beampattern":
         _preset_fig5(cfg, rs, out)
@@ -285,18 +280,8 @@ def run_preset(
     else:
         _preset_validate(cfg, rs, quiet)
 
-    emit_csv(rs, out / "results.csv")
-    (out / "meta.json").write_text(
-        json.dumps(
-            {"preset": name, "fingerprint": rs.fingerprint, "config": _to_jsonable(cfg)},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        "utf-8",
-    )
-    if not quiet:
-        print_summary(rs)
+    meta = {"preset": name, "fingerprint": rs.fingerprint, "config": _to_jsonable(cfg)}
+    write_results(rs, out, quiet, meta)
     return rs
 
 

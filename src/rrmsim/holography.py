@@ -33,10 +33,8 @@ from .surface import (
     Direction,
     ReferenceWaveSpec,
     SurfaceGeometry,
-    _check_frequency,
     object_field,
     reference_field,
-    reference_phase,
     steering_field,
     superpose,
 )
@@ -142,11 +140,10 @@ def record_power(
         raise ValueError("recording needs at least one incident path")
     if ref.amplitude <= 0:
         raise ValueError("recording needs a positive reference amplitude")
-    _check_frequency(geom, ref)
+    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
 
     gains = paths.carrier_gains(ref.angular_frequency)
     user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
-    reference = np.exp(1j * ref.phase_offset) * (ref.amplitude * reference_phase(geom, ref.sign))
     carrier = user + reference
     flat = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
@@ -350,8 +347,7 @@ def rhs_weight_stack(
     rho records the 1/max|Re| normalizer; an all-zero W_int gives weights of
     0.5 with rho = 1.
     """
-    _check_frequency(geom, ref)
-    e_r = ref.amplitude * reference_phase(geom, ref.sign)
+    e_r = reference_field(geom, ref)
     real = np.real(np.conj(superpose(geom, theta, phi, gains)) * np.conj(e_r))
     peak = np.max(np.abs(real), axis=(-2, -1))
     flat = peak == 0.0

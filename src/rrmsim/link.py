@@ -488,9 +488,19 @@ def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> Weight
     if s.system == "rhs":
         gains = paths.carrier_gains(s.ref.angular_frequency)
         return rhs_weight_stack(s.geom, s.ref, paths.theta, paths.phi, gains)
+    return weight_stack(recorded_power(s, paths, seeds), s.strategy)
+
+
+def recorded_power(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
+    """(..., M, N) power matrices recorded from a (..., L) path stack per the scenario.
+
+    The noise power of each realization gives the scenario's recording SNR
+    (``noise_power_for_snr``; None records without noise); seeds as
+    ``record_power``'s.
+    """
+    s = scenario
     noise = noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-    power = record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.num_samples, seeds)
-    return weight_stack(power, s.strategy)
+    return record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.num_samples, seeds)
 
 
 def realize_block(
