@@ -39,6 +39,39 @@ class ConfigError(ValueError):
     """Config parsing or schema failure (exit code 2 at the CLI)."""
 
 
+# Largest |dB| a config may hold. Linear values stay finite and nonzero to
+# about 3082 dB, but a sweep multiplies them by signal powers and channel
+# eigenvalues: 3082 dB in link.snr_db overflows the MI and -3100 dB in
+# recording.snr_db the noise power, each mid-run.
+_DB_LIMIT = 300.0
+
+# Amplitude bound: user and reference amplitudes lie in [1/A, A], manual path
+# gains have |real|, |imag| <= A and a total power sum |gain|^2 >= 1/A^2.
+# Only the ratio rho = A_u * sqrt(sum |gain|^2) / A_r shapes a recording, and
+# the bound keeps it within [1/A^3, ~A^3]. At A = 1e4 the user term then
+# moves the recorded power by at least 1e-12 of itself, far above its
+# rounding; at 1e-18 a mean or min subtraction left all-zero weights. The
+# noise power A_u^2 * sum |gain|^2 / 10^(dB/10) stays below 1e47 at the
+# -300 dB end of _DB_LIMIT, so recorded power and noise stay finite.
+_AMPLITUDE_LIMIT = 1.0e4
+
+
+def _check_db(key: str, db: float) -> None:
+    """Reject a dB value beyond +-_DB_LIMIT."""
+    if not abs(db) <= _DB_LIMIT:
+        raise ValueError(
+            f"{key}: linear value of {db} dB is out of range; |dB| must be <= {_DB_LIMIT:g}"
+        )
+
+
+def _check_amplitude(key: str, value: float) -> None:
+    """Reject an amplitude outside [1/_AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT]."""
+    if not 1.0 / _AMPLITUDE_LIMIT <= value <= _AMPLITUDE_LIMIT:
+        raise ValueError(
+            f"{key}: must lie in [{1.0 / _AMPLITUDE_LIMIT:g}, {_AMPLITUDE_LIMIT:g}], got {value}"
+        )
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """One manually configured propagation path (angles in degrees)."""
@@ -52,6 +85,9 @@ class PathSpec:
     def __post_init__(self):
         if not 0.0 <= self.theta_deg <= 90.0:
             raise ValueError(f"theta_deg: must lie in [0, 90], got {self.theta_deg}")
+        for key, value in (("gain_real", self.gain_real), ("gain_imag", self.gain_imag)):
+            if not abs(value) <= _AMPLITUDE_LIMIT:
+                raise ValueError(f"{key}: |{key}| must be <= {_AMPLITUDE_LIMIT:g}, got {value}")
         self.to_path()  # Path checks the delay
 
     def to_path(self) -> Path:
@@ -98,21 +134,7 @@ class ReferenceBlock:
         # ReferenceWaveSpec allows 0; a recording needs a reference to interfere with
         if self.amplitude <= 0:
             raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
-
-
-# Largest |dB| a config may hold. Linear values stay finite and nonzero to
-# about 3082 dB, but a sweep multiplies them by signal powers and channel
-# eigenvalues: 3082 dB in link.snr_db overflows the MI and -3100 dB in
-# recording.snr_db the noise power, each mid-run.
-_DB_LIMIT = 300.0
-
-
-def _check_db(key: str, db: float) -> None:
-    """Reject a dB value beyond +-_DB_LIMIT."""
-    if not abs(db) <= _DB_LIMIT:
-        raise ValueError(
-            f"{key}: linear value of {db} dB is out of range; |dB| must be <= {_DB_LIMIT:g}"
-        )
+        _check_amplitude("amplitude", self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,7 @@ class RecordingBlock:
     samples_per_symbol: int = 1
 
     def __post_init__(self):
+        _check_amplitude("user_amplitude", self.user_amplitude)
         if self.snr_db is not None:
             _check_db("snr_db", self.snr_db)
 
@@ -145,6 +168,12 @@ class ChannelBlock:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
+        if self.paths:  # fig5 to fig8 record these paths whatever the kind
+            power = PathSet(tuple(p.to_path() for p in self.paths)).total_power()
+            if not power >= _AMPLITUDE_LIMIT**-2:
+                raise ValueError(
+                    f"paths: total power must be >= {_AMPLITUDE_LIMIT**-2:g}, got {power}"
+                )
 
 
 @dataclass(frozen=True)

@@ -63,18 +63,26 @@ class RecordingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.user_amplitude < 0:
-            raise ValueError(f"user_amplitude: must be nonnegative, got {self.user_amplitude}")
+        check_recording(self.user_amplitude, self.duration_symbols, self.samples_per_symbol)
         if self.noise_power < 0:
             raise ValueError(f"noise_power: must be nonnegative, got {self.noise_power}")
-        if self.duration_symbols < 1:
-            raise ValueError(f"duration_symbols: must be >= 1, got {self.duration_symbols}")
-        if self.samples_per_symbol < 1:
-            raise ValueError(f"samples_per_symbol: must be >= 1, got {self.samples_per_symbol}")
 
     @property
     def num_samples(self) -> int:
         return self.duration_symbols * self.samples_per_symbol
+
+
+def check_recording(user_amplitude: float, duration_symbols: int, samples_per_symbol: int) -> None:
+    """The rules on the recording fields that ``RecordingConfig`` and ``LinkScenario`` share.
+
+    Raises ValueError as "<field>: <reason>".
+    """
+    if user_amplitude < 0:
+        raise ValueError(f"user_amplitude: must be nonnegative, got {user_amplitude}")
+    if duration_symbols < 1:
+        raise ValueError(f"duration_symbols: must be >= 1, got {duration_symbols}")
+    if samples_per_symbol < 1:
+        raise ValueError(f"samples_per_symbol: must be >= 1, got {samples_per_symbol}")
 
 
 def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):

@@ -59,6 +59,7 @@ from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
     RecordingConfig,
     WeightStack,
+    check_recording,
     noise_power_for_snr,
     record_power,
     rhs_weight_stack,
@@ -475,6 +476,7 @@ class LinkScenario:
             raise ValueError(f"K: must be >= 1, got {self.K}")
         if self.tx_power <= 0:
             raise ValueError(f"tx_power: must be positive, got {self.tx_power}")
+        check_recording(self.user_amplitude, self.duration_symbols, self.samples_per_symbol)
 
     @property
     def num_samples(self) -> int:

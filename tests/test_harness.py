@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import pytest
 
@@ -12,6 +13,7 @@ from rrmsim.harness import (
     run_preset,
     save_config,
 )
+from rrmsim.harness import config as config_module
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import config_from_dict
 from rrmsim.harness.results import fmt9
@@ -35,6 +37,11 @@ REJECTED = [
     ({"reference": {"amplitude": -1.0}}, "reference.amplitude"),
     ({"reference": {"sign": 0}}, "reference.sign"),
     ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
+    # Amplitude bounds: each of the first three loaded before them and exited 4 mid-run.
+    ({"recording": {"user_amplitude": 1e160}}, "recording.user_amplitude"),
+    ({"recording": {"user_amplitude": 0.0}}, "recording.user_amplitude"),
+    ({"reference": {"amplitude": 1e200}}, "reference.amplitude"),
+    ({"reference": {"amplitude": 1e-5}}, "reference.amplitude"),
     ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
     ({"recording": {"samples_per_symbol": 0}}, "recording.samples_per_symbol"),
     ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
@@ -52,6 +59,9 @@ REJECTED = [
     ({"channel": {"paths": [_path(), _path(theta_deg=-1.0)]}}, "channel.paths[1].theta_deg"),
     ({"channel": {"paths": [_path(delay=-1e-9)]}}, "channel.paths[0].delay"),
     ({"channel": {"paths": [_path(gain_real=0.0)]}}, "channel.paths"),
+    ({"channel": {"paths": [_path(gain_real=1e200)]}}, "channel.paths[0].gain_real"),
+    ({"channel": {"paths": [_path(), _path(gain_imag=-10000.5)]}}, "channel.paths[1].gain_imag"),
+    ({"channel": {"paths": [_path(gain_real=1e-5), _path(gain_real=0.0)]}}, "channel.paths"),
     ({"weights": {"strategy": "median"}}, "weights.strategy"),
     ({"link": {"K": 0}}, "link.K"),
     ({"link": {"rolloff": 1.5}}, "link.rolloff"),
@@ -620,3 +630,29 @@ class TestCli:
         code = main(["preset", "fig6_b_sweep", "--config", str(cfg), "--quiet"])
         assert code == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_preset_flags_are_run_preset_overrides(self, tmp_path, monkeypatch):
+        # --seed and --out are one override layer over the loaded config, so
+        # the CLI writes what run_preset writes given them as overrides
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"link": {"snr_db": [0.0, 10.0]}, "seed": 3}))
+        out = tmp_path / "out"
+        builds = []
+        build = config_module.config_from_dict
+
+        def counted(data):
+            builds.append(data)
+            return build(data)
+
+        monkeypatch.setattr(config_module, "config_from_dict", counted)
+        args = ["--config", str(cfg), "--seed", "7", "--out", str(out), "--quiet"]
+        assert main(["preset", "fig6_b_sweep", *args]) == 0
+        assert len(builds) == 2  # the file at load, then preset defaults and flags over it
+        files = ("results.csv", "meta.json")
+        cli = [(out / name).read_bytes() for name in files]
+        shutil.rmtree(out)
+        overrides = {"seed": 7, "output": {"directory": str(out)}}
+        run_preset("fig6_b_sweep", load_config(cfg), overrides, quiet=True)
+        assert [(out / name).read_bytes() for name in files] == cli
+        meta = json.loads(cli[1])["config"]
+        assert meta["seed"] == 7 and meta["output"]["directory"] == str(out)

@@ -411,6 +411,28 @@ class TestOutage:
         with pytest.raises(ValueError):
             outage_probability(small_scenario(), -1.0, 5.0, trials=5, seed=1)
 
+    # Before LinkScenario checked them: duration 0 failed inside eigvalsh, a
+    # negative sample count as a negative array dimension, and a negative
+    # user amplitude returned MI. Each fails at construction now, with the
+    # message RecordingConfig gives for the same value.
+    def test_zero_duration_rejected_like_recording_config(self):
+        with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
+            small_scenario(duration_symbols=0)
+        with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
+            RecordingConfig(duration_symbols=0)
+
+    def test_negative_samples_per_symbol_rejected_like_recording_config(self):
+        with pytest.raises(ValueError, match=r"^samples_per_symbol: must be >= 1, got -1$"):
+            small_scenario(samples_per_symbol=-1)
+        with pytest.raises(ValueError, match=r"^samples_per_symbol: must be >= 1, got -1$"):
+            RecordingConfig(samples_per_symbol=-1)
+
+    def test_negative_user_amplitude_rejected_like_recording_config(self):
+        with pytest.raises(ValueError, match=r"^user_amplitude: must be nonnegative, got -1$"):
+            small_scenario(user_amplitude=-1)
+        with pytest.raises(ValueError, match=r"^user_amplitude: must be nonnegative, got -1$"):
+            RecordingConfig(user_amplitude=-1)
+
 
 class TestSummaries:
     def test_mean_ci_single_sample_has_no_ci(self):
