@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: record, beampattern, mi-sweep, outage, preset, validate.
+The flags --seed and --out are one config override layer; the commands run
+on the preset runner's config merge, output directory, results writer and
+recording step.
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 I/O error,
 4 internal error (any other exception: a library bug, not bad input).
 """

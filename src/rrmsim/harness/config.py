@@ -263,11 +263,9 @@ class ExperimentConfig:
             r.amplitude, 2.0 * math.pi * self.surface.fc, r.phase_offset, r.sign
         )
 
-    def recording_config(self, noise_power: float = 0.0, rng_seed: int = 0) -> RecordingConfig:
+    def recording_config(self) -> RecordingConfig:
         r = self.recording
-        return RecordingConfig(
-            r.user_amplitude, noise_power, r.duration_symbols, r.samples_per_symbol, rng_seed
-        )
+        return RecordingConfig(r.user_amplitude, 0.0, r.duration_symbols, r.samples_per_symbol)
 
     def pulse(self) -> PulseSpec:
         l = self.link
