@@ -169,7 +169,7 @@ class ChannelBlock:
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
         if self.paths:  # fig5 to fig8 record these paths whatever the kind
-            power = PathSet(tuple(p.to_path() for p in self.paths)).total_power()
+            power = sum(p.gain_real**2 + p.gain_imag**2 for p in self.paths)
             if not power >= _AMPLITUDE_LIMIT**-2:
                 raise ValueError(
                     f"paths: total power must be >= {_AMPLITUDE_LIMIT**-2:g}, got {power}"
