@@ -25,8 +25,6 @@ import numpy as np
 
 from .surface import Direction, wrap_phi
 
-UNIT_POWER_TOL = 1e-12
-
 
 class ProfileError(ValueError):
     """Raised for malformed cluster-profile text."""
@@ -93,15 +91,9 @@ class PathSet:
     """Ordered collection of paths shared by recording and transmission."""
 
     paths: tuple[Path, ...]
-    normalization: str = "raw"  # "raw" | "unit_power"
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
-        if self.normalization not in ("raw", "unit_power"):
-            raise ValueError("normalization: must be raw or unit_power")
-        if self.normalization == "unit_power":
-            if abs(self.total_power() - 1.0) > UNIT_POWER_TOL:
-                raise ValueError("paths: unit_power set must sum to unit power")
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -120,27 +112,17 @@ class PathSet:
         return PathArrays(*columns)
 
     @classmethod
-    def from_arrays(cls, arrays: PathArrays, normalization: str = "raw") -> "PathSet":
+    def from_arrays(cls, arrays: PathArrays) -> "PathSet":
         """PathSet of one realization's (L,) arrays."""
         return cls(
             tuple(
                 Path(complex(g), float(d), Direction(float(t), float(p)))
                 for g, d, t, p in zip(*arrays)
-            ),
-            normalization,
+            )
         )
 
     def total_power(self) -> float:
         return float(self.arrays.total_power())
-
-    def unit_power(self) -> "PathSet":
-        """Rescaled copy with sum |gain|^2 == 1."""
-        power = self.total_power()
-        if power <= 0:
-            raise ValueError("cannot normalize a zero-power path set")
-        s = 1.0 / math.sqrt(power)
-        scaled = tuple(Path(p.gain * s, p.delay, p.direction) for p in self.paths)
-        return PathSet(scaled, "unit_power")
 
     def carrier_gains(self, omega: float) -> np.ndarray:
         """Per-path gain * exp(-j*omega*delay), the carrier-rotated path gain."""
@@ -191,11 +173,11 @@ def sample_paths(cfg: ChannelConfig, rng) -> PathSet:
         rng: numpy Generator or seed. The same (cfg, seed) pair always
             yields the same realization.
 
-    Returns the ``draw_paths`` row of this one Generator as a PathSet
-    ("raw" for manual paths, "unit_power" otherwise).
+    Returns the ``draw_paths`` row of this one Generator as a PathSet: the
+    configured paths for manual, a unit-power realization otherwise.
     """
     row = PathArrays(*(column[0] for column in draw_paths(cfg, [np.random.default_rng(rng)])))
-    return PathSet.from_arrays(row, "raw" if cfg.kind == "manual" else "unit_power")
+    return PathSet.from_arrays(row)
 
 
 def draw_paths(cfg: ChannelConfig, rngs) -> PathArrays:
@@ -334,7 +316,7 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
         theta = math.radians(min(abs(zod - 90.0), 90.0))
         phi = wrap_phi(math.radians(aod % 360.0))
         paths.append(Path(complex(amp), norm_delay * delay_spread, Direction(theta, phi)))
-    return PathSet(tuple(paths), "unit_power")
+    return PathSet(tuple(paths))
 
 
 def bundled_cdl_d() -> str:

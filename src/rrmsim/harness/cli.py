@@ -19,7 +19,7 @@ from .. import beampattern as bp
 from .. import holography, link
 from ..channel import ProfileError, sample_paths
 from . import invariants
-from .config import ConfigError, ExperimentConfig, OutageBlock, load_config, merge_config
+from .config import ConfigError, ExperimentConfig, load_config, merge_config
 from .presets import (
     PRESET_NAMES,
     add_curve_rows,
@@ -94,8 +94,7 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     """mi-sweep (mean MI) or outage (Pr{MI < r_th}) for rrm and rhs vs SNR."""
     if args.command == "outage":
-        outage = cfg.outage or OutageBlock()
-        trials, r_th = outage.trials, outage.r_th
+        trials, r_th = cfg.outage.trials, cfg.outage.r_th
         experiment, prefix = "outage", "outage"
     else:
         if args.reps < 1:

@@ -3,7 +3,7 @@
 An empty JSON object resolves to the standard scenario: a 32x32 surface at
 30 GHz with half-wavelength spacing and substrate index sqrt(3), reference
 amplitude 2, unit user amplitude, five fixed incident paths, recording at
-10 dB SNR for 5 symbol periods, mean-subtracted weights, 1 W transmit
+10 dB SNR for 5 symbol periods, mean-subtracted weights, unit radiated
 power and a 64-symbol block with rolloff 0.25.
 
 Unknown keys and non-finite numbers (JSON ``NaN``, ``1e999``) are rejected,
@@ -32,7 +32,7 @@ from ..holography import WEIGHT_STRATEGIES, RecordingConfig
 from ..link import LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -192,7 +192,6 @@ class LinkBlock:
     symbol_period: float = 1.0e-8
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     normalization: str = "normalized"
-    tx_power: float = 1.0
 
     def __post_init__(self):
         if not self.snr_db:
@@ -231,7 +230,7 @@ class ExperimentConfig:
     channel: ChannelBlock = field(default_factory=ChannelBlock)
     weights: WeightsBlock = field(default_factory=WeightsBlock)
     link: LinkBlock = field(default_factory=LinkBlock)
-    outage: OutageBlock | None = None
+    outage: OutageBlock = field(default_factory=OutageBlock)
     seed: int = 1234
     output: OutputBlock = field(default_factory=OutputBlock)
 
@@ -272,7 +271,7 @@ class ExperimentConfig:
         return PulseSpec(l.symbol_period, l.rolloff)
 
     def manual_paths(self) -> PathSet:
-        return PathSet(tuple(p.to_path() for p in self.channel.paths), "raw")
+        return PathSet(tuple(p.to_path() for p in self.channel.paths))
 
     @functools.cached_property
     def _profile_text(self) -> str | None:
@@ -317,7 +316,6 @@ class ExperimentConfig:
             recording_snr_db=self.recording.snr_db,
             duration_symbols=self.recording.duration_symbols,
             samples_per_symbol=self.recording.samples_per_symbol,
-            tx_power=self.link.tx_power,
             normalization=self.link.normalization,
             K=self.link.K,
         )

@@ -18,6 +18,7 @@ from ..channel import ChannelConfig, Path, PathSet
 from ..holography import RecordingConfig
 from ..link import LinkScenario, PulseSpec
 from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
+from .config import ExperimentConfig, load_config, save_config
 from .results import ResultSet, emit_csv
 
 REQUIRED_NAMES = (
@@ -495,10 +496,13 @@ def csv_determinism_byte_identical():
 
 @_register
 def result_fingerprint_consistency():
-    rs = ResultSet("cafe01234567")
-    rs.add("demo", "x", 1, "m", 1.0)
-    rs.add("demo", "x", 2, "m", 2.0)
-    return rs.consistent(), "all rows carry the set fingerprint"
+    cfg = ExperimentConfig(seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        name = os.path.join(tmp, "config.json")
+        save_config(cfg, name)
+        same = load_config(name).fingerprint() == cfg.fingerprint()
+    moved = ExperimentConfig(seed=8).fingerprint() != cfg.fingerprint()
+    return same and moved, "fingerprint survives save/load and moves with the seed"
 
 
 @_register

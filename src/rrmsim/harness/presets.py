@@ -60,7 +60,6 @@ _PRESET_DEFAULTS: dict[str, dict] = {
             "normalization": "absolute",
             "snr_db": [-16.0, -12.0, -8.0, -4.0, 0.0, 4.0],
         },
-        "outage": {},
     },
     "validate": {},
 }

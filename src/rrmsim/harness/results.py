@@ -30,7 +30,6 @@ class Row:
     value: float
     ci_half_width: float | None
     seed: int
-    fingerprint: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -55,21 +54,8 @@ class ResultSet:
         seed: int = 0,
     ) -> None:
         self.rows.append(
-            Row(
-                experiment,
-                sweep_name,
-                sweep_value,
-                metric,
-                float(value),
-                ci_half_width,
-                seed,
-                self.fingerprint,
-            )
+            Row(experiment, sweep_name, sweep_value, metric, float(value), ci_half_width, seed)
         )
-
-    def consistent(self) -> bool:
-        """True when every row carries this set's fingerprint."""
-        return all(r.fingerprint == self.fingerprint for r in self.rows)
 
 
 def emit_csv(results: ResultSet, path) -> None:

@@ -189,10 +189,9 @@ def alpha_taps(
     ref: ReferenceWaveSpec,
     weights: WeightStack,
     paths: PathSet,
-    tx_power: float = 1.0,
 ) -> np.ndarray:
     """Per-path equivalent amplitudes of one weight matrix; the view of ``alpha_stack``."""
-    return alpha_stack(geom, ref, weights.values, paths.arrays, tx_power)
+    return alpha_stack(geom, ref, weights.values, paths.arrays)
 
 
 def alpha_stack(
@@ -200,7 +199,6 @@ def alpha_stack(
     ref: ReferenceWaveSpec,
     weights: np.ndarray,
     paths: PathArrays,
-    tx_power: float = 1.0,
 ) -> np.ndarray:
     """(..., L) equivalent amplitudes of weight stacks (..., M, N) via the exact per-element sum.
 
@@ -208,18 +206,14 @@ def alpha_stack(
               * steer_i(m,n) * exp(-j*omega_r*delay_i)
 
     with beta the unit-amplitude reference phase profile and A_tx chosen so
-    the total radiated power sum_{m,n} (A_tx * W(m,n))^2 equals tx_power.
+    the total radiated power sum_{m,n} (A_tx * W(m,n))^2 is 1; all-zero
+    weights radiate nothing (A_tx = 0, so every alpha_i is 0).
     The steering field of path i is separable, steer_i = ax_i ay_i^T (see
     ``steering_stack``), so all L sums are sum_m ax * ((W * beta) @ ay): one
     (M, N) x (N, L) product per matrix and no per-path M x N map.
-
-    Raises:
-        ValueError: if any weight matrix is all zero.
     """
     den = np.sum(weights**2, axis=(-2, -1))
-    if np.any(den <= 0.0):
-        raise ValueError("all-zero weights give a degenerate channel")
-    a_tx = np.sqrt(tx_power / den)
+    a_tx = np.sqrt(1.0 / np.where(den > 0.0, den, np.inf))
     beta = reference_phase(geom, ref.sign)
     ax, ay = steering_stack(geom, paths.theta, paths.phi)
     sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
@@ -232,7 +226,6 @@ def alpha_taps_split(
     weights: WeightStack,
     paths: PathSet,
     recording: RecordingConfig,
-    tx_power: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path amplitudes decomposed into dominant and residual components.
 
@@ -255,9 +248,7 @@ def alpha_taps_split(
         raise ValueError("term-group split is invalid once negatives were clipped")
 
     den = float(np.sum(weights.values**2))
-    if den <= 0.0:
-        raise ValueError("all-zero weights give a degenerate channel")
-    a_tx = math.sqrt(tx_power / den)
+    a_tx = math.sqrt(1.0 / den) if den > 0.0 else 0.0  # as alpha_stack
     rho = float(weights.rho)
     b = float(weights.b)
     a_u = recording.user_amplitude
@@ -324,7 +315,6 @@ def equivalent_taps(
     paths: PathSet,
     pulse: PulseSpec,
     K: int,
-    tx_power: float = 1.0,
 ) -> np.ndarray:
     """Equivalent discrete-time taps of the weighted surface on a K-symbol block.
 
@@ -335,7 +325,7 @@ def equivalent_taps(
         raise ValueError("block length K must be >= 1")
     if len(paths) == 0:
         raise ValueError("tap synthesis needs at least one path")
-    alpha = alpha_taps(geom, ref, weights, paths, tx_power)
+    alpha = alpha_taps(geom, ref, weights, paths)
     return tap_stack(alpha, paths.arrays.delay, pulse, K)
 
 
@@ -449,8 +439,8 @@ class LinkScenario:
     settings) and derives weights with ``strategy``; system "rhs" computes
     perfect-CSI weights from the realized paths directly. normalization
     "normalized" rescales H to unit average receive power so the SNR axis is
-    receive SNR; "absolute" keeps the physical scale (beamforming gain stays
-    in H) and the SNR axis is transmit-referred.
+    receive SNR; "absolute" keeps the physical scale of a unit radiated power
+    (beamforming gain stays in H) and the SNR axis is transmit-referred.
     """
 
     geom: SurfaceGeometry
@@ -463,7 +453,6 @@ class LinkScenario:
     recording_snr_db: float | None = 10.0
     duration_symbols: int = 5
     samples_per_symbol: int = 1
-    tx_power: float = 1.0
     normalization: str = "normalized"  # "normalized" | "absolute"
     K: int = 64
 
@@ -474,8 +463,6 @@ class LinkScenario:
             raise ValueError("normalization: must be normalized or absolute")
         if self.K < 1:
             raise ValueError(f"K: must be >= 1, got {self.K}")
-        if self.tx_power <= 0:
-            raise ValueError(f"tx_power: must be positive, got {self.tx_power}")
         check_recording(self.user_amplitude, self.duration_symbols, self.samples_per_symbol)
 
     @property
@@ -518,7 +505,7 @@ def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     if paths.gain.shape[-1] == 0:
         raise ValueError("tap synthesis needs at least one path")
     weights = weight_stack_for(s, paths, seeds).values
-    alpha = alpha_stack(s.geom, s.ref, weights, paths, s.tx_power)
+    alpha = alpha_stack(s.geom, s.ref, weights, paths)
     h = tap_stack(alpha, paths.delay, s.pulse, s.K)
     return _normalize_taps(h) if s.normalization == "normalized" else h
 
@@ -528,16 +515,12 @@ def _normalize_taps(h: np.ndarray) -> np.ndarray:
 
     Lag l fills K - |l| entries of the Toeplitz block H, so that trace is
     sum_l (K - |l|) |h_l|^2, summed per block; dividing the taps divides H.
-
-    Raises:
-        ValueError: if a block's taps are all zero.
+    All-zero taps stay zero: a block that receives nothing has MI 0.
     """
     K = (h.shape[-1] + 1) // 2
     fill = K - np.abs(np.arange(1 - K, K))
     mean_power = np.sum(fill * (h.real**2 + h.imag**2), axis=-1) / K
-    if np.any(mean_power <= 0.0):
-        raise ValueError("cannot normalize a zero channel matrix")
-    return h / np.sqrt(mean_power)[..., None]
+    return h / np.sqrt(np.where(mean_power > 0.0, mean_power, 1.0))[..., None]
 
 
 def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> np.ndarray:
@@ -546,7 +529,8 @@ def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> n
     Block t records with seeds[t] (rrm). The blocks run in chunks of
     ``chunk_trials(scenario)``; each chunk is one (T, K, K) Gram stack and
     one ``eigvalsh`` call, and a block's MI does not depend on the chunk it
-    falls in. A chunk that meets an all-zero weight matrix raises ValueError.
+    falls in. A block whose weights or taps are all zero receives nothing
+    and has MI 0.
     """
     gammas = [gamma_from_db(snr) for snr in snr_db_list]
     out = np.empty((len(seeds), len(gammas)))
@@ -565,9 +549,9 @@ def stack_outage(
     bounds read off each block's taps decide most bits without a Gram
     matrix (``_outage_bounds``); only blocks with an undecided SNR get one,
     and only pairs whose MI lies within the rounding margin of r_th reach
-    ``eigvalsh`` (``_outage_bits``). A chunk that meets an all-zero weight
-    matrix, or a zero channel in normalized mode, raises ValueError, as
-    ``stack_mi`` does.
+    ``eigvalsh`` (``_outage_bits``). A block that receives nothing (all-zero
+    weights or taps) has MI 0, as in ``stack_mi``, so its bit is set for
+    every r_th > 0.
     """
     gammas = np.array([gamma_from_db(snr) for snr in snr_db_list])
     out = np.empty((len(seeds), gammas.size), dtype=bool)

@@ -8,21 +8,6 @@ from rrmsim.channel import Path, _parsed_profile, bundled_cdl_d
 
 
 class TestPathSet:
-    def test_unit_power_normalization_exact(self):
-        paths = PathSet(
-            (
-                Path(1.0 + 2.0j, 0.0, Direction(0.1, 0.2)),
-                Path(-0.5 + 0.25j, 1e-9, Direction(0.3, 0.4)),
-            )
-        )
-        normalized = paths.unit_power()
-        assert abs(normalized.total_power() - 1.0) < 1e-12
-        assert normalized.normalization == "unit_power"
-
-    def test_unit_power_claim_verified(self):
-        with pytest.raises(ValueError):
-            PathSet((Path(2.0 + 0j, 0.0, Direction(0.1, 0.2)),), "unit_power")
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Path(1.0, -1e-9, Direction(0.1, 0.2))

@@ -127,23 +127,31 @@ class TestEquivalentTaps:
         alpha = alpha_taps(geom, ref, weights, paths)
         assert alpha[1] == 0j
 
-    def test_all_zero_weights_rejected(self):
+    def test_all_zero_weights_give_a_zero_channel(self):
+        # all-zero weights radiate nothing: zero taps, MI 0, out for every r_th > 0
         geom = make_geometry(4, 4)
         ref = make_reference(geom)
         paths = make_five_paths()
         zero = _as_weights(np.zeros(geom.shape))
-        with pytest.raises(ValueError):
-            equivalent_taps(geom, ref, zero, paths, PulseSpec(), 8)
+        h = equivalent_taps(geom, ref, zero, paths, PulseSpec(), 8)
+        assert np.array_equal(h, np.zeros(15, dtype=complex))
+        assert mutual_information(build_toeplitz(h), 1e30) == 0.0
+        gammas = np.array([0.0, 1.0, 1e30])
+        mi = link._mi_bits(link._eigvals(link._gram_stack(h[None])), gammas)
+        assert np.array_equal(mi, np.zeros((1, 3)))
+        for r_th in (0.0, 1e-300, 2.0):
+            assert np.array_equal(link._outage_bits(h[None], gammas, r_th), mi < r_th)
 
     def test_radiated_power_scale(self):
+        # the radiated power is 1 whatever the scale of the weights
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
         paths = make_five_paths()
         holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
         weights = make_weights(holo, "mean")
-        a1 = alpha_taps(geom, ref, weights, paths, tx_power=1.0)
-        a4 = alpha_taps(geom, ref, weights, paths, tx_power=4.0)
-        assert np.allclose(a4, 2.0 * a1, rtol=1e-12)
+        a1 = alpha_taps(geom, ref, weights, paths)
+        a4 = alpha_taps(geom, ref, _as_weights(4.0 * weights.values), paths)
+        assert np.allclose(a4, a1, rtol=1e-12)
 
     def test_split_matches_direct_sum(self):
         rng = np.random.default_rng(21)
@@ -334,12 +342,21 @@ class TestMutualInformation:
         assert H.shape == (K, K)
         assert len(calls) == 1
         assert np.real(np.trace(H @ H.conj().T)) / K == pytest.approx(1.0, abs=1e-12)
-        # all-zero taps: the one normalization raises
-        monkeypatch.setattr(link, "tap_stack", lambda *args: np.zeros(2 * K - 1, complex))
+        # all-zero taps stay zero through the one normalization: MI 0
+        def zero_taps(alpha, *args):
+            return np.zeros(alpha.shape[:-1] + (2 * K - 1,), complex)
+
+        monkeypatch.setattr(link, "tap_stack", zero_taps)
         calls.clear()
-        with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
-            realize_block(scenario, make_five_paths(), 3)
+        H = realize_block(scenario, make_five_paths(), 3)
         assert len(calls) == 1
+        assert np.array_equal(H, np.zeros((K, K), complex))
+        paths, seeds = link.draw_trials(scenario.channel, 3, 1)
+        mi = stack_mi(scenario, paths, seeds, [-math.inf, 0.0, 40.0])
+        assert np.array_equal(mi, np.zeros((3, 3)))
+        for r_th in (1e-300, 2.0):
+            bits = link.stack_outage(scenario, paths, seeds, [-math.inf, 0.0, 40.0], r_th)
+            assert np.array_equal(bits, mi < r_th)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """The load boundary: a config that loads runs, and one that does not exits 2.
 
-Draws the amplitude and gain fields and ``recording.snr_db`` inside, at and
-beyond their load-time bounds (docs/config.md), and runs ``record`` and
-``mi-sweep --reps 1`` on a 4x4 surface. A config that ``config_from_dict``
-accepts must exit 0 from both, without a numeric warning; one it rejects
-must exit 2 from both, never 4.
+Draws the amplitude and gain fields, ``recording.snr_db`` and
+``link.snr_db`` inside, at and beyond their load-time bounds
+(docs/config.md), ``link.normalization``, and a second manual path that is
+another direction or the first path with its gain negated (the two cancel).
+It runs ``record``, ``mi-sweep --reps 1`` and ``outage`` (two trials) on a
+4x4 surface. A config that ``config_from_dict`` accepts must exit 0 from
+each, without a numeric warning; one it rejects must exit 2 from each,
+never 4.
 """
 
 import json
@@ -52,6 +55,17 @@ FIELDS = {
         st.one_of(st.sampled_from([None, DB_LIMIT, -DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)),
         st.sampled_from([-3100.0, 3100.0, _beyond(DB_LIMIT), _beyond(-DB_LIMIT)]),
     ),
+    # one or two SNRs; 3100 dB overflowed the MI
+    "link_snr_db": (
+        st.lists(
+            st.one_of(st.sampled_from([DB_LIMIT, -DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)),
+            min_size=1,
+            max_size=2,
+        ),
+        st.sampled_from([3100.0, -3100.0, _beyond(DB_LIMIT), _beyond(-DB_LIMIT)]).map(
+            lambda db: [0.0, db]
+        ),
+    ),
     # Components below 1/A are within their own bound; a path set made only
     # of them falls short of the total-power bound.
     "gain_real": (
@@ -64,7 +78,6 @@ FIELDS = {
         _signed(st.sampled_from([1e200, _beyond(LIMIT)])),
     ),
 }
-ANGLES = ((20.0, 30.0), (40.0, 200.0))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -80,17 +93,27 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
         within, beyond = FIELDS[name]
         return data.draw(beyond if name == past else within, label=name)
 
-    n_paths = data.draw(st.integers(1, 2), label="paths")
-    paths = [
-        {"theta_deg": theta, "phi_deg": phi, "gain_real": draw("gain_real"),
-         "gain_imag": draw("gain_imag")}
-        for theta, phi in ANGLES[:n_paths]
-    ]
+    def path(theta, phi):
+        return {"theta_deg": theta, "phi_deg": phi, "gain_real": draw("gain_real"),
+                "gain_imag": draw("gain_imag")}
+
+    paths = [path(20.0, 30.0)]
+    second = data.draw(st.sampled_from(["none", "other", "cancelling"]), label="second path")
+    if second == "other":
+        paths.append(path(40.0, 200.0))
+    elif second == "cancelling":
+        first = paths[0]
+        paths.append({**first, "gain_real": -first["gain_real"], "gain_imag": -first["gain_imag"]})
     config = {
         "surface": {"M": 4, "N": 4},
         "recording": {"user_amplitude": draw("user_amplitude"), "snr_db": draw("snr_db")},
         "reference": {"amplitude": draw("amplitude")},
         "channel": {"paths": paths},
+        "link": {
+            "snr_db": draw("link_snr_db"),
+            "normalization": data.draw(st.sampled_from(["normalized", "absolute"]), label="mode"),
+        },
+        "outage": {"trials": 2},
     }
     try:
         config_from_dict(config)
@@ -100,10 +123,14 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
     tmp = tmp_path_factory.mktemp("boundary")
     path = tmp / "cfg.json"
     path.write_text(json.dumps(config))
-    for command in (["record"], ["mi-sweep", "--reps", "1"]):
+    for command in (["record"], ["mi-sweep", "--reps", "1"], ["outage"]):
         out = tmp / command[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if second == "cancelling":
+                # paths that cancel send nothing to record: with little noise the
+                # hologram is constant, and record warns of its all-zero weights
+                warnings.filterwarnings("ignore", "weight matrix is all zero", RuntimeWarning)
             code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code == want, (command[0], config)
         assert out.exists() == (want == 0)

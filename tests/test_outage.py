@@ -178,15 +178,16 @@ class TestBounds:
         assert not link._outage_bits(h, gammas, 0.0).any()
         assert link._outage_bits(h, gammas, 1e-300).all()
 
-    def test_normalized_zero_channel_raises_like_stack_mi(self, monkeypatch):
+    def test_normalized_zero_channel_has_mi_zero(self, monkeypatch):
         scenario = _scenario("rician_random", "rhs", "normalized", 4)
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
         zeros = np.zeros((3, 2 * scenario.K - 1), dtype=complex)
         monkeypatch.setattr(link, "tap_stack", lambda *args: zeros)
-        with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
-            link.stack_mi(scenario, paths, seeds, SNRS)
-        with pytest.raises(ValueError, match="cannot normalize a zero channel matrix"):
-            link.stack_outage(scenario, paths, seeds, SNRS, 1.0)
+        mi = link.stack_mi(scenario, paths, seeds, SNRS)
+        assert np.array_equal(mi, np.zeros((3, len(SNRS))))
+        for r_th in (1e-300, 1.0):
+            bits = link.stack_outage(scenario, paths, seeds, SNRS, r_th)
+            assert np.array_equal(bits, mi < r_th) and bits.all()
 
 
 def test_fig10_screens_most_blocks_and_pairs(tmp_path, monkeypatch):

@@ -133,27 +133,46 @@ def test_sample_paths_is_the_array_draw(kind):
 
 def test_path_set_arrays_round_trip():
     paths = sample_paths(ChannelConfig("rician_random", L=5), 3)
-    again = PathSet.from_arrays(paths.arrays, "unit_power")
+    again = PathSet.from_arrays(paths.arrays)
     assert again == paths
     assert again.total_power() == paths.total_power()
     assert float(paths.arrays.total_power()) == sum(abs(p.gain) ** 2 for p in paths.paths)
 
 
-def test_degenerate_weights_raise_in_a_chunk():
+@pytest.mark.parametrize("normalization", ("absolute", "normalized"))
+def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
     geom = make_geometry(8, 8)
     ref = make_reference(geom)
     cfg = ChannelConfig("rician_random", L=3)
     paths = draw_paths(cfg, [np.random.default_rng(s) for s in range(3)])
     weights = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 8, 8))
-    assert link.alpha_stack(geom, ref, weights, paths).shape == (3, 3)
     weights[1] = 0.0
-    with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
-        link.alpha_stack(geom, ref, weights, paths)
-    # the single-block view fails the same way
+    alpha = link.alpha_stack(geom, ref, weights, paths)
+    assert alpha.shape == (3, 3)
+    assert not alpha[1].any() and np.all(alpha[[0, 2]] != 0.0)
+    # the single-block view radiates nothing the same way
     zero = WeightStack(np.zeros((8, 8)), 0.0, 1.0, False, True)
     single = PathSet.from_arrays(PathArrays(*(c[1] for c in paths)))
-    with pytest.raises(ValueError, match="all-zero weights give a degenerate channel"):
-        link.alpha_taps(geom, ref, zero, single)
+    assert not link.alpha_taps(geom, ref, zero, single).any()
+    # through the sweep kernels: block 1 of the chunk has MI 0, its neighbours keep theirs
+    scenario = _scenario("rician_random", "rrm", normalization)
+    trial_paths, seeds = link.draw_trials(scenario.channel, 3, SEED)
+    before = link.stack_mi(scenario, trial_paths, seeds, SNRS)
+    weigh = link.weight_stack_for
+
+    def zero_second(*args):
+        stack = weigh(*args)
+        values = stack.values.copy()
+        values[1] = 0.0
+        return stack._replace(values=values)
+
+    monkeypatch.setattr(link, "weight_stack_for", zero_second)
+    mi = link.stack_mi(scenario, trial_paths, seeds, SNRS)
+    assert np.array_equal(mi[1], np.zeros(len(SNRS)))
+    assert np.array_equal(mi[[0, 2]], before[[0, 2]])
+    for r_th in (1e-300, 2.0):
+        bits = link.stack_outage(scenario, trial_paths, seeds, SNRS, r_th)
+        assert np.array_equal(bits, mi < r_th) and bits[1].all()
 
 
 def test_record_power_mixed_noise_equals_single_recordings():
