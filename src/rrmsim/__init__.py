@@ -24,7 +24,6 @@ from .holography import (
     reconstruct_field,
     reindex,
     rhs_weights,
-    verify_reindexing_identities,
 )
 from .beampattern import PatternGrid, array_factor, find_peaks, sidelobe_metrics
 from .link import (
@@ -34,7 +33,6 @@ from .link import (
     equivalent_taps,
     mutual_information,
     outage_probability,
-    rrc_impulse,
 )
 
 __version__ = "0.1.0"
@@ -67,9 +65,7 @@ __all__ = [
     "reference_field",
     "reindex",
     "rhs_weights",
-    "rrc_impulse",
     "sample_paths",
     "sidelobe_metrics",
     "steering_field",
-    "verify_reindexing_identities",
 ]

@@ -73,10 +73,6 @@ class PatternGrid:
         object.__setattr__(self, "phi_rad", p)
         object.__setattr__(self, "power_db", db)
 
-    def linear(self) -> np.ndarray:
-        """Normalized linear power (peak 1)."""
-        return 10.0 ** (self.power_db / 10.0)
-
     def value_at(self, direction: Direction) -> float:
         """power_db at the nearest grid point to a direction.
 

@@ -102,7 +102,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         trials, r_th = args.reps, None
         experiment, prefix = "mi_sweep", "mi"
     out = output_dir(cfg)
-    rs = ResultSet(cfg.fingerprint())
+    rs = ResultSet()
     for system, curves in paired_curves(cfg, trials, cfg.seed, r_th=r_th):
         add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves)
     write_results(rs, out, args.quiet)

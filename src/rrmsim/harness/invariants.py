@@ -1,12 +1,15 @@
 """Named invariant suite covering every module's stated properties.
 
-Each check is registered under a stable name; ``run_all`` executes them and
-reports pass/fail with residual details. The suite checks its own coverage:
-if a required name is missing from the registry the suite itself fails.
+``CHECKS`` lists the check functions in their reporting order; each
+returns (passed, detail) and is reported under its function name.
+``run_all`` executes them and reports pass/fail with residual details. The
+suite checks its own coverage: a public function of this module that is
+missing from ``CHECKS`` makes ``suite_name_coverage`` fail.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import tempfile
@@ -20,49 +23,6 @@ from ..link import LinkScenario, PulseSpec
 from ..surface import Direction, ReferenceWaveSpec, SurfaceGeometry
 from .config import ExperimentConfig, load_config, save_config
 from .results import ResultSet, emit_csv
-
-REQUIRED_NAMES = (
-    # surface
-    "reference_field_center_symmetry",
-    "steering_reindex_conjugacy",
-    "steering_unit_modulus",
-    "object_field_gain_linearity",
-    # holography
-    "reindex_involution",
-    "hologram_nonnegativity",
-    "hologram_noise_free_closed_form",
-    "hologram_noise_mean_convergence",
-    "weight_range_and_offset_exactness",
-    "reconstruction_four_term_decomposition",
-    "rhs_weight_range_and_peak_scaling_invariance",
-    # beampattern
-    "pattern_positive_scale_invariance",
-    "pattern_aperture_growth_ratio",
-    "pattern_path_direction_dominance",
-    # channel
-    "path_unit_power_exactness",
-    "path_sampling_reproducibility",
-    "path_delay_and_angle_ranges",
-    "path_reciprocity_shared_pathset",
-    # link
-    "mi_monotone_in_snr",
-    "mi_unit_modulus_invariance",
-    "toeplitz_structure_and_white_noise_filter",
-    "composite_pulse_nyquist_zero_isi",
-    "alpha_split_sum_agreement",
-    "outage_bounds_reproducibility_monotonicity",
-    # harness
-    "csv_determinism_byte_identical",
-    "result_fingerprint_consistency",
-    "suite_name_coverage",
-)
-
-REGISTRY: dict[str, callable] = {}
-
-
-def _register(fn):
-    REGISTRY[fn.__name__] = fn
-    return fn
 
 
 def _std_paths() -> PathSet:
@@ -87,7 +47,6 @@ def _random_direction(rng) -> Direction:
 # ------------------------------------------------------------------ surface
 
 
-@_register
 def reference_field_center_symmetry():
     worst = 0.0
     for rows, cols in ((3, 3), (4, 6), (7, 5), (8, 8)):
@@ -97,7 +56,6 @@ def reference_field_center_symmetry():
     return worst == 0.0, f"max residual {worst:g}"
 
 
-@_register
 def steering_reindex_conjugacy():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -108,7 +66,6 @@ def steering_reindex_conjugacy():
     return worst < 1e-12, f"max residual {worst:.3g}"
 
 
-@_register
 def steering_unit_modulus():
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -119,7 +76,6 @@ def steering_unit_modulus():
     return worst < 1e-12, f"max | |a|-1 | = {worst:.3g}"
 
 
-@_register
 def object_field_gain_linearity():
     rng = np.random.default_rng(9)
     geom = _geom(6, 5)
@@ -136,7 +92,6 @@ def object_field_gain_linearity():
 # --------------------------------------------------------------- holography
 
 
-@_register
 def reindex_involution():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(7, 5))
@@ -165,7 +120,6 @@ def _closed_form_power(geom, ref, paths, user_amplitude):
     return total
 
 
-@_register
 def hologram_nonnegativity():
     rng = np.random.default_rng(11)
     worst = math.inf
@@ -178,7 +132,6 @@ def hologram_nonnegativity():
     return worst >= 0.0, f"min entry {worst:.3g}"
 
 
-@_register
 def hologram_noise_free_closed_form():
     geom = _geom(8, 8)
     ref = _ref(geom, amplitude=1.3, phase=0.4)
@@ -190,7 +143,6 @@ def hologram_noise_free_closed_form():
     return worst < 1e-10, f"max residual {worst:.3g}"
 
 
-@_register
 def hologram_noise_mean_convergence():
     geom = _geom(4, 4)
     ref = _ref(geom)
@@ -212,7 +164,6 @@ def hologram_noise_mean_convergence():
     return 0.1 < ratio < 0.5, f"error ratio at 16x samples {ratio:.3f} (ideal 0.25)"
 
 
-@_register
 def weight_range_and_offset_exactness():
     geom = _geom(8, 8)
     ref = _ref(geom)
@@ -230,7 +181,6 @@ def weight_range_and_offset_exactness():
     return ok, "; ".join(detail)
 
 
-@_register
 def reconstruction_four_term_decomposition():
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -253,7 +203,6 @@ def reconstruction_four_term_decomposition():
     return worst < 1e-10, f"max residual {worst:.3g}"
 
 
-@_register
 def rhs_weight_range_and_peak_scaling_invariance():
     geom = _geom(16, 16)
     ref = _ref(geom)
@@ -272,7 +221,6 @@ def rhs_weight_range_and_peak_scaling_invariance():
 # -------------------------------------------------------------- beampattern
 
 
-@_register
 def pattern_positive_scale_invariance():
     geom = _geom(8, 8)
     ref = _ref(geom)
@@ -295,7 +243,6 @@ def _recorded_pattern(size, step_deg):
     return beampattern.array_factor(geom, ref, w, theta, phi), paths
 
 
-@_register
 def pattern_aperture_growth_ratio():
     dirs = [p.direction for p in _std_paths().paths]
     ratios = []
@@ -307,7 +254,6 @@ def pattern_aperture_growth_ratio():
     return ok, f"peak-to-mean-sidelobe dB by size: {[f'{r:.1f}' for r in ratios]}"
 
 
-@_register
 def pattern_path_direction_dominance():
     pattern, paths = _recorded_pattern(32, 1.0)
     median = float(np.median(pattern.power_db))
@@ -319,7 +265,6 @@ def pattern_path_direction_dominance():
 # ------------------------------------------------------------------ channel
 
 
-@_register
 def path_unit_power_exactness():
     cfg = ChannelConfig("rician_random", L=5)
     worst = 0.0
@@ -331,7 +276,6 @@ def path_unit_power_exactness():
     return worst < 1e-12, f"max |power-1| = {worst:.3g}"
 
 
-@_register
 def path_sampling_reproducibility():
     cfg = ChannelConfig("rician_random", L=4)
     a = channel.sample_paths(cfg, 42)
@@ -343,7 +287,6 @@ def path_sampling_reproducibility():
     return same, "same seed gives identical realization"
 
 
-@_register
 def path_delay_and_angle_ranges():
     cfg = ChannelConfig(
         "rician_random",
@@ -361,7 +304,6 @@ def path_delay_and_angle_ranges():
     return ok, "delays and angles inside configured ranges"
 
 
-@_register
 def path_reciprocity_shared_pathset():
     geom = _geom(8, 8)
     ref = _ref(geom)
@@ -378,7 +320,6 @@ def path_reciprocity_shared_pathset():
 # --------------------------------------------------------------------- link
 
 
-@_register
 def mi_monotone_in_snr():
     rng = np.random.default_rng(14)
     H = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -388,7 +329,6 @@ def mi_monotone_in_snr():
     return ok, f"MI range [{mis[0]:.3f}, {mis[-1]:.3f}] bits"
 
 
-@_register
 def mi_unit_modulus_invariance():
     rng = np.random.default_rng(15)
     H = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
@@ -400,7 +340,6 @@ def mi_unit_modulus_invariance():
     return worst < 1e-9, f"max deviation {worst:.3g} bits"
 
 
-@_register
 def toeplitz_structure_and_white_noise_filter():
     rng = np.random.default_rng(16)
     K = 16
@@ -412,21 +351,16 @@ def toeplitz_structure_and_white_noise_filter():
     return ok, "constant diagonals"
 
 
-@_register
 def composite_pulse_nyquist_zero_isi():
-    pulse = PulseSpec(rolloff=0.25, span_symbols=10, samples_per_symbol=8)
-    q = link.rrc_impulse(pulse)
-    w = np.convolve(q, q)
-    center = (w.size - 1) // 2
-    sps = pulse.samples_per_symbol
-    lags = np.arange(-pulse.span_symbols * 2, pulse.span_symbols * 2 + 1)
-    values = w[center + lags * sps]
-    err0 = abs(values[lags == 0][0] - 1.0)
-    worst = float(np.max(np.abs(values[lags != 0])))
-    return err0 < 1e-3 and worst < 1e-3, f"|w[0]-1|={err0:.2g}, max |w[k!=0]|={worst:.2g}"
+    lags = np.arange(-20, 21)
+    err0 = worst = 0.0
+    for rolloff in (0.0, 0.25, 0.5, 1.0):
+        w = link.raised_cosine(lags, rolloff)
+        err0 = max(err0, abs(float(w[lags == 0][0]) - 1.0))
+        worst = max(worst, float(np.max(np.abs(w[lags != 0]))))
+    return err0 < 1e-12 and worst < 1e-12, f"|w[0]-1|={err0:.2g}, max |w[k!=0]|={worst:.2g}"
 
 
-@_register
 def alpha_split_sum_agreement():
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -456,7 +390,6 @@ def alpha_split_sum_agreement():
     return worst < 1e-9, f"max relative residual {worst:.3g}"
 
 
-@_register
 def outage_bounds_reproducibility_monotonicity():
     geom = _geom(8, 8)
     scenario = LinkScenario(
@@ -479,9 +412,8 @@ def outage_bounds_reproducibility_monotonicity():
 # ------------------------------------------------------------------ harness
 
 
-@_register
 def csv_determinism_byte_identical():
-    rs = ResultSet("deadbeef0123")
+    rs = ResultSet()
     rs.add("demo", "snr_db", 10.0, "mi_bits", 3.123456789, 0.01, 7)
     rs.add("demo", "snr_db", 20.0, "mi_bits", 6.5, None, 7)
     bufs = []
@@ -494,7 +426,6 @@ def csv_determinism_byte_identical():
     return bufs[0] == bufs[1], f"{len(bufs[0])} bytes, identical"
 
 
-@_register
 def result_fingerprint_consistency():
     cfg = ExperimentConfig(seed=7)
     with tempfile.TemporaryDirectory() as tmp:
@@ -505,26 +436,67 @@ def result_fingerprint_consistency():
     return same and moved, "fingerprint survives save/load and moves with the seed"
 
 
-@_register
 def suite_name_coverage():
-    missing = [n for n in REQUIRED_NAMES if n not in REGISTRY]
-    return not missing, f"missing: {missing}" if missing else "all required names registered"
+    listed = {fn.__name__ for fn in CHECKS}
+    missing = sorted(
+        name
+        for name, obj in globals().items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == __name__
+        and not name.startswith("_")
+        and name != "run_all"
+        and name not in listed
+    )
+    return not missing, f"missing: {missing}" if missing else "every check function is listed"
+
+
+CHECKS = (
+    # surface
+    reference_field_center_symmetry,
+    steering_reindex_conjugacy,
+    steering_unit_modulus,
+    object_field_gain_linearity,
+    # holography
+    reindex_involution,
+    hologram_nonnegativity,
+    hologram_noise_free_closed_form,
+    hologram_noise_mean_convergence,
+    weight_range_and_offset_exactness,
+    reconstruction_four_term_decomposition,
+    rhs_weight_range_and_peak_scaling_invariance,
+    # beampattern
+    pattern_positive_scale_invariance,
+    pattern_aperture_growth_ratio,
+    pattern_path_direction_dominance,
+    # channel
+    path_unit_power_exactness,
+    path_sampling_reproducibility,
+    path_delay_and_angle_ranges,
+    path_reciprocity_shared_pathset,
+    # link
+    mi_monotone_in_snr,
+    mi_unit_modulus_invariance,
+    toeplitz_structure_and_white_noise_filter,
+    composite_pulse_nyquist_zero_isi,
+    alpha_split_sum_agreement,
+    outage_bounds_reproducibility_monotonicity,
+    # harness
+    csv_determinism_byte_identical,
+    result_fingerprint_consistency,
+    suite_name_coverage,
+)
 
 
 def run_all(quiet: bool = False) -> list[tuple[str, bool, str]]:
-    """Run every registered invariant; returns (name, passed, detail) rows."""
+    """Run every check in ``CHECKS``; returns (name, passed, detail) rows."""
     results = []
-    for name in REQUIRED_NAMES:
-        fn = REGISTRY.get(name)
-        if fn is None:
-            results.append((name, False, "not registered"))
-            continue
+    for fn in CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, bool(ok), detail))
+        results.append((fn.__name__, bool(ok), detail))
         if not quiet:
             status = "PASS" if ok else "FAIL"
-            print(f"[{status}] {name}: {detail}")
+            print(f"[{status}] {fn.__name__}: {detail}")
     return results

@@ -261,7 +261,7 @@ def run_preset(
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     cfg = resolve_config(name, config, overrides)
-    rs = ResultSet(cfg.fingerprint())
+    rs = ResultSet()
     out = output_dir(cfg, out_dir)
 
     if name == "fig5_beampattern":
@@ -279,7 +279,7 @@ def run_preset(
     else:
         _preset_validate(cfg, rs, quiet)
 
-    meta = {"preset": name, "fingerprint": rs.fingerprint, "config": _to_jsonable(cfg)}
+    meta = {"preset": name, "fingerprint": cfg.fingerprint(), "config": _to_jsonable(cfg)}
     write_results(rs, out, quiet, meta)
     return rs
 

@@ -38,9 +38,8 @@ class Row:
 
 @dataclass
 class ResultSet:
-    """Rows plus the fingerprint of the config that produced them."""
+    """Result rows in the order they were added."""
 
-    fingerprint: str
     rows: list[Row] = field(default_factory=list)
 
     def add(

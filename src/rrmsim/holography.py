@@ -11,6 +11,11 @@ contributed by the power matrix's direction-independent terms.
 ``rhs_weights`` implements the baseline that skips recording entirely and
 computes weights from known directions and gains (perfect CSI).
 
+``reconstruct_field`` is the field E_r * W' that the raw reindexed power
+radiates, and ``reconstruction_terms`` builds its four term groups directly
+from the paths. The reindexing identities are checked through the two, by
+the invariant suite (``harness.invariants``) and the tests.
+
 The formulas work on stacks: ``record_power``, ``weight_stack`` and
 ``rhs_weight_stack`` take path arrays of shape (..., L) and return
 (..., M, N) matrices, one per Monte-Carlo trial. ``record_hologram``,
@@ -365,54 +370,6 @@ def rhs_weight_stack(
     return WeightStack(values, np.zeros(peak.shape), 1.0 / safe, no, no)
 
 
-@dataclass(frozen=True)
-class ReindexReport:
-    """Max-norm residuals of the three reindexing identities."""
-
-    object_conjugacy: float
-    reference_symmetry: float
-    expansion: float
-
-    def max_residual(self) -> float:
-        return max(self.object_conjugacy, self.reference_symmetry, self.expansion)
-
-    def passed(self, tol: float = 1e-10) -> bool:
-        return self.max_residual() < tol
-
-
-def verify_reindexing_identities(
-    geom: SurfaceGeometry, ref: ReferenceWaveSpec, paths: PathSet
-) -> ReindexReport:
-    """Numerically check the identities behind reindexing reconstruction.
-
-    1. The reindexed incident field equals its elementwise conjugate.
-    2. The reindexed reference field equals itself.
-    3. The reindexed noise-free power matrix equals its five-group expansion
-       (per-path powers + reference power + two conjugate cross terms +
-       cross-path sum), every group built independently.
-
-    The identities hold exactly when the composite path gains are real
-    (complex gains rotate per-path phases, which moves no beam but breaks
-    elementwise conjugation).
-    """
-    e_r = reference_field(geom, ref)
-    e_o = object_field(geom, paths, ref)
-
-    res_obj = float(np.max(np.abs(reindex(e_o) - np.conj(e_o))))
-    res_ref = float(np.max(np.abs(reindex(e_r) - e_r)))
-
-    power = np.abs(e_o + e_r) ** 2
-    expansion = (
-        paths.total_power()
-        + np.abs(e_r) ** 2
-        + np.conj(e_o) * np.conj(e_r)
-        + e_o * e_r
-        + _cross_path_sum(geom, ref, paths)
-    )
-    res_exp = float(np.max(np.abs(reindex(power) - expansion)))
-    return ReindexReport(res_obj, res_ref, res_exp)
-
-
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write a real matrix as CSV, one matrix row per line, `%.17g` floats."""
     m = np.asarray(matrix, dtype=float)
@@ -420,13 +377,3 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
         for row in m:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by ``save_matrix_csv``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    return np.array(rows, dtype=float)

@@ -6,8 +6,10 @@ contributes one complex equivalent amplitude (an exact sum over elements);
 root-raised-cosine transmit/receive filtering turns the path delays into
 discrete-time taps h[l] through the composite raised-cosine pulse evaluated
 at fractional offsets, at exactly the 2K-1 lags -(K-1)..K-1 that a K-symbol
-block reads. The block sees a Toeplitz channel matrix, white noise (identity
-noise filter at symbol-rate RRC sampling), and
+block reads. The filter pair is never sampled: ``raised_cosine`` is its
+closed form, and ``PulseSpec`` holds only the rolloff and symbol period.
+The block sees a Toeplitz channel matrix, white noise (identity noise
+filter at symbol-rate RRC sampling), and
 
     MI = (1/K) * log2 det(I + gamma * H * H^H)
 
@@ -80,89 +82,16 @@ STACK_BYTES = 16 * 2**20
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Root-raised-cosine transmit/receive filter pair."""
+    """Root-raised-cosine transmit/receive filter pair, used through ``raised_cosine``."""
 
     symbol_period: float = 1.0e-8
     rolloff: float = 0.25
-    span_symbols: int = 10
-    samples_per_symbol: int = 8
 
     def __post_init__(self):
         if self.symbol_period <= 0:
             raise ValueError(f"symbol_period: must be positive, got {self.symbol_period}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError(f"rolloff: must lie in [0, 1], got {self.rolloff}")
-        if self.span_symbols < 4:
-            raise ValueError(f"span_symbols: must be >= 4, got {self.span_symbols}")
-        if self.samples_per_symbol < 1:
-            raise ValueError(f"samples_per_symbol: must be >= 1, got {self.samples_per_symbol}")
-
-
-def _rrc_closed_form(t: np.ndarray, a: float) -> np.ndarray:
-    """Root-raised-cosine impulse response at times t (symbol periods)."""
-    if a == 0.0:
-        return np.sinc(t)
-    taps = np.zeros(t.shape)
-    at_zero = np.isclose(t, 0.0)
-    taps[at_zero] = 1.0 - a + 4.0 * a / math.pi
-    at_sing = np.isclose(np.abs(t), 1.0 / (4.0 * a)) & ~at_zero
-    taps[at_sing] = (a / math.sqrt(2.0)) * (
-        (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * a))
-        + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * a))
-    )
-    rest = ~(at_zero | at_sing)
-    tr = t[rest]
-    num = np.sin(math.pi * tr * (1.0 - a)) + 4.0 * a * tr * np.cos(
-        math.pi * tr * (1.0 + a)
-    )
-    den = math.pi * tr * (1.0 - (4.0 * a * tr) ** 2)
-    taps[rest] = num / den
-    return taps
-
-
-def _symbol_lag_isi(q: np.ndarray, sps: int, span: int) -> float:
-    w = np.convolve(q, q)
-    center = (w.size - 1) // 2
-    lags = sps * np.arange(1, 2 * span + 1)
-    return float(np.max(np.abs(w[center + lags])))
-
-
-def rrc_impulse(pulse: PulseSpec) -> np.ndarray:
-    """Unit-energy root-raised-cosine taps over +/- span_symbols.
-
-    The taps evaluate the closed form on the grid
-    (arange(n) - (n-1)/2) / samples_per_symbol with
-    n = 2 * span_symbols * samples_per_symbol + 1, using the limit values
-    at the two removable singularities (t = 0 and |t| = 1/(4*rolloff)).
-
-    Truncating the tail mid-lobe leaves a residual correlation spike in the
-    composite q*q at the span-boundary symbol lag (e.g. 3e-3 for span 10 at
-    rolloff 0.25), so the outer tail is cosine-tapered, with the taper width
-    searched over [0, span/2] to minimize the worst symbol-lag composite
-    value. The interior of the pulse, including both singularity points, is
-    never modified.
-    """
-    sps = pulse.samples_per_symbol
-    span = pulse.span_symbols
-    n = 2 * span * sps + 1
-    t = (np.arange(n) - (n - 1) / 2.0) / sps
-    base = _rrc_closed_form(t, pulse.rolloff)
-
-    best_isi = math.inf
-    best = None
-    for edge in np.arange(0.0, span / 2.0 + 0.25, 0.25):
-        taper = np.ones(n)
-        if edge > 0.0:
-            outer = np.abs(t) > span - edge
-            taper[outer] = 0.5 * (
-                1.0 + np.cos(math.pi * (np.abs(t[outer]) - (span - edge)) / edge)
-            )
-        q = base * taper
-        q = q / math.sqrt(float(np.sum(q**2)))
-        isi = _symbol_lag_isi(q, sps, span)
-        if isi < best_isi:
-            best_isi, best = isi, q
-    return best
 
 
 def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:

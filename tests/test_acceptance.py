@@ -27,7 +27,6 @@ from rrmsim import (
     reconstruct_field,
     reference_field,
     reindex,
-    rrc_impulse,
 )
 from rrmsim.channel import Path
 from rrmsim.holography import make_weights, reconstruction_terms
@@ -35,6 +34,7 @@ from rrmsim.link import (
     alpha_taps,
     alpha_taps_split,
     gamma_from_db,
+    raised_cosine,
     realize_block,
     trial_mi_curves,
 )
@@ -246,20 +246,15 @@ def test_criterion_7_mutual_information_numerics():
 
 
 def test_criterion_8_nyquist_property():
-    """Composite pulse at span 10, rolloff 0.25: w[0]=1 and |w[k!=0]| under 1e-3."""
-    pulse = PulseSpec(rolloff=0.25, span_symbols=10, samples_per_symbol=8)
-    q = rrc_impulse(pulse)
-    w = np.convolve(q, q)
-    center = (w.size - 1) // 2
-    sps = pulse.samples_per_symbol
-    center_err = abs(w[center] - 1.0)
-    lags = np.arange(1, 2 * pulse.span_symbols + 1)
-    worst = max(
-        float(np.max(np.abs(w[center + lags * sps]))),
-        float(np.max(np.abs(w[center - lags * sps]))),
-    )
-    assert center_err < 1e-3
-    assert worst < 1e-3
+    """Composite pulse at rolloffs 0, 0.25, 0.5 and 1: w[0]=1 and |w[k!=0]| under 1e-12."""
+    lags = np.arange(-20, 21)
+    center_err = worst = 0.0
+    for rolloff in (0.0, 0.25, 0.5, 1.0):
+        w = raised_cosine(lags, rolloff)
+        center_err = max(center_err, abs(float(w[lags == 0][0]) - 1.0))
+        worst = max(worst, float(np.max(np.abs(w[lags != 0]))))
+    assert center_err < 1e-12
+    assert worst < 1e-12
     _status(8, f"|w[0]-1| = {center_err:.1e}, max |w[k!=0]| = {worst:.1e}")
 
 

@@ -14,8 +14,10 @@ from rrmsim.harness import (
     save_config,
 )
 from rrmsim.harness import config as config_module
+from rrmsim.harness import invariants
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import OutageBlock, config_from_dict
+from rrmsim.harness.presets import resolve_config
 from rrmsim.harness.results import fmt9
 from rrmsim.link import outage_probability
 
@@ -210,7 +212,7 @@ class TestConfig:
 
 class TestEmitCsv:
     def test_single_row_two_lines(self, tmp_path):
-        rs = ResultSet("abc123")
+        rs = ResultSet()
         rs.add("demo", "snr_db", 10.0, "mi_bits", 3.5, None, 7)
         out = tmp_path / "results.csv"
         emit_csv(rs, out)
@@ -225,7 +227,7 @@ class TestEmitCsv:
         assert fmt9(0.000123456789) == "0.000123456789"
 
     def test_byte_identical_reruns(self, tmp_path):
-        rs = ResultSet("abc123")
+        rs = ResultSet()
         rs.add("demo", "snr_db", 0.0, "mi", 1.23456789012, 0.05, 3)
         rs.add("demo", "snr_db", 5.0, "mi", 2.5, None, 3)
         a = tmp_path / "a.csv"
@@ -236,7 +238,7 @@ class TestEmitCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(ResultSet("x"), tmp_path / "no.csv")
+            emit_csv(ResultSet(), tmp_path / "no.csv")
 
 
 def fast_overrides(**extra):
@@ -252,7 +254,7 @@ class TestPresets:
             run_preset("fig99", out_dir="/tmp/nope", quiet=True)
 
     def test_fig6_deterministic_byte_identical(self, tmp_path):
-        rs1 = run_preset(
+        run_preset(
             "fig6_b_sweep", overrides=fast_overrides(), out_dir=tmp_path / "a", quiet=True
         )
         run_preset(
@@ -262,7 +264,8 @@ class TestPresets:
         b = (tmp_path / "b" / "results.csv").read_bytes()
         assert a == b
         meta = json.loads((tmp_path / "a" / "meta.json").read_text())
-        assert meta["fingerprint"] == rs1.fingerprint
+        expected = resolve_config("fig6_b_sweep", None, fast_overrides()).fingerprint()
+        assert meta["fingerprint"] == expected
 
     def test_fig8_row_count(self, tmp_path):
         rs = run_preset(
@@ -319,6 +322,22 @@ class TestPresets:
     def test_validate_preset_all_pass(self, tmp_path):
         rs = run_preset("validate", out_dir=tmp_path, quiet=True)
         assert all(r.value == 1.0 for r in rs.rows if r.metric == "passed")
+
+
+class TestInvariantSuite:
+    @pytest.mark.parametrize("name, covered", [("unlisted_check", False), ("_helper", True)])
+    def test_a_public_function_left_out_of_the_checks_fails_coverage(
+        self, monkeypatch, name, covered
+    ):
+        def fn():
+            return True, "never run"
+
+        fn.__module__ = invariants.__name__
+        assert invariants.suite_name_coverage()[0]
+        monkeypatch.setattr(invariants, name, fn, raising=False)
+        ok, detail = invariants.suite_name_coverage()
+        assert ok == covered
+        assert detail == ("every check function is listed" if covered else f"missing: [{name!r}]")
 
 
 class TestCli:

@@ -17,7 +17,6 @@ from rrmsim import (
     outage_probability,
     record_hologram,
     rhs_weights,
-    rrc_impulse,
 )
 from rrmsim import link
 from rrmsim.channel import Path
@@ -36,46 +35,6 @@ from rrmsim.link import (
 from conftest import make_five_paths, make_geometry, make_reference
 
 
-class TestRrcImpulse:
-    def test_unit_energy(self):
-        q = rrc_impulse(PulseSpec(rolloff=0.25, span_symbols=10, samples_per_symbol=8))
-        assert abs(float(np.sum(q**2)) - 1.0) < 1e-9
-
-    def test_composite_nyquist_property(self):
-        pulse = PulseSpec(rolloff=0.25, span_symbols=10, samples_per_symbol=8)
-        q = rrc_impulse(pulse)
-        w = np.convolve(q, q)
-        center = (w.size - 1) // 2
-        sps = pulse.samples_per_symbol
-        assert abs(w[center] - 1.0) < 1e-3
-        for k in range(1, 2 * pulse.span_symbols + 1):
-            assert abs(w[center + k * sps]) < 1e-3
-            assert abs(w[center - k * sps]) < 1e-3
-
-    def test_zero_rolloff_composite_is_sinc_shaped(self):
-        # qualitative limiting case: the slow 1/t tail makes the ISI taper
-        # bite harder here, so compare shape, not exact samples
-        pulse = PulseSpec(rolloff=0.0, span_symbols=10, samples_per_symbol=8)
-        q = rrc_impulse(pulse)
-        w = np.convolve(q, q)
-        center = (w.size - 1) // 2
-        sps = pulse.samples_per_symbol
-        idx = np.arange(-4 * sps, 4 * sps + 1)
-        t = idx / sps
-        samples = w[center + idx]
-        assert np.allclose(samples, np.sinc(t), atol=0.05)
-        similarity = np.dot(samples, np.sinc(t)) / (
-            np.linalg.norm(samples) * np.linalg.norm(np.sinc(t))
-        )
-        assert similarity > 0.995
-
-    def test_rolloff_validation(self):
-        with pytest.raises(ValueError):
-            PulseSpec(rolloff=1.5)
-        with pytest.raises(ValueError):
-            PulseSpec(span_symbols=2)
-
-
 class TestRaisedCosine:
     def test_nyquist_zeros_exact(self):
         t = np.arange(-20, 21, dtype=float)
@@ -88,6 +47,10 @@ class TestRaisedCosine:
         a = 0.25
         w = raised_cosine(np.array([1.0 / (2 * a)]), a)
         assert w[0] == pytest.approx((math.pi / 4) * np.sinc(1.0 / (2 * a)))
+
+    def test_rolloff_validation(self):
+        with pytest.raises(ValueError, match=r"^rolloff: must lie in \[0, 1\], got 1.5$"):
+            PulseSpec(rolloff=1.5)
 
     def test_zero_rolloff_is_sinc(self):
         t = np.linspace(-3, 3, 25)

@@ -8,17 +8,28 @@ It runs ``record``, ``mi-sweep --reps 1`` and ``outage`` (two trials) on a
 4x4 surface. A config that ``config_from_dict`` accepts must exit 0 from
 each, without a numeric warning; one it rejects must exit 2 from each,
 never 4.
+
+A second property draws one leaf key of the schema and gives it a value of
+a JSON type it does not accept, or adds an unknown key beside it: the
+``ConfigError`` must name the dotted key and ``record`` must exit 2.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import string
+import types
+import typing
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrmsim.harness.cli import main
-from rrmsim.harness.config import ConfigError, config_from_dict
+from rrmsim.harness.config import ConfigError, ExperimentConfig, config_from_dict
 
 LIMIT = 1.0e4  # the amplitude bound A of docs/config.md
 DB_LIMIT = 300.0
@@ -134,3 +145,84 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
             code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code == want, (command[0], config)
         assert out.exists() == (want == 0)
+
+
+def _leaves(cls, prefix=""):
+    """(dotted key, type hint, owning class) of every leaf field; a list of objects as entry [0]."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key, hint = prefix + f.name, hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            yield from _leaves(hint, key + ".")
+            continue
+        yield key, hint, cls
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple and args and dataclasses.is_dataclass(args[0]):
+            yield from _leaves(args[0], key + "[0].")
+
+
+LEAVES = tuple(_leaves(ExperimentConfig))
+# One value of each JSON type.
+JSON_VALUES = {
+    "null": None, "bool": True, "int": 3, "float": 2.5, "string": "x", "list": [1.0], "object": {},
+}
+ENTRY = {"theta_deg": 10.0, "phi_deg": 0.0}  # a valid list entry [0] (a manual path)
+
+
+def _accepted(hint) -> set:
+    """The JSON types a field of this type hint accepts."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = (a for a in typing.get_args(hint) if a is not type(None))
+        return {"null"} | _accepted(inner)
+    if typing.get_origin(hint) is tuple:
+        return {"list"}
+    return {int: {"int"}, float: {"int", "float"}, str: {"string"}}[hint]
+
+
+def _config_with(key: str, value) -> dict:
+    """A config object that sets only the dotted key, inside a valid list entry [0]."""
+    head, _, rest = key.partition(".")
+    if not rest:
+        return {head: value}
+    if head.endswith("[0]"):
+        return {head[:-3]: [{**ENTRY, **_config_with(rest, value)}]}
+    return {head: _config_with(rest, value)}
+
+
+def test_leaves_cover_the_schema():
+    keys = [key for key, _, _ in LEAVES]
+    assert "surface.M" in keys and "link.snr_db" in keys and "seed" in keys
+    assert "channel.paths" in keys and "channel.paths[0].gain_imag" in keys
+    assert len(keys) == len(set(keys))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_rejected_key_is_named_and_exits_2(tmp_path_factory, data):
+    key, hint, owner = data.draw(st.sampled_from(LEAVES), label="leaf")
+    if data.draw(st.booleans(), label="unknown sibling"):
+        names = {f.name for f in dataclasses.fields(owner)}
+        name = data.draw(
+            st.text(string.ascii_letters + "_", min_size=1, max_size=8).filter(
+                lambda n: n not in names
+            ),
+            label="name",
+        )
+        key = key.rpartition(".")[0] + "." + name if "." in key else name
+        config, want = _config_with(key, 1.0), f"unknown key {key}"
+    else:
+        wrong = sorted(set(JSON_VALUES) - _accepted(hint))
+        kind = data.draw(st.sampled_from(wrong), label="type")
+        config, want = _config_with(key, JSON_VALUES[kind]), f"{key}: "
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(config)
+    message = str(info.value)
+    assert message == want if want.startswith("unknown") else message.startswith(want)
+    tmp = tmp_path_factory.mktemp("rejected")
+    path, out = tmp / "cfg.json", tmp / "out"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["record", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 2 and not out.exists()
+    assert err.getvalue() == f"config error: {message}\n"

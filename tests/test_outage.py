@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim import link
 from rrmsim.harness import run_preset
@@ -111,6 +113,39 @@ def test_bits_on_synthetic_taps(normalized):
         assert np.array_equal(
             link._outage_bits(h, gammas, r_th), _eigen_bits(h, gammas, r_th)
         ), r_th
+
+
+@st.composite
+def tap_stacks(draw):
+    """(T, 2K-1) taps of one kind: a single tap, near-single, all zero, random or wide-range."""
+    kind = draw(st.sampled_from(("single", "near_single", "zero", "random", "wide_range")))
+    T, K = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (T, 2 * K - 1)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "wide_range":  # tap magnitudes spread over up to 12 decades
+        h *= 10.0 ** rng.uniform(-draw(st.floats(0.0, 12.0)), 0.0, size=shape)
+    elif kind != "random":
+        centre = h[:, K - 1].copy()
+        h *= draw(st.sampled_from((1e-15, 1e-12, 1e-8))) if kind == "near_single" else 0.0
+        if kind != "zero":
+            h[:, K - 1] = centre
+    return h * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    h=tap_stacks(),
+    snrs=st.lists(st.one_of(st.just(-math.inf), st.floats(-30.0, 60.0)), min_size=1, max_size=4),
+    pick=st.integers(0, 2**16),
+)
+def test_property_outage_bits_equal_eigen_bits(h, snrs, pick):
+    """Bits equal the eigen MI's at r_th on one pair's eigen MI and one ulp either side."""
+    gammas = np.array([link.gamma_from_db(snr) for snr in snrs])
+    mi = link._mi_bits(link._eigvals(link._gram_stack(h)), gammas)
+    exact = mi.flat[pick % mi.size]
+    for r_th in (np.nextafter(exact, -np.inf), exact, np.nextafter(exact, np.inf)):
+        assert np.array_equal(link._outage_bits(h, gammas, r_th), mi < r_th), r_th
 
 
 def test_failed_cholesky_falls_back_to_the_eigen_mi(monkeypatch):

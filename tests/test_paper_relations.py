@@ -12,7 +12,9 @@ half-width are in each comment); draws of other seeds, and a 400-trial run,
 fall inside every band.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,3 +128,24 @@ def test_longer_recording_gains(curves, rec_snr):
 def test_noise_free_recording_at_least_recorded(curves):
     loss = curves[16, "mean"] - curves[16, 10.0, 5]
     _assert_band("noise-free - (10 dB, 5 symbols)", loss, NOISE_FREE_BAND)
+
+
+# docs/weight_power_split.py at 60 trials, per size: the RRM and RHS mean
+# shares of sum W^2 and the ratio of sum |alpha|^2, RRM / RHS. Bands from
+# docs/rrm_vs_rhs.md (2,000 trials: 0.351-0.358, 0.758-0.798, 2.19-2.29)
+# with a margin; measured at 60 trials 0.347-0.358, 0.758-0.800, 2.21-2.32.
+SPLIT_BANDS = {"rrm_share": (0.30, 0.42), "rhs_share": (0.72, 0.84), "ratio": (1.9, 2.6)}
+
+
+def test_weight_power_split_script(capsys):
+    script = Path(__file__).resolve().parents[1] / "docs" / "weight_power_split.py"
+    spec = importlib.util.spec_from_file_location("weight_power_split", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(60)
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["size", "rrm_mean_share", "rhs_mean_share", "alpha_power_rrm/rhs"]
+    assert [row.split()[0] for row in rows] == ["8x8", "16x16", "32x32"]
+    for row in rows:
+        for (name, (lo, hi)), value in zip(SPLIT_BANDS.items(), row.split()[1:]):
+            assert lo <= float(value) <= hi, (row, name)
