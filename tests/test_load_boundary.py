@@ -217,7 +217,7 @@ def test_a_rejected_key_is_named_and_exits_2(tmp_path_factory, data):
     with pytest.raises(ConfigError) as info:
         config_from_dict(config)
     message = str(info.value)
-    assert message == want if want.startswith("unknown") else message.startswith(want)
+    assert message.startswith(want)
     tmp = tmp_path_factory.mktemp("rejected")
     path, out = tmp / "cfg.json", tmp / "out"
     path.write_text(json.dumps(config))
