@@ -32,7 +32,6 @@ from .link import (
     build_toeplitz,
     equivalent_taps,
     mutual_information,
-    outage_probability,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "mutual_information",
     "noise_power_for_snr",
     "object_field",
-    "outage_probability",
     "record_hologram",
     "reconstruct_field",
     "reference_field",

@@ -12,9 +12,8 @@ So ``workers`` allows more than one thread only when the environment pins
 BLAS: ``OPENBLAS_NUM_THREADS``, or ``OMP_NUM_THREADS`` when that is unset,
 is ``"1"``. Otherwise every caller keeps its serial loop and starts no pool.
 
-Each piece handed to ``thread_map`` or ``pipeline`` runs unchanged code on
-data no other piece writes, so the results carry the same bytes on either
-path.
+Each piece handed to ``thread_map`` runs unchanged code on data no other
+piece writes, so the results carry the same bytes on either path.
 """
 
 from __future__ import annotations
@@ -68,54 +67,3 @@ def thread_map(fn, items) -> list:
         futures = [pool.submit(fn, item) for item in items[1:]]
         first = fn(items[0])
         return [first] + [f.result() for f in futures]
-
-
-def pipeline(fill, drain, items, new_slot) -> None:
-    """``fill(slot, item)`` then ``drain(slot)`` for every item, drained in item order.
-
-    With ``workers(len(items)) == 1`` this is a loop over one slot in the
-    calling thread. Otherwise one worker thread fills two slots in turn while
-    the calling thread drains each filled slot and hands it back, so a fill
-    overlaps the drain of the slot before it. Every slot is made by
-    ``new_slot`` in the calling thread, and the drains run there too: glibc
-    keeps what a worker thread frees resident in that thread's heap arena, so
-    only fill's own temporaries should be allocated on the worker.
-
-    A fill that raises ends the drains and its exception reaches the caller;
-    a drain that raises stops the worker at its next slot. The worker is
-    joined before this returns or raises.
-    """
-    items = list(items)
-    if workers(len(items)) == 1:
-        slot = new_slot()
-        for item in items:
-            fill(slot, item)
-            drain(slot)
-        return
-    import queue
-    from concurrent.futures import ThreadPoolExecutor
-
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        free.put(new_slot())
-
-    def produce() -> None:
-        try:
-            for item in items:
-                slot = free.get()
-                if slot is None:  # a drain failed
-                    return
-                fill(slot, item)
-                ready.put(slot)
-        finally:
-            ready.put(None)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(produce)
-        try:
-            while (slot := ready.get()) is not None:
-                drain(slot)
-                free.put(slot)
-        finally:
-            free.put(None)
-        future.result()

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cores import pipeline, thread_map, workers
+from ._cores import thread_map, workers
 from .holography import WeightStack
 from .surface import Direction, ReferenceWaveSpec, SurfaceGeometry, reference_field
 
@@ -108,8 +108,13 @@ def _phi_wraps(phi_rad: np.ndarray) -> bool:
 
 
 def default_axes(step_deg: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """theta in [0, 90] deg inclusive, phi in [0, 360) deg, both in radians."""
-    theta = np.radians(np.arange(0.0, 90.0 + step_deg / 2, step_deg))
+    """theta in [0, 90] deg, phi in [0, 360) deg, both in radians, step_deg apart.
+
+    The theta rows are the multiples of step_deg below 90 + step_deg/2. When
+    step_deg does not divide 90 the last of them can lie past 90 deg (91 deg
+    at a 13 deg step); it is moved onto 90 deg, the horizon.
+    """
+    theta = np.radians(np.minimum(np.arange(0.0, 90.0 + step_deg / 2, step_deg), 90.0))
     phi = np.radians(np.arange(0.0, 360.0, step_deg))
     return theta, phi
 
@@ -392,25 +397,21 @@ def export_pattern_csv(pattern: PatternGrid, path) -> None:
     NaN, and the values within 1e-6 units of the 9th significant digit of a
     rounding tie.
 
-    The rows are formatted in blocks of ``_CSV_BLOCK_ROWS``, so no whole-file
-    buffer is built. When ``_cores.workers`` allows several threads, a worker
-    thread fills the next block's records while the calling thread compacts
-    and writes the block before it (``_cores.pipeline``).
+    The rows are formatted in blocks of ``_CSV_BLOCK_ROWS`` into one reused
+    ``_CsvBlock``, so no whole-file buffer is built.
     """
     db = pattern.power_db
     theta = _field_words([f"\n{v:.9g}," for v in np.degrees(pattern.theta_rad).tolist()], False)
     phi = _field_words([f"{v:.9g}," for v in np.degrees(pattern.phi_rad).tolist()], True)
     rows = min(_CSV_BLOCK_ROWS, db.shape[0])
+    block = _CsvBlock(theta.shape[1], phi, rows)
     with open(path, "wb") as fh:
         # Each record starts with its newline, so the header's comes first
         # and the last record's at the end.
         fh.write(b"theta_deg,phi_deg,power_db")
-        pipeline(
-            lambda block, a: block.fill(db[a : a + rows], theta[a : a + rows]),
-            lambda block: fh.write(block.compact()),
-            range(0, db.shape[0], rows),
-            lambda: _CsvBlock(theta.shape[1], phi, rows),
-        )
+        for a in range(0, db.shape[0], rows):
+            block.fill(db[a : a + rows], theta[a : a + rows])
+            fh.write(block.compact())
         fh.write(b"\n")
 
 
@@ -486,11 +487,8 @@ class _CsvBlock:
     value bytes: the head word and the two fraction halves from the digit
     tables, or the "%.9g" text of a fallback value. Dropping every NUL byte
     leaves the lines. The padding of neighbouring fields sits together, so
-    each line is two runs of text; the compaction costs per run.
-
-    Every array is made by the constructor, which ``_cores.pipeline`` runs
-    in the calling thread, and reused for each row block, so a block filled
-    on a worker thread allocates little there.
+    each line is two runs of text; the compaction costs per run. Every array
+    is made by the constructor and reused for each row block.
     """
 
     def __init__(self, theta_words: int, phi: np.ndarray, rows: int):

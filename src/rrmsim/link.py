@@ -26,13 +26,13 @@ weights), ``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
 (T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and
 one (T, n_snr) MI expression. In normalized mode the taps of each block are
 scaled to unit average receive power before any matrix is formed, so no
-later step knows the mode. Every MI and outage sweep is ``stack_mi`` of
-one stack per curve: seeded draws, or a manual path set broadcast over its
-recording seeds. ``realize_block``, ``alpha_taps``, ``equivalent_taps`` and
-``build_toeplitz`` are single-block views of the same functions, as
-``holography.record_hologram`` and ``make_weights`` are of ``record_power``
-and ``weight_stack``; the weight views take the one-matrix ``WeightStack``
-that ``make_weights`` and ``rhs_weights`` return.
+later step knows the mode. Every MI sweep is ``stack_mi``, and every
+outage sweep ``stack_outage``, of one stack per curve: seeded draws, or a
+manual path set broadcast over its recording seeds. ``alpha_taps``,
+``equivalent_taps`` and ``build_toeplitz`` are single-block views of the
+same functions, as ``holography.record_hologram`` and ``make_weights``
+are of ``record_power`` and ``weight_stack``; the weight views take the
+one-matrix ``WeightStack`` that ``make_weights`` and ``rhs_weights`` return.
 
 An outage sweep needs only the bit MI < r_th of each block and SNR.
 ``stack_outage`` runs the chunks of ``stack_mi`` and decides most bits from
@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -421,13 +420,6 @@ def recorded_power(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     return record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.num_samples, seeds)
 
 
-def realize_block(
-    scenario: LinkScenario, paths: PathSet, recording_seed: int = 0
-) -> np.ndarray:
-    """K x K channel matrix for one path realization, normalization applied."""
-    return _toeplitz(_scenario_taps(scenario, paths.arrays, [recording_seed]))
-
-
 def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
     """(..., 2K-1) block taps of a (..., L) path stack: weights, amplitudes, taps, normalization."""
     s = scenario
@@ -660,30 +652,3 @@ def outage_ci(below) -> tuple[float, float]:
     below = np.asarray(below)
     p = float(np.mean(below))
     return p, 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / below.size)
-
-
-class OutageResult(NamedTuple):
-    probability: float
-    ci_half_width: float
-    trials: int
-
-
-def outage_probability(
-    scenario: LinkScenario, r_th: float, snr_db: float, trials: int, seed: int
-) -> OutageResult:
-    """Monte-Carlo outage Pr{MI < r_th} with a 95% binomial half-width.
-
-    Each trial runs the full pipeline on the ``draw_trials`` draws: sample
-    paths, record (rrm only), derive weights and taps; ``stack_outage`` then
-    decides MI < r_th from two spectral bounds of the taps where they clear
-    the threshold, and from the block's log-determinant or eigenvalues where
-    they do not, so every bit is the one ``trial_mi_curves(...) < r_th``
-    gives.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if r_th < 0:
-        raise ValueError("threshold rate must be nonnegative")
-    paths, seeds = draw_trials(scenario.channel, trials, seed)
-    below = stack_outage(scenario, paths, seeds, [snr_db], r_th)[:, 0]
-    return OutageResult(*outage_ci(below), trials)

@@ -35,13 +35,12 @@ from rrmsim.link import (
     alpha_taps_split,
     gamma_from_db,
     raised_cosine,
-    realize_block,
     trial_mi_curves,
 )
 from rrmsim.surface import object_field
 from rrmsim.harness import run_preset
 
-from conftest import make_five_paths, make_geometry, make_reference
+from conftest import block_matrix, make_five_paths, make_geometry, make_reference
 
 
 def _status(num, detail):
@@ -49,7 +48,7 @@ def _status(num, detail):
 
 
 def _mi_curve(scenario, paths, snr_db_list, recording_seed=0):
-    H = realize_block(scenario, paths, recording_seed)
+    H = block_matrix(scenario, paths, recording_seed)
     lam = np.clip(np.linalg.eigvalsh(H @ H.conj().T), 0.0, None)
     return np.array(
         [float(np.sum(np.log2(1.0 + gamma_from_db(s) * lam)) / scenario.K) for s in snr_db_list]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rrmsim.beampattern import (
     find_peaks,
     sidelobe_metrics,
 )
+from rrmsim.harness.cli import main
 from rrmsim.harness.presets import resolve_config
 
 from conftest import make_five_paths, make_geometry, make_reference
@@ -191,6 +193,83 @@ class TestSteeringTables:
         monkeypatch.setattr(beampattern, "np", CountingNumpy())
         array_factor(geom, ref, weights[1], theta, phi)
         assert sum(counted) == 181 * 16 * 789
+
+
+def _axis(draw_values, size):
+    """Strictly increasing radians: general angles, multiples of 90 degrees, -0.0, negatives."""
+    degrees = st.one_of(
+        st.floats(-400.0, 400.0, allow_nan=False),
+        st.sampled_from([-0.0, 0.0, -90.0, 90.0, 180.0, -180.0, 270.0, 360.0, 450.0]),
+    )
+    return np.unique(np.radians(draw_values(st.lists(degrees, min_size=1, max_size=size))))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_property_array_factor_equals_reference(data):
+    """array_factor against the full evaluation under np.array_equal, serial and threaded."""
+    rows = data.draw(st.integers(1, 9), label="rows")
+    cols = data.draw(st.integers(1, 9), label="cols")
+    dx = data.draw(st.floats(0.001, 0.01), label="dx")
+    dy = data.draw(st.one_of(st.just(dx), st.floats(0.001, 0.01)), label="dy")
+    theta = _axis(lambda s: data.draw(s, label="theta_deg"), 12)
+    phi = _axis(lambda s: data.draw(s, label="phi_deg"), 16)
+    cpus = data.draw(st.integers(2, 5), label="cpus")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+    ref = make_reference(geom)
+    weights = np.random.default_rng(seed).uniform(0.0, 1.0, size=geom.shape)
+    weights[0, 0] = 1.0  # never all zero
+    power_db, peak = array_factor_reference(geom, ref, weights, theta, phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        mp.delenv("OMP_NUM_THREADS", raising=False)
+        for threaded in (False, True):
+            if threaded:  # as the force_threads fixture
+                mp.setenv("OPENBLAS_NUM_THREADS", "1")
+                mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                assert _cores.workers(theta.size) == min(theta.size, cpus)
+            pattern = array_factor(geom, ref, weights, theta, phi)
+            assert np.array_equal(pattern.power_db, power_db, equal_nan=True)
+            assert pattern.peak_linear == peak
+
+
+class TestDefaultAxes:
+    @pytest.mark.parametrize(
+        "step_deg",
+        [0.1, 0.125, 0.3, 0.5, 0.7, 1.1, 1.5, 2.0, 2.7, 7.0, 13.0, 45.0, 50.0, 89.0, 90.0, 120.0],
+    )
+    def test_every_theta_row_is_an_elevation(self, step_deg):
+        theta, _ = default_axes(step_deg)
+        deg = np.degrees(theta)
+        assert theta[0] == 0.0 and np.all(np.diff(theta) > 0.0)
+        assert np.max(theta) <= math.pi / 2  # what Direction accepts
+        # the rows before the last are step_deg apart; the last is within
+        # half a step of the horizon
+        assert np.allclose(np.diff(deg[:-1]), step_deg, rtol=0.0, atol=1e-9)
+        assert 90.0 - deg[-1] <= step_deg / 2
+
+    @pytest.mark.parametrize("step_deg", [0.125, 0.5, 1.5, 2.0])
+    def test_grids_that_divide_ninety_end_on_the_horizon(self, step_deg):
+        theta, _ = default_axes(step_deg)
+        n = round(90.0 / step_deg) + 1
+        assert np.array_equal(theta, np.radians(np.arange(n) * step_deg))
+        assert theta[-1] == math.pi / 2
+
+    @pytest.mark.parametrize(
+        "step_deg, last", [(0.7, 89.6), (7.0, 84.0), (13.0, 78.0), (50.0, 50.0)]
+    )
+    def test_a_last_row_past_ninety_moves_onto_it(self, step_deg, last):
+        deg = np.degrees(default_axes(step_deg)[0])
+        assert deg[-1] == 90.0
+        assert deg[-2] == pytest.approx(last, abs=1e-9)
+
+    def test_cli_beampattern_at_13_degrees(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["beampattern", "--step-deg", "13", "--out", str(out), "--quiet"])
+        assert code == 0
+        rows = np.loadtxt(out / "pattern.csv", delimiter=",", skiprows=1)
+        assert sorted(set(rows[:, 0])) == [0, 13, 26, 39, 52, 65, 78, 90]
 
 
 class TestArrayFactor:

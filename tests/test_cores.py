@@ -1,9 +1,8 @@
 """Thread use: the rule in rrmsim._cores and byte identity of its callers.
 
 The threaded path must give the same bytes as the serial loop: paired
-rrm/rhs curves (fig9, fig10, CLI sweeps), the theta-row blocks of
-``beampattern.array_factor`` and the row blocks of
-``beampattern.export_pattern_csv``.
+rrm/rhs curves (fig9, fig10, CLI sweeps) and the theta-row blocks of
+``beampattern.array_factor``.
 """
 
 import json
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 from rrmsim import _cores, link
-from rrmsim.beampattern import PatternGrid, array_factor, default_axes, export_pattern_csv
+from rrmsim.beampattern import array_factor, default_axes
 from rrmsim.harness import run_preset
 from rrmsim.harness.cli import main
 from rrmsim.harness.presets import paired_curves, resolve_config
@@ -80,82 +79,6 @@ class TestThreadMap:
 
         with pytest.raises(RuntimeError, match=f"item {bad}"):
             _cores.thread_map(fn, range(3))
-        assert threading.active_count() == before
-
-
-class TestPipeline:
-    def run(self, items, fail_fill=None, fail_drain=None):
-        """Slot makers, fill threads and (item, square, thread) drains of one pipeline."""
-        made, filled, drained = [], [], []
-
-        def new_slot():
-            made.append(threading.get_ident())
-            return {}
-
-        def fill(slot, item):
-            if item == fail_fill:
-                raise RuntimeError(f"fill {item}")
-            slot["item"], slot["square"] = item, item * item
-            filled.append(threading.get_ident())
-
-        def drain(slot):
-            if slot["item"] == fail_drain:
-                raise RuntimeError(f"drain {slot['item']}")
-            drained.append((slot["item"], slot["square"], threading.get_ident()))
-
-        # Run on a helper thread, so that a hand-off that never completes
-        # fails the test instead of hanging it.
-        raised = []
-
-        def target():
-            try:
-                _cores.pipeline(fill, drain, items, new_slot)
-            except RuntimeError as exc:
-                raised.append(exc)
-
-        runner = threading.Thread(target=target)
-        runner.start()
-        runner.join(timeout=30.0)
-        assert not runner.is_alive(), "pipeline did not finish"
-        self.caller = runner.ident
-        self.made, self.filled, self.drained = made, filled, drained
-        if raised:
-            raise raised[0]
-
-    def test_serial_path_runs_in_calling_thread(self, serial):
-        self.run(range(5))
-        me = self.caller
-        assert self.drained == [(i, i * i, me) for i in range(5)]
-        assert self.made == [me] and set(self.filled) == {me}
-
-    def test_threaded_path_fills_on_a_worker_and_drains_in_order(self, force_threads):
-        force_threads(4)
-        before = threading.active_count()
-        self.run(range(50))
-        me = self.caller
-        assert self.drained == [(i, i * i, me) for i in range(50)]
-        assert self.made == [me, me]
-        assert len(self.filled) == 50 and me not in self.filled
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("bad", [0, 7, 49])
-    def test_fill_error_reaches_caller_and_worker_is_joined(self, force_threads, bad):
-        force_threads(2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"fill {bad}"):
-            self.run(range(50), fail_fill=bad)
-        assert [item for item, _, _ in self.drained] == list(range(bad))
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("bad", [0, 7, 49])
-    def test_drain_error_reaches_caller_and_stops_the_worker(self, force_threads, bad):
-        force_threads(2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"drain {bad}"):
-            self.run(range(50), fail_drain=bad)
-        assert [item for item, _, _ in self.drained] == list(range(bad))
-        # the failed slot, the other filled slot, and at most one fill in flight
-        assert len(self.filled) <= bad + 3
         assert threading.active_count() == before
 
 
@@ -223,26 +146,6 @@ class TestConcurrency:
             while runs < 3 or time.monotonic() < deadline:
                 got = array_factor(geom, ref, weights, theta, phi).power_db
                 assert np.array_equal(got, want), f"run {runs} differs"
-                runs += 1
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_csv_stress_with_short_switch_interval(self, tmp_path, serial, force_threads):
-        """The CSV writer's fill/drain hand-off, against its serial bytes."""
-        rng = np.random.default_rng(2)
-        theta, phi = default_axes(2.5)
-        pattern = PatternGrid(theta, phi, rng.uniform(-70.0, 0.5, size=(theta.size, phi.size)))
-        export_pattern_csv(pattern, tmp_path / "serial.csv")
-        want = (tmp_path / "serial.csv").read_bytes()
-        force_threads(2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = 0
-            deadline = time.monotonic() + 1.0
-            while runs < 3 or time.monotonic() < deadline:
-                export_pattern_csv(pattern, tmp_path / "threads.csv")
-                assert (tmp_path / "threads.csv").read_bytes() == want, f"run {runs} differs"
                 runs += 1
         finally:
             sys.setswitchinterval(interval)

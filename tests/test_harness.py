@@ -19,7 +19,9 @@ from rrmsim.harness.cli import main
 from rrmsim.harness.config import OutageBlock, config_from_dict
 from rrmsim.harness.presets import resolve_config
 from rrmsim.harness.results import fmt9
-from rrmsim.link import outage_probability
+from rrmsim.link import outage_ci
+
+from conftest import per_trial_mi
 
 
 def _path(**fields):
@@ -634,15 +636,15 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
+        # each row against the MI of every trial's own block, thresholded
         loaded = load_config(cfg)
         for line in lines[1:]:
             _e, _s, snr, metric, value, ci, seed = line.split(",")
             system = metric.removeprefix("outage_")
-            expected = outage_probability(
-                loaded.scenario(system), 2.0, float(snr), trials=25, seed=int(seed)
-            )
-            assert float(value) == pytest.approx(expected.probability, rel=1e-8)
-            assert float(ci) == pytest.approx(expected.ci_half_width, rel=1e-8)
+            mi = per_trial_mi(loaded.scenario(system), [float(snr)], 25, int(seed))
+            p, half = outage_ci(mi[:, 0] < 2.0)
+            assert float(value) == pytest.approx(p, rel=1e-8)
+            assert float(ci) == pytest.approx(half, rel=1e-8)
 
     def test_preset_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

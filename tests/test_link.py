@@ -14,7 +14,6 @@ from rrmsim import (
     equivalent_taps,
     make_weights,
     mutual_information,
-    outage_probability,
     record_hologram,
     rhs_weights,
 )
@@ -27,12 +26,11 @@ from rrmsim.link import (
     mean_ci,
     outage_ci,
     raised_cosine,
-    realize_block,
     stack_mi,
     trial_mi_curves,
 )
 
-from conftest import make_five_paths, make_geometry, make_reference
+from conftest import block_matrix, make_five_paths, make_geometry, make_reference
 
 
 class TestRaisedCosine:
@@ -300,7 +298,7 @@ class TestMutualInformation:
         calls = []
         normalize = link._normalize_taps
         monkeypatch.setattr(link, "_normalize_taps", lambda h: calls.append(h) or normalize(h))
-        H = realize_block(scenario, make_five_paths(), 3)
+        H = build_toeplitz(link._scenario_taps(scenario, make_five_paths().arrays, [3]))
         K = scenario.K
         assert H.shape == (K, K)
         assert len(calls) == 1
@@ -311,7 +309,7 @@ class TestMutualInformation:
 
         monkeypatch.setattr(link, "tap_stack", zero_taps)
         calls.clear()
-        H = realize_block(scenario, make_five_paths(), 3)
+        H = build_toeplitz(link._scenario_taps(scenario, make_five_paths().arrays, [3]))
         assert len(calls) == 1
         assert np.array_equal(H, np.zeros((K, K), complex))
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
@@ -345,21 +343,26 @@ def small_scenario(system="rrm", **overrides):
     return LinkScenario(**base)
 
 
+def outage_bits(scenario, r_th, snr_db, trials, seed):
+    """``stack_outage`` bits of one SNR over the ``draw_trials`` draws."""
+    paths, seeds = link.draw_trials(scenario.channel, trials, seed)
+    return link.stack_outage(scenario, paths, seeds, [snr_db], r_th)[:, 0]
+
+
 class TestOutage:
     def test_zero_threshold_never_out(self):
-        out = outage_probability(small_scenario(), 0.0, 10.0, trials=20, seed=5)
-        assert out.probability == 0.0
+        assert not np.any(outage_bits(small_scenario(), 0.0, 10.0, trials=20, seed=5))
 
     def test_zero_snr_always_out(self):
-        out = outage_probability(small_scenario(), 2.0, -math.inf, trials=20, seed=5)
-        assert out.probability == 1.0
+        assert np.all(outage_bits(small_scenario(), 2.0, -math.inf, trials=20, seed=5))
 
     def test_reproducible_and_bounded(self):
-        a = outage_probability(small_scenario(), 2.0, 5.0, trials=40, seed=9)
-        b = outage_probability(small_scenario(), 2.0, 5.0, trials=40, seed=9)
-        assert a == b
-        assert 0.0 <= a.probability <= 1.0
-        assert a.ci_half_width >= 0.0
+        a = outage_bits(small_scenario(), 2.0, 5.0, trials=40, seed=9)
+        b = outage_bits(small_scenario(), 2.0, 5.0, trials=40, seed=9)
+        assert np.array_equal(a, b)
+        p, half = outage_ci(a)
+        assert 0.0 <= p <= 1.0
+        assert half >= 0.0
 
     def test_paired_trials_monotone_in_snr(self):
         curves = trial_mi_curves(small_scenario(), [0.0, 6.0, 12.0], trials=50, seed=31)
@@ -378,7 +381,7 @@ class TestOutage:
         paths = make_five_paths()
         snrs = [-math.inf, 0.0, 10.0]
         (mi,) = stack_mi(scenario, paths.arrays.broadcast(1), [3], snrs)
-        H = realize_block(scenario, paths, 3)
+        H = block_matrix(scenario, paths, 3)
         expected = [mutual_information(H, gamma_from_db(s)) for s in snrs]
         assert mi[0] == 0.0
         assert mi == pytest.approx(expected, rel=1e-12)
@@ -388,8 +391,6 @@ class TestOutage:
             small_scenario(system="mimo")
         with pytest.raises(ValueError):
             small_scenario(normalization="weird")
-        with pytest.raises(ValueError):
-            outage_probability(small_scenario(), -1.0, 5.0, trials=5, seed=1)
 
     # Before LinkScenario checked them: duration 0 failed inside eigvalsh, a
     # negative sample count as a negative array dimension, and a negative

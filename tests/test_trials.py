@@ -1,8 +1,8 @@
 """The stacked Monte-Carlo kernel against its single-block views.
 
 ``stack_mi`` evaluates chunks of trials as (T, ...) stacks; every trial must
-give what ``sample_paths``, ``realize_block`` and ``mutual_information`` give
-for that trial alone, and the same bits whatever the chunk boundaries. The
+give what ``sample_paths``, the single-block views and ``mutual_information``
+give for that trial alone (``conftest.per_trial_mi``), and the same bits whatever the chunk boundaries. The
 sweeps draw each trial once and hand the same draws to rrm and rhs.
 """
 
@@ -23,7 +23,7 @@ from rrmsim.holography import (
     weight_stack,
 )
 
-from conftest import make_five_paths, make_geometry, make_reference
+from conftest import make_five_paths, make_geometry, make_reference, per_trial_mi
 
 SNRS = [-10.0, 0.0, 10.0]
 SEED = 321
@@ -41,17 +41,6 @@ def _scenario(kind, system, normalization):
     return cfg.scenario(system)
 
 
-def _per_trial(scenario, trials):
-    """Each trial on its own: one sample_paths draw, one block, MI per SNR."""
-    gammas = [link.gamma_from_db(snr) for snr in SNRS]
-    rows = []
-    for path_ss, rec_seed in link._trial_seeds(SEED, trials):
-        paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
-        H = link.realize_block(scenario, paths, rec_seed)
-        rows.append([link.mutual_information(H, gamma) for gamma in gammas])
-    return np.array(rows)
-
-
 @pytest.mark.parametrize("normalization", ("absolute", "normalized"))
 @pytest.mark.parametrize("system", ("rrm", "rhs"))
 @pytest.mark.parametrize("kind", KINDS)
@@ -60,7 +49,8 @@ def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeyp
     assert link.chunk_trials(scenario) >= 50
     for trials in (1, 5):  # one trial; several trials in one chunk
         got = link.trial_mi_curves(scenario, SNRS, trials, SEED)
-        np.testing.assert_allclose(got, _per_trial(scenario, trials), rtol=1e-12, atol=0)
+        want = per_trial_mi(scenario, SNRS, trials, SEED)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     # fig7's shape: one path set broadcast over 50 recording seeds, one chunk
     paths, seeds = link.draw_trials(scenario.channel, 50, SEED)
     fig7 = PathArrays(*(c[0] for c in paths)).broadcast(50)
@@ -71,7 +61,7 @@ def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeyp
     monkeypatch.setattr(link, "STACK_BYTES", 3 * per_trial + per_trial // 2)
     assert link.chunk_trials(scenario) == 3
     got = link.trial_mi_curves(scenario, SNRS, 7, SEED)
-    np.testing.assert_allclose(got, _per_trial(scenario, 7), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, per_trial_mi(scenario, SNRS, 7, SEED), rtol=1e-12, atol=0)
     assert np.array_equal(link.stack_mi(scenario, fig7, seeds, SNRS), whole)
 
 
