@@ -29,7 +29,7 @@ def main(trials: int = 500) -> None:
     print("size   rrm_mean_share  rhs_mean_share  alpha_power_rrm/rhs")
     for size in (8, 16, 32):
         geom = SurfaceGeometry.half_wavelength(size, size, 30.0e9)
-        ref = ReferenceWaveSpec.for_geometry(geom, 2.0, 0.0, -1)
+        ref = ReferenceWaveSpec.for_geometry(geom, 2.0)
         share, power = {}, {}
         for system in ("rrm", "rhs"):
             scenario = LinkScenario(

@@ -4,10 +4,17 @@ numpy releases the interpreter lock inside its array loops and inside
 LAPACK/BLAS calls on large enough operands, so threads can overlap two
 curves' eigen-solves or two blocks of pattern rows. They only help when BLAS
 itself is pinned to one thread: a multi-threaded BLAS already spreads each
-call over the cores, and extra Python threads then contend with its threads
-(on a 2-core x86_64 box with OpenBLAS 0.3.31, fig5 with its pattern rows
-forced onto two threads over an unpinned BLAS took 0.34-0.45 s, no faster
-than 0.32-0.44 s serial; with BLAS pinned the two threads took 0.23-0.28 s).
+call over the cores, and extra Python threads then contend with its threads.
+In-process A/B runs on a shared 2-core x86_64 box (OpenBLAS 0.3.31), each
+side forced by replacing the thread rule:
+- BLAS pinned, the benchmark's ``pattern`` workload (6 alternating pairs of
+  6 s runs, seeds 1-6): 0.96-1.18M directions/s on two threads against
+  0.65-0.75M serial;
+- BLAS pinned, ``paired_curves`` of 16x16 Rician MI with 300 trials: in
+  four of five batches of 8 alternating pairs, medians of 0.18-0.25 s on
+  two threads against 0.30-0.36 s serial; in the fifth, 0.27 s and 0.26 s;
+- BLAS unset, the same sweep with two threads forced over the
+  multi-threaded BLAS: medians of 0.48-0.50 s against 0.27-0.29 s serial.
 So ``workers`` allows more than one thread only when the environment pins
 BLAS: ``OPENBLAS_NUM_THREADS``, or ``OMP_NUM_THREADS`` when that is unset,
 is ``"1"``. Otherwise every caller keeps its serial loop and starts no pool.

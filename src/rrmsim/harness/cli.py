@@ -23,6 +23,7 @@ from .config import ConfigError, ExperimentConfig, load_config, merge_config
 from .presets import (
     PRESET_NAMES,
     add_curve_rows,
+    check_pattern_weights,
     output_dir,
     paired_curves,
     run_preset,
@@ -75,8 +76,9 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--step-deg: must be finite and > 0, got {args.step_deg}")
     if args.peaks < 1:
         raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
-    out = output_dir(cfg)
     _power, weights = _recorded_weights(cfg)
+    check_pattern_weights(weights, cfg.weights.strategy)
+    out = output_dir(cfg)
     theta, phi = bp.default_axes(args.step_deg)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
     bp.export_pattern_csv(pattern, out / "pattern.csv")
@@ -110,7 +112,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_preset(base: ExperimentConfig | None, overrides: dict, args) -> int:
-    rs = run_preset(args.name, base, overrides, quiet=args.quiet, large=args.large)
+    rs = run_preset(args.name, base, overrides, quiet=args.quiet)
     if args.name == "validate":
         failed = [r for r in rs.rows if r.metric == "passed" and r.value != 1.0]
         return EXIT_VALIDATION if failed else EXIT_OK
@@ -163,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="run a named experiment preset")
     common(p)
     p.add_argument("name", choices=PRESET_NAMES)
-    p.add_argument("--large", action="store_true", help="extend size sweeps to 64x64")
 
     p = sub.add_parser("validate", help="run the named invariant suite")
     common(p)

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
-from ..holography import WEIGHT_STRATEGIES, RecordingConfig
+from ..holography import WEIGHT_STRATEGIES, check_recording
 from ..link import LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -128,7 +128,6 @@ class ReferenceBlock:
     # enough that the mean/min strategies converge at large ones.
     amplitude: float = 2.0
     phase_offset: float = 0.0
-    sign: int = -1
 
     def __post_init__(self):
         # ReferenceWaveSpec allows 0; a recording needs a reference to interfere with
@@ -142,12 +141,12 @@ class RecordingBlock:
     user_amplitude: float = 1.0
     snr_db: float | None = 10.0  # None records without noise
     duration_symbols: int = 5
-    samples_per_symbol: int = 1
 
     def __post_init__(self):
         _check_amplitude("user_amplitude", self.user_amplitude)
         if self.snr_db is not None:
             _check_db("snr_db", self.snr_db)
+        check_recording(self.user_amplitude, self.duration_symbols)
 
 
 @dataclass(frozen=True)
@@ -258,13 +257,7 @@ class ExperimentConfig:
 
     def reference_wave(self) -> ReferenceWaveSpec:
         r = self.reference
-        return ReferenceWaveSpec(
-            r.amplitude, 2.0 * math.pi * self.surface.fc, r.phase_offset, r.sign
-        )
-
-    def recording_config(self) -> RecordingConfig:
-        r = self.recording
-        return RecordingConfig(r.user_amplitude, 0.0, r.duration_symbols, r.samples_per_symbol)
+        return ReferenceWaveSpec(r.amplitude, 2.0 * math.pi * self.surface.fc, r.phase_offset)
 
     def pulse(self) -> PulseSpec:
         l = self.link
@@ -315,7 +308,6 @@ class ExperimentConfig:
             user_amplitude=self.recording.user_amplitude,
             recording_snr_db=self.recording.snr_db,
             duration_symbols=self.recording.duration_symbols,
-            samples_per_symbol=self.recording.samples_per_symbol,
             normalization=self.link.normalization,
             K=self.link.K,
         )
@@ -423,7 +415,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for block, make, domain in (
         ("surface", cfg.geometry, SurfaceGeometry),
         ("reference", cfg.reference_wave, ReferenceWaveSpec),
-        ("recording", cfg.recording_config, RecordingConfig),
         ("channel", cfg.channel_config, ChannelConfig),
         ("link", cfg.pulse, PulseSpec),
         ("link", cfg.scenario, LinkScenario),

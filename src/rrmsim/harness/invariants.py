@@ -36,8 +36,8 @@ def _geom(rows=8, cols=8) -> SurfaceGeometry:
     return SurfaceGeometry.half_wavelength(rows, cols, 30.0e9)
 
 
-def _ref(geom, amplitude=1.0, phase=0.0, sign=-1) -> ReferenceWaveSpec:
-    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase, sign)
+def _ref(geom, amplitude=1.0, phase=0.0) -> ReferenceWaveSpec:
+    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase)
 
 
 def _random_direction(rng) -> Direction:
@@ -102,7 +102,7 @@ def reindex_involution():
 
 def _closed_form_power(geom, ref, paths, user_amplitude):
     """Direction-term expansion of the noise-free interference power."""
-    beta = surface.reference_phase(geom, ref.sign)
+    beta = surface.reference_phase(geom)
     per_path = [
         user_amplitude
         * p.gain
@@ -126,7 +126,7 @@ def hologram_nonnegativity():
     for seed in range(10):
         geom = _geom(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         ref = _ref(geom, phase=rng.uniform(0, 2 * math.pi))
-        cfg = RecordingConfig(1.0, rng.uniform(0.1, 2.0), 3, 2, seed)
+        cfg = RecordingConfig(1.0, rng.uniform(0.1, 2.0), 6, seed)
         power = holography.record_hologram(geom, ref, _std_paths(), cfg)
         worst = min(worst, float(np.min(power)))
     return worst >= 0.0, f"min entry {worst:.3g}"
@@ -136,7 +136,7 @@ def hologram_noise_free_closed_form():
     geom = _geom(8, 8)
     ref = _ref(geom, amplitude=1.3, phase=0.4)
     paths = _std_paths()
-    cfg = RecordingConfig(0.8, 0.0, 1, 1, 0)
+    cfg = RecordingConfig(0.8, 0.0, 1, 0)
     power = holography.record_hologram(geom, ref, paths, cfg)
     expected = _closed_form_power(geom, ref, paths, 0.8)
     worst = float(np.max(np.abs(power - expected)))
@@ -153,7 +153,7 @@ def hologram_noise_mean_convergence():
     def rms_err(samples, n_seeds):
         errs = []
         for seed in range(n_seeds):
-            cfg = RecordingConfig(1.0, sigma2, samples, 1, seed)
+            cfg = RecordingConfig(1.0, sigma2, samples, seed)
             power = holography.record_hologram(geom, ref, paths, cfg)
             errs.append(np.mean((power - expected) ** 2))
         return math.sqrt(float(np.mean(errs)))
@@ -168,7 +168,7 @@ def weight_range_and_offset_exactness():
     geom = _geom(8, 8)
     ref = _ref(geom)
     power = holography.record_hologram(
-        geom, ref, _std_paths(), RecordingConfig(1.0, 0.3, 5, 1, 3)
+        geom, ref, _std_paths(), RecordingConfig(1.0, 0.3, 5, 3)
     )
     w_prime = holography.reindex(power)
     ok = True
@@ -237,7 +237,7 @@ def _recorded_pattern(size, step_deg):
     geom = _geom(size, size)
     ref = _ref(geom)
     paths = _std_paths()
-    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
+    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
     w = holography.make_weights(power, "mean")
     theta, phi = beampattern.default_axes(step_deg)
     return beampattern.array_factor(geom, ref, w, theta, phi), paths
@@ -308,7 +308,7 @@ def path_reciprocity_shared_pathset():
     geom = _geom(8, 8)
     ref = _ref(geom)
     paths = channel.sample_paths(ChannelConfig("rician_random", L=4), 3)
-    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
+    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
     weights = holography.make_weights(power, "mean")
     h = link.equivalent_taps(geom, ref, weights, paths, PulseSpec(), K=16)
     finite = bool(np.all(np.isfinite(h)))
@@ -378,7 +378,7 @@ def alpha_split_sum_agreement():
                 for _ in range(n)
             )
         )
-        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 1, 0)
+        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
         power = holography.record_hologram(geom, ref, paths, cfg)
         weights = holography.make_weights(power, "min")
         direct = link.alpha_taps(geom, ref, weights, paths)

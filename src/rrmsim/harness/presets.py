@@ -24,7 +24,7 @@ import numpy as np
 from .. import beampattern, holography, link
 from .._cores import thread_map
 from . import invariants
-from .config import ExperimentConfig, _to_jsonable, merge_config
+from .config import ConfigError, ExperimentConfig, _to_jsonable, merge_config
 from .results import ResultSet, emit_csv
 
 PRESET_NAMES = (
@@ -36,6 +36,9 @@ PRESET_NAMES = (
     "fig10_outage",
     "validate",
 )
+
+# Surface sizes of the fig8 and fig9 size sweeps.
+_SWEEP_SIZES = (8, 16, 32, 64)
 
 _PRESET_DEFAULTS: dict[str, dict] = {
     # Reference-dominant recording: the constant term then dominates the
@@ -95,6 +98,15 @@ def _seed_for(cfg: ExperimentConfig, stream: int) -> int:
     )
 
 
+def check_pattern_weights(weights: holography.WeightStack, strategy: str) -> None:
+    """Raise ConfigError when one recording's weights are all zero: they form no beam pattern."""
+    if weights.degenerate:
+        raise ConfigError(
+            f"strategy {strategy!r} leaves all-zero weights: the recorded hologram is "
+            "constant, so it forms no beam pattern"
+        )
+
+
 def add_curve_rows(
     rs: ResultSet, experiment: str, metric: str, cfg: ExperimentConfig, samples
 ) -> None:
@@ -120,8 +132,10 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
     power = link.recorded_power(scenario, paths.arrays, [_seed_for(cfg, 0)])
     theta, phi = beampattern.default_axes(0.5)
     dirs = [p.direction for p in paths.paths]
-    for strategy in ("none", "mean"):
-        weights = holography.make_weights(power, strategy)
+    strategies = [(s, holography.make_weights(power, s)) for s in ("none", "mean")]
+    for strategy, weights in strategies:  # before any pattern file is written
+        check_pattern_weights(weights, strategy)
+    for strategy, weights in strategies:
         pattern = beampattern.array_factor(geom, ref, weights, theta, phi)
         beampattern.export_pattern_csv(pattern, out_dir / f"pattern_b_{strategy}.csv")
         peaks = beampattern.find_peaks(pattern, count=len(dirs), min_separation_deg=5.0)
@@ -161,11 +175,10 @@ def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
             add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
 
 
-def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
-    sizes = (8, 16, 32, 64) if large else (8, 16, 32)
+def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet) -> None:
     n_rep = 10
     paths = cfg.manual_paths().arrays
-    for size in sizes:
+    for size in _SWEEP_SIZES:
         for system in ("rrm", "rhs"):
             scenario = cfg.scenario(system, rows=size, cols=size)
             reps = n_rep if system == "rrm" and cfg.recording.snr_db is not None else 1
@@ -211,10 +224,9 @@ def paired_curves(
     return list(zip(systems, curves))
 
 
-def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, large: bool = False) -> None:
-    sizes = (8, 16, 32, 64) if large else (8, 16, 32)
+def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet) -> None:
     n_rep = 20
-    for size in sizes:
+    for size in _SWEEP_SIZES:
         for system, curves in paired_curves(cfg, n_rep, _seed_for(cfg, 3000 + size), size):
             add_curve_rows(rs, "fig9_cdl", f"mi_{system}_{size}x{size}", cfg, curves)
 
@@ -238,7 +250,6 @@ def run_preset(
     overrides: dict | None = None,
     out_dir=None,
     quiet: bool = False,
-    large: bool = False,
 ) -> ResultSet:
     """Run a named preset and persist its results.
 
@@ -248,7 +259,6 @@ def run_preset(
         overrides: nested dict merged over the config, like JSON config keys.
         out_dir: output directory (default: the config's output.directory).
         quiet: suppress the summary table.
-        large: extend size sweeps up to 64x64 where applicable.
 
     Returns:
         The ResultSet written to `results.csv`. For the validate preset a
@@ -271,9 +281,9 @@ def run_preset(
     elif name == "fig7_recording":
         _preset_fig7(cfg, rs)
     elif name == "fig8_size_sweep":
-        _preset_fig8(cfg, rs, large)
+        _preset_fig8(cfg, rs)
     elif name == "fig9_cdl":
-        _preset_fig9(cfg, rs, large)
+        _preset_fig9(cfg, rs)
     elif name == "fig10_outage":
         _preset_fig10(cfg, rs)
     else:

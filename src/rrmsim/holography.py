@@ -55,8 +55,8 @@ class RecordingConfig:
         user_amplitude: transmit amplitude A_u of the user signal.
         noise_power: variance (per complex sample) of the additive noise at
             each element sensor. 0 gives the exact closed-form power matrix.
-        duration_symbols: recording duration as a multiple of the symbol time.
-        samples_per_symbol: sensor samples taken per symbol time.
+        duration_symbols: recording duration in symbol times; the sensor
+            takes one sample per symbol time.
         rng_seed: seed for the noise stream; the recorded matrix is
             bit-reproducible for a fixed (seed, config, scenario).
     """
@@ -64,21 +64,20 @@ class RecordingConfig:
     user_amplitude: float = 1.0
     noise_power: float = 0.0
     duration_symbols: int = 5
-    samples_per_symbol: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_recording(self.user_amplitude, self.duration_symbols, self.samples_per_symbol)
+        check_recording(self.user_amplitude, self.duration_symbols)
         if self.noise_power < 0:
             raise ValueError(f"noise_power: must be nonnegative, got {self.noise_power}")
 
     @property
     def num_samples(self) -> int:
-        return self.duration_symbols * self.samples_per_symbol
+        return self.duration_symbols
 
 
-def check_recording(user_amplitude: float, duration_symbols: int, samples_per_symbol: int) -> None:
-    """The rules on the recording fields that ``RecordingConfig`` and ``LinkScenario`` share.
+def check_recording(user_amplitude: float, duration_symbols: int) -> None:
+    """The rules on the recording fields that ``RecordingConfig``, ``LinkScenario`` and the config share.
 
     Raises ValueError as "<field>: <reason>".
     """
@@ -86,8 +85,6 @@ def check_recording(user_amplitude: float, duration_symbols: int, samples_per_sy
         raise ValueError(f"user_amplitude: must be nonnegative, got {user_amplitude}")
     if duration_symbols < 1:
         raise ValueError(f"duration_symbols: must be >= 1, got {duration_symbols}")
-    if samples_per_symbol < 1:
-        raise ValueError(f"samples_per_symbol: must be >= 1, got {samples_per_symbol}")
 
 
 def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):

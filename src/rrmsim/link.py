@@ -142,7 +142,7 @@ def alpha_stack(
     """
     den = np.sum(weights**2, axis=(-2, -1))
     a_tx = np.sqrt(1.0 / np.where(den > 0.0, den, np.inf))
-    beta = reference_phase(geom, ref.sign)
+    beta = reference_phase(geom)
     ax, ay = steering_stack(geom, paths.theta, paths.phi)
     sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
     return a_tx[..., None] * paths.carrier_gains(ref.angular_frequency) * sums
@@ -183,7 +183,7 @@ def alpha_taps_split(
     a_r = ref.amplitude
     phi = ref.phase_offset
 
-    beta = reference_phase(geom, ref.sign)
+    beta = reference_phase(geom)
     steer = [steering_field(geom, p.direction) for p in paths.paths]
     g = paths.carrier_gains(ref.angular_frequency)
     L = len(paths)
@@ -380,7 +380,6 @@ class LinkScenario:
     user_amplitude: float = 1.0
     recording_snr_db: float | None = 10.0
     duration_symbols: int = 5
-    samples_per_symbol: int = 1
     normalization: str = "normalized"  # "normalized" | "absolute"
     K: int = 64
 
@@ -391,12 +390,7 @@ class LinkScenario:
             raise ValueError("normalization: must be normalized or absolute")
         if self.K < 1:
             raise ValueError(f"K: must be >= 1, got {self.K}")
-        check_recording(self.user_amplitude, self.duration_symbols, self.samples_per_symbol)
-
-    @property
-    def num_samples(self) -> int:
-        """Sensor samples per recording, as ``RecordingConfig.num_samples``."""
-        return self.duration_symbols * self.samples_per_symbol
+        check_recording(self.user_amplitude, self.duration_symbols)
 
 
 def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
@@ -417,7 +411,7 @@ def recorded_power(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     """
     s = scenario
     noise = noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-    return record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.num_samples, seeds)
+    return record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.duration_symbols, seeds)
 
 
 def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
@@ -594,7 +588,7 @@ def chunk_trials(scenario: LinkScenario) -> int:
     s = scenario
     per_trial = 16 * s.K * s.K  # complex (K, K) Gram matrix
     if s.system == "rrm" and s.recording_snr_db is not None:
-        per_trial = max(per_trial, 8 * s.geom.rows * s.geom.cols * s.num_samples)
+        per_trial = max(per_trial, 8 * s.geom.rows * s.geom.cols * s.duration_symbols)
     return max(1, STACK_BYTES // per_trial)
 
 

@@ -6,8 +6,8 @@ the link model) is built from three primitives defined here:
 * the feed-to-element distance map of a rectangular element grid whose
   geometric center is the feed location,
 * the guided reference wave launched by the feed (``reference_field``); its
-  unit phase map ``reference_phase`` is computed once per (geometry, sign)
-  and cached,
+  unit phase map ``reference_phase`` is computed once per geometry and
+  cached,
 * the per-element plane-wave phase profile of a far-field direction. It is
   separable, exp(-j*k*(x*u + y*v)) = exp(-j*k*x*u) * exp(-j*k*y*v), so
   ``steering_stack`` returns only the (..., M, L) row and (..., N, L) column
@@ -33,7 +33,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# Reference phase maps kept per (geometry, sign); a 256x256 map is 1 MiB.
+# Reference phase maps kept per geometry; a 256x256 map is 1 MiB.
 _REFERENCE_CACHE_SIZE = 8
 
 
@@ -159,30 +159,26 @@ class Direction:
 class ReferenceWaveSpec:
     """Guided reference wave fed at the surface center.
 
+    It propagates as exp(-j*k_sub*d) from the feed, in recording and in
+    reconstruction alike.
+
     Attributes:
         amplitude: A_r >= 0.
         phase_offset: phase (radians) of the recording-time reference relative
             to the reconstruction-time reference. Applied only while recording.
         angular_frequency: omega_r in rad/s; must equal 2*pi*fc of the geometry
             it is used with (the waves cannot interfere otherwise).
-        sign: +1 or -1, sign of the propagation phase exp(j*sign*k_sub*d).
-            -1 is the convention used throughout the link pipeline; +1 is
-            exposed for pattern studies that prefer the opposite convention.
-            Use one sign consistently between recording and reconstruction.
     """
 
     amplitude: float
     angular_frequency: float
     phase_offset: float = 0.0
-    sign: int = -1
 
     def __post_init__(self):
         if self.amplitude < 0:
             raise ValueError(f"amplitude: must be nonnegative, got {self.amplitude}")
         if self.angular_frequency <= 0:
             raise ValueError(f"angular_frequency: must be positive, got {self.angular_frequency}")
-        if self.sign not in (-1, +1):
-            raise ValueError(f"sign: must be +1 or -1, got {self.sign}")
 
     @classmethod
     def for_geometry(
@@ -190,9 +186,8 @@ class ReferenceWaveSpec:
         geom: SurfaceGeometry,
         amplitude: float = 1.0,
         phase_offset: float = 0.0,
-        sign: int = -1,
     ) -> "ReferenceWaveSpec":
-        return cls(amplitude, 2.0 * math.pi * geom.fc, phase_offset, sign)
+        return cls(amplitude, 2.0 * math.pi * geom.fc, phase_offset)
 
 
 def _check_frequency(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> None:
@@ -205,27 +200,27 @@ def _check_frequency(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> None:
 
 
 @functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
-def reference_phase(geom: SurfaceGeometry, sign: int) -> np.ndarray:
-    """Unit-amplitude reference wave exp(j*sign*k_sub*d(m,n)) across the surface.
+def reference_phase(geom: SurfaceGeometry) -> np.ndarray:
+    """Unit-amplitude reference wave exp(-j*k_sub*d(m,n)) across the surface.
 
-    Cached per (geometry, sign) and returned read-only; copy before modifying.
+    Cached per geometry and returned read-only; copy before modifying.
     """
-    phase = np.exp(1j * (sign * geom.k_sub * geom.feed_distance()))
+    phase = np.exp(1j * -(geom.k_sub * geom.feed_distance()))
     phase.flags.writeable = False
     return phase
 
 
 def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> np.ndarray:
-    """(M, N) reference wave across the surface: A_r * exp(j*sign*k_sub*d(m,n)).
+    """(M, N) reference wave across the surface: A_r * exp(-j*k_sub*d(m,n)).
 
     d(m,n) is the feed-to-element distance, so the field is centrally
     symmetric: value at (m, n) equals value at (M+1-m, N+1-n). The recording
     phase offset is deliberately not included here; recording applies it.
-    The unit phase map is cached per (geometry, sign); every call returns a
+    The unit phase map is cached per geometry; every call returns a
     fresh array, so callers may modify it.
     """
     _check_frequency(geom, ref)
-    return ref.amplitude * reference_phase(geom, ref.sign)
+    return ref.amplitude * reference_phase(geom)
 
 
 def steering_stack(

@@ -16,8 +16,8 @@ FIVE_PATH_DELAYS = [0.0, 2.0e-9, 4.5e-9, 7.0e-9, 9.5e-9]
 def make_geometry(rows=32, cols=32, fc=30.0e9):
     return SurfaceGeometry.half_wavelength(rows, cols, fc)
 
-def make_reference(geom, amplitude=2.0, phase=0.0, sign=-1):
-    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase, sign)
+def make_reference(geom, amplitude=2.0, phase=0.0):
+    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase)
 
 def make_five_paths(delays=None, gains=None):
     delays = FIVE_PATH_DELAYS if delays is None else delays
@@ -44,9 +44,7 @@ def block_matrix(scenario, paths, recording_seed=0):
         weights = holography.rhs_weights(s.geom, s.ref, desired)
     else:
         noise = holography.noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-        cfg = holography.RecordingConfig(
-            s.user_amplitude, noise, s.duration_symbols, s.samples_per_symbol, recording_seed
-        )
+        cfg = holography.RecordingConfig(s.user_amplitude, noise, s.duration_symbols, recording_seed)
         power = holography.record_hologram(s.geom, s.ref, paths, cfg)
         weights = holography.make_weights(power, s.strategy)
     H = link.build_toeplitz(link.equivalent_taps(s.geom, s.ref, weights, paths, s.pulse, s.K))

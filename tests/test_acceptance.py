@@ -216,7 +216,7 @@ def test_criterion_6_equivalent_amplitude_split():
                 for _ in range(int(rng.integers(1, 6)))
             )
         )
-        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 1, 0)
+        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
         holo = record_hologram(geom, ref, paths, cfg)
         weights = make_weights(holo, "min" if trial % 2 else "none")
         direct = alpha_taps(geom, ref, weights, paths)

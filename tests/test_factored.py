@@ -147,24 +147,20 @@ class TestReferenceCache:
         assert np.array_equal(reference_field(geom, ref), expected)
 
     def test_cached_phase_is_read_only(self):
-        phase = reference_phase(make_geometry(4, 4), -1)
+        phase = reference_phase(make_geometry(4, 4))
         with pytest.raises(ValueError):
             phase[0, 0] = 0.0
 
     def test_matches_direct_phase(self):
         geom = make_geometry(5, 8)
-        for sign in (-1, 1):
-            ref = make_reference(geom, amplitude=2.0, sign=sign)
-            direct = 2.0 * np.exp(1j * sign * geom.k_sub * geom.feed_distance())
-            assert np.array_equal(reference_field(geom, ref), direct)
-            assert np.array_equal(reference_phase(geom, sign), direct / 2.0)
+        ref = make_reference(geom, amplitude=2.0)
+        direct = 2.0 * np.exp(-1j * geom.k_sub * geom.feed_distance())
+        assert np.array_equal(reference_field(geom, ref), direct)
+        assert np.array_equal(reference_phase(geom), direct / 2.0)
 
-    def test_geometries_and_signs_do_not_share_entries(self):
+    def test_geometries_do_not_share_entries(self):
         a = make_geometry(8, 8)
         b = SurfaceGeometry.half_wavelength(8, 8, 30.0e9, substrate_index=2.0)
-        minus = reference_field(a, make_reference(a))
-        plus = reference_field(a, make_reference(a, sign=1))
+        field = reference_field(a, make_reference(a))
         other = reference_field(b, make_reference(b))
-        assert not np.allclose(minus, plus)
-        assert not np.allclose(minus, other)
-        assert np.allclose(plus, np.conj(minus), atol=1e-15)
+        assert not np.allclose(field, other)

@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from rrmsim.harness import (
@@ -39,7 +40,6 @@ REJECTED = [
     ({"surface": {"dy": -1.0}}, "surface.dy"),
     ({"reference": {"amplitude": 0.0}}, "reference.amplitude"),
     ({"reference": {"amplitude": -1.0}}, "reference.amplitude"),
-    ({"reference": {"sign": 0}}, "reference.sign"),
     ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
     # Amplitude bounds: each of the first three loaded before them and exited 4 mid-run.
     ({"recording": {"user_amplitude": 1e160}}, "recording.user_amplitude"),
@@ -47,7 +47,6 @@ REJECTED = [
     ({"reference": {"amplitude": 1e200}}, "reference.amplitude"),
     ({"reference": {"amplitude": 1e-5}}, "reference.amplitude"),
     ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
-    ({"recording": {"samples_per_symbol": 0}}, "recording.samples_per_symbol"),
     ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
     ({"recording": {"snr_db": -3240.0}}, "recording.snr_db"),
     ({"channel": {"kind": "ray_traced"}}, "channel.kind"),
@@ -78,11 +77,16 @@ REJECTED = [
     # Removed in schema 3: a radiated-power knob on top of the SNR axis, and a null outage block.
     ({"link": {"tx_power": 1.0}}, "link.tx_power"),
     ({"outage": None}, "outage"),
+    # Removed in schema 4: the reference wave's winding convention and the
+    # per-symbol sample count (a v3 file folds it into duration_symbols).
+    ({"reference": {"sign": -1}}, "reference.sign"),
+    ({"recording": {"samples_per_symbol": 1}}, "recording.samples_per_symbol"),
     ({"outage": {"r_th": 0.0}}, "outage.r_th"),
     ({"outage": {"trials": 0}}, "outage.trials"),
     ({"output": {"directory": ""}}, "output.directory"),
     ({"schema_version": 1}, "schema_version"),
     ({"schema_version": 2}, "schema_version"),
+    ({"schema_version": 3}, "schema_version"),
     ({"seed": -1}, "seed"),
 ]
 REJECTED_IDS = [json.dumps(data, separators=(",", ":")) for data, _key in REJECTED]
@@ -136,6 +140,8 @@ class TestConfig:
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict({"schema_version": 1})
+        with pytest.raises(ConfigError, match=r"^schema_version: must be 4, got 3$"):
+            config_from_dict({"schema_version": 3})
 
     def test_type_errors_name_keys(self):
         with pytest.raises(ConfigError, match=r"seed: must be an integer"):
@@ -147,7 +153,7 @@ class TestConfig:
         cfg = config_from_dict(
             {
                 "surface": {"M": 8, "N": 16},
-                "reference": {"amplitude": 1.25, "sign": 1},
+                "reference": {"amplitude": 1.25, "phase_offset": 0.5},
                 "channel": {
                     "kind": "manual",
                     "paths": [{"theta_deg": 12.5, "phi_deg": 245.0, "delay": 1.5e-9}],
@@ -274,9 +280,9 @@ class TestPresets:
             "fig8_size_sweep", overrides=fast_overrides(), out_dir=tmp_path, quiet=True
         )
         # |sizes| x |snrs| x 2 systems
-        assert len(rs.rows) == 3 * 3 * 2
+        assert len(rs.rows) == 4 * 3 * 2
         text = (tmp_path / "results.csv").read_text().splitlines()
-        assert len(text) == 1 + 18
+        assert len(text) == 1 + 24
 
     def test_fig8_rrm_rows_monotone_in_snr_and_size(self, tmp_path):
         run_preset(
@@ -288,12 +294,12 @@ class TestPresets:
             _e, _s, snr, metric, value, _ci, _seed = line.split(",")
             table[(metric, float(snr))] = float(value)
         snrs = [0.0, 10.0, 20.0]
-        for size in (8, 16, 32):
+        for size in (8, 16, 32, 64):
             series = [table[(f"mi_rrm_{size}x{size}", s)] for s in snrs]
             assert series[0] < series[1] < series[2]
         for snr in snrs:
-            by_size = [table[(f"mi_rrm_{s}x{s}", snr)] for s in (8, 16, 32)]
-            assert by_size[0] < by_size[1] < by_size[2]
+            by_size = [table[(f"mi_rrm_{s}x{s}", snr)] for s in (8, 16, 32, 64)]
+            assert by_size[0] < by_size[1] < by_size[2] < by_size[3]
 
     def test_fig7_row_count(self, tmp_path):
         rs = run_preset(
@@ -307,7 +313,7 @@ class TestPresets:
         rs = run_preset(
             "fig9_cdl", overrides=fast_overrides(), out_dir=tmp_path, quiet=True
         )
-        assert len(rs.rows) == 3 * 3 * 2  # sizes x snrs x systems
+        assert len(rs.rows) == 4 * 3 * 2  # sizes x snrs x systems
 
     def test_fig10_outage_rows_bounded(self, tmp_path):
         rs = run_preset(
@@ -586,6 +592,52 @@ class TestCli:
         assert main(["beampattern", "--out", str(out), "--quiet", *flags]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    # Recordings whose hologram is constant, so mean subtraction leaves
+    # all-zero weights: one element (noise or not), and one broadside path on
+    # a 2x2 surface, whose four elements see one phase of each wave. Drawing
+    # their pattern exited 4 with the ValueError of array_factor.
+    CONSTANT_HOLOGRAM = {
+        "1x1": {"surface": {"M": 1, "N": 1}},
+        "2x2_broadside": {
+            "surface": {"M": 2, "N": 2},
+            "recording": {"snr_db": None},
+            "channel": {"paths": [{"theta_deg": 0.0, "phi_deg": 0.0}]},
+        },
+    }
+    CONSTANT_HOLOGRAM_ERROR = (
+        "config error: strategy 'mean' leaves all-zero weights: the recorded hologram "
+        "is constant, so it forms no beam pattern\n"
+    )
+
+    @pytest.mark.parametrize(
+        "case, command",
+        [
+            ("1x1", "beampattern"),
+            ("1x1", "preset fig5_beampattern"),
+            ("2x2_broadside", "beampattern"),
+            ("2x2_broadside", "preset fig5_beampattern"),
+        ],
+    )
+    def test_constant_hologram_pattern_exits_2(self, tmp_path, capsys, case, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONSTANT_HOLOGRAM[case]))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="weight matrix is all zero"):
+            code = main([*command.split(), "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == self.CONSTANT_HOLOGRAM_ERROR
+        assert not (out / "pattern.csv").exists() and not (out / "pattern_b_none.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(CONSTANT_HOLOGRAM))
+    def test_constant_hologram_records(self, tmp_path, case):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONSTANT_HOLOGRAM[case]))
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="weight matrix is all zero"):
+            code = main(["record", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == 0
+        assert np.all(np.loadtxt(out / "weights.csv", delimiter=",") == 0.0)
 
     def test_mi_sweep_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -92,14 +92,14 @@ class TestRecordHologram:
         clean = closed_form_power(geom32, ref, five_paths, 1.0)
         excess = []
         for seed in range(100):
-            cfg = RecordingConfig(1.0, sigma2, 5, 1, seed)
+            cfg = RecordingConfig(1.0, sigma2, 5, seed)
             holo = record_hologram(geom32, ref, five_paths, cfg)
             excess.append(np.mean(holo - clean))
         assert np.mean(excess) == pytest.approx(sigma2, rel=0.05)
 
     def test_entries_nonnegative_and_reproducible(self, geom32, five_paths):
         ref = make_reference(geom32)
-        cfg = RecordingConfig(1.0, 0.5, 3, 2, 42)
+        cfg = RecordingConfig(1.0, 0.5, 6, 42)
         a = record_hologram(geom32, ref, five_paths, cfg)
         b = record_hologram(geom32, ref, five_paths, cfg)
         assert np.array_equal(a, b)
@@ -176,7 +176,7 @@ class TestMakeWeights:
         # without it (coarse grid keeps this fast)
         ref = make_reference(geom32)
         holo = record_hologram(
-            geom32, ref, five_paths, RecordingConfig(1.0, 0.0, 1, 1, 0)
+            geom32, ref, five_paths, RecordingConfig(1.0, 0.0, 1, 0)
         )
         theta, phi = bp.default_axes(1.0)
         floors = {}

@@ -83,7 +83,7 @@ class TestEquivalentTaps:
                 Path(0.0 + 0j, 3e-9, Direction.from_degrees(40, 200)),
             )
         )
-        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
+        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
         weights = make_weights(holo, "min")
         alpha = alpha_taps(geom, ref, weights, paths)
         assert alpha[1] == 0j
@@ -108,7 +108,7 @@ class TestEquivalentTaps:
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
         paths = make_five_paths()
-        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 1, 0))
+        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
         weights = make_weights(holo, "mean")
         a1 = alpha_taps(geom, ref, weights, paths)
         a4 = alpha_taps(geom, ref, _as_weights(4.0 * weights.values), paths)
@@ -132,7 +132,7 @@ class TestEquivalentTaps:
                     for _ in range(n)
                 )
             )
-            cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 1, 0)
+            cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
             holo = record_hologram(geom, ref, paths, cfg)
             strategy = "min" if trial % 2 else "none"
             weights = make_weights(holo, strategy)
@@ -145,7 +145,7 @@ class TestEquivalentTaps:
         geom = make_geometry(6, 6)
         ref = make_reference(geom)
         paths = make_five_paths()
-        noisy = RecordingConfig(1.0, 0.1, 2, 1, 0)
+        noisy = RecordingConfig(1.0, 0.1, 2, 0)
         holo = record_hologram(geom, ref, paths, noisy)
         weights = make_weights(holo, "min")
         with pytest.raises(ValueError):
@@ -392,21 +392,14 @@ class TestOutage:
         with pytest.raises(ValueError):
             small_scenario(normalization="weird")
 
-    # Before LinkScenario checked them: duration 0 failed inside eigvalsh, a
-    # negative sample count as a negative array dimension, and a negative
-    # user amplitude returned MI. Each fails at construction now, with the
+    # Before LinkScenario checked them: duration 0 failed inside eigvalsh and
+    # a negative user amplitude returned MI. Each fails at construction now, with the
     # message RecordingConfig gives for the same value.
     def test_zero_duration_rejected_like_recording_config(self):
         with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
             small_scenario(duration_symbols=0)
         with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
             RecordingConfig(duration_symbols=0)
-
-    def test_negative_samples_per_symbol_rejected_like_recording_config(self):
-        with pytest.raises(ValueError, match=r"^samples_per_symbol: must be >= 1, got -1$"):
-            small_scenario(samples_per_symbol=-1)
-        with pytest.raises(ValueError, match=r"^samples_per_symbol: must be >= 1, got -1$"):
-            RecordingConfig(samples_per_symbol=-1)
 
     def test_negative_user_amplitude_rejected_like_recording_config(self):
         with pytest.raises(ValueError, match=r"^user_amplitude: must be nonnegative, got -1$"):

@@ -193,7 +193,8 @@ def test_leaves_cover_the_schema():
     keys = [key for key, _, _ in LEAVES]
     assert "surface.M" in keys and "link.snr_db" in keys and "seed" in keys
     assert "channel.paths" in keys and "channel.paths[0].gain_imag" in keys
-    assert len(keys) == len(set(keys))
+    assert "reference.sign" not in keys and "recording.samples_per_symbol" not in keys
+    assert len(keys) == len(set(keys)) == 36
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -148,6 +148,30 @@ def test_property_outage_bits_equal_eigen_bits(h, snrs, pick):
         assert np.array_equal(link._outage_bits(h, gammas, r_th), mi < r_th), r_th
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    h=tap_stacks(),
+    snrs=st.lists(st.one_of(st.just(-math.inf), st.floats(-30.0, 60.0)), min_size=1, max_size=4),
+)
+def test_property_tap_bounds_enclose_the_spectrum_and_the_mi(h, snrs):
+    """lam_lo <= the smallest eigenvalue, Lam >= the largest, and upper >= eigen MI >= lower.
+
+    The eigenvalues within eigvalsh's rounding (K eps lam_max, taken as
+    1e-12 lam_max) and the MI within the margin of ``_outage_bits``.
+    """
+    gammas = np.array([link.gamma_from_db(snr) for snr in snrs])
+    lam = np.linalg.eigvalsh(link._gram_stack(h))
+    _, lam_lo, lam_hi = link._tap_spectrum(h)
+    slack = 1e-12 * lam_hi
+    assert np.all(lam_lo <= lam[:, 0] + slack)
+    assert np.all(lam_hi >= lam[:, -1] - slack)
+    upper, lower, lam_max = link._outage_bounds(h, gammas)
+    mi = link._mi_bits(link._eigvals(link._gram_stack(h)), gammas)
+    margin = 1e-9 + 1e-12 * gammas * lam_max[:, None]
+    assert np.all(upper >= mi - margin)
+    assert np.all(lower <= mi + margin)
+
+
 def test_failed_cholesky_falls_back_to_the_eigen_mi(monkeypatch):
     scenario = _scenario("rician_random", "rhs", "absolute", 8)
     paths, seeds = link.draw_trials(scenario.channel, 9, 2)

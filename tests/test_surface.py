@@ -84,17 +84,15 @@ class TestReferenceField:
 
     def test_corner_phase_closed_form(self):
         # 3x3 half-wavelength grid: corner distance sqrt(2)*lambda/2, so the
-        # phase is sign * sqrt(3) * (2 pi / lambda) * sqrt(2) * lambda / 2
-        # = sign * sqrt(6) * pi.
+        # phase is -sqrt(3) * (2 pi / lambda) * sqrt(2) * lambda / 2
+        # = -sqrt(6) * pi.
         geom = make_geometry(3, 3)
-        for sign in (-1, +1):
-            ref = make_reference(geom, amplitude=1.0, sign=sign)
-            field = reference_field(geom, ref)
-            lam = geom.wavelength
-            d_corner = math.hypot(lam / 2, lam / 2)
-            assert d_corner == pytest.approx(math.sqrt(2) * lam / 2, rel=1e-12)
-            expected = cmath.exp(1j * sign * math.sqrt(6) * math.pi)
-            assert field[0, 0] == pytest.approx(expected, abs=1e-12)
+        field = reference_field(geom, make_reference(geom, amplitude=1.0))
+        lam = geom.wavelength
+        d_corner = math.hypot(lam / 2, lam / 2)
+        assert d_corner == pytest.approx(math.sqrt(2) * lam / 2, rel=1e-12)
+        expected = cmath.exp(-1j * math.sqrt(6) * math.pi)
+        assert field[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_central_symmetry_exact(self):
         for rows, cols in ((3, 3), (4, 6), (7, 4)):

@@ -6,8 +6,12 @@ give for that trial alone (``conftest.per_trial_mi``), and the same bits whateve
 sweeps draw each trial once and hand the same draws to rrm and rhs.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim import channel, link
 from rrmsim.channel import ChannelConfig, PathArrays, PathSet, draw_paths, sample_paths
@@ -75,6 +79,42 @@ def test_chunk_bounds_the_stacks():
     T = link.chunk_trials(big)
     assert T >= 1
     assert T * 8 * 256 * 256 * big.duration_symbols <= link.STACK_BYTES
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    system=st.sampled_from(("rrm", "rhs")),
+    normalization=st.sampled_from(("absolute", "normalized")),
+    recording_snr_db=st.sampled_from((None, 0.0, 10.0)),
+    duration=st.integers(1, 3),
+    size=st.integers(1, 6),
+    trials=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_chunk_size_changes_no_result(
+    kind, system, normalization, recording_snr_db, duration, size, trials, seed
+):
+    """stack_mi and stack_outage give the same arrays in chunks of 1, 2 and all T trials."""
+    cfg = config_from_dict(
+        {
+            "surface": {"M": size, "N": size},
+            "recording": {"snr_db": recording_snr_db, "duration_symbols": duration},
+            "channel": {"kind": kind},
+            "link": {"K": 8, "normalization": normalization},
+        }
+    )
+    scenario = cfg.scenario(system)
+    paths, seeds = link.draw_trials(scenario.channel, trials, seed)
+    runs = []
+    for step in (1, 2, trials):
+        with mock.patch.object(link, "chunk_trials", lambda s, step=step: step):
+            mi = link.stack_mi(scenario, paths, seeds, SNRS)
+            r_th = float(np.median(mi)) or 1.0
+            runs.append((mi, link.stack_outage(scenario, paths, seeds, SNRS, r_th)))
+    for mi, bits in runs[1:]:
+        assert np.array_equal(mi, runs[0][0])
+        assert np.array_equal(bits, runs[0][1])
 
 
 def _count_draws(monkeypatch) -> list:
@@ -176,7 +216,7 @@ def test_record_power_mixed_noise_equals_single_recordings():
     got = record_power(geom, ref, stack, 1.0, noise, 4, seeds)
     for t in range(3):
         paths = PathSet.from_arrays(PathArrays(*(c[t] for c in stack)))
-        single = record_hologram(geom, ref, paths, RecordingConfig(1.0, noise[t], 2, 2, seeds[t]))
+        single = record_hologram(geom, ref, paths, RecordingConfig(1.0, noise[t], 4, seeds[t]))
         assert np.array_equal(got[t], single)
 
 
