@@ -46,6 +46,10 @@ from .surface import (
 
 WEIGHT_STRATEGIES = ("none", "mean", "min")
 
+# Bytes of the block of imaginary noise parts that ``record_power`` draws and
+# reduces while it is in cache; link.STACK_BYTES bounds the whole stack.
+_BLOCK_BYTES = 256 * 2**10
+
 
 @dataclass(frozen=True)
 class RecordingConfig:
@@ -142,9 +146,16 @@ def record_power(
     its own Philox stream seeded with its seed: one (M, N, S) array of
     standard normals for the real parts x, then one for the imaginary parts
     y, each scaled by sqrt(noise_power / 2); reordering them would change
-    every noisy hologram. The power is accumulated in float64 as
-    (Re c + x)^2 + (Im c + y)^2, in place, so no complex (..., M, N, S)
-    temporary is formed.
+    every noisy hologram. The real parts of all noisy matrices are drawn
+    into one (..., M, N, S) stack. The imaginary parts are then drawn in
+    blocks of about _BLOCK_BYTES, whole matrices per block when one fits
+    and row ranges of one matrix otherwise, each stream continuing where it
+    stopped. While a block is in cache, the power is accumulated in float64
+    as (Re c + x)^2 + (Im c + y)^2 and its samples are added in the order
+    ``np.mean`` adds them: in sequence when S < 8, pairwise by
+    ``np.add.reduce`` otherwise. So the result is ``np.mean`` of the
+    unblocked stack bit for bit, and no complex or second (..., M, N, S)
+    array is formed.
     """
     if paths.gain.shape[-1] == 0:
         raise ValueError("recording needs at least one incident path")
@@ -163,21 +174,41 @@ def record_power(
 
     every = noisy.size == noise.size
     c = flat if every else flat[noisy]
-    acc = np.empty(c.shape + (num_samples,))
-    imag = np.empty_like(acc)
+    T, M, N = c.shape
+    S = num_samples
+    acc = np.empty(c.shape + (S,))
+    rngs = []
     for i, t in enumerate(noisy):
-        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
-        rng.standard_normal(out=acc[i])
-        rng.standard_normal(out=imag[i])
+        rngs.append(np.random.Generator(np.random.Philox(int(seeds[t]))))
+        rngs[i].standard_normal(out=acc[i])
     scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
-    acc *= scale
-    acc += c.real[..., None]
-    np.square(acc, out=acc)
-    imag *= scale
-    imag += c.imag[..., None]
-    np.square(imag, out=imag)
-    acc += imag
-    mean = np.mean(acc, axis=-1)
+    rows = max(1, min(M, _BLOCK_BYTES // (8 * N * S)))
+    per_block = max(1, min(T, _BLOCK_BYTES // (8 * M * N * S)))
+    imag = np.empty((per_block, rows, N, S))
+    mean = np.empty(c.shape)
+    for t0 in range(0, T, per_block):
+        t1 = min(T, t0 + per_block)
+        for m0 in range(0, M, rows):
+            m1 = min(M, m0 + rows)
+            x = acc[t0:t1, m0:m1]
+            y = imag[: t1 - t0, : m1 - m0]
+            for i in range(t0, t1):
+                rngs[i].standard_normal(out=y[i - t0])
+            x *= scale[t0:t1]
+            x += c[t0:t1, m0:m1].real[..., None]
+            np.square(x, out=x)
+            y *= scale[t0:t1]
+            y += c[t0:t1, m0:m1].imag[..., None]
+            np.square(y, out=y)
+            x += y
+            out = mean[t0:t1, m0:m1]
+            if S < 8:
+                np.copyto(out, x[..., 0])
+                for k in range(1, S):
+                    out += x[..., k]
+            else:
+                np.add.reduce(x, axis=-1, out=out)
+            out /= S
     if every:
         return mean.reshape(carrier.shape)
     power = np.abs(carrier) ** 2

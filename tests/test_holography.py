@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmsim import (
     Direction,
@@ -17,9 +20,10 @@ from rrmsim import (
     steering_field,
 )
 from rrmsim import beampattern as bp
-from rrmsim.channel import Path
-from rrmsim.holography import reconstruction_terms, save_matrix_csv
-from rrmsim.surface import object_field
+from rrmsim import holography
+from rrmsim.channel import ChannelConfig, Path, draw_paths
+from rrmsim.holography import reconstruction_terms, record_power, save_matrix_csv
+from rrmsim.surface import object_field, superpose
 
 from conftest import make_five_paths, make_geometry, make_reference
 
@@ -113,6 +117,120 @@ class TestRecordHologram:
         zero_ref = make_reference(geom, amplitude=0.0)
         with pytest.raises(ValueError):
             record_hologram(geom, zero_ref, make_five_paths(), RecordingConfig())
+
+
+def two_stack_record_power(geom, ref, paths, user_amplitude, noise_power, num_samples, seeds):
+    """``record_power`` as it was before its noise was drawn in blocks.
+
+    Both (..., M, N, S) stacks of normals are drawn whole, one matrix after
+    the other, and reduced by ``np.mean``: the oracle of the blocked draw.
+    """
+    if paths.gain.shape[-1] == 0:
+        raise ValueError("recording needs at least one incident path")
+    if ref.amplitude <= 0:
+        raise ValueError("recording needs a positive reference amplitude")
+    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
+
+    gains = paths.carrier_gains(ref.angular_frequency)
+    user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
+    carrier = user + reference
+    flat = carrier.reshape((-1,) + geom.shape)
+    noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
+    noisy = np.flatnonzero(noise != 0.0)
+    if noisy.size == 0:
+        return np.abs(carrier) ** 2
+
+    every = noisy.size == noise.size
+    c = flat if every else flat[noisy]
+    acc = np.empty(c.shape + (num_samples,))
+    imag = np.empty_like(acc)
+    for i, t in enumerate(noisy):
+        rng = np.random.Generator(np.random.Philox(int(seeds[t])))
+        rng.standard_normal(out=acc[i])
+        rng.standard_normal(out=imag[i])
+    scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
+    acc *= scale
+    acc += c.real[..., None]
+    np.square(acc, out=acc)
+    imag *= scale
+    imag += c.imag[..., None]
+    np.square(imag, out=imag)
+    acc += imag
+    mean = np.mean(acc, axis=-1)
+    if every:
+        return mean.reshape(carrier.shape)
+    power = np.abs(carrier) ** 2
+    power.reshape(flat.shape)[noisy] = mean
+    return power
+
+
+NOISE_PATTERNS = ("all", "mixed", "zero")
+
+
+def _noise_stack(rows, cols, samples, trials, pattern):
+    geom = make_geometry(rows, cols)
+    ref = make_reference(geom, amplitude=1.3, phase=0.4)
+    stack = draw_paths(
+        ChannelConfig("rician_random", L=3),
+        [np.random.default_rng(100 + t) for t in range(trials)],
+    )
+    noise = np.linspace(0.05, 2.5, trials)
+    if pattern == "mixed":
+        noise[::2] = 0.0
+    elif pattern == "zero":
+        noise[:] = 0.0
+    seeds = [2**63 + 977 * t for t in range(trials)]
+    return (geom, ref, stack, 0.9, noise, samples, seeds)
+
+
+@st.composite
+def blocked_records(draw):
+    """A small recording and a block size placed below, at or above its matrices.
+
+    The matrix size P = M*N*S (in floats) ends up below the block (whole
+    matrices per block, the last block partial), equal to it, or just above
+    it (row ranges of one matrix, the last range partial, or one row per
+    block when a row alone exceeds the block).
+    """
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    samples = draw(st.integers(1, 9))
+    trials = draw(st.integers(1, 7))
+    pattern = draw(st.sampled_from(NOISE_PATTERNS))
+    P = rows * cols * samples
+    block = draw(
+        st.one_of(
+            st.just(P),
+            st.integers(P + 1, 3 * P),
+            st.integers(max(1, P - 2 * cols * samples), max(1, P - 1)),
+            st.integers(1, cols * samples),
+        )
+    )
+    return _noise_stack(rows, cols, samples, trials, pattern), block
+
+
+class TestBlockedNoise:
+    """``record_power`` draws and reduces its noise in blocks, bit for bit as the two-stack draw."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(blocked_records())
+    def test_equals_two_stack_draw_at_any_block_size(self, case):
+        args, block = case
+        with mock.patch.object(holography, "_BLOCK_BYTES", 8 * block):
+            got = record_power(*args)
+        assert np.array_equal(got, two_stack_record_power(*args))
+
+    # Real block size (32,768 floats): M*N*S = 32,000 (below), 32,768
+    # (equal) and 32,825 (just above, not a multiple of a block or of a row
+    # block); S = 8 and 9 take np.add.reduce's pairwise order.
+    @pytest.mark.parametrize(
+        "rows, cols, samples",
+        [(64, 100, 5), (64, 128, 4), (65, 101, 5), (32, 128, 8), (37, 29, 9)],
+    )
+    @pytest.mark.parametrize("pattern", NOISE_PATTERNS)
+    def test_equals_two_stack_draw_at_the_block_size(self, rows, cols, samples, pattern):
+        args = _noise_stack(rows, cols, samples, 3, pattern)
+        assert holography._BLOCK_BYTES == 8 * 32768
+        assert np.array_equal(record_power(*args), two_stack_record_power(*args))
 
 
 class TestReindex:
