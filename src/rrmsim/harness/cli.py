@@ -59,6 +59,7 @@ def _recorded_weights(cfg: ExperimentConfig):
 def _cmd_record(cfg: ExperimentConfig, args) -> int:
     out = output_dir(cfg)
     power, weights = _recorded_weights(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     holography.save_matrix_csv(power, out / "hologram.csv")
     holography.save_matrix_csv(weights.values, out / "weights.csv")
     if not args.quiet:
@@ -81,6 +82,7 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
     out = output_dir(cfg)
     theta, phi = bp.default_axes(args.step_deg)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
+    out.mkdir(parents=True, exist_ok=True)
     bp.export_pattern_csv(pattern, out / "pattern.csv")
     peaks = bp.find_peaks(pattern, count=args.peaks, min_separation_deg=5.0)
     if not args.quiet:

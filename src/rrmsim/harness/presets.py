@@ -76,14 +76,17 @@ def resolve_config(
 
 
 def output_dir(cfg: ExperimentConfig, out_dir=None) -> FsPath:
-    """The run's output directory, out_dir or else ``cfg.output.directory``, created if missing."""
-    out = FsPath(out_dir if out_dir is not None else cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The run's output directory, out_dir or else ``cfg.output.directory``.
+
+    Not created here: each writer creates it just before its first file, so
+    a run that fails first leaves no directory behind.
+    """
+    return FsPath(out_dir if out_dir is not None else cfg.output.directory)
 
 
 def write_results(rs: ResultSet, out: FsPath, quiet: bool, meta: dict | None = None) -> None:
     """Write ``results.csv`` (and ``meta.json``, given meta) into out; the summary unless quiet."""
+    out.mkdir(parents=True, exist_ok=True)
     emit_csv(rs, out / "results.csv")
     if meta is not None:
         text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
@@ -135,6 +138,7 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
     strategies = [(s, holography.make_weights(power, s)) for s in ("none", "mean")]
     for strategy, weights in strategies:  # before any pattern file is written
         check_pattern_weights(weights, strategy)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for strategy, weights in strategies:
         pattern = beampattern.array_factor(geom, ref, weights, theta, phi)
         beampattern.export_pattern_csv(pattern, out_dir / f"pattern_b_{strategy}.csv")
