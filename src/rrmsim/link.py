@@ -20,9 +20,11 @@ Monte-Carlo trials run as stacks. ``draw_trials`` gives each trial its
 own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
 arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi``
 splits a (T, L) stack into chunks of ``chunk_trials`` trials, which keeps
-each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB), and
-carries each chunk through ``weight_stack_for`` (recorded or perfect-CSI
-weights), ``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
+each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); a noisy
+recording holds one (T, M, N, S) stack of real noise parts plus a fixed
+256 KiB block of imaginary parts (``record_power``). It carries each chunk
+through ``weight_stack_for`` (recorded or perfect-CSI weights),
+``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
 (T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and
 one (T, n_snr) MI expression. In normalized mode the taps of each block are
 scaled to unit average receive power before any matrix is formed, so no
