@@ -177,11 +177,11 @@ def record_power(
     T, M, N = c.shape
     S = num_samples
     acc = np.empty(c.shape + (S,))
-    rngs = []
-    for i, t in enumerate(noisy):
-        rngs.append(np.random.Generator(np.random.Philox(int(seeds[t]))))
-        rngs[i].standard_normal(out=acc[i])
+    rngs = [np.random.Generator(np.random.Philox(int(seeds[t]))) for t in noisy]
+    for rng, x in zip(rngs, acc):
+        rng.standard_normal(out=x)
     scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
+    # A block is per_block whole matrices when one fits, else rows of one.
     rows = max(1, min(M, _BLOCK_BYTES // (8 * N * S)))
     per_block = max(1, min(T, _BLOCK_BYTES // (8 * M * N * S)))
     imag = np.empty((per_block, rows, N, S))
@@ -192,8 +192,8 @@ def record_power(
             m1 = min(M, m0 + rows)
             x = acc[t0:t1, m0:m1]
             y = imag[: t1 - t0, : m1 - m0]
-            for i in range(t0, t1):
-                rngs[i].standard_normal(out=y[i - t0])
+            for rng, part in zip(rngs[t0:t1], y):
+                rng.standard_normal(out=part)
             x *= scale[t0:t1]
             x += c[t0:t1, m0:m1].real[..., None]
             np.square(x, out=x)
@@ -202,7 +202,7 @@ def record_power(
             np.square(y, out=y)
             x += y
             out = mean[t0:t1, m0:m1]
-            if S < 8:
+            if S < 8:  # numpy's pairwise sum adds fewer than 8 terms in order
                 np.copyto(out, x[..., 0])
                 for k in range(1, S):
                     out += x[..., k]
