@@ -24,6 +24,7 @@ from .presets import (
     PRESET_NAMES,
     add_curve_rows,
     check_pattern_weights,
+    make_output_dir,
     output_dir,
     paired_curves,
     run_preset,
@@ -59,7 +60,7 @@ def _recorded_weights(cfg: ExperimentConfig):
 def _cmd_record(cfg: ExperimentConfig, args) -> int:
     out = output_dir(cfg)
     power, weights = _recorded_weights(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
     holography.save_matrix_csv(power, out / "hologram.csv")
     holography.save_matrix_csv(weights.values, out / "weights.csv")
     if not args.quiet:
@@ -77,12 +78,12 @@ def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--step-deg: must be finite and > 0, got {args.step_deg}")
     if args.peaks < 1:
         raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
+    out = output_dir(cfg)
     _power, weights = _recorded_weights(cfg)
     check_pattern_weights(weights, cfg.weights.strategy)
-    out = output_dir(cfg)
     theta, phi = bp.default_axes(args.step_deg)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
-    out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
     bp.export_pattern_csv(pattern, out / "pattern.csv")
     peaks = bp.find_peaks(pattern, count=args.peaks, min_separation_deg=5.0)
     if not args.quiet:

@@ -5,7 +5,8 @@ top of the standard scenario), runs its sweep with seeds derived from the
 config seed, writes `results.csv` and `meta.json` (and per-pattern CSVs
 where applicable) into the output directory, and prints a summary table.
 Identical config and seed produce byte-identical output files. The CLI
-commands use the same output directory (``output_dir``) and results writer
+commands use the same output directory (``output_dir``, checked before the
+run; ``make_output_dir``, called by each writer) and results writer
 (``write_results``).
 
 The figure-style presets that compare beamforming efficiency (fig6 through
@@ -15,8 +16,10 @@ the channel matrix; plain CLI sweeps keep the config default.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -78,15 +81,31 @@ def resolve_config(
 def output_dir(cfg: ExperimentConfig, out_dir=None) -> FsPath:
     """The run's output directory, out_dir or else ``cfg.output.directory``.
 
-    Not created here: each writer creates it just before its first file, so
-    a run that fails first leaves no directory behind.
+    Checked before the run, created only by ``make_output_dir`` just before
+    the first file is written: a path whose nearest existing ancestor is not
+    a writable directory raises OSError here, and a run that fails first
+    leaves no directory behind.
     """
-    return FsPath(out_dir if out_dir is not None else cfg.output.directory)
+    out = FsPath(out_dir if out_dir is not None else cfg.output.directory)
+    base = out.absolute()
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(base))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(base))
+    return out
+
+
+def make_output_dir(out: FsPath) -> FsPath:
+    """Create the directory ``output_dir`` checked; every writer calls it before its first file."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def write_results(rs: ResultSet, out: FsPath, quiet: bool, meta: dict | None = None) -> None:
     """Write ``results.csv`` (and ``meta.json``, given meta) into out; the summary unless quiet."""
-    out.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out)
     emit_csv(rs, out / "results.csv")
     if meta is not None:
         text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
@@ -138,7 +157,7 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
     strategies = [(s, holography.make_weights(power, s)) for s in ("none", "mean")]
     for strategy, weights in strategies:  # before any pattern file is written
         check_pattern_weights(weights, strategy)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     for strategy, weights in strategies:
         pattern = beampattern.array_factor(geom, ref, weights, theta, phi)
         beampattern.export_pattern_csv(pattern, out_dir / f"pattern_b_{strategy}.csv")
@@ -270,7 +289,8 @@ def run_preset(
 
     Raises:
         ValueError: unknown preset name.
-        OSError: unwritable output directory.
+        OSError: unwritable output directory (before the run when its
+            nearest existing ancestor is not a writable directory).
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

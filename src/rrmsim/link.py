@@ -21,8 +21,9 @@ own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
 arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi``
 splits a (T, L) stack into chunks of ``chunk_trials`` trials, which keeps
 each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); a noisy
-recording holds one (T, M, N, S) stack of real noise parts plus a fixed
-256 KiB block of imaginary parts (``record_power``). It carries each chunk
+recording holds one (T, M, N, S) stack of real noise parts plus a block of
+imaginary parts no larger than 256 KiB or the stack (``record_power``), so
+only stacks above 256 KiB are held once. It carries each chunk
 through ``weight_stack_for`` (recorded or perfect-CSI weights),
 ``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
 (T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and

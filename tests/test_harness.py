@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from rrmsim import link as link_module
 from rrmsim.harness import (
     ConfigError,
     ExperimentConfig,
@@ -669,6 +670,25 @@ class TestCli:
         code = main(["record", "--quiet", "--out", "/proc/definitely/not/writable"])
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["record", "beampattern", "mi-sweep --reps 1", "outage", "preset fig8_size_sweep"],
+    )
+    def test_output_under_a_file_exits_3_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_recording(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(link_module, "record_power", no_recording)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        code = main([*command.split(), "--out", str(out), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == f"i/o error: [Errno 20] Not a directory: '{blocker}'\n"
+        assert blocker.read_text() == ""
 
     def test_outage_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
