@@ -39,7 +39,7 @@ def main(trials: int = 500) -> None:
             w = link.weight_stack_for(scenario, paths, seeds).values
             total = np.sum(w**2, axis=(-2, -1))
             share[system] = np.mean(size * size * np.mean(w, axis=(-2, -1)) ** 2 / total)
-            alpha = link.alpha_stack(geom, ref, w, paths)
+            alpha = link.alpha_stack(geom, w, paths)
             power[system] = np.sum(np.abs(alpha) ** 2, axis=-1)
         ratio = np.mean(power["rrm"] / power["rhs"])
         print(f"{size:2d}x{size:<2d}  {share['rrm']:14.3f}  {share['rhs']:14.3f}  {ratio:19.3f}")

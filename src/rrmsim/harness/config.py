@@ -130,9 +130,7 @@ class ReferenceBlock:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        # ReferenceWaveSpec allows 0; a recording needs a reference to interfere with
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
+        ReferenceWaveSpec(self.amplitude, self.phase_offset)  # its rule first: amplitude > 0
         _check_amplitude("amplitude", self.amplitude)
 
 
@@ -245,19 +243,17 @@ class ExperimentConfig:
         s = self.surface
         # fc <= 0 is SurfaceGeometry's to reject; only keep the division from failing first
         lam = SPEED_OF_LIGHT / s.fc if s.fc > 0 else math.inf
-        k_free = 2.0 * math.pi / lam
         return SurfaceGeometry(
             rows if rows is not None else s.M,
             cols if cols is not None else s.N,
             s.dx if s.dx is not None else lam / 2.0,
             s.dy if s.dy is not None else lam / 2.0,
             s.fc,
-            s.substrate_index * k_free,
+            s.substrate_index,
         )
 
     def reference_wave(self) -> ReferenceWaveSpec:
-        r = self.reference
-        return ReferenceWaveSpec(r.amplitude, 2.0 * math.pi * self.surface.fc, r.phase_offset)
+        return ReferenceWaveSpec(self.reference.amplitude, self.reference.phase_offset)
 
     def pulse(self) -> PulseSpec:
         l = self.link
@@ -398,7 +394,7 @@ def _build(cls, data, path: str):
         raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
 
 
-_KEY_RENAMES = {"rows": "M", "cols": "N", "k_sub": "substrate_index"}  # domain field -> key
+_KEY_RENAMES = {"rows": "M", "cols": "N"}  # domain field -> key
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -414,7 +410,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = _build(ExperimentConfig, data, "")
     for block, make, domain in (
         ("surface", cfg.geometry, SurfaceGeometry),
-        ("reference", cfg.reference_wave, ReferenceWaveSpec),
         ("channel", cfg.channel_config, ChannelConfig),
         ("link", cfg.pulse, PulseSpec),
         ("link", cfg.scenario, LinkScenario),

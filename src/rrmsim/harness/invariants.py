@@ -79,12 +79,11 @@ def steering_unit_modulus():
 def object_field_gain_linearity():
     rng = np.random.default_rng(9)
     geom = _geom(6, 5)
-    ref = _ref(geom)
     base = _std_paths()
     c = complex(rng.normal(), rng.normal())
     scaled = PathSet(tuple(Path(p.gain * c, p.delay, p.direction) for p in base.paths))
-    f1 = surface.object_field(geom, scaled, ref)
-    f2 = c * surface.object_field(geom, base, ref)
+    f1 = surface.object_field(geom, scaled)
+    f2 = c * surface.object_field(geom, base)
     worst = float(np.max(np.abs(f1 - f2)))
     return worst < 1e-12, f"max residual {worst:.3g}"
 
@@ -106,7 +105,7 @@ def _closed_form_power(geom, ref, paths, user_amplitude):
     per_path = [
         user_amplitude
         * p.gain
-        * np.exp(-1j * ref.angular_frequency * p.delay)
+        * np.exp(-1j * geom.angular_frequency * p.delay)
         * surface.steering_field(geom, p.direction)
         for p in paths.paths
     ]
@@ -194,7 +193,7 @@ def reconstruction_four_term_decomposition():
                 for _ in range(n_paths)
             )
         )
-        e_o = surface.object_field(geom, paths, ref)
+        e_o = surface.object_field(geom, paths)
         e_r = surface.reference_field(geom, ref)
         w_prime = holography.reindex(np.abs(e_o + e_r) ** 2)
         e_h = holography.reconstruct_field(geom, ref, w_prime)
@@ -310,9 +309,9 @@ def path_reciprocity_shared_pathset():
     paths = channel.sample_paths(ChannelConfig("rician_random", L=4), 3)
     power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
     weights = holography.make_weights(power, "mean")
-    h = link.equivalent_taps(geom, ref, weights, paths, PulseSpec(), K=16)
+    h = link.equivalent_taps(geom, weights, paths, PulseSpec(), K=16)
     finite = bool(np.all(np.isfinite(h)))
-    return finite and len(link.alpha_taps(geom, ref, weights, paths)) == len(paths), (
+    return finite and len(link.alpha_taps(geom, weights, paths)) == len(paths), (
         "one path set drives recording and taps"
     )
 
@@ -381,7 +380,7 @@ def alpha_split_sum_agreement():
         cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
         power = holography.record_hologram(geom, ref, paths, cfg)
         weights = holography.make_weights(power, "min")
-        direct = link.alpha_taps(geom, ref, weights, paths)
+        direct = link.alpha_taps(geom, weights, paths)
         dom, res = link.alpha_taps_split(geom, ref, weights, paths, cfg)
         err = float(
             np.max(np.abs(direct - (dom + res)) / np.maximum(np.abs(direct), 1e-30))

@@ -161,11 +161,9 @@ def record_power(
     """
     if paths.gain.shape[-1] == 0:
         raise ValueError("recording needs at least one incident path")
-    if ref.amplitude <= 0:
-        raise ValueError("recording needs a positive reference amplitude")
     reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
 
-    gains = paths.carrier_gains(ref.angular_frequency)
+    gains = paths.carrier_gains(geom.angular_frequency)
     user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
     carrier = user + reference
     flat = carrier.reshape((-1,) + geom.shape)
@@ -329,21 +327,19 @@ def reconstruction_terms(
         "reference_squared": M x N complex arrays.
     """
     e_r = reference_field(geom, ref)
-    e_o = object_field(geom, paths, ref)
+    e_o = object_field(geom, paths)
     a_c = ref.amplitude**2 + paths.total_power()
     return {
         "constant": a_c * e_r,
         "conjugate_object": np.abs(e_r) ** 2 * np.conj(e_o),
-        "cross_path": _cross_path_sum(geom, ref, paths) * e_r,
+        "cross_path": _cross_path_sum(geom, paths) * e_r,
         "reference_squared": e_o * e_r**2,
     }
 
 
-def _cross_path_sum(
-    geom: SurfaceGeometry, ref: ReferenceWaveSpec, paths: PathSet
-) -> np.ndarray:
+def _cross_path_sum(geom: SurfaceGeometry, paths: PathSet) -> np.ndarray:
     """sum over i != j of e_i * conj(e_j), e_i the incident field of path i."""
-    gains = paths.carrier_gains(ref.angular_frequency)
+    gains = paths.carrier_gains(geom.angular_frequency)
     per_path = [g * steering_field(geom, p.direction) for g, p in zip(gains, paths.paths)]
     cross = np.zeros(geom.shape, dtype=complex)
     for i, ei in enumerate(per_path):

@@ -2,8 +2,11 @@
 
 The weighted surface, excited by the modulated reference wave, reaches the
 user through the same resolvable paths that were recorded. Each path
-contributes one complex equivalent amplitude (an exact sum over elements);
-root-raised-cosine transmit/receive filtering turns the path delays into
+contributes one complex equivalent amplitude (an exact sum over elements,
+``alpha_stack``). It reads the carrier from the geometry and the reference
+wave only through its unit phase map, since the unit radiated power scaling
+cancels the amplitude, so it takes no ``ReferenceWaveSpec``.
+Root-raised-cosine transmit/receive filtering turns the path delays into
 discrete-time taps h[l] through the composite raised-cosine pulse evaluated
 at fractional offsets, at exactly the 2K-1 lags -(K-1)..K-1 that a K-symbol
 block reads. The filter pair is never sampled: ``raised_cosine`` is its
@@ -115,22 +118,12 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
     return np.divide(num, 1.0 - (2.0 * a * t) ** 2, out=out, where=rest)
 
 
-def alpha_taps(
-    geom: SurfaceGeometry,
-    ref: ReferenceWaveSpec,
-    weights: WeightStack,
-    paths: PathSet,
-) -> np.ndarray:
+def alpha_taps(geom: SurfaceGeometry, weights: WeightStack, paths: PathSet) -> np.ndarray:
     """Per-path equivalent amplitudes of one weight matrix; the view of ``alpha_stack``."""
-    return alpha_stack(geom, ref, weights.values, paths.arrays)
+    return alpha_stack(geom, weights.values, paths.arrays)
 
 
-def alpha_stack(
-    geom: SurfaceGeometry,
-    ref: ReferenceWaveSpec,
-    weights: np.ndarray,
-    paths: PathArrays,
-) -> np.ndarray:
+def alpha_stack(geom: SurfaceGeometry, weights: np.ndarray, paths: PathArrays) -> np.ndarray:
     """(..., L) equivalent amplitudes of weight stacks (..., M, N) via the exact per-element sum.
 
     alpha_i = A_tx * sum_{m,n} W(m,n) * beta(m,n) * gain_i
@@ -148,7 +141,7 @@ def alpha_stack(
     beta = reference_phase(geom)
     ax, ay = steering_stack(geom, paths.theta, paths.phi)
     sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
-    return a_tx[..., None] * paths.carrier_gains(ref.angular_frequency) * sums
+    return a_tx[..., None] * paths.carrier_gains(geom.angular_frequency) * sums
 
 
 def alpha_taps_split(
@@ -188,7 +181,7 @@ def alpha_taps_split(
 
     beta = reference_phase(geom)
     steer = [steering_field(geom, p.direction) for p in paths.paths]
-    g = paths.carrier_gains(ref.angular_frequency)
+    g = paths.carrier_gains(geom.angular_frequency)
     L = len(paths)
     const = a_r**2 + a_u**2 * paths.total_power()
 
@@ -240,12 +233,7 @@ def alpha_taps_split(
 
 
 def equivalent_taps(
-    geom: SurfaceGeometry,
-    ref: ReferenceWaveSpec,
-    weights: WeightStack,
-    paths: PathSet,
-    pulse: PulseSpec,
-    K: int,
+    geom: SurfaceGeometry, weights: WeightStack, paths: PathSet, pulse: PulseSpec, K: int
 ) -> np.ndarray:
     """Equivalent discrete-time taps of the weighted surface on a K-symbol block.
 
@@ -256,7 +244,7 @@ def equivalent_taps(
         raise ValueError("block length K must be >= 1")
     if len(paths) == 0:
         raise ValueError("tap synthesis needs at least one path")
-    alpha = alpha_taps(geom, ref, weights, paths)
+    alpha = alpha_taps(geom, weights, paths)
     return tap_stack(alpha, paths.arrays.delay, pulse, K)
 
 
@@ -400,7 +388,7 @@ def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> Weight
     """Weights of each realization of a (..., L) path stack; seeds as ``record_power``'s."""
     s = scenario
     if s.system == "rhs":
-        gains = paths.carrier_gains(s.ref.angular_frequency)
+        gains = paths.carrier_gains(s.geom.angular_frequency)
         return rhs_weight_stack(s.geom, s.ref, paths.theta, paths.phi, gains)
     return weight_stack(recorded_power(s, paths, seeds), s.strategy)
 
@@ -423,7 +411,7 @@ def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     if paths.gain.shape[-1] == 0:
         raise ValueError("tap synthesis needs at least one path")
     weights = weight_stack_for(s, paths, seeds).values
-    alpha = alpha_stack(s.geom, s.ref, weights, paths)
+    alpha = alpha_stack(s.geom, weights, paths)
     h = tap_stack(alpha, paths.delay, s.pulse, s.K)
     return _normalize_taps(h) if s.normalization == "normalized" else h
 

@@ -17,6 +17,12 @@ the link model) is built from three primitives defined here:
   Leading axes stack Monte-Carlo trials; ``object_field`` (a path set)
   and ``steering_field`` (one ``Direction``) are the single-set views.
 
+The geometry owns the carrier: ``SurfaceGeometry`` holds fc and the
+substrate index and derives omega = 2*pi*fc, k_free and k_sub from them,
+so the user waves and the reference wave share one carrier by
+construction. ``ReferenceWaveSpec`` holds only the reference amplitude and
+its recording phase offset.
+
 ``reference_field``, ``object_field`` and ``steering_field`` return plain
 (M, N) complex arrays, as ``superpose`` does for one path set.
 
@@ -51,8 +57,8 @@ class SurfaceGeometry:
         dx: element spacing along x in meters.
         dy: element spacing along y in meters.
         fc: carrier frequency in Hz.
-        k_sub: wavenumber of the guided reference wave in the substrate,
-            rad/m. Must be >= the free-space wavenumber.
+        substrate_index: refractive index of the substrate that guides the
+            reference wave; >= 1.
     """
 
     rows: int
@@ -60,7 +66,7 @@ class SurfaceGeometry:
     dx: float
     dy: float
     fc: float
-    k_sub: float
+    substrate_index: float
 
     def __post_init__(self):
         for name, count in (("rows", self.rows), ("cols", self.cols)):
@@ -72,13 +78,23 @@ class SurfaceGeometry:
         for name, spacing in (("dx", self.dx), ("dy", self.dy)):
             if spacing <= 0:
                 raise ValueError(f"{name}: must be positive, got {spacing}")
-        if self.k_sub < self.k_free - 1e-9:
-            raise ValueError("k_sub: must be >= k_free (substrate index >= 1)")
+        if not self.substrate_index >= 1.0:
+            raise ValueError(f"substrate_index: must be >= 1, got {self.substrate_index}")
+
+    @property
+    def angular_frequency(self) -> float:
+        """Carrier angular frequency omega = 2*pi*fc in rad/s."""
+        return 2.0 * math.pi * self.fc
 
     @property
     def k_free(self) -> float:
-        """Free-space wavenumber 2*pi*fc/c in rad/m."""
-        return 2.0 * math.pi * self.fc / SPEED_OF_LIGHT
+        """Free-space wavenumber omega/c in rad/m."""
+        return self.angular_frequency / SPEED_OF_LIGHT
+
+    @property
+    def k_sub(self) -> float:
+        """Wavenumber of the guided reference wave, substrate_index * k_free, in rad/m."""
+        return self.substrate_index * self.k_free
 
     @property
     def wavelength(self) -> float:
@@ -96,10 +112,9 @@ class SurfaceGeometry:
         fc: float,
         substrate_index: float = math.sqrt(3.0),
     ) -> "SurfaceGeometry":
-        """Grid with half-wavelength spacing and k_sub = substrate_index * k_free."""
+        """Grid with half-wavelength spacing."""
         lam = SPEED_OF_LIGHT / fc
-        k_free = 2.0 * math.pi / lam
-        return cls(rows, cols, lam / 2.0, lam / 2.0, fc, substrate_index * k_free)
+        return cls(rows, cols, lam / 2.0, lam / 2.0, fc, substrate_index)
 
     def element_x(self) -> np.ndarray:
         """(M,) x-coordinates of element rows, centered on the feed."""
@@ -160,25 +175,20 @@ class ReferenceWaveSpec:
     """Guided reference wave fed at the surface center.
 
     It propagates as exp(-j*k_sub*d) from the feed, in recording and in
-    reconstruction alike.
+    reconstruction alike, at the carrier of the geometry it is used with.
 
     Attributes:
-        amplitude: A_r >= 0.
+        amplitude: A_r > 0.
         phase_offset: phase (radians) of the recording-time reference relative
             to the reconstruction-time reference. Applied only while recording.
-        angular_frequency: omega_r in rad/s; must equal 2*pi*fc of the geometry
-            it is used with (the waves cannot interfere otherwise).
     """
 
     amplitude: float
-    angular_frequency: float
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude: must be nonnegative, got {self.amplitude}")
-        if self.angular_frequency <= 0:
-            raise ValueError(f"angular_frequency: must be positive, got {self.angular_frequency}")
+        if not self.amplitude > 0:
+            raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
 
     @classmethod
     def for_geometry(
@@ -187,16 +197,8 @@ class ReferenceWaveSpec:
         amplitude: float = 1.0,
         phase_offset: float = 0.0,
     ) -> "ReferenceWaveSpec":
-        return cls(amplitude, 2.0 * math.pi * geom.fc, phase_offset)
-
-
-def _check_frequency(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> None:
-    omega_c = 2.0 * math.pi * geom.fc
-    if not math.isclose(ref.angular_frequency, omega_c, rel_tol=1e-9):
-        raise ValueError(
-            "reference angular frequency must equal 2*pi*fc of the geometry "
-            f"({ref.angular_frequency} != {omega_c})"
-        )
+        """The wave of that amplitude and phase; ``geom`` is not read (it owns the carrier)."""
+        return cls(amplitude, phase_offset)
 
 
 @functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
@@ -219,7 +221,6 @@ def reference_field(geom: SurfaceGeometry, ref: ReferenceWaveSpec) -> np.ndarray
     The unit phase map is cached per geometry; every call returns a
     fresh array, so callers may modify it.
     """
-    _check_frequency(geom, ref)
     return ref.amplitude * reference_phase(geom)
 
 
@@ -265,24 +266,22 @@ def superpose(
     return (ax * gains[..., None, :]) @ np.swapaxes(ay, -1, -2)
 
 
-def object_field(geom: SurfaceGeometry, paths, ref: ReferenceWaveSpec) -> np.ndarray:
+def object_field(geom: SurfaceGeometry, paths) -> np.ndarray:
     """(M, N) superposition of incident plane waves from a set of propagation paths.
 
-    Each path contributes gain * exp(-j*omega_r*delay) * steering(theta, phi);
+    Each path contributes gain * exp(-j*omega*delay) * steering(theta, phi);
     the delay term is the baseband carrier rotation accumulated along the
-    path. Linear in the path gains. This is ``superpose`` of the paths'
+    path, at the geometry's carrier omega. Linear in the path gains. This is ``superpose`` of the paths'
     directions with their carrier gains.
 
     Args:
-        geom: surface geometry.
+        geom: surface geometry; supplies omega for the delay phase.
         paths: a ``rrmsim.channel.PathSet``; its ``arrays`` are used.
-        ref: supplies omega_r for the delay phase.
 
     Raises:
         ValueError: if the path set is empty.
     """
-    _check_frequency(geom, ref)
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
     p = paths.arrays
-    return superpose(geom, p.theta, p.phi, p.carrier_gains(ref.angular_frequency))
+    return superpose(geom, p.theta, p.phi, p.carrier_gains(geom.angular_frequency))

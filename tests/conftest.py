@@ -39,7 +39,7 @@ def block_matrix(scenario, paths, recording_seed=0):
     """
     s = scenario
     if s.system == "rhs":
-        gains = paths.carrier_gains(s.ref.angular_frequency)
+        gains = paths.carrier_gains(s.geom.angular_frequency)
         desired = [(p.direction, g) for p, g in zip(paths.paths, gains)]
         weights = holography.rhs_weights(s.geom, s.ref, desired)
     else:
@@ -47,7 +47,7 @@ def block_matrix(scenario, paths, recording_seed=0):
         cfg = holography.RecordingConfig(s.user_amplitude, noise, s.duration_symbols, recording_seed)
         power = holography.record_hologram(s.geom, s.ref, paths, cfg)
         weights = holography.make_weights(power, s.strategy)
-    H = link.build_toeplitz(link.equivalent_taps(s.geom, s.ref, weights, paths, s.pulse, s.K))
+    H = link.build_toeplitz(link.equivalent_taps(s.geom, weights, paths, s.pulse, s.K))
     if s.normalization == "normalized":
         power = np.real(np.trace(H @ H.conj().T)) / s.K
         if power > 0.0:

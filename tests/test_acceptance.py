@@ -93,7 +93,7 @@ def test_criterion_1_reindexing_reconstruction_identities():
                 for _ in range(int(rng.integers(1, 7)))
             )
         )
-        e_o = object_field(geom, paths, ref)
+        e_o = object_field(geom, paths)
         conj_residual = float(np.max(np.abs(reindex(e_o) - np.conj(e_o))))
         worst_conj = max(worst_conj, conj_residual)
 
@@ -219,7 +219,7 @@ def test_criterion_6_equivalent_amplitude_split():
         cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
         holo = record_hologram(geom, ref, paths, cfg)
         weights = make_weights(holo, "min" if trial % 2 else "none")
-        direct = alpha_taps(geom, ref, weights, paths)
+        direct = alpha_taps(geom, weights, paths)
         dom, res = alpha_taps_split(geom, ref, weights, paths, cfg)
         err = np.abs(direct - (dom + res)) / np.maximum(np.abs(direct), 1e-30)
         worst = max(worst, float(np.max(err)))

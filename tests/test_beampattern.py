@@ -88,7 +88,7 @@ class TestHalfExponentials:
         [(1, 2, 0.005, 0.005), (7, 12, 0.0037, 0.0051), (8, 8, 0.005, 0.005), (33, 32, 0.0049, 0.0031)],
     )
     def test_element_coordinates_mirror_exactly(self, rows, cols, dx, dy):
-        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, math.sqrt(3.0))
         for c in (geom.element_x(), geom.element_y()):
             assert np.array_equal(c[::-1], -c)
 
@@ -140,7 +140,7 @@ class TestSteeringTables:
         ],
     )
     def test_grid_shapes_and_spacings(self, threads, rows, cols, dx, dy):
-        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+        geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, math.sqrt(3.0))
         self.assert_bit_identical(geom, *default_axes(1.5), seed=rows * cols)
 
     def test_partial_phi_axis(self, threads):
@@ -216,7 +216,7 @@ def test_property_array_factor_equals_reference(data):
     phi = _axis(lambda s: data.draw(s, label="phi_deg"), 16)
     cpus = data.draw(st.integers(2, 5), label="cpus")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, 1100.0)
+    geom = SurfaceGeometry(rows, cols, dx, dy, 30.0e9, math.sqrt(3.0))
     ref = make_reference(geom)
     weights = np.random.default_rng(seed).uniform(0.0, 1.0, size=geom.shape)
     weights[0, 0] = 1.0  # never all zero

@@ -37,6 +37,8 @@ REJECTED = [
     ({"surface": {"fc": 0.0}}, "surface.fc"),
     ({"surface": {"fc": -1.0}}, "surface.fc"),
     ({"surface": {"substrate_index": 0.5}}, "surface.substrate_index"),
+    # The rule is exactly index >= 1: a 1e-9 rad/m slack on k_sub let this load.
+    ({"surface": {"substrate_index": float(np.nextafter(1.0, 0.0))}}, "surface.substrate_index"),
     ({"surface": {"dx": 0.0}}, "surface.dx"),
     ({"surface": {"dy": -1.0}}, "surface.dy"),
     ({"reference": {"amplitude": 0.0}}, "reference.amplitude"),
@@ -202,6 +204,10 @@ class TestConfig:
     def test_theta_range_edges_accepted(self):
         cfg = config_from_dict({"channel": {"theta_range_deg": [0.0, 90.0]}})
         assert cfg.channel.theta_range_deg == (0.0, 90.0)
+
+    def test_substrate_index_of_exactly_one_loads(self):
+        geom = config_from_dict({"surface": {"substrate_index": 1.0}}).geometry()
+        assert geom.substrate_index == 1.0 and geom.k_sub == geom.k_free
 
     @pytest.mark.parametrize("amplitude", [0.0, -1.0])
     def test_reference_amplitude_must_be_positive(self, amplitude):

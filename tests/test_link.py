@@ -66,12 +66,12 @@ class TestEquivalentTaps:
         pulse = PulseSpec()
         K = 4
         focused = equivalent_taps(
-            geom, ref, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths, pulse, K
+            geom, rhs_weights(geom, ref, [(d, 1.0 + 0j)]), paths, pulse, K
         )
         h0_focused = abs(focused[K - 1])
         for _ in range(20):
             w = rng.uniform(0.0, 1.0, size=geom.shape)
-            random_h = equivalent_taps(geom, ref, _as_weights(w), paths, pulse, K)
+            random_h = equivalent_taps(geom, _as_weights(w), paths, pulse, K)
             assert h0_focused > abs(random_h[K - 1])
 
     def test_zero_gain_path_contributes_nothing(self):
@@ -85,16 +85,15 @@ class TestEquivalentTaps:
         )
         holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
         weights = make_weights(holo, "min")
-        alpha = alpha_taps(geom, ref, weights, paths)
+        alpha = alpha_taps(geom, weights, paths)
         assert alpha[1] == 0j
 
     def test_all_zero_weights_give_a_zero_channel(self):
         # all-zero weights radiate nothing: zero taps, MI 0, out for every r_th > 0
         geom = make_geometry(4, 4)
-        ref = make_reference(geom)
         paths = make_five_paths()
         zero = _as_weights(np.zeros(geom.shape))
-        h = equivalent_taps(geom, ref, zero, paths, PulseSpec(), 8)
+        h = equivalent_taps(geom, zero, paths, PulseSpec(), 8)
         assert np.array_equal(h, np.zeros(15, dtype=complex))
         assert mutual_information(build_toeplitz(h), 1e30) == 0.0
         gammas = np.array([0.0, 1.0, 1e30])
@@ -110,8 +109,8 @@ class TestEquivalentTaps:
         paths = make_five_paths()
         holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
         weights = make_weights(holo, "mean")
-        a1 = alpha_taps(geom, ref, weights, paths)
-        a4 = alpha_taps(geom, ref, _as_weights(4.0 * weights.values), paths)
+        a1 = alpha_taps(geom, weights, paths)
+        a4 = alpha_taps(geom, _as_weights(4.0 * weights.values), paths)
         assert np.allclose(a4, a1, rtol=1e-12)
 
     def test_split_matches_direct_sum(self):
@@ -136,7 +135,7 @@ class TestEquivalentTaps:
             holo = record_hologram(geom, ref, paths, cfg)
             strategy = "min" if trial % 2 else "none"
             weights = make_weights(holo, strategy)
-            direct = alpha_taps(geom, ref, weights, paths)
+            direct = alpha_taps(geom, weights, paths)
             dominant, residual = alpha_taps_split(geom, ref, weights, paths, cfg)
             err = np.abs(direct - (dominant + residual)) / np.maximum(np.abs(direct), 1e-30)
             assert float(np.max(err)) < 1e-9
@@ -160,8 +159,8 @@ class TestEquivalentTaps:
         pulse = PulseSpec()
         K = 8
         weights = rhs_weights(geom, ref, [(d, 1.0 + 0j)])
-        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
-        alpha = alpha_taps(geom, ref, weights, paths)[0]
+        h = equivalent_taps(geom, weights, paths, pulse, K)
+        alpha = alpha_taps(geom, weights, paths)[0]
         frac = tau / pulse.symbol_period
         for lag in (-1, 0, 1, 2):
             expected = alpha * raised_cosine(np.array([lag - frac]), pulse.rolloff)[0]
@@ -172,7 +171,6 @@ class TestEquivalentTaps:
         # 2K-1 taps, h[K-1+l] = sum_i alpha_i * w(l - d_i) at every lag l
         rng = np.random.default_rng(100 + K)
         geom = make_geometry(6, 7)
-        ref = make_reference(geom)
         pulse = PulseSpec(rolloff=0.35)
         paths = PathSet(
             tuple(
@@ -185,9 +183,9 @@ class TestEquivalentTaps:
             )
         )
         weights = _as_weights(rng.uniform(0.0, 1.0, size=geom.shape))
-        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
+        h = equivalent_taps(geom, weights, paths, pulse, K)
         assert h.shape == (2 * K - 1,)
-        alpha = alpha_taps(geom, ref, weights, paths)
+        alpha = alpha_taps(geom, weights, paths)
         delays = paths.arrays.delay / pulse.symbol_period
         for l in range(-(K - 1), K):
             expected = sum(
@@ -199,14 +197,13 @@ class TestEquivalentTaps:
     def test_zero_rolloff_taps_reach_window_edge(self):
         # the sinc tail beyond lag 600 is kept, not cut at a fixed radius
         geom = make_geometry(4, 4)
-        ref = make_reference(geom)
         d = Direction.from_degrees(20.0, 40.0)
         paths = PathSet((Path(1.0 + 0j, 0.4e-8, d), Path(0.5j, 2.3e-8, d)))
         pulse = PulseSpec(rolloff=0.0)
         weights = _as_weights(np.ones(geom.shape))
         K = 700
-        h = equivalent_taps(geom, ref, weights, paths, pulse, K)
-        alpha = alpha_taps(geom, ref, weights, paths)
+        h = equivalent_taps(geom, weights, paths, pulse, K)
+        alpha = alpha_taps(geom, weights, paths)
         lags = np.arange(-(K - 1), K)
         far = np.abs(lags) > 600
         delays = paths.arrays.delay / pulse.symbol_period

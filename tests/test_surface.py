@@ -32,9 +32,24 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SurfaceGeometry(3, 3, -1e-3, 5e-3, 30e9, 1.0)
         with pytest.raises(ValueError):
-            # substrate wavenumber below free space
-            geom = make_geometry(3, 3)
-            SurfaceGeometry(3, 3, geom.dx, geom.dy, geom.fc, geom.k_free / 2)
+            SurfaceGeometry(3, 3, 5e-3, 5e-3, 30e9, 0.5)  # substrate slower than free space
+
+    def test_substrate_index_edge_is_exactly_one(self):
+        geom = SurfaceGeometry(3, 3, 5e-3, 5e-3, 30e9, 1.0)
+        assert geom.k_sub == geom.k_free
+        below = np.nextafter(1.0, 0.0)
+        with pytest.raises(ValueError, match=f"^substrate_index: must be >= 1, got {below}$"):
+            SurfaceGeometry(3, 3, 5e-3, 5e-3, 30e9, below)
+
+    def test_carrier_matches_the_former_config_expressions(self):
+        # The config derived k_sub as index * 2*pi/(c/fc) and the reference
+        # wave's omega as 2*pi*fc; at the 30 GHz carrier of every preset the
+        # geometry's properties are the same doubles.
+        geom = SurfaceGeometry.half_wavelength(8, 8, 30e9)
+        lam = 299_792_458.0 / 30e9
+        assert geom.k_sub == math.sqrt(3.0) * (2.0 * math.pi / lam)
+        assert geom.angular_frequency == 2.0 * math.pi * 30e9
+        assert geom.k_free == 2.0 * math.pi * 30e9 / 299_792_458.0
 
     def test_k_free_value(self):
         geom = make_geometry(4, 4, fc=30e9)
@@ -100,11 +115,10 @@ class TestReferenceField:
             field = reference_field(geom, make_reference(geom))
             assert np.array_equal(field, field[::-1, ::-1])
 
-    def test_frequency_mismatch_rejected(self):
-        geom = make_geometry(3, 3)
-        bad = ReferenceWaveSpec(1.0, 2 * math.pi * 28e9)
-        with pytest.raises(ValueError):
-            reference_field(geom, bad)
+    @pytest.mark.parametrize("amplitude", [0.0, -1.0])
+    def test_nonpositive_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match=f"^amplitude: must be positive, got {amplitude}$"):
+            ReferenceWaveSpec(amplitude)
 
 
 class TestSteering:
@@ -147,20 +161,18 @@ class TestSteering:
 class TestObjectField:
     def test_single_broadside_path_is_ones(self):
         geom = make_geometry(4, 4)
-        ref = make_reference(geom)
         paths = PathSet((Path(1.0 + 0j, 0.0, Direction(0.0, 0.0)),))
-        field = object_field(geom, paths, ref)
+        field = object_field(geom, paths)
         assert np.allclose(field, 1.0, atol=1e-15)
 
     def test_conjugate_pair_is_real(self):
         # two equal-gain paths whose steering phases are conjugate at the
         # mirrored element position give 2*cos there
         geom = make_geometry(5, 5)
-        ref = make_reference(geom)
         d = Direction.from_degrees(35.0, 70.0)
         paths = PathSet((Path(1.0 + 0j, 0.0, d), Path(1.0 + 0j, 0.0, d)))
         single = steering_field(geom, d)
-        combined = object_field(geom, paths, ref)
+        combined = object_field(geom, paths)
         # sum of a value at (m,n) and its own conjugate position value
         mirrored = combined + combined[::-1, ::-1]
         assert np.allclose(np.imag(mirrored), 0.0, atol=1e-12)
@@ -171,13 +183,12 @@ class TestObjectField:
     def test_empty_paths_rejected(self):
         geom = make_geometry(3, 3)
         with pytest.raises(ValueError):
-            object_field(geom, PathSet(()), make_reference(geom))
+            object_field(geom, PathSet(()))
 
     def test_five_path_brute_force_oracle(self, geom32):
         # element-by-element, path-by-path loop with cmath
-        ref = make_reference(geom32)
         paths = make_five_paths()
-        field = object_field(geom32, paths, ref)
+        field = object_field(geom32, paths)
         k = geom32.k_free
         for m in (1, 7, 16, 32):
             for n in (1, 9, 25, 32):
@@ -189,17 +200,16 @@ class TestObjectField:
                     d += y * math.sin(p.direction.theta) * math.sin(p.direction.phi)
                     total += (
                         p.gain
-                        * cmath.exp(-1j * ref.angular_frequency * p.delay)
+                        * cmath.exp(-1j * geom32.angular_frequency * p.delay)
                         * cmath.exp(-1j * k * d)
                     )
                 assert field[m - 1, n - 1] == pytest.approx(total, abs=1e-12)
 
     def test_linearity_in_gains(self):
         geom = make_geometry(6, 5)
-        ref = make_reference(geom)
         base = make_five_paths()
         c = 0.7 - 1.9j
         scaled = PathSet(tuple(Path(p.gain * c, p.delay, p.direction) for p in base.paths))
-        f_scaled = object_field(geom, scaled, ref)
-        f_base = object_field(geom, base, ref)
+        f_scaled = object_field(geom, scaled)
+        f_base = object_field(geom, base)
         assert np.allclose(f_scaled, c * f_base, atol=1e-13)

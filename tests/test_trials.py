@@ -172,18 +172,17 @@ def test_path_set_arrays_round_trip():
 @pytest.mark.parametrize("normalization", ("absolute", "normalized"))
 def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
     geom = make_geometry(8, 8)
-    ref = make_reference(geom)
     cfg = ChannelConfig("rician_random", L=3)
     paths = draw_paths(cfg, [np.random.default_rng(s) for s in range(3)])
     weights = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 8, 8))
     weights[1] = 0.0
-    alpha = link.alpha_stack(geom, ref, weights, paths)
+    alpha = link.alpha_stack(geom, weights, paths)
     assert alpha.shape == (3, 3)
     assert not alpha[1].any() and np.all(alpha[[0, 2]] != 0.0)
     # the single-block view radiates nothing the same way
     zero = WeightStack(np.zeros((8, 8)), 0.0, 1.0, False, True)
     single = PathSet.from_arrays(PathArrays(*(c[1] for c in paths)))
-    assert not link.alpha_taps(geom, ref, zero, single).any()
+    assert not link.alpha_taps(geom, zero, single).any()
     # through the sweep kernels: block 1 of the chunk has MI 0, its neighbours keep theirs
     scenario = _scenario("rician_random", "rrm", normalization)
     trial_paths, seeds = link.draw_trials(scenario.channel, 3, SEED)
