@@ -30,6 +30,11 @@ class ProfileError(ValueError):
     """Raised for malformed cluster-profile text."""
 
 
+# Largest normalized delay of a cluster-profile row: with the config's
+# 1 ms bound on delay_spread a row's delay stays within 1 s (docs/config.md).
+_NORMALIZED_DELAY_LIMIT = 1.0e3
+
+
 @dataclass(frozen=True)
 class Path:
     """One resolvable propagation path."""
@@ -276,8 +281,9 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
     negative aod would otherwise round to exactly 2*pi).
 
     Raises:
-        ProfileError: empty profile, malformed or non-finite row (names the
-            line number), or powers beyond the float range.
+        ProfileError: empty profile, malformed or non-finite row or a
+            normalized delay outside [0, 1e3] (names the line number), or
+            powers beyond the float range.
     """
     if delay_spread <= 0:
         raise ValueError("delay_spread must be positive")
@@ -297,6 +303,11 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
             raise ProfileError(f"line {lineno}: non-numeric value ({exc})") from None
         if not all(math.isfinite(v) for v in row):
             raise ProfileError(f"line {lineno}: values must be finite")
+        if not 0.0 <= row[0] <= _NORMALIZED_DELAY_LIMIT:
+            raise ProfileError(
+                f"line {lineno}: normalized delay must lie in "
+                f"[0, {_NORMALIZED_DELAY_LIMIT:g}], got {row[0]}"
+            )
         rows.append(row)
     if not rows:
         raise ProfileError("profile contains no cluster rows")
@@ -311,8 +322,6 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
     amps = amps / math.sqrt(total)
     paths = []
     for (norm_delay, _power, aod, zod), amp in zip(rows, amps):
-        if norm_delay < 0:
-            raise ProfileError("normalized delays must be nonnegative")
         theta = math.radians(min(abs(zod - 90.0), 90.0))
         phi = wrap_phi(math.radians(aod % 360.0))
         paths.append(Path(complex(amp), norm_delay * delay_spread, Direction(theta, phi)))

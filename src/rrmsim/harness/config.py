@@ -55,6 +55,24 @@ _DB_LIMIT = 300.0
 # -300 dB end of _DB_LIMIT, so recorded power and noise stay finite.
 _AMPLITUDE_LIMIT = 1.0e4
 
+# Carrier, spacing, substrate-index, delay and symbol-period bounds. Every
+# phase the model forms is a product of these leaves: k_free*x and k_sub*d
+# grow with fc, dx, dy and substrate_index, omega*tau with fc and each
+# delay, and the pulse lag tau/T_s with each delay over T_s. At the upper
+# ends, on a surface of up to 1e4 elements a side, k_sub*d stays below
+# 1.5e14 rad, omega*tau below 6.3e13 rad (a cdl_profile row may hold 1e3
+# times delay_spread) and tau/T_s at most 1e12, so each is rounded to
+# better than 0.02 rad or symbol and is far from overflow. The lower end of
+# fc keeps lambda = c/fc, and with it the default half-wavelength spacing,
+# within the spacing bound; that of T_s gives the 1e12. Before these
+# bounds, fc 1e-300, dx 1e307 or a delay of 1e300 s made a phase
+# non-finite mid-run.
+_FC_RANGE = (1.0e6, 1.0e13)  # Hz
+_SPACING_RANGE = (1.0e-9, 1.0e3)  # m
+_INDEX_RANGE = (1.0, 100.0)
+_DELAY_LIMIT = 1.0e-3  # s
+_SYMBOL_PERIOD_RANGE = (1.0e-12, 1.0)  # s
+
 
 def _check_db(key: str, db: float) -> None:
     """Reject a dB value beyond +-_DB_LIMIT."""
@@ -64,12 +82,15 @@ def _check_db(key: str, db: float) -> None:
         )
 
 
+def _check_range(key: str, value: float, lo: float, hi: float) -> None:
+    """Reject a value outside [lo, hi]."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{key}: must lie in [{lo:g}, {hi:g}], got {value}")
+
+
 def _check_amplitude(key: str, value: float) -> None:
     """Reject an amplitude outside [1/_AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT]."""
-    if not 1.0 / _AMPLITUDE_LIMIT <= value <= _AMPLITUDE_LIMIT:
-        raise ValueError(
-            f"{key}: must lie in [{1.0 / _AMPLITUDE_LIMIT:g}, {_AMPLITUDE_LIMIT:g}], got {value}"
-        )
+    _check_range(key, value, 1.0 / _AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -88,7 +109,7 @@ class PathSpec:
         for key, value in (("gain_real", self.gain_real), ("gain_imag", self.gain_imag)):
             if not abs(value) <= _AMPLITUDE_LIMIT:
                 raise ValueError(f"{key}: |{key}| must be <= {_AMPLITUDE_LIMIT:g}, got {value}")
-        self.to_path()  # Path checks the delay
+        _check_range("delay", self.delay, 0.0, _DELAY_LIMIT)
 
     def to_path(self) -> Path:
         return Path(
@@ -119,6 +140,13 @@ class SurfaceBlock:
     substrate_index: float = math.sqrt(3.0)
     dx: float | None = None  # None -> half wavelength
     dy: float | None = None
+
+    def __post_init__(self):
+        _check_range("fc", self.fc, *_FC_RANGE)
+        _check_range("substrate_index", self.substrate_index, *_INDEX_RANGE)
+        for name, spacing in (("dx", self.dx), ("dy", self.dy)):
+            if spacing is not None:
+                _check_range(name, spacing, *_SPACING_RANGE)
 
 
 @dataclass(frozen=True)
@@ -165,6 +193,9 @@ class ChannelBlock:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
+        for name, value in (("max_delay", self.max_delay), ("delay_spread", self.delay_spread)):
+            if not 0.0 < value <= _DELAY_LIMIT:
+                raise ValueError(f"{name}: must lie in (0, {_DELAY_LIMIT:g}], got {value}")
         if self.paths:  # fig5 to fig8 record these paths whatever the kind
             power = sum(p.gain_real**2 + p.gain_imag**2 for p in self.paths)
             if not power >= _AMPLITUDE_LIMIT**-2:
@@ -191,6 +222,7 @@ class LinkBlock:
     normalization: str = "normalized"
 
     def __post_init__(self):
+        _check_range("symbol_period", self.symbol_period, *_SYMBOL_PERIOD_RANGE)
         if not self.snr_db:
             raise ValueError("snr_db: must be a nonempty list")
         for i, db in enumerate(self.snr_db):
@@ -241,8 +273,7 @@ class ExperimentConfig:
 
     def geometry(self, rows: int | None = None, cols: int | None = None) -> SurfaceGeometry:
         s = self.surface
-        # fc <= 0 is SurfaceGeometry's to reject; only keep the division from failing first
-        lam = SPEED_OF_LIGHT / s.fc if s.fc > 0 else math.inf
+        lam = SPEED_OF_LIGHT / s.fc
         return SurfaceGeometry(
             rows if rows is not None else s.M,
             cols if cols is not None else s.N,

@@ -68,6 +68,19 @@ REJECTED = [
     ({"channel": {"paths": [_path(gain_real=1e200)]}}, "channel.paths[0].gain_real"),
     ({"channel": {"paths": [_path(), _path(gain_imag=-10000.5)]}}, "channel.paths[1].gain_imag"),
     ({"channel": {"paths": [_path(gain_real=1e-5), _path(gain_real=0.0)]}}, "channel.paths"),
+    # Carrier, spacing, index, delay and symbol-period bounds: each 1e300-scale
+    # value below loaded before them and then exited 4, or (symbol_period
+    # 1e-300) warned of an overflow and exited 0.
+    ({"surface": {"fc": 1e-300}}, "surface.fc"),
+    ({"surface": {"fc": 1.1e13}}, "surface.fc"),
+    ({"surface": {"dx": 1e307}}, "surface.dx"),
+    ({"surface": {"dy": 1e-10}}, "surface.dy"),
+    ({"surface": {"substrate_index": 1e307}}, "surface.substrate_index"),
+    ({"channel": {"paths": [_path(delay=1e300)]}}, "channel.paths[0].delay"),
+    ({"channel": {"max_delay": 1e300}}, "channel.max_delay"),
+    ({"channel": {"delay_spread": 1e300}}, "channel.delay_spread"),
+    ({"link": {"symbol_period": 1e-300}}, "link.symbol_period"),
+    ({"link": {"symbol_period": 2.0}}, "link.symbol_period"),
     ({"weights": {"strategy": "median"}}, "weights.strategy"),
     ({"link": {"K": 0}}, "link.K"),
     ({"link": {"rolloff": 1.5}}, "link.rolloff"),
@@ -496,6 +509,11 @@ class TestCli:
             (b"0.0, 0.0, 0.0, 90.0\n1.0, nan, 0.0, 90.0\n", "channel.profile_path: line 2: "),
             (b"0.0, 5000.0, 0.0, 90.0\n", "channel.profile_path: cluster powers overflow"),
             (b"# comments only\n", "channel.profile_path: profile contains no cluster rows"),
+            (
+                b"0.0, 0.0, 0.0, 90.0\n1e300, -3.0, 40.0, 80.0\n",
+                "channel.profile_path: line 2: normalized delay must lie in [0, 1000], got 1e+300",
+            ),
+            (b"-0.5, 0.0, 0.0, 90.0\n", "channel.profile_path: line 1: normalized delay "),
         ],
     )
     def test_bad_profile_exits_2_before_output(self, tmp_path, capsys, profile, message):

@@ -9,7 +9,14 @@ It runs ``record``, ``mi-sweep --reps 1`` and ``outage`` (two trials) on a
 each, without a numeric warning; one it rejects must exit 2 from each,
 never 4.
 
-A second property draws one leaf key of the schema and gives it a value of
+Two more properties draw the carrier, spacing, substrate-index, delay and
+symbol-period leaves and the normalized delay of a cluster-profile row
+(``PHYSICAL``), on a manual, Rician or cluster-profile channel with K = 8.
+With every leaf inside or at its bounds, the three commands exit 0 without
+a numeric warning; with one leaf beyond, they exit 2 and the error names
+that leaf.
+
+A third property draws one leaf key of the schema and gives it a value of
 a JSON type it does not accept, or adds an unknown key beside it: the
 ``ConfigError`` must name the dotted key and ``record`` must exit 2.
 """
@@ -19,6 +26,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import string
 import types
 import typing
@@ -145,6 +153,104 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
             code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code == want, (command[0], config)
         assert out.exists() == (want == 0)
+
+
+def _range(lo: float, hi: float):
+    """Both edges of [lo, hi] and values log-uniform between them (lo > 0)."""
+    return st.one_of(st.sampled_from([lo, hi]), _log_scale(math.log10(lo), math.log10(hi)))
+
+
+def _past(lo: float, hi: float, *far: float):
+    """The far values that failed before the bounds, then one float past each edge."""
+    return st.sampled_from([*far, math.nextafter(lo, -math.inf), _beyond(hi)])
+
+
+# (dotted key, within, beyond) of the carrier, spacing, index, delay and
+# symbol-period leaves and of a profile row's normalized delay. The far
+# beyond values loaded before the bounds and then exited 4, or overflowed
+# with a warning (symbol_period, the profile delay).
+PHYSICAL = (
+    ("surface.fc", _range(1e6, 1e13), _past(1e6, 1e13, 1e-300)),
+    ("surface.dx", st.one_of(st.none(), _range(1e-9, 1e3)), _past(1e-9, 1e3, 1e307)),
+    ("surface.dy", st.one_of(st.none(), _range(1e-9, 1e3)), _past(1e-9, 1e3)),
+    (
+        "surface.substrate_index",
+        st.one_of(st.sampled_from([1.0, 100.0]), st.floats(1.0, 100.0)),
+        _past(1.0, 100.0, 1e307),
+    ),
+    (
+        "channel.paths[0].delay",
+        st.one_of(st.just(0.0), _range(1e-15, 1e-3)),
+        _past(0.0, 1e-3, 1e300),
+    ),
+    ("channel.max_delay", _range(1e-15, 1e-3), st.sampled_from([1e300, 0.0, _beyond(1e-3)])),
+    ("channel.delay_spread", _range(1e-15, 1e-3), st.sampled_from([1e300, 0.0, _beyond(1e-3)])),
+    ("link.symbol_period", _range(1e-12, 1.0), _past(1e-12, 1.0, 1e-300)),
+    ("channel.profile_path", st.one_of(st.just(0.0), _range(1e-6, 1e3)), _past(0.0, 1e3, 1e300)),
+)
+
+
+def _physical_case(tmp_path_factory, data, past):
+    """Draw the PHYSICAL leaves, past's beyond its bound; run the three commands.
+
+    A config that loads must exit 0 from each without a numeric warning; one
+    that does not must name past and exit 2 from each, leaving no output.
+    """
+    value = {
+        key: data.draw(beyond if key == past else within, label=key)
+        for key, within, beyond in PHYSICAL
+    }
+    kind = data.draw(st.sampled_from(["manual", "rician_random", "cdl_profile"]), label="kind")
+    tmp = tmp_path_factory.mktemp("physical")
+    surface = {"M": 4, "N": 4, "fc": value["surface.fc"]}
+    surface.update({k: value[f"surface.{k}"] for k in ("dx", "dy", "substrate_index")})
+    channel = {
+        "kind": kind,
+        "max_delay": value["channel.max_delay"],
+        "delay_spread": value["channel.delay_spread"],
+        "paths": [{"theta_deg": 20.0, "phi_deg": 30.0, "delay": value["channel.paths[0].delay"]}],
+    }
+    if past == "channel.profile_path" or (kind == "cdl_profile" and data.draw(st.booleans())):
+        profile = tmp / "rows.profile"
+        delay = value["channel.profile_path"]
+        profile.write_text(f"0.0, 0.0, 0.0, 90.0\n{delay!r}, -3.0, 40.0, 80.0\n")
+        channel.update(kind="cdl_profile", profile_path=str(profile))
+    config = {
+        "surface": {k: v for k, v in surface.items() if v is not None},
+        "channel": channel,
+        "link": {
+            "K": 8,
+            "symbol_period": value["link.symbol_period"],
+            "normalization": data.draw(st.sampled_from(["normalized", "absolute"]), label="mode"),
+        },
+        "outage": {"trials": 2},
+    }
+    want = 0 if past is None else 2
+    if want:
+        with pytest.raises(ConfigError, match=re.escape(past) + ": "):
+            config_from_dict(config)
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(config))
+    for command in (["record"], ["mi-sweep", "--reps", "1"], ["outage"]):
+        out = tmp / command[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == want, (command[0], config)
+        assert out.exists() == (want == 0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_carrier_spacing_and_delays_within_their_bounds_run(tmp_path_factory, data):
+    _physical_case(tmp_path_factory, data, None)
+
+
+@pytest.mark.parametrize("past", [key for key, _, _ in PHYSICAL])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_carrier_spacing_or_delay_beyond_its_bound_exits_2(tmp_path_factory, data, past):
+    _physical_case(tmp_path_factory, data, past)
 
 
 def _leaves(cls, prefix=""):
