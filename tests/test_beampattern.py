@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -619,6 +620,64 @@ class TestSidelobeMaskWindow:
                         _sidelobe_mask(pattern, [d], g), sidelobe_mask_reference(pattern, [d], g)
                     )
                     assert_sidelobes_match_reference(pattern, [d], math.degrees(g))
+
+
+# Cell values of the differential properties: integer plateaus and ties,
+# one non-integer level and -inf cells (a zero-power direction).
+PEAK_LEVELS = [-np.inf, -3.0, -2.0, -1.5, -1.0, 0.0]
+THETA_DEG = np.arange(0.0, 90.5, 0.5).tolist()
+OPEN_PHI_DEG = np.arange(0.0, 300.0, 2.5).tolist()
+
+
+@st.composite
+def level_patterns(draw, max_rows=10, max_cols=16):
+    """Small patterns of PEAK_LEVELS cells on a phi axis that wraps or does not.
+
+    A wrapping axis is uniform over the full circle (it wraps when it has
+    more than 2 points); an open one is a sorted subset of [0, 300) deg.
+    """
+    nt = draw(st.integers(1, max_rows))
+    nphi = draw(st.integers(1, max_cols))
+    theta = sorted(draw(st.lists(st.sampled_from(THETA_DEG), min_size=nt, max_size=nt, unique=True)))
+    if draw(st.booleans()):
+        phi = (np.arange(nphi) * (360.0 / nphi)).tolist()
+    else:
+        phi = sorted(
+            draw(st.lists(st.sampled_from(OPEN_PHI_DEG), min_size=nphi, max_size=nphi, unique=True))
+        )
+    cells = draw(st.lists(st.sampled_from(PEAK_LEVELS), min_size=nt * nphi, max_size=nt * nphi))
+    return synthetic_pattern(np.reshape(cells, (nt, nphi)), theta, phi)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    pattern=level_patterns(),
+    count=st.integers(1, 200),
+    sep=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+)
+def test_find_peaks_equals_the_nested_loop(pattern, count, sep):
+    want, complete = find_peaks_reference(pattern, count, sep)
+    got = find_peaks(pattern, count, sep)
+    assert got.peaks == want and got.complete == complete
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data(), pattern=level_patterns())
+def test_sidelobe_metrics_equal_the_full_mask(data, pattern):
+    theta = np.degrees(pattern.theta_rad).tolist()
+    phi = np.degrees(pattern.phi_rad).tolist()
+    grid_point = st.tuples(st.sampled_from(theta), st.sampled_from(phi))
+    anywhere = st.tuples(st.floats(0.0, 90.0), st.floats(0.0, 359.9))
+    dirs = [
+        Direction.from_degrees(*d)
+        for d in data.draw(st.lists(st.one_of(grid_point, anywhere), min_size=1, max_size=3))
+    ]
+    # a guard of a theta spacing puts a row on the window's edge
+    spacings = [abs(a - b) for a in theta for b in theta if a != b] or [5.0]
+    guard_deg = data.draw(st.one_of(st.sampled_from(spacings), st.floats(0.05, 90.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # log10(0) when only -inf cells are left
+        assert_sidelobes_match_reference(pattern, dirs, guard_deg)
 
 
 def export_pattern_csv_reference(pattern, path):
