@@ -36,10 +36,6 @@ def _geom(rows=8, cols=8) -> SurfaceGeometry:
     return SurfaceGeometry.half_wavelength(rows, cols, 30.0e9)
 
 
-def _ref(geom, amplitude=1.0, phase=0.0) -> ReferenceWaveSpec:
-    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase)
-
-
 def _random_direction(rng) -> Direction:
     return Direction(rng.uniform(0.0, math.pi / 2), rng.uniform(0.0, 2 * math.pi))
 
@@ -51,7 +47,7 @@ def reference_field_center_symmetry():
     worst = 0.0
     for rows, cols in ((3, 3), (4, 6), (7, 5), (8, 8)):
         geom = _geom(rows, cols)
-        e_r = surface.reference_field(geom, _ref(geom))
+        e_r = surface.reference_field(geom, ReferenceWaveSpec(1.0))
         worst = max(worst, float(np.max(np.abs(e_r - holography.reindex(e_r)))))
     return worst == 0.0, f"max residual {worst:g}"
 
@@ -124,7 +120,7 @@ def hologram_nonnegativity():
     worst = math.inf
     for seed in range(10):
         geom = _geom(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-        ref = _ref(geom, phase=rng.uniform(0, 2 * math.pi))
+        ref = ReferenceWaveSpec(1.0, rng.uniform(0, 2 * math.pi))
         cfg = RecordingConfig(1.0, rng.uniform(0.1, 2.0), 6, seed)
         power = holography.record_hologram(geom, ref, _std_paths(), cfg)
         worst = min(worst, float(np.min(power)))
@@ -133,7 +129,7 @@ def hologram_nonnegativity():
 
 def hologram_noise_free_closed_form():
     geom = _geom(8, 8)
-    ref = _ref(geom, amplitude=1.3, phase=0.4)
+    ref = ReferenceWaveSpec(1.3, 0.4)
     paths = _std_paths()
     cfg = RecordingConfig(0.8, 0.0, 1, 0)
     power = holography.record_hologram(geom, ref, paths, cfg)
@@ -144,7 +140,7 @@ def hologram_noise_free_closed_form():
 
 def hologram_noise_mean_convergence():
     geom = _geom(4, 4)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     paths = _std_paths()
     sigma2 = 0.5
     expected = _closed_form_power(geom, ref, paths, 1.0) + sigma2
@@ -165,7 +161,7 @@ def hologram_noise_mean_convergence():
 
 def weight_range_and_offset_exactness():
     geom = _geom(8, 8)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     power = holography.record_hologram(
         geom, ref, _std_paths(), RecordingConfig(1.0, 0.3, 5, 3)
     )
@@ -185,7 +181,7 @@ def reconstruction_four_term_decomposition():
     worst = 0.0
     for _ in range(10):
         geom = _geom(int(rng.integers(2, 8)), int(rng.integers(2, 8)))
-        ref = _ref(geom, amplitude=rng.uniform(0.5, 2.0))
+        ref = ReferenceWaveSpec(rng.uniform(0.5, 2.0))
         n_paths = int(rng.integers(1, 5))
         paths = PathSet(
             tuple(
@@ -204,7 +200,7 @@ def reconstruction_four_term_decomposition():
 
 def rhs_weight_range_and_peak_scaling_invariance():
     geom = _geom(16, 16)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     desired = [(p.direction, p.gain) for p in _std_paths().paths]
     w1 = holography.rhs_weights(geom, ref, desired)
     scaled = [(d, 3.7 * g) for d, g in desired]
@@ -222,7 +218,7 @@ def rhs_weight_range_and_peak_scaling_invariance():
 
 def pattern_positive_scale_invariance():
     geom = _geom(8, 8)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     rng = np.random.default_rng(13)
     w = rng.uniform(0.0, 1.0, size=geom.shape)
     theta, phi = beampattern.default_axes(3.0)
@@ -234,7 +230,7 @@ def pattern_positive_scale_invariance():
 
 def _recorded_pattern(size, step_deg):
     geom = _geom(size, size)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     paths = _std_paths()
     power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
     w = holography.make_weights(power, "mean")
@@ -305,7 +301,7 @@ def path_delay_and_angle_ranges():
 
 def path_reciprocity_shared_pathset():
     geom = _geom(8, 8)
-    ref = _ref(geom)
+    ref = ReferenceWaveSpec(1.0)
     paths = channel.sample_paths(ChannelConfig("rician_random", L=4), 3)
     power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
     weights = holography.make_weights(power, "mean")
@@ -365,7 +361,7 @@ def alpha_split_sum_agreement():
     worst = 0.0
     for _ in range(5):
         geom = _geom(int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-        ref = _ref(geom, amplitude=rng.uniform(0.5, 2.0), phase=rng.uniform(0, 2 * math.pi))
+        ref = ReferenceWaveSpec(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
         n = int(rng.integers(1, 5))
         paths = PathSet(
             tuple(
@@ -393,7 +389,7 @@ def outage_bounds_reproducibility_monotonicity():
     geom = _geom(8, 8)
     scenario = LinkScenario(
         geom=geom,
-        ref=_ref(geom),
+        ref=ReferenceWaveSpec(1.0),
         pulse=PulseSpec(),
         channel=ChannelConfig("rician_random", L=4),
         normalization="absolute",

@@ -337,7 +337,9 @@ def reconstruction_terms(
     }
 
 
-def _cross_path_sum(geom: SurfaceGeometry, paths: PathSet) -> np.ndarray:
+def _cross_path_sum(
+    geom: SurfaceGeometry, paths: PathSet
+) -> np.ndarray:
     """sum over i != j of e_i * conj(e_j), e_i the incident field of path i."""
     gains = paths.carrier_gains(geom.angular_frequency)
     per_path = [g * steering_field(geom, p.direction) for g, p in zip(gains, paths.paths)]

@@ -118,12 +118,20 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
     return np.divide(num, 1.0 - (2.0 * a * t) ** 2, out=out, where=rest)
 
 
-def alpha_taps(geom: SurfaceGeometry, weights: WeightStack, paths: PathSet) -> np.ndarray:
+def alpha_taps(
+    geom: SurfaceGeometry,
+    weights: WeightStack,
+    paths: PathSet,
+) -> np.ndarray:
     """Per-path equivalent amplitudes of one weight matrix; the view of ``alpha_stack``."""
     return alpha_stack(geom, weights.values, paths.arrays)
 
 
-def alpha_stack(geom: SurfaceGeometry, weights: np.ndarray, paths: PathArrays) -> np.ndarray:
+def alpha_stack(
+    geom: SurfaceGeometry,
+    weights: np.ndarray,
+    paths: PathArrays,
+) -> np.ndarray:
     """(..., L) equivalent amplitudes of weight stacks (..., M, N) via the exact per-element sum.
 
     alpha_i = A_tx * sum_{m,n} W(m,n) * beta(m,n) * gain_i
@@ -233,7 +241,11 @@ def alpha_taps_split(
 
 
 def equivalent_taps(
-    geom: SurfaceGeometry, weights: WeightStack, paths: PathSet, pulse: PulseSpec, K: int
+    geom: SurfaceGeometry,
+    weights: WeightStack,
+    paths: PathSet,
+    pulse: PulseSpec,
+    K: int,
 ) -> np.ndarray:
     """Equivalent discrete-time taps of the weighted surface on a K-symbol block.
 
