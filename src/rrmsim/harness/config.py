@@ -54,19 +54,14 @@ _DB_LIMIT = 300.0
 # noise power A_u^2 * sum |gain|^2 / 10^(dB/10) stays below 1e47 at the
 # -300 dB end of _DB_LIMIT, so recorded power and noise stay finite.
 _AMPLITUDE_LIMIT = 1.0e4
+_AMPLITUDE_RANGE = (1.0 / _AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT)
 
-# Carrier, spacing, substrate-index, delay and symbol-period bounds. Every
-# phase the model forms is a product of these leaves: k_free*x and k_sub*d
-# grow with fc, dx, dy and substrate_index, omega*tau with fc and each
-# delay, and the pulse lag tau/T_s with each delay over T_s. At the upper
-# ends, on a surface of up to 1e4 elements a side, k_sub*d stays below
-# 1.5e14 rad, omega*tau below 6.3e13 rad (a cdl_profile row may hold 1e3
-# times delay_spread) and tau/T_s at most 1e12, so each is rounded to
-# better than 0.02 rad or symbol and is far from overflow. The lower end of
-# fc keeps lambda = c/fc, and with it the default half-wavelength spacing,
-# within the spacing bound; that of T_s gives the 1e12. Before these
-# bounds, fc 1e-300, dx 1e307 or a delay of 1e300 s made a phase
-# non-finite mid-run.
+# Carrier, spacing, substrate-index, delay and symbol-period bounds
+# (derived in docs/config.md). Every phase is a product of these leaves
+# (k_free*x, k_sub*d, omega*tau), and so is the pulse lag tau/T_s: within
+# the bounds, on up to 1e4 elements a side, each stays below 1.5e14 rad or
+# 1e12 symbols, rounded by at most 0.02. fc 1e-300, dx 1e307 or a 1e300 s
+# delay made one non-finite mid-run.
 _FC_RANGE = (1.0e6, 1.0e13)  # Hz
 _SPACING_RANGE = (1.0e-9, 1.0e3)  # m
 _INDEX_RANGE = (1.0, 100.0)
@@ -86,11 +81,6 @@ def _check_range(key: str, value: float, lo: float, hi: float) -> None:
     """Reject a value outside [lo, hi]."""
     if not lo <= value <= hi:
         raise ValueError(f"{key}: must lie in [{lo:g}, {hi:g}], got {value}")
-
-
-def _check_amplitude(key: str, value: float) -> None:
-    """Reject an amplitude outside [1/_AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT]."""
-    _check_range(key, value, 1.0 / _AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -159,7 +149,7 @@ class ReferenceBlock:
 
     def __post_init__(self):
         ReferenceWaveSpec(self.amplitude, self.phase_offset)  # its rule first: amplitude > 0
-        _check_amplitude("amplitude", self.amplitude)
+        _check_range("amplitude", self.amplitude, *_AMPLITUDE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ class RecordingBlock:
     duration_symbols: int = 5
 
     def __post_init__(self):
-        _check_amplitude("user_amplitude", self.user_amplitude)
+        _check_range("user_amplitude", self.user_amplitude, *_AMPLITUDE_RANGE)
         if self.snr_db is not None:
             _check_db("snr_db", self.snr_db)
         check_recording(self.user_amplitude, self.duration_symbols)
@@ -284,7 +274,8 @@ class ExperimentConfig:
         )
 
     def reference_wave(self) -> ReferenceWaveSpec:
-        return ReferenceWaveSpec(self.reference.amplitude, self.reference.phase_offset)
+        r = self.reference
+        return ReferenceWaveSpec(r.amplitude, r.phase_offset)
 
     def pulse(self) -> PulseSpec:
         l = self.link
