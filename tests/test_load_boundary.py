@@ -227,7 +227,7 @@ def _physical_case(tmp_path_factory, data, past):
     }
     want = 0 if past is None else 2
     if want:
-        with pytest.raises(ConfigError, match=re.escape(past) + ": "):
+        with pytest.raises(ConfigError, match="^" + re.escape(past) + ": "):
             config_from_dict(config)
     path = tmp / "cfg.json"
     path.write_text(json.dumps(config))

@@ -42,9 +42,9 @@ class TestGeometry:
             SurfaceGeometry(3, 3, 5e-3, 5e-3, 30e9, below)
 
     def test_carrier_matches_the_former_config_expressions(self):
-        # The config derived k_sub as index * 2*pi/(c/fc) and the reference
-        # wave's omega as 2*pi*fc; at the 30 GHz carrier of every preset the
-        # geometry's properties are the same doubles.
+        # Presets, goldens and benchmark references were computed with
+        # k_sub = index * 2*pi/(c/fc) and omega = 2*pi*fc; at their 30 GHz
+        # carrier the geometry's properties must be the same doubles.
         geom = SurfaceGeometry.half_wavelength(8, 8, 30e9)
         lam = 299_792_458.0 / 30e9
         assert geom.k_sub == math.sqrt(3.0) * (2.0 * math.pi / lam)
