@@ -15,6 +15,8 @@ import math
 import sys
 import traceback
 
+import numpy as np
+
 from .. import beampattern as bp
 from .. import holography, link
 from ..channel import ProfileError, sample_paths
@@ -37,6 +39,8 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+_MAX_DIRECTIONS = 2**24  # a --step-deg of at least ~0.044 deg; 0.001 deg ran out of memory
 
 
 def _overrides(args) -> dict:
@@ -74,14 +78,22 @@ def _cmd_record(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_beampattern(cfg: ExperimentConfig, args) -> int:
-    if not (math.isfinite(args.step_deg) and args.step_deg > 0):
-        raise ConfigError(f"--step-deg: must be finite and > 0, got {args.step_deg}")
+    step = args.step_deg
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"--step-deg: must be finite and > 0, got {step}")
+    # len(theta) and len(phi) of default_axes(step), counted as np.arange counts
+    rows, cols = np.ceil([(90.0 + step / 2) / step, 360.0 / step]).tolist()
+    if not rows * cols <= _MAX_DIRECTIONS:
+        raise ConfigError(
+            f"--step-deg: must give a grid of at most {_MAX_DIRECTIONS} directions, "
+            f"got {step} ({rows * cols:.3g} directions)"
+        )
     if args.peaks < 1:
         raise ConfigError(f"--peaks: must be >= 1, got {args.peaks}")
     out = output_dir(cfg)
     _power, weights = _recorded_weights(cfg)
     check_pattern_weights(weights, cfg.weights.strategy)
-    theta, phi = bp.default_axes(args.step_deg)
+    theta, phi = bp.default_axes(step)
     pattern = bp.array_factor(cfg.geometry(), cfg.reference_wave(), weights, theta, phi)
     make_output_dir(out)
     bp.export_pattern_csv(pattern, out / "pattern.csv")

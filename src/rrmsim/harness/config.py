@@ -2,7 +2,7 @@
 
 An empty JSON object resolves to the standard scenario: a 32x32 surface at
 30 GHz with half-wavelength spacing and substrate index sqrt(3), reference
-amplitude 2, unit user amplitude, five fixed incident paths, recording at
+amplitude 2, five fixed incident paths with unit gains, recording at
 10 dB SNR for 5 symbol periods, mean-subtracted weights, unit radiated
 power and a 64-symbol block with rolloff 0.25.
 
@@ -32,7 +32,7 @@ from ..holography import WEIGHT_STRATEGIES, check_recording
 from ..link import LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class ConfigError(ValueError):
@@ -45,23 +45,24 @@ class ConfigError(ValueError):
 # recording.snr_db the noise power, each mid-run.
 _DB_LIMIT = 300.0
 
-# Amplitude bound: user and reference amplitudes lie in [1/A, A], manual path
-# gains have |real|, |imag| <= A and a total power sum |gain|^2 >= 1/A^2.
-# Only the ratio rho = A_u * sqrt(sum |gain|^2) / A_r shapes a recording, and
-# the bound keeps it within [1/A^3, ~A^3]. At A = 1e4 the user term then
-# moves the recorded power by at least 1e-12 of itself, far above its
-# rounding; at 1e-18 a mean or min subtraction left all-zero weights. The
-# noise power A_u^2 * sum |gain|^2 / 10^(dB/10) stays below 1e47 at the
-# -300 dB end of _DB_LIMIT, so recorded power and noise stay finite.
+# Amplitude bound A: manual path gains have |real|, |imag| <= A and a total
+# power sum |gain|^2 >= 1/A^2, and the reference amplitude lies in
+# [1/A^2, A^2]. Only the ratio rho = sqrt(sum |gain|^2) / A_r shapes a
+# recording, and the bounds keep it within [1/A^3, ~A^3]. At A = 1e4 the path
+# term then moves the recorded power by at least 1e-12 of itself, far above
+# its rounding; at 1e-18 a mean or min subtraction left all-zero weights. The
+# noise power sum |gain|^2 / 10^(dB/10) stays below 2L * 1e38 at the -300 dB
+# end of _DB_LIMIT, so recorded power and noise stay finite.
 _AMPLITUDE_LIMIT = 1.0e4
-_AMPLITUDE_RANGE = (1.0 / _AMPLITUDE_LIMIT, _AMPLITUDE_LIMIT)
 
 # Carrier, spacing, substrate-index, delay and symbol-period bounds
 # (derived in docs/config.md). Every phase is a product of these leaves
 # (k_free*x, k_sub*d, omega*tau), and so is the pulse lag tau/T_s: within
 # the bounds, on up to 1e4 elements a side, each stays below 1.5e14 rad or
 # 1e12 symbols, rounded by at most 0.02. fc 1e-300, dx 1e307 or a 1e300 s
-# delay made one non-finite mid-run.
+# delay made one non-finite mid-run, and a 1e5 x 1e5 surface ran out of
+# memory in its first (M, N) array.
+_SIDE_RANGE = (1, 10_000)  # elements along x (M) and along y (N)
 _FC_RANGE = (1.0e6, 1.0e13)  # Hz
 _SPACING_RANGE = (1.0e-9, 1.0e3)  # m
 _INDEX_RANGE = (1.0, 100.0)
@@ -132,6 +133,8 @@ class SurfaceBlock:
     dy: float | None = None
 
     def __post_init__(self):
+        _check_range("M", self.M, *_SIDE_RANGE)
+        _check_range("N", self.N, *_SIDE_RANGE)
         _check_range("fc", self.fc, *_FC_RANGE)
         _check_range("substrate_index", self.substrate_index, *_INDEX_RANGE)
         for name, spacing in (("dx", self.dx), ("dy", self.dy)):
@@ -149,20 +152,18 @@ class ReferenceBlock:
 
     def __post_init__(self):
         ReferenceWaveSpec(self.amplitude, self.phase_offset)  # its rule first: amplitude > 0
-        _check_range("amplitude", self.amplitude, *_AMPLITUDE_RANGE)
+        _check_range("amplitude", self.amplitude, _AMPLITUDE_LIMIT**-2, _AMPLITUDE_LIMIT**2)
 
 
 @dataclass(frozen=True)
 class RecordingBlock:
-    user_amplitude: float = 1.0
     snr_db: float | None = 10.0  # None records without noise
     duration_symbols: int = 5
 
     def __post_init__(self):
-        _check_range("user_amplitude", self.user_amplitude, *_AMPLITUDE_RANGE)
         if self.snr_db is not None:
             _check_db("snr_db", self.snr_db)
-        check_recording(self.user_amplitude, self.duration_symbols)
+        check_recording(self.duration_symbols)
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,6 @@ class ExperimentConfig:
             channel=self.channel_config(),
             system=system,
             strategy=self.weights.strategy,
-            user_amplitude=self.recording.user_amplitude,
             recording_snr_db=self.recording.snr_db,
             duration_symbols=self.recording.duration_symbols,
             normalization=self.link.normalization,
@@ -333,8 +333,12 @@ class ExperimentConfig:
         return LinkScenario(**base)
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(_to_jsonable(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return json_fingerprint(_to_jsonable(self))
+
+
+def json_fingerprint(data: dict) -> str:
+    """First 12 hex digits of the SHA-256 of a ``_to_jsonable`` config's sorted-key JSON."""
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------
@@ -468,7 +472,7 @@ def merge_config(config: ExperimentConfig | None, *layers: dict | None) -> Exper
     A layer is a nested dict of JSON config keys; nested objects merge key
     by key, anything else replaces. None and empty layers are skipped.
     """
-    data = _to_jsonable(config if config is not None else ExperimentConfig())
+    data = _to_jsonable(config) if config is not None else {}
     for layer in layers:
         if layer:
             data = _deep_merge(data, layer)

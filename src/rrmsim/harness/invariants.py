@@ -95,17 +95,16 @@ def reindex_involution():
     return ok and same_entries, "involution and entry multiset preserved"
 
 
-def _closed_form_power(geom, ref, paths, user_amplitude):
+def _closed_form_power(geom, ref, paths):
     """Direction-term expansion of the noise-free interference power."""
     beta = surface.reference_phase(geom)
     per_path = [
-        user_amplitude
-        * p.gain
+        p.gain
         * np.exp(-1j * geom.angular_frequency * p.delay)
         * surface.steering_field(geom, p.direction)
         for p in paths.paths
     ]
-    const = ref.amplitude**2 + user_amplitude**2 * paths.total_power()
+    const = ref.amplitude**2 + paths.total_power()
     r = ref.amplitude * np.exp(1j * ref.phase_offset) * beta
     total = np.full(geom.shape, const, dtype=float)
     for i, ei in enumerate(per_path):
@@ -121,7 +120,7 @@ def hologram_nonnegativity():
     for seed in range(10):
         geom = _geom(int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         ref = ReferenceWaveSpec(1.0, rng.uniform(0, 2 * math.pi))
-        cfg = RecordingConfig(1.0, rng.uniform(0.1, 2.0), 6, seed)
+        cfg = RecordingConfig(rng.uniform(0.1, 2.0), 6, seed)
         power = holography.record_hologram(geom, ref, _std_paths(), cfg)
         worst = min(worst, float(np.min(power)))
     return worst >= 0.0, f"min entry {worst:.3g}"
@@ -129,11 +128,11 @@ def hologram_nonnegativity():
 
 def hologram_noise_free_closed_form():
     geom = _geom(8, 8)
-    ref = ReferenceWaveSpec(1.3, 0.4)
+    ref = ReferenceWaveSpec(1.3 / 0.8, 0.4)  # A_r = 1.3 over a user amplitude of 0.8
     paths = _std_paths()
-    cfg = RecordingConfig(0.8, 0.0, 1, 0)
+    cfg = RecordingConfig(0.0, 1, 0)
     power = holography.record_hologram(geom, ref, paths, cfg)
-    expected = _closed_form_power(geom, ref, paths, 0.8)
+    expected = _closed_form_power(geom, ref, paths)
     worst = float(np.max(np.abs(power - expected)))
     return worst < 1e-10, f"max residual {worst:.3g}"
 
@@ -143,12 +142,12 @@ def hologram_noise_mean_convergence():
     ref = ReferenceWaveSpec(1.0)
     paths = _std_paths()
     sigma2 = 0.5
-    expected = _closed_form_power(geom, ref, paths, 1.0) + sigma2
+    expected = _closed_form_power(geom, ref, paths) + sigma2
 
     def rms_err(samples, n_seeds):
         errs = []
         for seed in range(n_seeds):
-            cfg = RecordingConfig(1.0, sigma2, samples, seed)
+            cfg = RecordingConfig(sigma2, samples, seed)
             power = holography.record_hologram(geom, ref, paths, cfg)
             errs.append(np.mean((power - expected) ** 2))
         return math.sqrt(float(np.mean(errs)))
@@ -163,7 +162,7 @@ def weight_range_and_offset_exactness():
     geom = _geom(8, 8)
     ref = ReferenceWaveSpec(1.0)
     power = holography.record_hologram(
-        geom, ref, _std_paths(), RecordingConfig(1.0, 0.3, 5, 3)
+        geom, ref, _std_paths(), RecordingConfig(0.3, 5, 3)
     )
     w_prime = holography.reindex(power)
     ok = True
@@ -232,7 +231,7 @@ def _recorded_pattern(size, step_deg):
     geom = _geom(size, size)
     ref = ReferenceWaveSpec(1.0)
     paths = _std_paths()
-    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
+    power = holography.record_hologram(geom, ref, paths, RecordingConfig(0.0, 1, 0))
     w = holography.make_weights(power, "mean")
     theta, phi = beampattern.default_axes(step_deg)
     return beampattern.array_factor(geom, ref, w, theta, phi), paths
@@ -303,7 +302,7 @@ def path_reciprocity_shared_pathset():
     geom = _geom(8, 8)
     ref = ReferenceWaveSpec(1.0)
     paths = channel.sample_paths(ChannelConfig("rician_random", L=4), 3)
-    power = holography.record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
+    power = holography.record_hologram(geom, ref, paths, RecordingConfig(0.0, 1, 0))
     weights = holography.make_weights(power, "mean")
     h = link.equivalent_taps(geom, weights, paths, PulseSpec(), K=16)
     finite = bool(np.all(np.isfinite(h)))
@@ -361,7 +360,7 @@ def alpha_split_sum_agreement():
     worst = 0.0
     for _ in range(5):
         geom = _geom(int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-        ref = ReferenceWaveSpec(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+        a_r, phase = rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi)
         n = int(rng.integers(1, 5))
         paths = PathSet(
             tuple(
@@ -373,7 +372,8 @@ def alpha_split_sum_agreement():
                 for _ in range(n)
             )
         )
-        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
+        ref = ReferenceWaveSpec(a_r / rng.uniform(0.5, 1.5), phase)  # over a user amplitude
+        cfg = RecordingConfig(0.0, 1, 0)
         power = holography.record_hologram(geom, ref, paths, cfg)
         weights = holography.make_weights(power, "min")
         direct = link.alpha_taps(geom, weights, paths)

@@ -27,55 +27,18 @@ import numpy as np
 from .. import beampattern, holography, link
 from .._cores import thread_map
 from . import invariants
-from .config import ConfigError, ExperimentConfig, _to_jsonable, merge_config
+from .config import ConfigError, ExperimentConfig, _to_jsonable, json_fingerprint, merge_config
 from .results import ResultSet, emit_csv
-
-PRESET_NAMES = (
-    "fig5_beampattern",
-    "fig6_b_sweep",
-    "fig7_recording",
-    "fig8_size_sweep",
-    "fig9_cdl",
-    "fig10_outage",
-    "validate",
-)
 
 # Surface sizes of the fig8 and fig9 size sweeps.
 _SWEEP_SIZES = (8, 16, 32, 64)
-
-_PRESET_DEFAULTS: dict[str, dict] = {
-    # Reference-dominant recording: the constant term then dominates the
-    # power matrix, which is the regime where subtracting it visibly cleans
-    # the pattern floor.
-    "fig5_beampattern": {"recording": {"snr_db": None}, "reference": {"amplitude": 8.0}},
-    "fig6_b_sweep": {
-        "recording": {"snr_db": None},
-        "link": {"normalization": "absolute"},
-    },
-    "fig7_recording": {"surface": {"M": 32, "N": 32}, "link": {"normalization": "absolute"}},
-    "fig8_size_sweep": {"link": {"normalization": "absolute"}},
-    "fig9_cdl": {
-        "channel": {"kind": "cdl_profile"},
-        "link": {"normalization": "absolute"},
-    },
-    # The transmit-referred SNR grid sits where the 8x8 and 16x16 outage
-    # transitions actually happen (array gain moves them well below 0 dB).
-    "fig10_outage": {
-        "channel": {"kind": "rician_random"},
-        "link": {
-            "normalization": "absolute",
-            "snr_db": [-16.0, -12.0, -8.0, -4.0, 0.0, 4.0],
-        },
-    },
-    "validate": {},
-}
 
 
 def resolve_config(
     name: str, config: ExperimentConfig | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
     """Preset defaults, then user overrides, applied over the base config."""
-    return merge_config(config, _PRESET_DEFAULTS[name], overrides)
+    return merge_config(config, _PRESETS[name][0], overrides)
 
 
 def output_dir(cfg: ExperimentConfig, out_dir=None) -> FsPath:
@@ -147,7 +110,7 @@ def add_curve_rows(
 # ------------------------------------------------------------------ presets
 
 
-def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
+def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, _quiet: bool) -> None:
     scenario = cfg.scenario("rrm", recording_snr_db=None)
     geom, ref = scenario.geom, scenario.ref
     paths = cfg.manual_paths()
@@ -175,7 +138,7 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath) -> None:
             rs.add("fig5_beampattern", "strategy", strategy, metric, row[metric], seed=cfg.seed)
 
 
-def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet) -> None:
+def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     paths = cfg.manual_paths().arrays.broadcast(1)
     for size in (8, 64):
         for strategy in ("none", "mean", "min"):
@@ -184,7 +147,7 @@ def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet) -> None:
             add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, mi)
 
 
-def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
+def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     n_rep = 50
     paths = cfg.manual_paths().arrays.broadcast(n_rep)
     seeds = [_seed_for(cfg, 1000 + 97 * r) for r in range(n_rep)]
@@ -198,7 +161,7 @@ def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet) -> None:
             add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
 
 
-def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet) -> None:
+def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     n_rep = 10
     paths = cfg.manual_paths().arrays
     for size in _SWEEP_SIZES:
@@ -247,14 +210,14 @@ def paired_curves(
     return list(zip(systems, curves))
 
 
-def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet) -> None:
+def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     n_rep = 20
     for size in _SWEEP_SIZES:
         for system, curves in paired_curves(cfg, n_rep, _seed_for(cfg, 3000 + size), size):
             add_curve_rows(rs, "fig9_cdl", f"mi_{system}_{size}x{size}", cfg, curves)
 
 
-def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
+def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     outage = cfg.outage
     for size in (8, 16):
         seed = _seed_for(cfg, 4000 + size)
@@ -262,9 +225,50 @@ def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet) -> None:
             add_curve_rows(rs, "fig10_outage", f"outage_{system}_{size}x{size}", cfg, bits)
 
 
-def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, quiet: bool) -> None:
+def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, quiet: bool) -> None:
     for name, ok, _detail in invariants.run_all(quiet=quiet):
         rs.add("validate", "check", name, "passed", 1.0 if ok else 0.0, seed=cfg.seed)
+
+
+# name -> (defaults merged under the caller's overrides, runner), in listing
+# order. A runner takes (cfg, rs, out, quiet) and adds its rows to rs; fig5
+# also writes its pattern CSVs into out.
+_PRESETS = {
+    # Reference-dominant recording: the constant term then dominates the
+    # power matrix, which is the regime where subtracting it visibly cleans
+    # the pattern floor.
+    "fig5_beampattern": (
+        {"recording": {"snr_db": None}, "reference": {"amplitude": 8.0}},
+        _preset_fig5,
+    ),
+    "fig6_b_sweep": (
+        {"recording": {"snr_db": None}, "link": {"normalization": "absolute"}},
+        _preset_fig6,
+    ),
+    "fig7_recording": (
+        {"surface": {"M": 32, "N": 32}, "link": {"normalization": "absolute"}},
+        _preset_fig7,
+    ),
+    "fig8_size_sweep": ({"link": {"normalization": "absolute"}}, _preset_fig8),
+    "fig9_cdl": (
+        {"channel": {"kind": "cdl_profile"}, "link": {"normalization": "absolute"}},
+        _preset_fig9,
+    ),
+    # The transmit-referred SNR grid sits where the 8x8 and 16x16 outage
+    # transitions actually happen (array gain moves them well below 0 dB).
+    "fig10_outage": (
+        {
+            "channel": {"kind": "rician_random"},
+            "link": {
+                "normalization": "absolute",
+                "snr_db": [-16.0, -12.0, -8.0, -4.0, 0.0, 4.0],
+            },
+        },
+        _preset_fig10,
+    ),
+    "validate": ({}, _preset_validate),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def run_preset(
@@ -292,28 +296,14 @@ def run_preset(
         OSError: unwritable output directory (before the run when its
             nearest existing ancestor is not a writable directory).
     """
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     cfg = resolve_config(name, config, overrides)
     rs = ResultSet()
     out = output_dir(cfg, out_dir)
-
-    if name == "fig5_beampattern":
-        _preset_fig5(cfg, rs, out)
-    elif name == "fig6_b_sweep":
-        _preset_fig6(cfg, rs)
-    elif name == "fig7_recording":
-        _preset_fig7(cfg, rs)
-    elif name == "fig8_size_sweep":
-        _preset_fig8(cfg, rs)
-    elif name == "fig9_cdl":
-        _preset_fig9(cfg, rs)
-    elif name == "fig10_outage":
-        _preset_fig10(cfg, rs)
-    else:
-        _preset_validate(cfg, rs, quiet)
-
-    meta = {"preset": name, "fingerprint": cfg.fingerprint(), "config": _to_jsonable(cfg)}
+    _PRESETS[name][1](cfg, rs, out, quiet)
+    data = _to_jsonable(cfg)
+    meta = {"preset": name, "fingerprint": json_fingerprint(data), "config": data}
     write_results(rs, out, quiet, meta)
     return rs
 

@@ -8,6 +8,10 @@ paths when the surface is excited by the same reference wave. Subtracting a
 constant before normalization (``make_weights``) suppresses the sidelobes
 contributed by the power matrix's direction-independent terms.
 
+The user's transmit amplitude lives in the path gains: scaling A_r and every
+gain by c (the noise power by c^2) scales the power matrix by c^2, which the
+normalized weights undo, so only the gains' ratio to A_r shapes a hologram.
+
 ``rhs_weights`` implements the baseline that skips recording entirely and
 computes weights from known directions and gains (perfect CSI).
 
@@ -56,7 +60,6 @@ class RecordingConfig:
     """Uplink recording parameters.
 
     Attributes:
-        user_amplitude: transmit amplitude A_u of the user signal.
         noise_power: variance (per complex sample) of the additive noise at
             each element sensor. 0 gives the exact closed-form power matrix.
         duration_symbols: recording duration in symbol times; the sensor
@@ -65,13 +68,12 @@ class RecordingConfig:
             bit-reproducible for a fixed (seed, config, scenario).
     """
 
-    user_amplitude: float = 1.0
     noise_power: float = 0.0
     duration_symbols: int = 5
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_recording(self.user_amplitude, self.duration_symbols)
+        check_recording(self.duration_symbols)
         if self.noise_power < 0:
             raise ValueError(f"noise_power: must be nonnegative, got {self.noise_power}")
 
@@ -80,28 +82,25 @@ class RecordingConfig:
         return self.duration_symbols
 
 
-def check_recording(user_amplitude: float, duration_symbols: int) -> None:
-    """The rules on the recording fields that ``RecordingConfig``, ``LinkScenario`` and the config share.
+def check_recording(duration_symbols: int) -> None:
+    """The rule on the recording field that ``RecordingConfig``, ``LinkScenario`` and the config share.
 
     Raises ValueError as "<field>: <reason>".
     """
-    if user_amplitude < 0:
-        raise ValueError(f"user_amplitude: must be nonnegative, got {user_amplitude}")
     if duration_symbols < 1:
         raise ValueError(f"duration_symbols: must be >= 1, got {duration_symbols}")
 
 
-def noise_power_for_snr(snr_db: float | None, user_amplitude: float, paths):
+def noise_power_for_snr(snr_db: float | None, paths):
     """Noise variance giving the requested recording SNR.
 
-    Recording SNR is defined as A_u^2 * sum_i |gain_i|^2 / noise_power.
+    Recording SNR is defined as sum_i |gain_i|^2 / noise_power.
     None means noise-free recording. ``paths`` is a PathSet (a float is
     returned) or a stack of ``PathArrays`` (one variance per realization).
     """
     if snr_db is None:
         return 0.0
-    signal = user_amplitude**2 * paths.total_power()
-    return signal / 10.0 ** (snr_db / 10.0)
+    return paths.total_power() / 10.0 ** (snr_db / 10.0)
 
 
 def record_hologram(
@@ -116,8 +115,7 @@ def record_hologram(
     and the noise stream.
     """
     return record_power(
-        geom, ref, paths.arrays, cfg.user_amplitude, cfg.noise_power, cfg.num_samples,
-        [cfg.rng_seed],
+        geom, ref, paths.arrays, cfg.noise_power, cfg.num_samples, [cfg.rng_seed]
     )
 
 
@@ -125,7 +123,6 @@ def record_power(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
     paths: PathArrays,
-    user_amplitude: float,
     noise_power,
     num_samples: int,
     seeds,
@@ -134,7 +131,7 @@ def record_power(
 
     Per element, the deterministic baseband sample is
 
-        c = A_u * sum_i gain_i * exp(-j*omega_r*delay_i) * steer_i
+        c = sum_i gain_i * exp(-j*omega_r*delay_i) * steer_i
             + A_r * exp(j*phase_offset) * ref_phase
 
     and the recorded entry is the mean of |c + z_k|^2 over num_samples
@@ -164,8 +161,7 @@ def record_power(
     reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
 
     gains = paths.carrier_gains(geom.angular_frequency)
-    user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
-    carrier = user + reference
+    carrier = superpose(geom, paths.theta, paths.phi, gains) + reference
     flat = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)

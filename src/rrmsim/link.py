@@ -183,7 +183,6 @@ def alpha_taps_split(
     a_tx = math.sqrt(1.0 / den) if den > 0.0 else 0.0  # as alpha_stack
     rho = float(weights.rho)
     b = float(weights.b)
-    a_u = recording.user_amplitude
     a_r = ref.amplitude
     phi = ref.phase_offset
 
@@ -191,7 +190,7 @@ def alpha_taps_split(
     steer = [steering_field(geom, p.direction) for p in paths.paths]
     g = paths.carrier_gains(geom.angular_frequency)
     L = len(paths)
-    const = a_r**2 + a_u**2 * paths.total_power()
+    const = a_r**2 + paths.total_power()
 
     dominant = np.zeros(L, dtype=complex)
     residual = np.zeros(L, dtype=complex)
@@ -204,7 +203,6 @@ def alpha_taps_split(
             # reference cross term carrying the conjugated incident profile
             coherent = (
                 scale
-                * a_u
                 * a_r
                 * np.exp(-1j * phi)
                 * g[j]
@@ -218,7 +216,6 @@ def alpha_taps_split(
             # opposite-conjugate cross term, curvature-spoiled by beta^2
             residual[i] += (
                 scale
-                * a_u
                 * a_r
                 * np.exp(1j * phi)
                 * np.conj(g[j])
@@ -231,7 +228,6 @@ def alpha_taps_split(
                     continue
                 residual[i] += (
                     scale
-                    * a_u**2
                     * g[k]
                     * np.conj(g[j])
                     * g[i]
@@ -380,7 +376,6 @@ class LinkScenario:
     channel: ChannelConfig
     system: str = "rrm"  # "rrm" | "rhs"
     strategy: str = "mean"
-    user_amplitude: float = 1.0
     recording_snr_db: float | None = 10.0
     duration_symbols: int = 5
     normalization: str = "normalized"  # "normalized" | "absolute"
@@ -393,7 +388,7 @@ class LinkScenario:
             raise ValueError("normalization: must be normalized or absolute")
         if self.K < 1:
             raise ValueError(f"K: must be >= 1, got {self.K}")
-        check_recording(self.user_amplitude, self.duration_symbols)
+        check_recording(self.duration_symbols)
 
 
 def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
@@ -413,8 +408,8 @@ def recorded_power(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarr
     ``record_power``'s.
     """
     s = scenario
-    noise = noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-    return record_power(s.geom, s.ref, paths, s.user_amplitude, noise, s.duration_symbols, seeds)
+    noise = noise_power_for_snr(s.recording_snr_db, paths)
+    return record_power(s.geom, s.ref, paths, noise, s.duration_symbols, seeds)
 
 
 def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:

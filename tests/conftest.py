@@ -43,8 +43,8 @@ def block_matrix(scenario, paths, recording_seed=0):
         desired = [(p.direction, g) for p, g in zip(paths.paths, gains)]
         weights = holography.rhs_weights(s.geom, s.ref, desired)
     else:
-        noise = holography.noise_power_for_snr(s.recording_snr_db, s.user_amplitude, paths)
-        cfg = holography.RecordingConfig(s.user_amplitude, noise, s.duration_symbols, recording_seed)
+        noise = holography.noise_power_for_snr(s.recording_snr_db, paths)
+        cfg = holography.RecordingConfig(noise, s.duration_symbols, recording_seed)
         power = holography.record_hologram(s.geom, s.ref, paths, cfg)
         weights = holography.make_weights(power, s.strategy)
     H = link.build_toeplitz(link.equivalent_taps(s.geom, weights, paths, s.pulse, s.K))

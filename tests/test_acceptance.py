@@ -203,9 +203,7 @@ def test_criterion_6_equivalent_amplitude_split():
     worst = 0.0
     for trial in range(50):
         geom = make_geometry(int(rng.integers(3, 11)), int(rng.integers(3, 11)))
-        ref = make_reference(
-            geom, amplitude=rng.uniform(0.5, 2.5), phase=rng.uniform(0, 2 * math.pi)
-        )
+        a_r, phase = rng.uniform(0.5, 2.5), rng.uniform(0, 2 * math.pi)
         paths = PathSet(
             tuple(
                 Path(
@@ -216,7 +214,9 @@ def test_criterion_6_equivalent_amplitude_split():
                 for _ in range(int(rng.integers(1, 6)))
             )
         )
-        cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
+        # A_r over a user amplitude drawn in [0.5, 1.5]
+        ref = make_reference(geom, amplitude=a_r / rng.uniform(0.5, 1.5), phase=phase)
+        cfg = RecordingConfig(0.0, 1, 0)
         holo = record_hologram(geom, ref, paths, cfg)
         weights = make_weights(holo, "min" if trial % 2 else "none")
         direct = alpha_taps(geom, weights, paths)

@@ -77,9 +77,7 @@ def fig5_weights(size):
     cfg = resolve_config("fig5_beampattern", overrides={"surface": {"M": size, "N": size}})
     geom = cfg.geometry()
     ref = cfg.reference_wave()
-    holo = record_hologram(
-        geom, ref, cfg.manual_paths(), RecordingConfig(cfg.recording.user_amplitude, 0.0, 1, 0)
-    )
+    holo = record_hologram(geom, ref, cfg.manual_paths(), RecordingConfig(0.0, 1, 0))
     return geom, ref, [make_weights(holo, s).values for s in ("none", "mean")]
 
 
@@ -309,7 +307,7 @@ class TestArrayFactor:
     ):
         ref = make_reference(geom32)
         holo = record_hologram(
-            geom32, ref, five_paths, RecordingConfig(1.0, 0.0, 1, 0)
+            geom32, ref, five_paths, RecordingConfig(0.0, 1, 0)
         )
         weights = make_weights(holo, "mean")
         theta, phi = default_axes(1.0)
@@ -851,7 +849,7 @@ class TestApertureGrowth:
             geom = make_geometry(size, size)
             ref = make_reference(geom)
             holo = record_hologram(
-                geom, ref, make_five_paths(), RecordingConfig(1.0, 0.0, 1, 0)
+                geom, ref, make_five_paths(), RecordingConfig(0.0, 1, 0)
             )
             weights = make_weights(holo, "mean")
             theta, phi = default_axes(1.0)
@@ -863,7 +861,7 @@ class TestApertureGrowth:
     def test_path_directions_dominate_median(self, geom32, five_paths):
         ref = make_reference(geom32)
         holo = record_hologram(
-            geom32, ref, five_paths, RecordingConfig(1.0, 0.0, 1, 0)
+            geom32, ref, five_paths, RecordingConfig(0.0, 1, 0)
         )
         weights = make_weights(holo, "mean")
         theta, phi = default_axes(1.0)

@@ -127,7 +127,7 @@ class TestFactoredAgainstLoops:
         cfg = RecordingConfig(noise_power=0.3, duration_symbols=4, rng_seed=1234)
         got = record_hologram(geom, ref, paths, cfg)
 
-        c = cfg.user_amplitude * _object(geom, paths) + reference_field(geom, ref)
+        c = _object(geom, paths) + reference_field(geom, ref)
         rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
         scale = math.sqrt(cfg.noise_power / 2.0)
         shape = geom.shape + (cfg.num_samples,)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shutil
@@ -15,11 +16,12 @@ from rrmsim.harness import (
     run_preset,
     save_config,
 )
+from rrmsim.harness import cli as cli_module
 from rrmsim.harness import config as config_module
-from rrmsim.harness import invariants
+from rrmsim.harness import invariants, presets
 from rrmsim.harness.cli import main
-from rrmsim.harness.config import OutageBlock, config_from_dict
-from rrmsim.harness.presets import resolve_config
+from rrmsim.harness.config import OutageBlock, config_from_dict, merge_config
+from rrmsim.harness.presets import PRESET_NAMES, resolve_config
 from rrmsim.harness.results import fmt9
 from rrmsim.link import outage_ci
 
@@ -34,6 +36,9 @@ def _path(**fields):
 REJECTED = [
     ({"surface": {"M": 0}}, "surface.M"),
     ({"surface": {"N": 0}}, "surface.N"),
+    # Side bounds: a 1e5 x 1e5 surface loaded and then ran out of memory.
+    ({"surface": {"M": 10001}}, "surface.M"),
+    ({"surface": {"N": 10001}}, "surface.N"),
     ({"surface": {"fc": 0.0}}, "surface.fc"),
     ({"surface": {"fc": -1.0}}, "surface.fc"),
     ({"surface": {"substrate_index": 0.5}}, "surface.substrate_index"),
@@ -43,12 +48,10 @@ REJECTED = [
     ({"surface": {"dy": -1.0}}, "surface.dy"),
     ({"reference": {"amplitude": 0.0}}, "reference.amplitude"),
     ({"reference": {"amplitude": -1.0}}, "reference.amplitude"),
-    ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
-    # Amplitude bounds: each of the first three loaded before them and exited 4 mid-run.
-    ({"recording": {"user_amplitude": 1e160}}, "recording.user_amplitude"),
-    ({"recording": {"user_amplitude": 0.0}}, "recording.user_amplitude"),
+    # Amplitude bounds [1e-8, 1e8]: 1e200 loaded before them and exited 4 mid-run.
     ({"reference": {"amplitude": 1e200}}, "reference.amplitude"),
-    ({"reference": {"amplitude": 1e-5}}, "reference.amplitude"),
+    ({"reference": {"amplitude": 100000000.00000001}}, "reference.amplitude"),
+    ({"reference": {"amplitude": 9.999999999999999e-9}}, "reference.amplitude"),
     ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
     ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
     ({"recording": {"snr_db": -3240.0}}, "recording.snr_db"),
@@ -97,12 +100,19 @@ REJECTED = [
     # per-symbol sample count (a v3 file folds it into duration_symbols).
     ({"reference": {"sign": -1}}, "reference.sign"),
     ({"recording": {"samples_per_symbol": 1}}, "recording.samples_per_symbol"),
+    # Removed in schema 5, whatever its value: the user amplitude, a second
+    # knob for the one amplitude ratio a hologram depends on (a v4 file sets
+    # reference.amplitude to A_r/A_u). 1e160 and 0.0 once exited 4 mid-run.
+    ({"recording": {"user_amplitude": -1.0}}, "recording.user_amplitude"),
+    ({"recording": {"user_amplitude": 1e160}}, "recording.user_amplitude"),
+    ({"recording": {"user_amplitude": 0.0}}, "recording.user_amplitude"),
     ({"outage": {"r_th": 0.0}}, "outage.r_th"),
     ({"outage": {"trials": 0}}, "outage.trials"),
     ({"output": {"directory": ""}}, "output.directory"),
     ({"schema_version": 1}, "schema_version"),
     ({"schema_version": 2}, "schema_version"),
     ({"schema_version": 3}, "schema_version"),
+    ({"schema_version": 4}, "schema_version"),
     ({"seed": -1}, "seed"),
 ]
 REJECTED_IDS = [json.dumps(data, separators=(",", ":")) for data, _key in REJECTED]
@@ -156,8 +166,8 @@ class TestConfig:
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict({"schema_version": 1})
-        with pytest.raises(ConfigError, match=r"^schema_version: must be 4, got 3$"):
-            config_from_dict({"schema_version": 3})
+        with pytest.raises(ConfigError, match=r"^schema_version: must be 5, got 4$"):
+            config_from_dict({"schema_version": 4})
 
     def test_type_errors_name_keys(self):
         with pytest.raises(ConfigError, match=r"seed: must be an integer"):
@@ -222,6 +232,32 @@ class TestConfig:
         geom = config_from_dict({"surface": {"substrate_index": 1.0}}).geometry()
         assert geom.substrate_index == 1.0 and geom.k_sub == geom.k_free
 
+    # 1e-5 lay past the schema-4 bound [1e-4, 1e4]; A_r/A_u of that schema
+    # reached [1e-8, 1e8], the bound now.
+    @pytest.mark.parametrize("amplitude", [1e-8, 1e-5, 1e8])
+    def test_reference_amplitude_at_and_inside_its_bound_loads(self, amplitude):
+        cfg = config_from_dict({"reference": {"amplitude": amplitude}})
+        assert cfg.reference.amplitude == amplitude
+
+    # Loaded only: a 1e4 x 1e4 surface does not fit a test's memory.
+    @pytest.mark.parametrize("M, N", [(10_000, 10_000), (1, 10_000), (10_000, 1)])
+    def test_surface_at_the_side_bound_loads(self, M, N):
+        assert config_from_dict({"surface": {"M": M, "N": N}}).geometry().shape == (M, N)
+
+    # Each preset's defaults under override layers, onto the default config
+    # or onto nothing: the same config.
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_merging_onto_nothing_equals_merging_onto_the_defaults(self, name):
+        layers = (
+            presets._PRESETS[name][0],
+            {"seed": 7, "surface": {"M": 8}},
+            None,
+            {"recording": {"snr_db": None}, "link": {"snr_db": [1.0]}},
+        )
+        merged = merge_config(None, *layers)
+        assert merged == merge_config(ExperimentConfig(), *layers)
+        assert merged.fingerprint() == merge_config(ExperimentConfig(), *layers).fingerprint()
+
     @pytest.mark.parametrize("amplitude", [0.0, -1.0])
     def test_reference_amplitude_must_be_positive(self, amplitude):
         with pytest.raises(ConfigError, match=r"reference\.amplitude: must be positive"):
@@ -280,6 +316,31 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
             run_preset("fig99", out_dir="/tmp/nope", quiet=True)
+
+    def test_preset_names_come_from_the_preset_table(self):
+        assert PRESET_NAMES == tuple(presets._PRESETS) == (
+            "fig5_beampattern",
+            "fig6_b_sweep",
+            "fig7_recording",
+            "fig8_size_sweep",
+            "fig9_cdl",
+            "fig10_outage",
+            "validate",
+        )
+
+    def test_a_run_converts_its_config_to_json_once(self, tmp_path, monkeypatch):
+        converted = []
+        to_jsonable = config_module._to_jsonable
+
+        def counted(obj):
+            if isinstance(obj, ExperimentConfig):
+                converted.append(obj)
+            return to_jsonable(obj)
+
+        monkeypatch.setattr(config_module, "_to_jsonable", counted)
+        monkeypatch.setattr(presets, "_to_jsonable", counted)
+        run_preset("fig6_b_sweep", overrides=fast_overrides(), out_dir=tmp_path, quiet=True)
+        assert len(converted) == 1
 
     def test_fig6_deterministic_byte_identical(self, tmp_path):
         run_preset(
@@ -601,6 +662,8 @@ class TestCli:
         header = (tmp_path / "pattern.csv").read_text().splitlines()[0]
         assert header == "theta_deg,phi_deg,power_db"
 
+    GRID_BOUND = "--step-deg: must give a grid of at most 16777216 directions"
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -608,6 +671,10 @@ class TestCli:
             (["--step-deg", "-1"], "--step-deg: must be finite and > 0"),
             (["--step-deg", "nan"], "--step-deg: must be finite and > 0"),
             (["--step-deg", "inf"], "--step-deg: must be finite and > 0"),
+            # a 0.001 deg grid ran out of memory mid-run
+            (["--step-deg", "0.001"], f"{GRID_BOUND}, got 0.001 (3.24e+10 directions)"),
+            (["--step-deg", "0.0439"], f"{GRID_BOUND}, got 0.0439 (1.68e+07 directions)"),
+            (["--step-deg", "1e-300"], f"{GRID_BOUND}, got 1e-300 (inf directions)"),
             (["--peaks", "0"], "--peaks: must be >= 1"),
             (["--peaks", "-3"], "--peaks: must be >= 1"),
         ],
@@ -617,6 +684,20 @@ class TestCli:
         assert main(["beampattern", "--out", str(out), "--quiet", *flags]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("step", [0.044, 0.125, 0.5])
+    def test_step_within_the_grid_bound_passes_its_check(self, monkeypatch, step):
+        # Stops at the output check that follows: a 0.044 deg grid is too large to draw here.
+        class Checked(Exception):
+            pass
+
+        def checked(cfg):
+            raise Checked
+
+        monkeypatch.setattr(cli_module, "output_dir", checked)
+        args = argparse.Namespace(step_deg=step, peaks=5, quiet=True)
+        with pytest.raises(Checked):
+            cli_module._cmd_beampattern(ExperimentConfig(), args)
 
     # Recordings whose hologram is constant, so mean subtraction leaves
     # all-zero weights: one element (noise or not), and one broadside path on

@@ -22,13 +22,14 @@ from rrmsim import (
 from rrmsim import beampattern as bp
 from rrmsim import holography
 from rrmsim.channel import ChannelConfig, Path, draw_paths
-from rrmsim.holography import reconstruction_terms, record_power, save_matrix_csv
+from rrmsim.holography import reconstruction_terms, record_power, save_matrix_csv, weight_stack
+from rrmsim.link import draw_trials
 from rrmsim.surface import object_field, superpose
 
 from conftest import make_five_paths, make_geometry, make_reference
 
 
-def closed_form_power(geom, ref, paths, user_amplitude):
+def closed_form_power(geom, ref, paths):
     """Term-by-term expansion of the noise-free interference power.
 
     Built from the constant, the two reference cross terms and the pairwise
@@ -36,13 +37,12 @@ def closed_form_power(geom, ref, paths, user_amplitude):
     """
     beta = reference_field(geom, ref) / ref.amplitude
     per_path = [
-        user_amplitude
-        * p.gain
+        p.gain
         * np.exp(-1j * geom.angular_frequency * p.delay)
         * steering_field(geom, p.direction)
         for p in paths.paths
     ]
-    const = ref.amplitude**2 + user_amplitude**2 * paths.total_power()
+    const = ref.amplitude**2 + paths.total_power()
     r = ref.amplitude * np.exp(1j * ref.phase_offset) * beta
     total = np.full(geom.shape, const, dtype=float)
     for i, ei in enumerate(per_path):
@@ -60,7 +60,7 @@ class TestRecordHologram:
         d = Direction.from_degrees(25.0, 130.0)
         tau = 3.0e-9
         paths = PathSet((Path(alpha + 0j, tau, d),))
-        cfg = RecordingConfig(user_amplitude=1.0, noise_power=0.0)
+        cfg = RecordingConfig(noise_power=0.0)
         holo = record_hologram(geom, ref, paths, cfg)
         steer = steering_field(geom, d)
         beta = reference_field(geom, ref)
@@ -73,37 +73,31 @@ class TestRecordHologram:
         )
         assert np.allclose(holo, expected, atol=1e-12)
 
-    def test_zero_user_amplitude_gives_reference_power(self):
-        geom = make_geometry(4, 5)
-        ref = make_reference(geom, amplitude=1.3)
-        cfg = RecordingConfig(user_amplitude=0.0, noise_power=0.0)
-        holo = record_hologram(geom, ref, make_five_paths(), cfg)
-        assert np.allclose(holo, 1.3**2, atol=1e-12)
-
     def test_noise_free_matches_term_expansion(self, geom32, five_paths):
-        ref = make_reference(geom32, amplitude=2.0, phase=0.7)
-        cfg = RecordingConfig(user_amplitude=0.9, noise_power=0.0)
+        # A_r = 2.0 over a user amplitude of 0.9
+        ref = make_reference(geom32, amplitude=2.0 / 0.9, phase=0.7)
+        cfg = RecordingConfig(noise_power=0.0)
         holo = record_hologram(geom32, ref, five_paths, cfg)
-        expected = closed_form_power(geom32, ref, five_paths, 0.9)
+        expected = closed_form_power(geom32, ref, five_paths)
         assert np.max(np.abs(holo - expected)) < 1e-10
 
     def test_noise_adds_sigma2_on_average(self, geom32, five_paths):
         # >= 100 seeds at 10 dB recording SNR: the average excess over the
         # noise-free power matrix converges to the noise variance.
         ref = make_reference(geom32)
-        sigma2 = noise_power_for_snr(10.0, 1.0, five_paths)
+        sigma2 = noise_power_for_snr(10.0, five_paths)
         assert sigma2 == pytest.approx(five_paths.total_power() / 10.0)
-        clean = closed_form_power(geom32, ref, five_paths, 1.0)
+        clean = closed_form_power(geom32, ref, five_paths)
         excess = []
         for seed in range(100):
-            cfg = RecordingConfig(1.0, sigma2, 5, seed)
+            cfg = RecordingConfig(sigma2, 5, seed)
             holo = record_hologram(geom32, ref, five_paths, cfg)
             excess.append(np.mean(holo - clean))
         assert np.mean(excess) == pytest.approx(sigma2, rel=0.05)
 
     def test_entries_nonnegative_and_reproducible(self, geom32, five_paths):
         ref = make_reference(geom32)
-        cfg = RecordingConfig(1.0, 0.5, 6, 42)
+        cfg = RecordingConfig(0.5, 6, 42)
         a = record_hologram(geom32, ref, five_paths, cfg)
         b = record_hologram(geom32, ref, five_paths, cfg)
         assert np.array_equal(a, b)
@@ -119,7 +113,7 @@ class TestRecordHologram:
             make_reference(geom, amplitude=0.0)
 
 
-def two_stack_record_power(geom, ref, paths, user_amplitude, noise_power, num_samples, seeds):
+def two_stack_record_power(geom, ref, paths, noise_power, num_samples, seeds):
     """``record_power`` as it was before its noise was drawn in blocks.
 
     Both (..., M, N, S) stacks of normals are drawn whole, one matrix after
@@ -130,8 +124,7 @@ def two_stack_record_power(geom, ref, paths, user_amplitude, noise_power, num_sa
     reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
 
     gains = paths.carrier_gains(geom.angular_frequency)
-    user = user_amplitude * superpose(geom, paths.theta, paths.phi, gains)
-    carrier = user + reference
+    carrier = superpose(geom, paths.theta, paths.phi, gains) + reference
     flat = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)
@@ -167,7 +160,7 @@ NOISE_PATTERNS = ("all", "mixed", "zero")
 
 def _noise_stack(rows, cols, samples, trials, pattern):
     geom = make_geometry(rows, cols)
-    ref = make_reference(geom, amplitude=1.3, phase=0.4)
+    ref = make_reference(geom, amplitude=1.3 / 0.9, phase=0.4)  # over a user amplitude of 0.9
     stack = draw_paths(
         ChannelConfig("rician_random", L=3),
         [np.random.default_rng(100 + t) for t in range(trials)],
@@ -178,7 +171,7 @@ def _noise_stack(rows, cols, samples, trials, pattern):
     elif pattern == "zero":
         noise[:] = 0.0
     seeds = [2**63 + 977 * t for t in range(trials)]
-    return (geom, ref, stack, 0.9, noise, samples, seeds)
+    return (geom, ref, stack, noise, samples, seeds)
 
 
 @st.composite
@@ -229,6 +222,68 @@ class TestBlockedNoise:
         args = _noise_stack(rows, cols, samples, 3, pattern)
         assert holography._BLOCK_BYTES == 8 * 32768
         assert np.array_equal(record_power(*args), two_stack_record_power(*args))
+
+
+@st.composite
+def scaled_recordings(draw, noisy, exact):
+    """A small recording stack and a factor c: 2^k when exact, else a log-uniform float.
+
+    The stack is three trials of a manual (the five standard paths), Rician
+    or cluster-profile channel, recorded at 10 dB when noisy (else without
+    noise) with S samples, S below 8 (added in sequence) or at least 8
+    (pairwise).
+    """
+    kind = draw(st.sampled_from(["manual", "rician_random", "cdl_profile"]))
+    channel = ChannelConfig(kind, L=3, paths=make_five_paths().paths)
+    paths, seeds = draw_trials(channel, 3, draw(st.integers(0, 2**32 - 1)))
+    geom = make_geometry(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    ref = make_reference(geom, draw(st.floats(0.5, 4.0)), draw(st.floats(0.0, 2 * math.pi)))
+    noise = noise_power_for_snr(10.0 if noisy else None, paths)
+    samples = draw(st.sampled_from([1, 3, 7, 8, 9, 16]))
+    if exact:
+        c = 2.0 ** draw(st.integers(-8, 8))
+    else:
+        c = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return geom, ref, paths, noise, samples, seeds, c
+
+
+class TestAmplitudeScale:
+    """Only the ratio of path gains to A_r shapes a hologram: the user amplitude's replacement.
+
+    Scaling A_r and every path gain by c, and the noise power by c^2, scales
+    ``record_power`` by c^2 and leaves ``weight_stack`` as it was: bit for
+    bit when c is a power of two, to rounding otherwise. A schema-4 user
+    amplitude A_u is the case c = 1/A_u.
+    """
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("exact", [True, False])
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_scaling_gains_and_reference_scales_power_and_keeps_weights(self, data, noisy, exact):
+        geom, ref, paths, noise, samples, seeds, c = data.draw(scaled_recordings(noisy, exact))
+        strategy = data.draw(st.sampled_from(["none", "mean", "min"]), label="strategy")
+        power = record_power(geom, ref, paths, noise, samples, seeds)
+        scaled = record_power(
+            geom,
+            make_reference(geom, c * ref.amplitude, ref.phase_offset),
+            paths._replace(gain=c * paths.gain),
+            c**2 * noise,
+            samples,
+            seeds,
+        )
+        w, ws = weight_stack(power, strategy), weight_stack(scaled, strategy)
+        assert np.array_equal(ws.clipped, w.clipped) and np.array_equal(ws.degenerate, w.degenerate)
+        if exact:
+            assert np.array_equal(scaled, c**2 * power)
+            assert np.array_equal(ws.values, w.values)
+            assert np.array_equal(ws.b, c**2 * w.b)
+            # a degenerate matrix keeps rho = 1
+            assert np.array_equal(ws.rho, np.where(w.degenerate, 1.0, w.rho / c**2))
+        else:
+            peak = np.max(power, axis=(-2, -1), keepdims=True)
+            assert np.all(np.abs(scaled / c**2 - power) <= 1e-13 * peak)
+            assert np.max(np.abs(ws.values - w.values)) <= 1e-12
 
 
 class TestReindex:
@@ -292,7 +347,7 @@ class TestMakeWeights:
         # without it (coarse grid keeps this fast)
         ref = make_reference(geom32)
         holo = record_hologram(
-            geom32, ref, five_paths, RecordingConfig(1.0, 0.0, 1, 0)
+            geom32, ref, five_paths, RecordingConfig(0.0, 1, 0)
         )
         theta, phi = bp.default_axes(1.0)
         floors = {}

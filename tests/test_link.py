@@ -83,7 +83,7 @@ class TestEquivalentTaps:
                 Path(0.0 + 0j, 3e-9, Direction.from_degrees(40, 200)),
             )
         )
-        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
+        holo = record_hologram(geom, ref, paths, RecordingConfig(0.0, 1, 0))
         weights = make_weights(holo, "min")
         alpha = alpha_taps(geom, weights, paths)
         assert alpha[1] == 0j
@@ -107,7 +107,7 @@ class TestEquivalentTaps:
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
         paths = make_five_paths()
-        holo = record_hologram(geom, ref, paths, RecordingConfig(1.0, 0.0, 1, 0))
+        holo = record_hologram(geom, ref, paths, RecordingConfig(0.0, 1, 0))
         weights = make_weights(holo, "mean")
         a1 = alpha_taps(geom, weights, paths)
         a4 = alpha_taps(geom, _as_weights(4.0 * weights.values), paths)
@@ -117,9 +117,7 @@ class TestEquivalentTaps:
         rng = np.random.default_rng(21)
         for trial in range(10):
             geom = make_geometry(int(rng.integers(3, 9)), int(rng.integers(3, 9)))
-            ref = make_reference(
-                geom, amplitude=rng.uniform(0.5, 2.5), phase=rng.uniform(0, 2 * math.pi)
-            )
+            a_r, phase = rng.uniform(0.5, 2.5), rng.uniform(0, 2 * math.pi)
             n = int(rng.integers(1, 6))
             paths = PathSet(
                 tuple(
@@ -131,7 +129,9 @@ class TestEquivalentTaps:
                     for _ in range(n)
                 )
             )
-            cfg = RecordingConfig(rng.uniform(0.5, 1.5), 0.0, 1, 0)
+            # A_r over a user amplitude drawn in [0.5, 1.5]
+            ref = make_reference(geom, amplitude=a_r / rng.uniform(0.5, 1.5), phase=phase)
+            cfg = RecordingConfig(0.0, 1, 0)
             holo = record_hologram(geom, ref, paths, cfg)
             strategy = "min" if trial % 2 else "none"
             weights = make_weights(holo, strategy)
@@ -144,7 +144,7 @@ class TestEquivalentTaps:
         geom = make_geometry(6, 6)
         ref = make_reference(geom)
         paths = make_five_paths()
-        noisy = RecordingConfig(1.0, 0.1, 2, 0)
+        noisy = RecordingConfig(0.1, 2, 0)
         holo = record_hologram(geom, ref, paths, noisy)
         weights = make_weights(holo, "min")
         with pytest.raises(ValueError):
@@ -389,20 +389,13 @@ class TestOutage:
         with pytest.raises(ValueError):
             small_scenario(normalization="weird")
 
-    # Before LinkScenario checked them: duration 0 failed inside eigvalsh and
-    # a negative user amplitude returned MI. Each fails at construction now, with the
-    # message RecordingConfig gives for the same value.
+    # Before LinkScenario checked it, duration 0 failed inside eigvalsh. It
+    # fails at construction now, with the message RecordingConfig gives.
     def test_zero_duration_rejected_like_recording_config(self):
         with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
             small_scenario(duration_symbols=0)
         with pytest.raises(ValueError, match=r"^duration_symbols: must be >= 1, got 0$"):
             RecordingConfig(duration_symbols=0)
-
-    def test_negative_user_amplitude_rejected_like_recording_config(self):
-        with pytest.raises(ValueError, match=r"^user_amplitude: must be nonnegative, got -1$"):
-            small_scenario(user_amplitude=-1)
-        with pytest.raises(ValueError, match=r"^user_amplitude: must be nonnegative, got -1$"):
-            RecordingConfig(user_amplitude=-1)
 
 
 class TestSummaries:

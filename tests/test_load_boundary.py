@@ -1,6 +1,6 @@
 """The load boundary: a config that loads runs, and one that does not exits 2.
 
-Draws the amplitude and gain fields, ``recording.snr_db`` and
+Draws the reference amplitude and the gain fields, ``recording.snr_db`` and
 ``link.snr_db`` inside, at and beyond their load-time bounds
 (docs/config.md), ``link.normalization``, and a second manual path that is
 another direction or the first path with its gain negated (the two cancel).
@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import ConfigError, ExperimentConfig, config_from_dict
 
-LIMIT = 1.0e4  # the amplitude bound A of docs/config.md
+LIMIT = 1.0e4  # the amplitude bound A of docs/config.md; A_r lies in [1/A^2, A^2]
 DB_LIMIT = 300.0
 
 
@@ -60,15 +60,10 @@ def _signed(magnitudes):
 # name a mid-run failure loaded before the bounds and then exited 4; they
 # come first, where the derandomized search draws most often.
 FIELDS = {
-    "user_amplitude": (
-        st.one_of(st.sampled_from([1.0 / LIMIT, LIMIT]), _log_scale(-4.0, 4.0)),
-        # 1e-20: all-zero weights; 1e160: the noise power overflowed
-        st.sampled_from([1e160, 1e-20, 0.0, math.nextafter(1.0 / LIMIT, 0.0), _beyond(LIMIT)]),
-    ),
     "amplitude": (
-        st.one_of(st.sampled_from([1.0 / LIMIT, LIMIT]), _log_scale(-4.0, 4.0)),
+        st.one_of(st.sampled_from([LIMIT**-2, LIMIT**2]), _log_scale(-8.0, 8.0)),
         # 1e150: all-zero weights; 1e200: infinite recorded power
-        st.sampled_from([1e200, 1e150, math.nextafter(1.0 / LIMIT, 0.0), _beyond(LIMIT)]),
+        st.sampled_from([1e200, 1e150, math.nextafter(LIMIT**-2, 0.0), _beyond(LIMIT**2)]),
     ),
     "snr_db": (
         st.one_of(st.sampled_from([None, DB_LIMIT, -DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)),
@@ -125,7 +120,7 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
         paths.append({**first, "gain_real": -first["gain_real"], "gain_imag": -first["gain_imag"]})
     config = {
         "surface": {"M": 4, "N": 4},
-        "recording": {"user_amplitude": draw("user_amplitude"), "snr_db": draw("snr_db")},
+        "recording": {"snr_db": draw("snr_db")},
         "reference": {"amplitude": draw("amplitude")},
         "channel": {"paths": paths},
         "link": {
@@ -300,7 +295,8 @@ def test_leaves_cover_the_schema():
     assert "surface.M" in keys and "link.snr_db" in keys and "seed" in keys
     assert "channel.paths" in keys and "channel.paths[0].gain_imag" in keys
     assert "reference.sign" not in keys and "recording.samples_per_symbol" not in keys
-    assert len(keys) == len(set(keys)) == 36
+    assert "recording.user_amplitude" not in keys
+    assert len(keys) == len(set(keys)) == 35
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

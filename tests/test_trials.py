@@ -212,10 +212,10 @@ def test_record_power_mixed_noise_equals_single_recordings():
     stack = draw_paths(cfg, rngs)
     noise = np.array([0.3, 0.0, 0.05])
     seeds = [11, 12, 13]
-    got = record_power(geom, ref, stack, 1.0, noise, 4, seeds)
+    got = record_power(geom, ref, stack, noise, 4, seeds)
     for t in range(3):
         paths = PathSet.from_arrays(PathArrays(*(c[t] for c in stack)))
-        single = record_hologram(geom, ref, paths, RecordingConfig(1.0, noise[t], 4, seeds[t]))
+        single = record_hologram(geom, ref, paths, RecordingConfig(noise[t], 4, seeds[t]))
         assert np.array_equal(got[t], single)
 
 
