@@ -30,16 +30,17 @@ def main(trials: int = 500) -> None:
     for size in (8, 16, 32):
         geom = SurfaceGeometry.half_wavelength(size, size, 30.0e9)
         ref = ReferenceWaveSpec.for_geometry(geom, 2.0)
-        share, power = {}, {}
+        share, power, terms = {}, {}, None
         for system in ("rrm", "rhs"):
             scenario = LinkScenario(
                 geom=geom, ref=ref, pulse=PulseSpec(), channel=channel,
                 system=system, normalization="absolute",
             )
-            w = link.weight_stack_for(scenario, paths, seeds).values
+            terms = terms or link.path_terms(scenario, paths)  # one geometry for both
+            w = link.weight_stack_for(scenario, terms, seeds).values
             total = np.sum(w**2, axis=(-2, -1))
             share[system] = np.mean(size * size * np.mean(w, axis=(-2, -1)) ** 2 / total)
-            alpha = link.alpha_stack(geom, w, paths)
+            alpha = link.alpha_stack(geom, w, terms.ax, terms.ay, terms.gains)
             power[system] = np.sum(np.abs(alpha) ** 2, axis=-1)
         ratio = np.mean(power["rrm"] / power["rhs"])
         print(f"{size:2d}x{size:<2d}  {share['rrm']:14.3f}  {share['rhs']:14.3f}  {ratio:19.3f}")

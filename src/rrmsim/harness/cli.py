@@ -57,7 +57,7 @@ def _recorded_weights(cfg: ExperimentConfig):
     """Power matrix and weights of one recording of one path realization (manual lists verbatim)."""
     scenario = cfg.scenario("rrm")
     paths = sample_paths(scenario.channel, cfg.seed)
-    power = link.recorded_power(scenario, paths.arrays, [cfg.seed])
+    power = link.recorded_power(scenario, link.path_terms(scenario, paths.arrays), [cfg.seed])
     return power, holography.make_weights(power, cfg.weights.strategy)
 
 

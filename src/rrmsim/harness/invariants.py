@@ -398,7 +398,7 @@ def outage_bounds_reproducibility_monotonicity():
     curves = link.trial_mi_curves(scenario, [0.0, 10.0, 20.0], trials=60, seed=99)
     outs = [float(np.mean(curves[:, s] < 2.0)) for s in range(3)]
     paths, seeds = link.draw_trials(scenario.channel, 60, 99)
-    again = link.stack_outage(scenario, paths, seeds, [0.0], 2.0)
+    (again,) = link.stack_outage([scenario], paths, seeds, [0.0], 2.0)
     ok = all(0.0 <= p <= 1.0 for p in outs)
     ok &= outs[0] >= outs[1] >= outs[2]
     ok &= float(np.mean(again)) == outs[0]

@@ -25,7 +25,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .. import beampattern, holography, link
-from .._cores import thread_map
 from . import invariants
 from .config import ConfigError, ExperimentConfig, _to_jsonable, json_fingerprint, merge_config
 from .results import ResultSet, emit_csv
@@ -114,7 +113,8 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, _quiet: 
     scenario = cfg.scenario("rrm", recording_snr_db=None)
     geom, ref = scenario.geom, scenario.ref
     paths = cfg.manual_paths()
-    power = link.recorded_power(scenario, paths.arrays, [_seed_for(cfg, 0)])
+    terms = link.path_terms(scenario, paths.arrays)
+    power = link.recorded_power(scenario, terms, [_seed_for(cfg, 0)])
     theta, phi = beampattern.default_axes(0.5)
     dirs = [p.direction for p in paths.paths]
     strategies = [(s, holography.make_weights(power, s)) for s in ("none", "mean")]
@@ -143,7 +143,7 @@ def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: boo
     for size in (8, 64):
         for strategy in ("none", "mean", "min"):
             scenario = cfg.scenario("rrm", rows=size, cols=size, strategy=strategy)
-            mi = link.stack_mi(scenario, paths, [_seed_for(cfg, size)], cfg.link.snr_db)
+            (mi,) = link.stack_mi([scenario], paths, [_seed_for(cfg, size)], cfg.link.snr_db)
             add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, mi)
 
 
@@ -156,7 +156,7 @@ def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: boo
             scenario = cfg.scenario(
                 "rrm", recording_snr_db=rec_snr, duration_symbols=duration
             )
-            samples = link.stack_mi(scenario, paths, seeds, cfg.link.snr_db)
+            (samples,) = link.stack_mi([scenario], paths, seeds, cfg.link.snr_db)
             metric = f"mi_dur{duration}_recsnr{rec_snr:g}dB"
             add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
 
@@ -169,7 +169,7 @@ def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: boo
             scenario = cfg.scenario(system, rows=size, cols=size)
             reps = n_rep if system == "rrm" and cfg.recording.snr_db is not None else 1
             seeds = [_seed_for(cfg, 2000 + 13 * size + r) for r in range(reps)]
-            samples = link.stack_mi(scenario, paths.broadcast(reps), seeds, cfg.link.snr_db)
+            (samples,) = link.stack_mi([scenario], paths.broadcast(reps), seeds, cfg.link.snr_db)
             add_curve_rows(rs, "fig8_size_sweep", f"mi_{system}_{size}x{size}", cfg, samples)
 
 
@@ -185,28 +185,22 @@ def paired_curves(
     so they are paired trial by trial. size gives a size x size surface in
     place of the configured one.
 
-    Outage curves run one after the other in the calling thread: their
-    eigen-solves are mostly screened away, and two glue-bound curves on two
-    threads would only contend for the interpreter lock. For MI curves, when
-    ``_cores.workers(2)`` allows two threads (BLAS pinned to one thread, two
-    usable CPUs), the rhs curve runs on a worker thread while the rrm curve
-    runs in the calling thread, so one curve's eigen-solve overlaps the
-    other's Python glue. Each curve is the same call on the same draws,
-    which neither curve writes, so the samples keep their bytes. An
-    exception from either curve is raised here.
+    Both systems go through one call, which computes each chunk's steering
+    factors, object field and pulse matrix once for the two. Outage decides
+    both systems' bits of a chunk in one screened pass in the calling
+    thread. For MI, when ``_cores.workers(2)`` allows two threads (BLAS
+    pinned to one thread, two usable CPUs), each chunk's rhs part runs on a
+    worker thread while its rrm part runs in the calling thread. Either way
+    the samples keep their bytes, and an exception from either system is
+    raised here.
     """
     paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
     systems = ("rrm", "rhs")
     scenarios = [cfg.scenario(system, rows=size, cols=size) for system in systems]
-    if r_th is not None:
-        curves = [
-            link.stack_outage(scenario, paths, seeds, cfg.link.snr_db, r_th)
-            for scenario in scenarios
-        ]
+    if r_th is None:
+        curves = link.stack_mi(scenarios, paths, seeds, cfg.link.snr_db)
     else:
-        curves = thread_map(
-            lambda scenario: link.stack_mi(scenario, paths, seeds, cfg.link.snr_db), scenarios
-        )
+        curves = link.stack_outage(scenarios, paths, seeds, cfg.link.snr_db, r_th)
     return list(zip(systems, curves))
 
 

@@ -20,8 +20,9 @@ radiates, and ``reconstruction_terms`` builds its four term groups directly
 from the paths. The reindexing identities are checked through the two, by
 the invariant suite (``harness.invariants``) and the tests.
 
-The formulas work on stacks: ``record_power``, ``weight_stack`` and
-``rhs_weight_stack`` take path arrays of shape (..., L) and return
+The formulas work on stacks: ``record_power`` and ``rhs_weight_stack``
+take object fields (..., M, N), the ``surface.superpose`` of each trial's
+paths, ``weight_stack`` takes power matrices (..., M, N), and each returns
 (..., M, N) matrices, one per Monte-Carlo trial. ``record_hologram``,
 ``make_weights`` and ``rhs_weights`` are their single-matrix views and
 return what the stacked functions return for one matrix: an (M, N) power
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathArrays, PathSet
+from .channel import PathSet
 from .surface import (
     Direction,
     ReferenceWaveSpec,
@@ -45,6 +46,7 @@ from .surface import (
     object_field,
     reference_field,
     steering_field,
+    steering_stack,
     superpose,
 )
 
@@ -114,25 +116,25 @@ def record_hologram(
     The single-recording view of ``record_power``; see there for the model
     and the noise stream.
     """
-    return record_power(
-        geom, ref, paths.arrays, cfg.noise_power, cfg.num_samples, [cfg.rng_seed]
-    )
+    field = object_field(geom, paths)
+    return record_power(geom, ref, field, cfg.noise_power, cfg.num_samples, [cfg.rng_seed])
 
 
 def record_power(
     geom: SurfaceGeometry,
     ref: ReferenceWaveSpec,
-    paths: PathArrays,
+    field: np.ndarray,
     noise_power,
     num_samples: int,
     seeds,
 ) -> np.ndarray:
-    """(..., M, N) recorded power matrices of a stack of path sets (..., L).
+    """(..., M, N) recorded power matrices of a stack of object fields (..., M, N).
 
-    Per element, the deterministic baseband sample is
+    The object field of a path set is sum_i gain_i * exp(-j*omega_r*delay_i)
+    * steer_i (``surface.superpose`` of its carrier gains). Per element, the
+    deterministic baseband sample adds the reference to it,
 
-        c = sum_i gain_i * exp(-j*omega_r*delay_i) * steer_i
-            + A_r * exp(j*phase_offset) * ref_phase
+        c = field + A_r * exp(j*phase_offset) * ref_phase
 
     and the recorded entry is the mean of |c + z_k|^2 over num_samples
     samples, z_k i.i.d. circular complex Gaussian with variance noise_power
@@ -156,12 +158,7 @@ def record_power(
     block is held once, while a smaller one (e.g. ten 8x8 trials) is held
     twice, as it was before blocking.
     """
-    if paths.gain.shape[-1] == 0:
-        raise ValueError("recording needs at least one incident path")
-    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
-
-    gains = paths.carrier_gains(geom.angular_frequency)
-    carrier = superpose(geom, paths.theta, paths.phi, gains) + reference
+    carrier = field + np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
     flat = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)
@@ -361,17 +358,13 @@ def rhs_weights(
     theta = np.array([direction.theta for direction, _ in desired], dtype=float)
     phi = np.array([direction.phi for direction, _ in desired], dtype=float)
     gains = np.array([gain for _, gain in desired], dtype=complex)
-    return rhs_weight_stack(geom, ref, theta, phi, gains)
+    return rhs_weight_stack(geom, ref, superpose(*steering_stack(geom, theta, phi), gains))
 
 
 def rhs_weight_stack(
-    geom: SurfaceGeometry,
-    ref: ReferenceWaveSpec,
-    theta: np.ndarray,
-    phi: np.ndarray,
-    gains: np.ndarray,
+    geom: SurfaceGeometry, ref: ReferenceWaveSpec, field: np.ndarray
 ) -> WeightStack:
-    """Perfect-CSI weights for stacks of desired directions and gains (..., L).
+    """Perfect-CSI weights for a stack of object fields (..., M, N).
 
     For each desired direction the outgoing field profile is the conjugate
     of that direction's incident steering profile (a wave transmitted toward
@@ -382,12 +375,12 @@ def rhs_weight_stack(
 
         weights = (Re[W_int] / max|Re[W_int]| + 1) / 2
 
-    with W_int = conj(superpose(theta, phi, gains)) * conj(E_r). b is 0 and
-    rho records the 1/max|Re| normalizer; an all-zero W_int gives weights of
-    0.5 with rho = 1.
+    with W_int = conj(field) * conj(E_r), field the ``superpose`` of the
+    desired directions and gains. b is 0 and rho records the 1/max|Re|
+    normalizer; an all-zero W_int gives weights of 0.5 with rho = 1.
     """
     e_r = reference_field(geom, ref)
-    real = np.real(np.conj(superpose(geom, theta, phi, gains)) * np.conj(e_r))
+    real = np.real(np.conj(field) * np.conj(e_r))
     peak = np.max(np.abs(real), axis=(-2, -1))
     flat = peak == 0.0
     safe = np.where(flat, 1.0, peak)

@@ -21,32 +21,38 @@ whose MI falls below a threshold rate.
 
 Monte-Carlo trials run as stacks. ``draw_trials`` gives each trial its
 own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
-arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi``
-splits a (T, L) stack into chunks of ``chunk_trials`` trials, which keeps
-each (T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); a noisy
-recording holds one (T, M, N, S) stack of real noise parts plus a block of
-imaginary parts no larger than 256 KiB or the stack (``record_power``), so
-only stacks above 256 KiB are held once. It carries each chunk
-through ``weight_stack_for`` (recorded or perfect-CSI weights),
-``alpha_stack``, ``tap_stack`` (one ``raised_cosine`` call) and a
-(T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call and
-one (T, n_snr) MI expression. In normalized mode the taps of each block are
-scaled to unit average receive power before any matrix is formed, so no
-later step knows the mode. Every MI sweep is ``stack_mi``, and every
-outage sweep ``stack_outage``, of one stack per curve: seeded draws, or a
-manual path set broadcast over its recording seeds. ``alpha_taps``,
-``equivalent_taps`` and ``build_toeplitz`` are single-block views of the
-same functions, as ``holography.record_hologram`` and ``make_weights``
-are of ``record_power`` and ``weight_stack``; the weight views take the
-one-matrix ``WeightStack`` that ``make_weights`` and ``rhs_weights`` return.
+arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi`` and
+``stack_outage`` take the scenarios of one draw: one, or several (rrm and
+rhs) that share geometry, pulse and K. They split the stack into chunks of
+the fewest trials any scenario's ``chunk_trials`` allows, which keeps each
+(T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); a noisy
+recording adds a block of imaginary noise parts of at most 256 KiB
+(``record_power``). A chunk's ``path_terms`` (carrier gains, steering
+factors, object field, pulse matrix) are computed once for all scenarios,
+and each scenario reads them: ``weight_stack_for`` (``record_power`` adds
+the reference and the noise to the object field, ``rhs_weight_stack``
+conjugates it), ``alpha_stack`` (the steering factors and gains),
+``tap_stack`` (one product with the pulse matrix) and, for MI, a
+(T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call
+and one (T, n_snr) MI expression; each scenario's MI part is one piece of
+``_cores.thread_map``, so with BLAS pinned rrm and rhs overlap. In
+normalized mode the taps of each block are scaled to unit average receive
+power before any matrix is formed, so no later step knows the mode. Every
+MI sweep is ``stack_mi``, and every outage sweep ``stack_outage``: seeded
+draws, or a manual path set broadcast over its recording seeds.
+``alpha_taps``, ``equivalent_taps`` and ``build_toeplitz`` are single-block
+views of the same functions, as ``holography.record_hologram`` and
+``make_weights`` are of ``record_power`` and ``weight_stack``; the weight
+views take the one-matrix ``WeightStack`` that ``make_weights`` and
+``rhs_weights`` return.
 
 An outage sweep needs only the bit MI < r_th of each block and SNR.
-``stack_outage`` runs the chunks of ``stack_mi`` and decides most bits from
-two bounds read off the taps: Hadamard's upper bound from the diagonal of
-H H^H, and a lower bound from the concavity of log2(1 + gamma lambda) on an
-eigenvalue range [lam_min, lam_max] that the taps bound. A bound decides a
-pair when it clears r_th by a margin larger than the rounding of the bounds
-and of the eigen MI. The remaining pairs take a batched Cholesky
+``stack_outage`` stacks the taps of all its scenarios of a chunk and
+decides most bits from two bounds read off the taps: Hadamard's upper
+bound from the diagonal of H H^H, and a lower bound from the concavity of
+log2(1 + gamma lambda) on an eigenvalue range [lam_min, lam_max] that the
+taps bound. A bound decides a pair when it clears r_th by a margin larger
+than the rounding of the bounds and of the eigen MI. The remaining pairs take a batched Cholesky
 log-determinant, and the few whose value lies within the margin of r_th
 take the eigen MI itself, so every bit equals ``stack_mi(...) < r_th``.
 Sweeps summarise MI samples with ``mean_ci`` and outage bits with
@@ -58,10 +64,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._cores import thread_map
 from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
     RecordingConfig,
@@ -78,6 +86,7 @@ from .surface import (
     reference_phase,
     steering_field,
     steering_stack,
+    superpose,
 )
 
 # Bytes that one Monte-Carlo chunk may spend on each of its (T, K, K) complex
@@ -124,32 +133,35 @@ def alpha_taps(
     paths: PathSet,
 ) -> np.ndarray:
     """Per-path equivalent amplitudes of one weight matrix; the view of ``alpha_stack``."""
-    return alpha_stack(geom, weights.values, paths.arrays)
+    p = paths.arrays
+    steer = steering_stack(geom, p.theta, p.phi)
+    return alpha_stack(geom, weights.values, *steer, p.carrier_gains(geom.angular_frequency))
 
 
 def alpha_stack(
     geom: SurfaceGeometry,
     weights: np.ndarray,
-    paths: PathArrays,
+    ax: np.ndarray,
+    ay: np.ndarray,
+    gains: np.ndarray,
 ) -> np.ndarray:
     """(..., L) equivalent amplitudes of weight stacks (..., M, N) via the exact per-element sum.
 
-    alpha_i = A_tx * sum_{m,n} W(m,n) * beta(m,n) * gain_i
-              * steer_i(m,n) * exp(-j*omega_r*delay_i)
+    alpha_i = A_tx * sum_{m,n} W(m,n) * beta(m,n) * g_i * steer_i(m,n)
 
-    with beta the unit-amplitude reference phase profile and A_tx chosen so
+    with g_i = gains[..., i] = gain_i * exp(-j*omega_r*delay_i) the carrier
+    gain, beta the unit-amplitude reference phase profile and A_tx chosen so
     the total radiated power sum_{m,n} (A_tx * W(m,n))^2 is 1; all-zero
-    weights radiate nothing (A_tx = 0, so every alpha_i is 0).
-    The steering field of path i is separable, steer_i = ax_i ay_i^T (see
-    ``steering_stack``), so all L sums are sum_m ax * ((W * beta) @ ay): one
-    (M, N) x (N, L) product per matrix and no per-path M x N map.
+    weights radiate nothing (A_tx = 0, so every alpha_i is 0). steer_i is
+    ax_i ay_i^T (``steering_stack``), so all L sums are
+    sum_m ax * ((W * beta) @ ay): one (M, N) x (N, L) product per matrix and
+    no per-path M x N map.
     """
     den = np.sum(weights**2, axis=(-2, -1))
     a_tx = np.sqrt(1.0 / np.where(den > 0.0, den, np.inf))
     beta = reference_phase(geom)
-    ax, ay = steering_stack(geom, paths.theta, paths.phi)
     sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
-    return a_tx[..., None] * paths.carrier_gains(geom.angular_frequency) * sums
+    return a_tx[..., None] * gains * sums
 
 
 def alpha_taps_split(
@@ -253,20 +265,24 @@ def equivalent_taps(
     if len(paths) == 0:
         raise ValueError("tap synthesis needs at least one path")
     alpha = alpha_taps(geom, weights, paths)
-    return tap_stack(alpha, paths.arrays.delay, pulse, K)
+    return tap_stack(alpha, pulse_matrix(paths.arrays.delay, pulse, K))
 
 
-def tap_stack(alpha: np.ndarray, delays: np.ndarray, pulse: PulseSpec, K: int) -> np.ndarray:
-    """(..., 2K-1) taps h[l] = sum_i alpha_i * w(l - delay_i / T_s) from (..., L) paths.
+def pulse_matrix(delays: np.ndarray, pulse: PulseSpec, K: int) -> np.ndarray:
+    """(..., 2K-1, L) pulse values w(l - delay_i / T_s) of (..., L) path delays.
 
-    The lags are l = -(K-1)..K-1, lag l at h[..., K-1+l]. w is the
-    closed-form composite raised-cosine pulse, evaluated at real arguments
-    so fractional delays need no resampling, in one call for the whole
-    stack; no tap in the window is truncated.
+    The lags are l = -(K-1)..K-1, lag l in row K-1+l. w is the closed-form
+    composite raised-cosine pulse, evaluated at real arguments so fractional
+    delays need no resampling, in one call for the whole stack; no tap in
+    the window is truncated.
     """
     lags = np.arange(-(K - 1), K)[:, None]
-    t = lags - (delays / pulse.symbol_period)[..., None, :]
-    return (raised_cosine(t, pulse.rolloff) @ alpha[..., None])[..., 0]
+    return raised_cosine(lags - (delays / pulse.symbol_period)[..., None, :], pulse.rolloff)
+
+
+def tap_stack(alpha: np.ndarray, pulses: np.ndarray) -> np.ndarray:
+    """(..., 2K-1) taps h[l] = sum_i alpha_i * w(l - delay_i / T_s): (..., L) amplitudes, ``pulse_matrix``."""
+    return (pulses @ alpha[..., None])[..., 0]
 
 
 def build_toeplitz(h) -> np.ndarray:
@@ -391,35 +407,55 @@ class LinkScenario:
         check_recording(self.duration_symbols)
 
 
-def weight_stack_for(scenario: LinkScenario, paths: PathArrays, seeds) -> WeightStack:
-    """Weights of each realization of a (..., L) path stack; seeds as ``record_power``'s."""
+class PathTerms(NamedTuple):
+    """A (..., L) path stack with its carrier gains, ``steering_stack`` factors, object field
+    sum_l g_l steer_l (``superpose``) and ``pulse_matrix``, for one geometry, pulse and K."""
+
+    paths: PathArrays
+    gains: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    field: np.ndarray
+    pulses: np.ndarray
+
+
+def path_terms(scenario: LinkScenario, paths: PathArrays) -> PathTerms:
+    """The ``PathTerms`` of a (..., L) path stack under the scenario's geometry, pulse and K."""
+    s = scenario
+    if paths.gain.shape[-1] == 0:
+        raise ValueError("a link needs at least one path")
+    gains = paths.carrier_gains(s.geom.angular_frequency)
+    ax, ay = steering_stack(s.geom, paths.theta, paths.phi)
+    pulses = pulse_matrix(paths.delay, s.pulse, s.K)
+    return PathTerms(paths, gains, ax, ay, superpose(ax, ay, gains), pulses)
+
+
+def weight_stack_for(scenario: LinkScenario, terms: PathTerms, seeds) -> WeightStack:
+    """Weights of each realization of a path stack's terms; seeds as ``record_power``'s."""
     s = scenario
     if s.system == "rhs":
-        gains = paths.carrier_gains(s.geom.angular_frequency)
-        return rhs_weight_stack(s.geom, s.ref, paths.theta, paths.phi, gains)
-    return weight_stack(recorded_power(s, paths, seeds), s.strategy)
+        return rhs_weight_stack(s.geom, s.ref, terms.field)
+    return weight_stack(recorded_power(s, terms, seeds), s.strategy)
 
 
-def recorded_power(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
-    """(..., M, N) power matrices recorded from a (..., L) path stack per the scenario.
+def recorded_power(scenario: LinkScenario, terms: PathTerms, seeds) -> np.ndarray:
+    """(..., M, N) power matrices recorded from a path stack's terms per the scenario.
 
     The noise power of each realization gives the scenario's recording SNR
     (``noise_power_for_snr``; None records without noise); seeds as
     ``record_power``'s.
     """
     s = scenario
-    noise = noise_power_for_snr(s.recording_snr_db, paths)
-    return record_power(s.geom, s.ref, paths, noise, s.duration_symbols, seeds)
+    noise = noise_power_for_snr(s.recording_snr_db, terms.paths)
+    return record_power(s.geom, s.ref, terms.field, noise, s.duration_symbols, seeds)
 
 
-def _scenario_taps(scenario: LinkScenario, paths: PathArrays, seeds) -> np.ndarray:
-    """(..., 2K-1) block taps of a (..., L) path stack: weights, amplitudes, taps, normalization."""
+def _scenario_taps(scenario: LinkScenario, terms: PathTerms, seeds) -> np.ndarray:
+    """(..., 2K-1) block taps of a path stack's terms: weights, amplitudes, taps, normalization."""
     s = scenario
-    if paths.gain.shape[-1] == 0:
-        raise ValueError("tap synthesis needs at least one path")
-    weights = weight_stack_for(s, paths, seeds).values
-    alpha = alpha_stack(s.geom, weights, paths)
-    h = tap_stack(alpha, paths.delay, s.pulse, s.K)
+    weights = weight_stack_for(s, terms, seeds).values
+    alpha = alpha_stack(s.geom, weights, terms.ax, terms.ay, terms.gains)
+    h = tap_stack(alpha, terms.pulses)
     return _normalize_taps(h) if s.normalization == "normalized" else h
 
 
@@ -436,50 +472,67 @@ def _normalize_taps(h: np.ndarray) -> np.ndarray:
     return h / np.sqrt(np.where(mean_power > 0.0, mean_power, 1.0))[..., None]
 
 
-def stack_mi(scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list) -> np.ndarray:
-    """(T, n_snr) MI in bits per symbol of each block of a (T, L) path stack.
+def _scenario_mi(scenario: LinkScenario, terms: PathTerms, seeds, gammas) -> np.ndarray:
+    """(t, n) MI of the blocks of a chunk's terms: one Gram stack and one ``eigvalsh`` call."""
+    return _mi_bits(_eigvals(_gram_stack(_scenario_taps(scenario, terms, seeds))), gammas)
 
-    Block t records with seeds[t] (rrm). The blocks run in chunks of
-    ``chunk_trials(scenario)``; each chunk is one (T, K, K) Gram stack and
-    one ``eigvalsh`` call, and a block's MI does not depend on the chunk it
-    falls in. A block whose weights or taps are all zero receives nothing
-    and has MI 0.
+
+def stack_mi(scenarios, paths: PathArrays, seeds, snr_db_list) -> list[np.ndarray]:
+    """(T, n_snr) MI in bits per symbol of each block of a (T, L) path stack, per scenario.
+
+    Block t records with seeds[t] (rrm). The blocks run in the chunks of
+    ``_per_chunk``, and each scenario's part of a chunk (weights to
+    ``eigvalsh``) is one piece of ``thread_map``; a block's MI does not
+    depend on the chunk it falls in. A block whose weights or taps are all
+    zero receives nothing and has MI 0.
     """
     gammas = [gamma_from_db(snr) for snr in snr_db_list]
-    out = np.empty((len(seeds), len(gammas)))
-    for chunk, h in _chunk_taps(scenario, paths, seeds):
-        G = _gram_stack(h)
-        out[chunk] = _mi_bits(_eigvals(G), gammas)
-    return out
+
+    def chunk_mi(terms, chunk_seeds):
+        return thread_map(lambda s: _scenario_mi(s, terms, chunk_seeds, gammas), scenarios)
+
+    return _per_chunk(scenarios, paths, seeds, chunk_mi, len(gammas), float)
 
 
-def stack_outage(
-    scenario: LinkScenario, paths: PathArrays, seeds, snr_db_list, r_th: float
-) -> np.ndarray:
-    """(T, n_snr) outage bits: ``stack_mi(...) < r_th``, element for element.
+def stack_outage(scenarios, paths: PathArrays, seeds, snr_db_list, r_th) -> list[np.ndarray]:
+    """(T, n_snr) outage bits ``stack_mi(...) < r_th``, element for element, per scenario.
 
-    The blocks run in the chunks of ``stack_mi`` and get the same taps. Two
-    bounds read off each block's taps decide most bits without a Gram
+    The blocks run in the chunks of ``stack_mi`` and get the same taps; the
+    taps of all scenarios of a chunk go through one ``_outage_bits`` call.
+    Two bounds read off each block's taps decide most bits without a Gram
     matrix (``_outage_bounds``); only blocks with an undecided SNR get one,
     and only pairs whose MI lies within the rounding margin of r_th reach
-    ``eigvalsh`` (``_outage_bits``). A block that receives nothing (all-zero
-    weights or taps) has MI 0, as in ``stack_mi``, so its bit is set for
-    every r_th > 0.
+    ``eigvalsh``. A block that receives nothing (all-zero weights or taps)
+    has MI 0, as in ``stack_mi``, so its bit is set for every r_th > 0.
     """
     gammas = np.array([gamma_from_db(snr) for snr in snr_db_list])
-    out = np.empty((len(seeds), gammas.size), dtype=bool)
-    for chunk, h in _chunk_taps(scenario, paths, seeds):
-        out[chunk] = _outage_bits(h, gammas, r_th)
-    return out
+
+    def chunk_bits(terms, chunk_seeds):
+        h = np.concatenate([_scenario_taps(s, terms, chunk_seeds) for s in scenarios])
+        return np.split(_outage_bits(h, gammas, r_th), len(scenarios))
+
+    return _per_chunk(scenarios, paths, seeds, chunk_bits, gammas.size, bool)
 
 
-def _chunk_taps(scenario: LinkScenario, paths: PathArrays, seeds):
-    """(slice, (t, 2K-1) taps) of each ``chunk_trials`` chunk of a (T, L) path stack."""
-    step = chunk_trials(scenario)
+def _per_chunk(scenarios, paths: PathArrays, seeds, fn, width: int, dtype) -> list[np.ndarray]:
+    """One (T, width) array per scenario, from fn(terms, seeds) of each chunk of a (T, L) stack.
+
+    The scenarios share one geometry, pulse and K (else ValueError), so each
+    chunk's ``path_terms`` serve all of them; fn returns one (t, width) part
+    per scenario. A chunk holds the fewest trials any ``chunk_trials`` allows,
+    and its terms are dropped before the next chunk's are made.
+    """
+    if len({(s.geom, s.pulse, s.K) for s in scenarios}) != 1:
+        raise ValueError("scenarios of one draw must share geometry, pulse and K")
+    out = [np.empty((len(seeds), width), dtype) for _ in scenarios]
+    step = min(chunk_trials(s) for s in scenarios)
     for start in range(0, len(seeds), step):
         chunk = slice(start, start + step)
-        taps = _scenario_taps(scenario, PathArrays(*(c[chunk] for c in paths)), seeds[chunk])
-        yield chunk, taps
+        terms = path_terms(scenarios[0], PathArrays(*(c[chunk] for c in paths)))
+        for array, part in zip(out, fn(terms, seeds[chunk])):
+            array[chunk] = part
+        del terms
+    return out
 
 
 def _tap_spectrum(h: np.ndarray):
@@ -621,7 +674,7 @@ def trial_mi_curves(
 ) -> np.ndarray:
     """(trials, n_snr) MI samples over channel realizations: ``stack_mi`` of ``draw_trials``."""
     paths, seeds = draw_trials(scenario.channel, trials, seed)
-    return stack_mi(scenario, paths, seeds, snr_db_list)
+    return stack_mi([scenario], paths, seeds, snr_db_list)[0]
 
 
 def mean_ci(samples) -> tuple[float, float | None]:

@@ -254,15 +254,13 @@ def steering_field(geom: SurfaceGeometry, direction: Direction) -> np.ndarray:
     return np.outer(ax[:, 0], ay[:, 0])
 
 
-def superpose(
-    geom: SurfaceGeometry, theta: np.ndarray, phi: np.ndarray, gains: np.ndarray
-) -> np.ndarray:
-    """(..., M, N) sum over l of gains[..., l] * steering field of (theta, phi)[..., l].
+def superpose(ax: np.ndarray, ay: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """(..., M, N) sum over l of gains[..., l] * the steering field of direction l.
 
-    Evaluated as the rank-L product (ax * gains) @ ay^T of the
-    ``steering_stack`` factors, so no per-path M x N map is formed.
+    ax and ay are the ``steering_stack`` factors of the directions. The sum
+    is the rank-L product (ax * gains) @ ay^T, so no per-path M x N map is
+    formed.
     """
-    ax, ay = steering_stack(geom, theta, phi)
     return (ax * gains[..., None, :]) @ np.swapaxes(ay, -1, -2)
 
 
@@ -284,4 +282,4 @@ def object_field(geom: SurfaceGeometry, paths) -> np.ndarray:
     if len(paths.paths) == 0:
         raise ValueError("object field needs at least one incident path")
     p = paths.arrays
-    return superpose(geom, p.theta, p.phi, p.carrier_gains(geom.angular_frequency))
+    return superpose(*steering_stack(geom, p.theta, p.phi), p.carrier_gains(geom.angular_frequency))

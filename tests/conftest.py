@@ -6,6 +6,7 @@ import pytest
 
 from rrmsim import Direction, PathSet, ReferenceWaveSpec, SurfaceGeometry, holography, link
 from rrmsim.channel import Path, sample_paths
+from rrmsim.surface import steering_stack, superpose
 
 FIVE_PATH_ANGLES = [(15.0, 100.0), (30.0, 60.0), (40.0, 35.0), (45.0, 45.0), (45.0, 140.0)]
 # Delays are integer carrier cycles at 30 GHz and sub-symbol fractions of the
@@ -28,6 +29,12 @@ def make_five_paths(delays=None, gains=None):
             for (t, p), d, g in zip(FIVE_PATH_ANGLES, delays, gains)
         )
     )
+
+def object_fields(geom, paths):
+    """(..., M, N) object fields of (..., L) path arrays: ``superpose`` of their carrier gains."""
+    ax, ay = steering_stack(geom, paths.theta, paths.phi)
+    return superpose(ax, ay, paths.carrier_gains(geom.angular_frequency))
+
 
 def block_matrix(scenario, paths, recording_seed=0):
     """K x K channel matrix of one path realization, built from the single-block views.

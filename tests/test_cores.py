@@ -152,16 +152,16 @@ class TestConcurrency:
 
     def test_paired_curves_reraises_worker_error(self, force_threads, monkeypatch):
         force_threads(2)
-        stack_mi = link.stack_mi
+        scenario_mi = link._scenario_mi
         raised_in = []
 
         def rhs_fails(scenario, *args):
             if scenario.system == "rhs":
                 raised_in.append(threading.get_ident())
                 raise ArithmeticError("rhs curve failed")
-            return stack_mi(scenario, *args)
+            return scenario_mi(scenario, *args)
 
-        monkeypatch.setattr(link, "stack_mi", rhs_fails)
+        monkeypatch.setattr(link, "_scenario_mi", rhs_fails)
         cfg = resolve_config("fig10_outage")
         with pytest.raises(ArithmeticError, match="rhs curve failed"):
             list(paired_curves(cfg, 3, 11, size=4))

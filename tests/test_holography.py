@@ -24,9 +24,9 @@ from rrmsim import holography
 from rrmsim.channel import ChannelConfig, Path, draw_paths
 from rrmsim.holography import reconstruction_terms, record_power, save_matrix_csv, weight_stack
 from rrmsim.link import draw_trials
-from rrmsim.surface import object_field, superpose
+from rrmsim.surface import object_field
 
-from conftest import make_five_paths, make_geometry, make_reference
+from conftest import make_five_paths, make_geometry, make_reference, object_fields
 
 
 def closed_form_power(geom, ref, paths):
@@ -113,18 +113,14 @@ class TestRecordHologram:
             make_reference(geom, amplitude=0.0)
 
 
-def two_stack_record_power(geom, ref, paths, noise_power, num_samples, seeds):
+def two_stack_record_power(geom, ref, field, noise_power, num_samples, seeds):
     """``record_power`` as it was before its noise was drawn in blocks.
 
     Both (..., M, N, S) stacks of normals are drawn whole, one matrix after
     the other, and reduced by ``np.mean``: the oracle of the blocked draw.
     """
-    if paths.gain.shape[-1] == 0:
-        raise ValueError("recording needs at least one incident path")
     reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
-
-    gains = paths.carrier_gains(geom.angular_frequency)
-    carrier = superpose(geom, paths.theta, paths.phi, gains) + reference
+    carrier = field + reference
     flat = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)
@@ -171,7 +167,7 @@ def _noise_stack(rows, cols, samples, trials, pattern):
     elif pattern == "zero":
         noise[:] = 0.0
     seeds = [2**63 + 977 * t for t in range(trials)]
-    return (geom, ref, stack, noise, samples, seeds)
+    return (geom, ref, object_fields(geom, stack), noise, samples, seeds)
 
 
 @st.composite
@@ -263,11 +259,11 @@ class TestAmplitudeScale:
     def test_scaling_gains_and_reference_scales_power_and_keeps_weights(self, data, noisy, exact):
         geom, ref, paths, noise, samples, seeds, c = data.draw(scaled_recordings(noisy, exact))
         strategy = data.draw(st.sampled_from(["none", "mean", "min"]), label="strategy")
-        power = record_power(geom, ref, paths, noise, samples, seeds)
+        power = record_power(geom, ref, object_fields(geom, paths), noise, samples, seeds)
         scaled = record_power(
             geom,
             make_reference(geom, c * ref.amplitude, ref.phase_offset),
-            paths._replace(gain=c * paths.gain),
+            object_fields(geom, paths._replace(gain=c * paths.gain)),
             c**2 * noise,
             samples,
             seeds,

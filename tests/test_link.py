@@ -295,7 +295,8 @@ class TestMutualInformation:
         calls = []
         normalize = link._normalize_taps
         monkeypatch.setattr(link, "_normalize_taps", lambda h: calls.append(h) or normalize(h))
-        H = build_toeplitz(link._scenario_taps(scenario, make_five_paths().arrays, [3]))
+        terms = link.path_terms(scenario, make_five_paths().arrays)
+        H = build_toeplitz(link._scenario_taps(scenario, terms, [3]))
         K = scenario.K
         assert H.shape == (K, K)
         assert len(calls) == 1
@@ -306,14 +307,14 @@ class TestMutualInformation:
 
         monkeypatch.setattr(link, "tap_stack", zero_taps)
         calls.clear()
-        H = build_toeplitz(link._scenario_taps(scenario, make_five_paths().arrays, [3]))
+        H = build_toeplitz(link._scenario_taps(scenario, terms, [3]))
         assert len(calls) == 1
         assert np.array_equal(H, np.zeros((K, K), complex))
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
-        mi = stack_mi(scenario, paths, seeds, [-math.inf, 0.0, 40.0])
+        mi = stack_mi([scenario], paths, seeds, [-math.inf, 0.0, 40.0])[0]
         assert np.array_equal(mi, np.zeros((3, 3)))
         for r_th in (1e-300, 2.0):
-            bits = link.stack_outage(scenario, paths, seeds, [-math.inf, 0.0, 40.0], r_th)
+            bits = link.stack_outage([scenario], paths, seeds, [-math.inf, 0.0, 40.0], r_th)[0]
             assert np.array_equal(bits, mi < r_th)
 
     def test_invalid_inputs(self):
@@ -343,7 +344,7 @@ def small_scenario(system="rrm", **overrides):
 def outage_bits(scenario, r_th, snr_db, trials, seed):
     """``stack_outage`` bits of one SNR over the ``draw_trials`` draws."""
     paths, seeds = link.draw_trials(scenario.channel, trials, seed)
-    return link.stack_outage(scenario, paths, seeds, [snr_db], r_th)[:, 0]
+    return link.stack_outage([scenario], paths, seeds, [snr_db], r_th)[0][:, 0]
 
 
 class TestOutage:
@@ -377,7 +378,7 @@ class TestOutage:
         scenario = small_scenario()
         paths = make_five_paths()
         snrs = [-math.inf, 0.0, 10.0]
-        (mi,) = stack_mi(scenario, paths.arrays.broadcast(1), [3], snrs)
+        (mi,) = stack_mi([scenario], paths.arrays.broadcast(1), [3], snrs)[0]
         H = block_matrix(scenario, paths, 3)
         expected = [mutual_information(H, gamma_from_db(s)) for s in snrs]
         assert mi[0] == 0.0

@@ -59,12 +59,12 @@ def test_stack_outage_equals_stack_mi_below_threshold(kind, system, normalizatio
     size = {"manual": 4, "rician_random": 8, "cdl_profile": 16}[kind]
     scenario = _scenario(kind, system, normalization, size, rolloff=0.0 if size == 8 else 0.25)
     paths, seeds = link.draw_trials(scenario.channel, 17, 5 + size)
-    mi = link.stack_mi(scenario, paths, seeds, SNRS)
+    mi = link.stack_mi([scenario], paths, seeds, SNRS)[0]
     # Uneven chunks (6, 6, 5) and Cholesky batches of 6 pairs.
     monkeypatch.setattr(link, "chunk_trials", lambda scenario: 6)
     monkeypatch.setattr(link, "STACK_BYTES", 6 * 16 * scenario.K**2)
     for r_th in _thresholds(mi):
-        bits = link.stack_outage(scenario, paths, seeds, SNRS, r_th)
+        bits = link.stack_outage([scenario], paths, seeds, SNRS, r_th)[0]
         assert bits.dtype == bool
         assert np.array_equal(bits, mi < r_th), r_th
 
@@ -72,7 +72,7 @@ def test_stack_outage_equals_stack_mi_below_threshold(kind, system, normalizatio
 def test_threshold_on_the_eigen_mi_is_decided_by_the_eigen_mi(monkeypatch):
     scenario = _scenario("rician_random", "rrm", "absolute", 8)
     paths, seeds = link.draw_trials(scenario.channel, 12, 44)
-    mi = link.stack_mi(scenario, paths, seeds, SNRS)
+    mi = link.stack_mi([scenario], paths, seeds, SNRS)[0]
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -84,7 +84,7 @@ def test_threshold_on_the_eigen_mi_is_decided_by_the_eigen_mi(monkeypatch):
     for t in range(len(seeds)):
         r_th = mi[t, 3]
         for rate in (np.nextafter(r_th, -np.inf), r_th, np.nextafter(r_th, np.inf)):
-            bits = link.stack_outage(scenario, paths, seeds, SNRS, rate)
+            bits = link.stack_outage([scenario], paths, seeds, SNRS, rate)[0]
             assert np.array_equal(bits, mi < rate)
     assert len(solved) == 3 * len(seeds)
 
@@ -175,14 +175,14 @@ def test_property_tap_bounds_enclose_the_spectrum_and_the_mi(h, snrs):
 def test_failed_cholesky_falls_back_to_the_eigen_mi(monkeypatch):
     scenario = _scenario("rician_random", "rhs", "absolute", 8)
     paths, seeds = link.draw_trials(scenario.channel, 9, 2)
-    mi = link.stack_mi(scenario, paths, seeds, SNRS)
+    mi = link.stack_mi([scenario], paths, seeds, SNRS)[0]
 
     def fails(a):
         raise np.linalg.LinAlgError("not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", fails)
     for r_th in _thresholds(mi):
-        assert np.array_equal(link.stack_outage(scenario, paths, seeds, SNRS, r_th), mi < r_th)
+        assert np.array_equal(link.stack_outage([scenario], paths, seeds, SNRS, r_th)[0], mi < r_th)
 
 
 class TestBounds:
@@ -242,10 +242,10 @@ class TestBounds:
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
         zeros = np.zeros((3, 2 * scenario.K - 1), dtype=complex)
         monkeypatch.setattr(link, "tap_stack", lambda *args: zeros)
-        mi = link.stack_mi(scenario, paths, seeds, SNRS)
+        mi = link.stack_mi([scenario], paths, seeds, SNRS)[0]
         assert np.array_equal(mi, np.zeros((3, len(SNRS))))
         for r_th in (1e-300, 1.0):
-            bits = link.stack_outage(scenario, paths, seeds, SNRS, r_th)
+            bits = link.stack_outage([scenario], paths, seeds, SNRS, r_th)[0]
             assert np.array_equal(bits, mi < r_th) and bits.all()
 
 

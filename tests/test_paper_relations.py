@@ -77,11 +77,11 @@ def curves():
     out = {}
     for size in SIZES:
         for strategy in ("none", "mean", "min"):
-            out[size, strategy] = link.stack_mi(_scenario(size, strategy), paths, seeds, SNRS)
+            out[size, strategy] = link.stack_mi([_scenario(size, strategy)], paths, seeds, SNRS)[0]
     for rec_snr in DURATION_BANDS:
         for duration in (1, 5):
             scenario = _scenario(16, rec_snr=rec_snr, duration=duration)
-            out[16, rec_snr, duration] = link.stack_mi(scenario, paths, seeds, SNRS)
+            out[16, rec_snr, duration] = link.stack_mi([scenario], paths, seeds, SNRS)[0]
     return out
 
 

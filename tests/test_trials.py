@@ -27,7 +27,15 @@ from rrmsim.holography import (
     weight_stack,
 )
 
-from conftest import make_five_paths, make_geometry, make_reference, per_trial_mi
+from rrmsim.surface import steering_stack
+
+from conftest import (
+    make_five_paths,
+    make_geometry,
+    make_reference,
+    object_fields,
+    per_trial_mi,
+)
 
 SNRS = [-10.0, 0.0, 10.0]
 SEED = 321
@@ -58,7 +66,7 @@ def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeyp
     # fig7's shape: one path set broadcast over 50 recording seeds, one chunk
     paths, seeds = link.draw_trials(scenario.channel, 50, SEED)
     fig7 = PathArrays(*(c[0] for c in paths)).broadcast(50)
-    whole = link.stack_mi(scenario, fig7, seeds, SNRS)
+    whole = link.stack_mi([scenario], fig7, seeds, SNRS)[0]
 
     # chunks of 3: 7 trials in two full chunks and a partial one, 50 in 16 and a partial one
     per_trial = 16 * scenario.K**2
@@ -66,7 +74,7 @@ def test_stacked_trials_equal_single_blocks(kind, system, normalization, monkeyp
     assert link.chunk_trials(scenario) == 3
     got = link.trial_mi_curves(scenario, SNRS, 7, SEED)
     np.testing.assert_allclose(got, per_trial_mi(scenario, SNRS, 7, SEED), rtol=1e-12, atol=0)
-    assert np.array_equal(link.stack_mi(scenario, fig7, seeds, SNRS), whole)
+    assert np.array_equal(link.stack_mi([scenario], fig7, seeds, SNRS)[0], whole)
 
 
 def test_chunk_bounds_the_stacks():
@@ -109,9 +117,9 @@ def test_property_chunk_size_changes_no_result(
     runs = []
     for step in (1, 2, trials):
         with mock.patch.object(link, "chunk_trials", lambda s, step=step: step):
-            mi = link.stack_mi(scenario, paths, seeds, SNRS)
+            mi = link.stack_mi([scenario], paths, seeds, SNRS)[0]
             r_th = float(np.median(mi)) or 1.0
-            runs.append((mi, link.stack_outage(scenario, paths, seeds, SNRS, r_th)))
+            runs.append((mi, link.stack_outage([scenario], paths, seeds, SNRS, r_th)[0]))
     for mi, bits in runs[1:]:
         assert np.array_equal(mi, runs[0][0])
         assert np.array_equal(bits, runs[0][1])
@@ -176,7 +184,8 @@ def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
     paths = draw_paths(cfg, [np.random.default_rng(s) for s in range(3)])
     weights = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 8, 8))
     weights[1] = 0.0
-    alpha = link.alpha_stack(geom, weights, paths)
+    ax, ay = steering_stack(geom, paths.theta, paths.phi)
+    alpha = link.alpha_stack(geom, weights, ax, ay, paths.carrier_gains(geom.angular_frequency))
     assert alpha.shape == (3, 3)
     assert not alpha[1].any() and np.all(alpha[[0, 2]] != 0.0)
     # the single-block view radiates nothing the same way
@@ -186,7 +195,7 @@ def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
     # through the sweep kernels: block 1 of the chunk has MI 0, its neighbours keep theirs
     scenario = _scenario("rician_random", "rrm", normalization)
     trial_paths, seeds = link.draw_trials(scenario.channel, 3, SEED)
-    before = link.stack_mi(scenario, trial_paths, seeds, SNRS)
+    before = link.stack_mi([scenario], trial_paths, seeds, SNRS)[0]
     weigh = link.weight_stack_for
 
     def zero_second(*args):
@@ -196,11 +205,11 @@ def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
         return stack._replace(values=values)
 
     monkeypatch.setattr(link, "weight_stack_for", zero_second)
-    mi = link.stack_mi(scenario, trial_paths, seeds, SNRS)
+    mi = link.stack_mi([scenario], trial_paths, seeds, SNRS)[0]
     assert np.array_equal(mi[1], np.zeros(len(SNRS)))
     assert np.array_equal(mi[[0, 2]], before[[0, 2]])
     for r_th in (1e-300, 2.0):
-        bits = link.stack_outage(scenario, trial_paths, seeds, SNRS, r_th)
+        bits = link.stack_outage([scenario], trial_paths, seeds, SNRS, r_th)[0]
         assert np.array_equal(bits, mi < r_th) and bits[1].all()
 
 
@@ -212,7 +221,7 @@ def test_record_power_mixed_noise_equals_single_recordings():
     stack = draw_paths(cfg, rngs)
     noise = np.array([0.3, 0.0, 0.05])
     seeds = [11, 12, 13]
-    got = record_power(geom, ref, stack, noise, 4, seeds)
+    got = record_power(geom, ref, object_fields(geom, stack), noise, 4, seeds)
     for t in range(3):
         paths = PathSet.from_arrays(PathArrays(*(c[t] for c in stack)))
         single = record_hologram(geom, ref, paths, RecordingConfig(noise[t], 4, seeds[t]))
