@@ -42,7 +42,8 @@ class ConfigError(ValueError):
 # Largest |dB| a config may hold. Linear values stay finite and nonzero to
 # about 3082 dB, but a sweep multiplies them by signal powers and channel
 # eigenvalues: 3082 dB in link.snr_db overflows the MI and -3100 dB in
-# recording.snr_db the noise power, each mid-run.
+# recording.snr_db the noise power, each mid-run, as -3100 dB in
+# channel.k_factor_db overflowed the Rician LOS fraction.
 _DB_LIMIT = 300.0
 
 # Amplitude bound A: manual path gains have |real|, |imag| <= A and a total
@@ -179,6 +180,7 @@ class ChannelBlock:
     paths: tuple[PathSpec, ...] = DEFAULT_PATHS
 
     def __post_init__(self):
+        _check_db("k_factor_db", self.k_factor_db)
         lo, hi = self.theta_range_deg
         if not 0.0 <= lo <= hi <= 90.0:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")

@@ -56,6 +56,10 @@ REJECTED = [
     ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
     ({"recording": {"snr_db": -3240.0}}, "recording.snr_db"),
     ({"channel": {"kind": "ray_traced"}}, "channel.kind"),
+    # The K-factor is a dB leaf too: -3100 dB loaded and then overflowed the
+    # Rician LOS fraction mid-run (exit 4).
+    ({"channel": {"kind": "rician_random", "k_factor_db": -3100.0}}, "channel.k_factor_db"),
+    ({"channel": {"k_factor_db": 300.5}}, "channel.k_factor_db"),
     ({"channel": {"L": 0}}, "channel.L"),
     ({"channel": {"max_delay": 0.0}}, "channel.max_delay"),
     ({"channel": {"delay_spread": 0.0}}, "channel.delay_spread"),
