@@ -6,6 +6,8 @@ give for that trial alone (``conftest.per_trial_mi``), and the same bits whateve
 sweeps draw each trial once and hand the same draws to rrm and rhs.
 """
 
+import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,21 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrmsim import channel, link
+from rrmsim import _cores, channel, link
 from rrmsim.channel import ChannelConfig, PathArrays, PathSet, draw_paths, sample_paths
 from rrmsim.harness import run_preset
 from rrmsim.harness.cli import main
 from rrmsim.harness.config import config_from_dict
 from rrmsim.holography import (
+    WEIGHT_STRATEGIES,
     RecordingConfig,
     WeightStack,
     make_weights,
+    noise_power_for_snr,
     record_hologram,
     record_power,
+    rhs_weight_stack,
     weight_stack,
 )
-
-from rrmsim.surface import steering_stack
+from rrmsim.link import PulseSpec
+from rrmsim.surface import steering_stack, superpose
 
 from conftest import (
     make_five_paths,
@@ -123,6 +128,102 @@ def test_property_chunk_size_changes_no_result(
     for mi, bits in runs[1:]:
         assert np.array_equal(mi, runs[0][0])
         assert np.array_equal(bits, runs[0][1])
+
+
+def _composed_mi(scenario, paths, seed, gammas):
+    """(1, n) MI of a one-trial (1, L) stack, composed from the stage functions alone.
+
+    Its own steering factors, carrier gains, object field and pulse matrix;
+    then ``record_power`` and ``weight_stack`` (rrm) or ``rhs_weight_stack``
+    (rhs), ``alpha_stack``, ``tap_stack``, the normalization, ``_gram_stack``
+    and ``eigvalsh``: no ``path_terms`` and no chunk loop.
+    """
+    s, geom = scenario, scenario.geom
+    gains = paths.carrier_gains(geom.angular_frequency)
+    ax, ay = steering_stack(geom, paths.theta, paths.phi)
+    field = superpose(ax, ay, gains)
+    if s.system == "rhs":
+        weights = rhs_weight_stack(geom, s.ref, field)
+    else:
+        noise = noise_power_for_snr(s.recording_snr_db, paths)
+        power = record_power(geom, s.ref, field, noise, s.duration_symbols, [seed])
+        weights = weight_stack(power, s.strategy)
+    alpha = link.alpha_stack(geom, weights.values, ax, ay, gains)
+    h = link.tap_stack(alpha, link.pulse_matrix(paths.delay, s.pulse, s.K))
+    if s.normalization == "normalized":
+        h = link._normalize_taps(h)
+    lam = np.clip(np.linalg.eigvalsh(link._gram_stack(h)), 0.0, None)
+    return link._mi_bits(lam, gammas)
+
+
+@pytest.mark.parametrize("threads", (False, True))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    systems=st.sampled_from((("rrm", "rhs"), ("rhs", "rrm"), ("rrm",), ("rhs",))),
+    normalization=st.sampled_from(("absolute", "normalized")),
+    strategy=st.sampled_from(WEIGHT_STRATEGIES),
+    recording_snr_db=st.sampled_from((None, 10.0)),
+    size=st.integers(1, 5),
+    trials=st.integers(1, 7),
+    budget=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_shared_pass_equals_per_scenario_blocks(
+    threads, kind, systems, normalization, strategy, recording_snr_db, size, trials, budget, seed
+):
+    """Each scenario's MI and outage bits from one shared call equal its blocks composed alone.
+
+    The chunks are a few trials at most (STACK_BYTES forced small), and the
+    call runs serially or with each system's MI part on its own thread.
+    """
+    K = 6
+    cfg = config_from_dict(
+        {
+            "surface": {"M": size, "N": size},
+            "recording": {"snr_db": recording_snr_db},
+            "channel": {"kind": kind},
+            "weights": {"strategy": strategy},
+            "link": {"K": K, "normalization": normalization},
+        }
+    )
+    scenarios = [cfg.scenario(system) for system in systems]
+    paths, seeds = link.draw_trials(scenarios[0].channel, trials, seed)
+    gammas = [link.gamma_from_db(snr) for snr in SNRS]
+    want = [
+        np.concatenate(
+            [
+                _composed_mi(s, PathArrays(*(c[t : t + 1] for c in paths)), seeds[t], gammas)
+                for t in range(trials)
+            ]
+        )
+        for s in scenarios
+    ]
+    r_th = float(np.median(want[0])) or 1.0
+    pinned = {"OPENBLAS_NUM_THREADS": "1" if threads else "4"}
+    with (
+        mock.patch.object(link, "STACK_BYTES", budget * 16 * K * K),
+        mock.patch.dict(os.environ, pinned),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}),
+    ):
+        assert _cores.workers(2) == (2 if threads else 1)
+        assert min(link.chunk_trials(s) for s in scenarios) <= budget
+        mi = link.stack_mi(scenarios, paths, seeds, SNRS)
+        bits = link.stack_outage(scenarios, paths, seeds, SNRS, r_th)
+    for got_mi, got_bits, exact in zip(mi, bits, want):
+        assert np.array_equal(got_mi, exact)
+        assert np.array_equal(got_bits, exact < r_th)
+
+
+def test_scenarios_of_one_pass_share_geometry_pulse_and_k():
+    cfg = config_from_dict({"surface": {"M": 4, "N": 4}, "link": {"K": 4}})
+    paths, seeds = link.draw_trials(cfg.channel_config(), 2, SEED)
+    rhs = cfg.scenario("rhs")
+    for other in (cfg.scenario("rhs", rows=5), replace(rhs, K=5), replace(rhs, pulse=PulseSpec(rolloff=0.5))):
+        with pytest.raises(ValueError, match="share geometry, pulse and K"):
+            link.stack_mi([cfg.scenario("rrm"), other], paths, seeds, SNRS)
+    with pytest.raises(ValueError, match="share geometry, pulse and K"):
+        link.stack_outage([], paths, seeds, SNRS, 1.0)
 
 
 def _count_draws(monkeypatch) -> list:
