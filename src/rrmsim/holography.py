@@ -153,23 +153,24 @@ def record_power(
     as (Re c + x)^2 + (Im c + y)^2 and its samples are added in the order
     ``np.mean`` adds them: in sequence when S < 8, pairwise by
     ``np.add.reduce`` otherwise. So the result is ``np.mean`` of the
-    unblocked stack bit for bit. No complex array is formed, and the
-    imaginary block holds min(stack, _BLOCK_BYTES): a stack larger than the
-    block is held once, while a smaller one (e.g. ten 8x8 trials) is held
-    twice, as it was before blocking.
+    unblocked stack bit for bit. c is formed one block at a time, so no
+    complex stack is held beside the field, and the imaginary block holds
+    min(stack, _BLOCK_BYTES): a stack larger than the block is held once,
+    while a smaller one (e.g. ten 8x8 trials) is held twice, as it was
+    before blocking.
     """
-    carrier = field + np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
-    flat = carrier.reshape((-1,) + geom.shape)
-    noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
+    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
+    noise = np.broadcast_to(np.asarray(noise_power, dtype=float), field.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)
     if noisy.size == 0:
-        return np.abs(carrier) ** 2
+        return np.abs(field + reference) ** 2
 
     every = noisy.size == noise.size
-    c = flat if every else flat[noisy]
-    T, M, N = c.shape
+    flat = field.reshape((-1,) + geom.shape)
+    e = flat if every else flat[noisy]
+    T, M, N = e.shape
     S = num_samples
-    acc = np.empty(c.shape + (S,))
+    acc = np.empty(e.shape + (S,))
     rngs = [np.random.Generator(np.random.Philox(int(seeds[t]))) for t in noisy]
     for rng, x in zip(rngs, acc):
         rng.standard_normal(out=x)
@@ -178,7 +179,7 @@ def record_power(
     rows = max(1, min(M, _BLOCK_BYTES // (8 * N * S)))
     per_block = max(1, min(T, _BLOCK_BYTES // (8 * M * N * S)))
     imag = np.empty((per_block, rows, N, S))
-    mean = np.empty(c.shape)
+    mean = np.empty(e.shape)
     for t0 in range(0, T, per_block):
         t1 = min(T, t0 + per_block)
         for m0 in range(0, M, rows):
@@ -187,11 +188,12 @@ def record_power(
             y = imag[: t1 - t0, : m1 - m0]
             for rng, part in zip(rngs[t0:t1], y):
                 rng.standard_normal(out=part)
+            c = e[t0:t1, m0:m1] + reference[m0:m1]
             x *= scale[t0:t1]
-            x += c[t0:t1, m0:m1].real[..., None]
+            x += c.real[..., None]
             np.square(x, out=x)
             y *= scale[t0:t1]
-            y += c[t0:t1, m0:m1].imag[..., None]
+            y += c.imag[..., None]
             np.square(y, out=y)
             x += y
             out = mean[t0:t1, m0:m1]
@@ -205,8 +207,8 @@ def record_power(
                 np.add.reduce(x, axis=-1, out=out)
             out /= S
     if every:
-        return mean.reshape(carrier.shape)
-    power = np.abs(carrier) ** 2
+        return mean.reshape(field.shape)
+    power = np.abs(field + reference) ** 2
     power.reshape(flat.shape)[noisy] = mean
     return power
 
@@ -379,8 +381,8 @@ def rhs_weight_stack(
     desired directions and gains. b is 0 and rho records the 1/max|Re|
     normalizer; an all-zero W_int gives weights of 0.5 with rho = 1.
     """
-    e_r = reference_field(geom, ref)
-    real = np.real(np.conj(field) * np.conj(e_r))
+    # Re(conj(a) conj(b)) = Re(a b) bit for bit: conj only flips signs
+    real = np.real(field * reference_field(geom, ref))
     peak = np.max(np.abs(real), axis=(-2, -1))
     flat = peak == 0.0
     safe = np.where(flat, 1.0, peak)

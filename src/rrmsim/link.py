@@ -23,28 +23,25 @@ Monte-Carlo trials run as stacks. ``draw_trials`` gives each trial its
 own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
 arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi`` and
 ``stack_outage`` take the scenarios of one draw: one, or several (rrm and
-rhs) that share geometry, pulse and K. They split the stack into chunks of
-the fewest trials any scenario's ``chunk_trials`` allows, which keeps each
-(T, K, K) and (T, M, N, S) stack within STACK_BYTES (16 MiB); a noisy
-recording adds a block of imaginary noise parts of at most 256 KiB
-(``record_power``). A chunk's ``path_terms`` (carrier gains, steering
-factors, object field, pulse matrix) are computed once for all scenarios,
-and each scenario reads them: ``weight_stack_for`` (``record_power`` adds
-the reference and the noise to the object field, ``rhs_weight_stack``
-conjugates it), ``alpha_stack`` (the steering factors and gains),
-``tap_stack`` (one product with the pulse matrix) and, for MI, a
-(T, K, K) stack of the blocks' Gram matrices into one ``eigvalsh`` call
-and one (T, n_snr) MI expression; each scenario's MI part is one piece of
-``_cores.thread_map``, so with BLAS pinned rrm and rhs overlap. In
-normalized mode the taps of each block are scaled to unit average receive
-power before any matrix is formed, so no later step knows the mode. Every
-MI sweep is ``stack_mi``, and every outage sweep ``stack_outage``: seeded
-draws, or a manual path set broadcast over its recording seeds.
-``alpha_taps``, ``equivalent_taps`` and ``build_toeplitz`` are single-block
-views of the same functions, as ``holography.record_hologram`` and
-``make_weights`` are of ``record_power`` and ``weight_stack``; the weight
-views take the one-matrix ``WeightStack`` that ``make_weights`` and
-``rhs_weights`` return.
+rhs) that share geometry, pulse and K. They run the stack in chunks that
+keep each (T, K, K) and (T, M, N, S) stack of all scenarios within
+STACK_BYTES (16 MiB) (``chunk_trials``). A chunk's ``path_terms`` (carrier
+gains, steering factors, object field, pulse matrix) are computed once:
+``weight_stack_for`` reads the object field (``record_power`` adds the
+reference and the noise to it, ``rhs_weight_stack`` conjugates it), which
+is then dropped; ``alpha_stack`` reads the steering factors and gains and
+``tap_stack`` is one product with the pulse matrix. For MI, each scenario's
+taps, (T, K, K) Gram stack, ``eigvalsh`` call and (T, n_snr) MI expression
+are one piece of ``_cores.thread_map``, so with BLAS pinned rrm and rhs
+overlap. In normalized mode the taps of each block are scaled to unit
+average receive power before any matrix is formed, so no later step knows
+the mode. Every MI sweep is ``stack_mi``, and every outage sweep
+``stack_outage``: seeded draws, or a manual path set broadcast over its
+recording seeds. ``alpha_taps``, ``equivalent_taps`` and ``build_toeplitz``
+are single-block views of the same functions, as
+``holography.record_hologram`` and ``make_weights`` are of ``record_power``
+and ``weight_stack``; the weight views take the one-matrix ``WeightStack``
+that ``make_weights`` and ``rhs_weights`` return.
 
 An outage sweep needs only the bit MI < r_th of each block and SNR.
 ``stack_outage`` stacks the taps of all its scenarios of a chunk and
@@ -281,7 +278,7 @@ def pulse_matrix(delays: np.ndarray, pulse: PulseSpec, K: int) -> np.ndarray:
 
 
 def tap_stack(alpha: np.ndarray, pulses: np.ndarray) -> np.ndarray:
-    """(..., 2K-1) taps h[l] = sum_i alpha_i * w(l - delay_i / T_s): (..., L) amplitudes, ``pulse_matrix``."""
+    """(..., 2K-1) taps h[l] = sum_i alpha_i * w(l - delay_i / T_s) from the ``pulse_matrix``."""
     return (pulses @ alpha[..., None])[..., 0]
 
 
@@ -408,8 +405,7 @@ class LinkScenario:
 
 
 class PathTerms(NamedTuple):
-    """A (..., L) path stack with its carrier gains, ``steering_stack`` factors, object field
-    sum_l g_l steer_l (``superpose``) and ``pulse_matrix``, for one geometry, pulse and K."""
+    """(..., L) paths, their carrier gains, ``steering_stack`` factors, object field and pulses."""
 
     paths: PathArrays
     gains: np.ndarray
@@ -450,10 +446,9 @@ def recorded_power(scenario: LinkScenario, terms: PathTerms, seeds) -> np.ndarra
     return record_power(s.geom, s.ref, terms.field, noise, s.duration_symbols, seeds)
 
 
-def _scenario_taps(scenario: LinkScenario, terms: PathTerms, seeds) -> np.ndarray:
-    """(..., 2K-1) block taps of a path stack's terms: weights, amplitudes, taps, normalization."""
+def _scenario_taps(scenario: LinkScenario, terms: PathTerms, weights: np.ndarray) -> np.ndarray:
+    """(..., 2K-1) block taps from a path stack's terms and weights: amplitudes, taps, scaling."""
     s = scenario
-    weights = weight_stack_for(s, terms, seeds).values
     alpha = alpha_stack(s.geom, weights, terms.ax, terms.ay, terms.gains)
     h = tap_stack(alpha, terms.pulses)
     return _normalize_taps(h) if s.normalization == "normalized" else h
@@ -472,24 +467,24 @@ def _normalize_taps(h: np.ndarray) -> np.ndarray:
     return h / np.sqrt(np.where(mean_power > 0.0, mean_power, 1.0))[..., None]
 
 
-def _scenario_mi(scenario: LinkScenario, terms: PathTerms, seeds, gammas) -> np.ndarray:
-    """(t, n) MI of the blocks of a chunk's terms: one Gram stack and one ``eigvalsh`` call."""
-    return _mi_bits(_eigvals(_gram_stack(_scenario_taps(scenario, terms, seeds))), gammas)
+def _scenario_mi(scenario: LinkScenario, terms: PathTerms, weights, gammas) -> np.ndarray:
+    """(t, n) MI of a chunk's blocks: their taps, one Gram stack and one ``eigvalsh`` call."""
+    return _mi_bits(_eigvals(_gram_stack(_scenario_taps(scenario, terms, weights))), gammas)
 
 
 def stack_mi(scenarios, paths: PathArrays, seeds, snr_db_list) -> list[np.ndarray]:
     """(T, n_snr) MI in bits per symbol of each block of a (T, L) path stack, per scenario.
 
-    Block t records with seeds[t] (rrm). The blocks run in the chunks of
-    ``_per_chunk``, and each scenario's part of a chunk (weights to
-    ``eigvalsh``) is one piece of ``thread_map``; a block's MI does not
-    depend on the chunk it falls in. A block whose weights or taps are all
-    zero receives nothing and has MI 0.
+    Block t records with seeds[t] (rrm). In each chunk of ``_per_chunk``,
+    each scenario's taps to ``eigvalsh`` are one piece of ``thread_map``. A
+    block's MI does not depend on its chunk; a block whose weights or taps
+    are all zero receives nothing and has MI 0.
     """
     gammas = [gamma_from_db(snr) for snr in snr_db_list]
 
-    def chunk_mi(terms, chunk_seeds):
-        return thread_map(lambda s: _scenario_mi(s, terms, chunk_seeds, gammas), scenarios)
+    def chunk_mi(terms, weights):
+        pieces = zip(scenarios, weights)
+        return thread_map(lambda sw: _scenario_mi(sw[0], terms, sw[1], gammas), pieces)
 
     return _per_chunk(scenarios, paths, seeds, chunk_mi, len(gammas), float)
 
@@ -497,42 +492,45 @@ def stack_mi(scenarios, paths: PathArrays, seeds, snr_db_list) -> list[np.ndarra
 def stack_outage(scenarios, paths: PathArrays, seeds, snr_db_list, r_th) -> list[np.ndarray]:
     """(T, n_snr) outage bits ``stack_mi(...) < r_th``, element for element, per scenario.
 
-    The blocks run in the chunks of ``stack_mi`` and get the same taps; the
-    taps of all scenarios of a chunk go through one ``_outage_bits`` call.
-    Two bounds read off each block's taps decide most bits without a Gram
-    matrix (``_outage_bounds``); only blocks with an undecided SNR get one,
-    and only pairs whose MI lies within the rounding margin of r_th reach
-    ``eigvalsh``. A block that receives nothing (all-zero weights or taps)
-    has MI 0, as in ``stack_mi``, so its bit is set for every r_th > 0.
+    The blocks get the taps of ``stack_mi``, and each chunk's taps of all
+    scenarios go through one ``_outage_bits`` call in the calling thread.
+    A block that receives nothing (all-zero weights or taps) has MI 0, as
+    in ``stack_mi``, so its bit is set for every r_th > 0.
     """
     gammas = np.array([gamma_from_db(snr) for snr in snr_db_list])
 
-    def chunk_bits(terms, chunk_seeds):
-        h = np.concatenate([_scenario_taps(s, terms, chunk_seeds) for s in scenarios])
+    def chunk_bits(terms, weights):
+        h = np.concatenate([_scenario_taps(s, terms, w) for s, w in zip(scenarios, weights)])
+        del terms, weights  # only the taps are held while the bits are decided
         return np.split(_outage_bits(h, gammas, r_th), len(scenarios))
 
     return _per_chunk(scenarios, paths, seeds, chunk_bits, gammas.size, bool)
 
 
 def _per_chunk(scenarios, paths: PathArrays, seeds, fn, width: int, dtype) -> list[np.ndarray]:
-    """One (T, width) array per scenario, from fn(terms, seeds) of each chunk of a (T, L) stack.
+    """One (T, width) array per scenario, from fn(terms, weights) of each chunk of a (T, L) stack.
 
     The scenarios share one geometry, pulse and K (else ValueError), so each
-    chunk's ``path_terms`` serve all of them; fn returns one (t, width) part
-    per scenario. A chunk holds the fewest trials any ``chunk_trials`` allows,
-    and its terms are dropped before the next chunk's are made.
+    chunk's ``path_terms`` serve all of them. A chunk holds the fewest
+    trials any ``chunk_trials`` allows divided among the scenarios, so their
+    stacks together stay within STACK_BYTES.
     """
     if len({(s.geom, s.pulse, s.K) for s in scenarios}) != 1:
         raise ValueError("scenarios of one draw must share geometry, pulse and K")
     out = [np.empty((len(seeds), width), dtype) for _ in scenarios]
-    step = min(chunk_trials(s) for s in scenarios)
+    step = max(1, min(chunk_trials(s) for s in scenarios) // len(scenarios))
     for start in range(0, len(seeds), step):
         chunk = slice(start, start + step)
-        terms = path_terms(scenarios[0], PathArrays(*(c[chunk] for c in paths)))
-        for array, part in zip(out, fn(terms, seeds[chunk])):
+        for array, part in zip(out, fn(*_weighed(scenarios, paths, seeds, chunk))):
             array[chunk] = part
-        del terms
     return out
+
+
+def _weighed(scenarios, paths: PathArrays, seeds, chunk: slice):
+    """(terms, [weights per scenario]) of a chunk; the object field goes once the weights exist."""
+    terms = path_terms(scenarios[0], PathArrays(*(c[chunk] for c in paths)))
+    weights = [weight_stack_for(s, terms, seeds[chunk]).values for s in scenarios]
+    return terms._replace(field=None), weights
 
 
 def _tap_spectrum(h: np.ndarray):

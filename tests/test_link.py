@@ -296,7 +296,8 @@ class TestMutualInformation:
         normalize = link._normalize_taps
         monkeypatch.setattr(link, "_normalize_taps", lambda h: calls.append(h) or normalize(h))
         terms = link.path_terms(scenario, make_five_paths().arrays)
-        H = build_toeplitz(link._scenario_taps(scenario, terms, [3]))
+        weights = link.weight_stack_for(scenario, terms, [3]).values
+        H = build_toeplitz(link._scenario_taps(scenario, terms, weights))
         K = scenario.K
         assert H.shape == (K, K)
         assert len(calls) == 1
@@ -307,7 +308,7 @@ class TestMutualInformation:
 
         monkeypatch.setattr(link, "tap_stack", zero_taps)
         calls.clear()
-        H = build_toeplitz(link._scenario_taps(scenario, terms, [3]))
+        H = build_toeplitz(link._scenario_taps(scenario, terms, weights))
         assert len(calls) == 1
         assert np.array_equal(H, np.zeros((K, K), complex))
         paths, seeds = link.draw_trials(scenario.channel, 3, 1)
