@@ -45,6 +45,7 @@ from .surface import (
     SurfaceGeometry,
     object_field,
     reference_field,
+    reference_phase,
     steering_field,
     steering_stack,
     superpose,
@@ -130,9 +131,8 @@ def record_power(
 ) -> np.ndarray:
     """(..., M, N) recorded power matrices of a stack of object fields (..., M, N).
 
-    The object field of a path set is sum_i gain_i * exp(-j*omega_r*delay_i)
-    * steer_i (``surface.superpose`` of its carrier gains). Per element, the
-    deterministic baseband sample adds the reference to it,
+    A path set's field is sum_i gain_i * exp(-j*omega_r*delay_i) * steer_i
+    (``surface.superpose``); per element, the baseband sample adds the reference,
 
         c = field + A_r * exp(j*phase_offset) * ref_phase
 
@@ -153,17 +153,19 @@ def record_power(
     as (Re c + x)^2 + (Im c + y)^2 and its samples are added in the order
     ``np.mean`` adds them: in sequence when S < 8, pairwise by
     ``np.add.reduce`` otherwise. So the result is ``np.mean`` of the
-    unblocked stack bit for bit. c is formed one block at a time, so no
-    complex stack is held beside the field, and the imaginary block holds
+    unblocked stack bit for bit. c and its reference are formed a block at
+    a time, so no complex array is held beside the field; the imaginary block holds
     min(stack, _BLOCK_BYTES): a stack larger than the block is held once,
     while a smaller one (e.g. ten 8x8 trials) is held twice, as it was
     before blocking.
     """
-    reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
+    def carrier(e, rows=slice(None)):  # e + the reference on those rows, as reference_field
+        return e + np.exp(1j * ref.phase_offset) * (ref.amplitude * reference_phase(geom)[rows])
+
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), field.shape[:-2]).ravel()
     noisy = np.flatnonzero(noise != 0.0)
     if noisy.size == 0:
-        return np.abs(field + reference) ** 2
+        return np.abs(carrier(field)) ** 2
 
     every = noisy.size == noise.size
     flat = field.reshape((-1,) + geom.shape)
@@ -188,7 +190,7 @@ def record_power(
             y = imag[: t1 - t0, : m1 - m0]
             for rng, part in zip(rngs[t0:t1], y):
                 rng.standard_normal(out=part)
-            c = e[t0:t1, m0:m1] + reference[m0:m1]
+            c = carrier(e[t0:t1, m0:m1], slice(m0, m1))
             x *= scale[t0:t1]
             x += c.real[..., None]
             np.square(x, out=x)
@@ -208,7 +210,7 @@ def record_power(
             out /= S
     if every:
         return mean.reshape(field.shape)
-    power = np.abs(field + reference) ** 2
+    power = np.abs(carrier(field)) ** 2
     power.reshape(flat.shape)[noisy] = mean
     return power
 

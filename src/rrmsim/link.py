@@ -435,11 +435,9 @@ def weight_stack_for(scenario: LinkScenario, terms: PathTerms, seeds) -> WeightS
 
 
 def recorded_power(scenario: LinkScenario, terms: PathTerms, seeds) -> np.ndarray:
-    """(..., M, N) power matrices recorded from a path stack's terms per the scenario.
+    """(..., M, N) power matrices recorded from a path stack's terms at the scenario's SNR.
 
-    The noise power of each realization gives the scenario's recording SNR
-    (``noise_power_for_snr``; None records without noise); seeds as
-    ``record_power``'s.
+    Noise per ``noise_power_for_snr`` (None records none); seeds as ``record_power``'s.
     """
     s = scenario
     noise = noise_power_for_snr(s.recording_snr_db, terms.paths)
