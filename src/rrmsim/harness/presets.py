@@ -189,14 +189,14 @@ def paired_curves(
     factors, object field and pulse matrix once for the two. Outage decides
     both systems' bits of a chunk in one screened pass in the calling
     thread. For MI, when ``_cores.workers(2)`` allows two threads (BLAS
-    pinned to one thread, two usable CPUs), each chunk's rhs part runs on a
-    worker thread while its rrm part runs in the calling thread. Either way
-    the samples keep their bytes, and an exception from either system is
-    raised here.
+    pinned to one thread, two usable CPUs), the rhs taps to ``eigvalsh`` of
+    each chunk run on a worker thread while the rrm ones run in the calling
+    thread. Either way the samples keep their bytes, and an exception from
+    either system is raised here.
     """
-    paths, seeds = link.draw_trials(cfg.channel_config(), trials, seed)
     systems = ("rrm", "rhs")
     scenarios = [cfg.scenario(system, rows=size, cols=size) for system in systems]
+    paths, seeds = link.draw_trials(scenarios[0].channel, trials, seed)
     if r_th is None:
         curves = link.stack_mi(scenarios, paths, seeds, cfg.link.snr_db)
     else:
