@@ -519,12 +519,12 @@ def _per_chunk(scenarios, paths: PathArrays, seeds, fn, width: int, dtype) -> li
     step = max(1, min(chunk_trials(s) for s in scenarios) // len(scenarios))
     for start in range(0, len(seeds), step):
         chunk = slice(start, start + step)
-        for array, part in zip(out, fn(*_weighed(scenarios, paths, seeds, chunk))):
+        for array, part in zip(out, fn(*_terms_and_weights(scenarios, paths, seeds, chunk))):
             array[chunk] = part
     return out
 
 
-def _weighed(scenarios, paths: PathArrays, seeds, chunk: slice):
+def _terms_and_weights(scenarios, paths: PathArrays, seeds, chunk: slice):
     """(terms, [weights per scenario]) of a chunk; the object field goes once the weights exist."""
     terms = path_terms(scenarios[0], PathArrays(*(c[chunk] for c in paths)))
     weights = [weight_stack_for(s, terms, seeds[chunk]).values for s in scenarios]
