@@ -39,6 +39,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -77,8 +78,8 @@ def parse_args(argv):
     return args
 
 
-def git(*argv, stdout=subprocess.PIPE) -> bytes:
-    return subprocess.run(["git", "-C", str(ROOT), *argv], stdout=stdout, check=True).stdout
+def git(*argv) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *argv], stdout=subprocess.PIPE, check=True).stdout
 
 
 def export(rev: str, dest: Path) -> str:
@@ -236,6 +237,8 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # SIGTERM ends the run through SystemExit, so the export is still removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     record = json.dumps(run(args), indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(record)
