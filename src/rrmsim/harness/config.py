@@ -8,11 +8,14 @@ power and a 64-symbol block with rolloff 0.25.
 
 Unknown keys and non-finite numbers (JSON ``NaN``, ``1e999``) are rejected,
 and every schema violation names the offending key with its full dotted
-path. A value rule lives in the domain constructor that consumes the value;
-``config_from_dict`` builds those objects once and maps their
-``"<field>: <reason>"`` errors to dotted keys. The blocks check only rules
-with no domain home. ``load_config(save_config(cfg))`` returns an equal
-config, field for field.
+path. Every numeric leaf has one row in ``LEAF_RULES``: its range, or the
+reason it has no upper end. Each block built from JSON is checked against
+its rows by one helper (``_check_leaves``), after the block's own rules,
+which are only those that are not a range: the string choices, the
+angle-range ordering, the manual paths' total power. ``config_from_dict``
+then builds the domain objects once, whose own rules stay for library
+callers, and maps their ``"<field>: <reason>"`` errors to dotted keys.
+``load_config(save_config(cfg))`` returns an equal config, field for field.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ import functools
 import hashlib
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
-from ..holography import WEIGHT_STRATEGIES, check_recording
+from ..holography import WEIGHT_STRATEGIES
 from ..link import LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
@@ -39,50 +43,88 @@ class ConfigError(ValueError):
     """Config parsing or schema failure (exit code 2 at the CLI)."""
 
 
-# Largest |dB| a config may hold. Linear values stay finite and nonzero to
-# about 3082 dB, but a sweep multiplies them by signal powers and channel
-# eigenvalues: 3082 dB in link.snr_db overflows the MI and -3100 dB in
-# recording.snr_db the noise power, each mid-run, as -3100 dB in
-# channel.k_factor_db overflowed the Rician LOS fraction.
-_DB_LIMIT = 300.0
+class Rule(typing.NamedTuple):
+    """The load rule of one numeric leaf: lo <= value <= hi.
 
-# Amplitude bound A: manual path gains have |real|, |imag| <= A and a total
-# power sum |gain|^2 >= 1/A^2, and the reference amplitude lies in
-# [1/A^2, A^2]. Only the ratio rho = sqrt(sum |gain|^2) / A_r shapes a
-# recording, and the bounds keep it within [1/A^3, ~A^3]. At A = 1e4 the path
-# term then moves the recorded power by at least 1e-12 of itself, far above
-# its rounding; at 1e-18 a mean or min subtraction left all-zero weights. The
-# noise power sum |gain|^2 / 10^(dB/10) stays below 2L * 1e38 at the -300 dB
-# end of _DB_LIMIT, so recorded power and noise stay finite.
-_AMPLITUDE_LIMIT = 1.0e4
+    ``open_lo`` leaves lo (then 0) out. A symmetric range [-hi, hi] bounds
+    the magnitude, as a dB value when the unit is dB. ``why`` says why a
+    leaf has no upper end (hi = inf).
+    """
 
-# Carrier, spacing, substrate-index, delay and symbol-period bounds
-# (derived in docs/config.md). Every phase is a product of these leaves
-# (k_free*x, k_sub*d, omega*tau), and so is the pulse lag tau/T_s: within
-# the bounds, on up to 1e4 elements a side, each stays below 1.5e14 rad or
-# 1e12 symbols, rounded by at most 0.02. fc 1e-300, dx 1e307 or a 1e300 s
-# delay made one non-finite mid-run, and a 1e5 x 1e5 surface ran out of
-# memory in its first (M, N) array.
-_SIDE_RANGE = (1, 10_000)  # elements along x (M) and along y (N)
-_FC_RANGE = (1.0e6, 1.0e13)  # Hz
-_SPACING_RANGE = (1.0e-9, 1.0e3)  # m
-_INDEX_RANGE = (1.0, 100.0)
-_DELAY_LIMIT = 1.0e-3  # s
-_SYMBOL_PERIOD_RANGE = (1.0e-12, 1.0)  # s
+    lo: float = -math.inf
+    hi: float = math.inf
+    unit: str = ""
+    open_lo: bool = False
+    why: str = ""
+
+    def check(self, name: str, value) -> None:
+        """Raise ValueError("<name>: <reason>") unless value keeps the rule."""
+        if self.lo < value <= self.hi or value == self.lo and not self.open_lo:
+            return
+        if self.hi == math.inf:
+            reason = "must be positive" if self.open_lo else f"must be >= {self.lo:g}"
+        elif self.lo != -self.hi:
+            reason = f"must lie in {'(' if self.open_lo else '['}{self.lo:g}, {self.hi:g}]"
+        elif self.unit == "dB":
+            reason = f"linear value of {value} dB is out of range; |dB| must be <= {self.hi:g}"
+            raise ValueError(f"{name}: {reason}")
+        else:
+            reason = f"|{name}| must be <= {self.hi:g}"
+        raise ValueError(f"{name}: {reason}, got {value}")
 
 
-def _check_db(key: str, db: float) -> None:
-    """Reject a dB value beyond +-_DB_LIMIT."""
-    if not abs(db) <= _DB_LIMIT:
-        raise ValueError(
-            f"{key}: linear value of {db} dB is out of range; |dB| must be <= {_DB_LIMIT:g}"
-        )
+_SIZE_REASON = "a size: memory grows with it, and no load rule bounds memory yet (ROADMAP item 12)"
+
+# One row per numeric leaf; "[]" marks a list entry. docs/config.md derives
+# each bound: the dB ends keep 10^(dB/10) finite once a sweep multiplies it
+# by signal powers and eigenvalues; the amplitude ends (A = 1e4) keep the
+# path-to-reference ratio resolved and the recording finite; the physical
+# ends keep every phase (k_free*x, k_sub*d, omega*tau) and pulse lag finite
+# and resolved on up to 1e4 elements a side.
+LEAF_RULES = {
+    "surface.M": Rule(1, 1e4, "elements"),
+    "surface.N": Rule(1, 1e4, "elements"),
+    "surface.fc": Rule(1e6, 1e13, "Hz"),
+    "surface.substrate_index": Rule(1.0, 100.0),
+    "surface.dx": Rule(1e-9, 1e3, "m"),
+    "surface.dy": Rule(1e-9, 1e3, "m"),
+    "reference.amplitude": Rule(1e-8, 1e8),
+    "reference.phase_offset": Rule(unit="rad", why="enters only as a unit phasor exp(j*offset)"),
+    "recording.snr_db": Rule(-300.0, 300.0, "dB"),
+    "recording.duration_symbols": Rule(1, unit="symbols", why=_SIZE_REASON),
+    "channel.L": Rule(1, unit="paths", why=_SIZE_REASON),
+    "channel.k_factor_db": Rule(-300.0, 300.0, "dB"),
+    "channel.max_delay": Rule(0.0, 1e-3, "s", open_lo=True),
+    "channel.delay_spread": Rule(0.0, 1e-3, "s", open_lo=True),
+    "channel.paths[].theta_deg": Rule(0.0, 90.0, "deg"),
+    "channel.paths[].phi_deg": Rule(unit="deg", why="wrapped into [0, 360) before use"),
+    "channel.paths[].gain_real": Rule(-1e4, 1e4),
+    "channel.paths[].gain_imag": Rule(-1e4, 1e4),
+    "channel.paths[].delay": Rule(0.0, 1e-3, "s"),
+    "link.K": Rule(1, unit="symbols", why=_SIZE_REASON),
+    "link.rolloff": Rule(0.0, 1.0),
+    "link.symbol_period": Rule(1e-12, 1.0, "s"),
+    "link.snr_db[]": Rule(-300.0, 300.0, "dB"),
+    "outage.r_th": Rule(0.0, unit="bits/symbol", open_lo=True, why="only compared with MI values"),
+    "outage.trials": Rule(1, unit="trials", why=_SIZE_REASON),
+    "seed": Rule(0, why="any nonnegative integer seeds a SeedSequence"),
+}
 
 
-def _check_range(key: str, value: float, lo: float, hi: float) -> None:
-    """Reject a value outside [lo, hi]."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{key}: must lie in [{lo:g}, {hi:g}], got {value}")
+def _check_leaves(block, key: str) -> None:
+    """Check each numeric field of a block at dotted key against its ``LEAF_RULES`` row.
+
+    Raises ValueError as "<field>: <reason>", or "<field>[<i>]: <reason>" for
+    a list entry. None (half-wavelength spacing, no recording noise) has no rule.
+    """
+    prefix = re.sub(r"\[\d+\]", "[]", key) + "." if key else ""
+    for f in dataclasses.fields(block):
+        row, value = prefix + f.name, getattr(block, f.name)
+        if row + "[]" in LEAF_RULES:
+            for i, entry in enumerate(value):
+                LEAF_RULES[row + "[]"].check(f"{f.name}[{i}]", entry)
+        elif row in LEAF_RULES and value is not None:
+            LEAF_RULES[row].check(f.name, value)
 
 
 @dataclass(frozen=True)
@@ -94,14 +136,6 @@ class PathSpec:
     gain_real: float = 1.0
     gain_imag: float = 0.0
     delay: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta_deg <= 90.0:
-            raise ValueError(f"theta_deg: must lie in [0, 90], got {self.theta_deg}")
-        for key, value in (("gain_real", self.gain_real), ("gain_imag", self.gain_imag)):
-            if not abs(value) <= _AMPLITUDE_LIMIT:
-                raise ValueError(f"{key}: |{key}| must be <= {_AMPLITUDE_LIMIT:g}, got {value}")
-        _check_range("delay", self.delay, 0.0, _DELAY_LIMIT)
 
     def to_path(self) -> Path:
         return Path(
@@ -133,15 +167,6 @@ class SurfaceBlock:
     dx: float | None = None  # None -> half wavelength
     dy: float | None = None
 
-    def __post_init__(self):
-        _check_range("M", self.M, *_SIDE_RANGE)
-        _check_range("N", self.N, *_SIDE_RANGE)
-        _check_range("fc", self.fc, *_FC_RANGE)
-        _check_range("substrate_index", self.substrate_index, *_INDEX_RANGE)
-        for name, spacing in (("dx", self.dx), ("dy", self.dy)):
-            if spacing is not None:
-                _check_range(name, spacing, *_SPACING_RANGE)
-
 
 @dataclass(frozen=True)
 class ReferenceBlock:
@@ -153,18 +178,12 @@ class ReferenceBlock:
 
     def __post_init__(self):
         ReferenceWaveSpec(self.amplitude, self.phase_offset)  # its rule first: amplitude > 0
-        _check_range("amplitude", self.amplitude, _AMPLITUDE_LIMIT**-2, _AMPLITUDE_LIMIT**2)
 
 
 @dataclass(frozen=True)
 class RecordingBlock:
     snr_db: float | None = 10.0  # None records without noise
     duration_symbols: int = 5
-
-    def __post_init__(self):
-        if self.snr_db is not None:
-            _check_db("snr_db", self.snr_db)
-        check_recording(self.duration_symbols)
 
 
 @dataclass(frozen=True)
@@ -180,21 +199,16 @@ class ChannelBlock:
     paths: tuple[PathSpec, ...] = DEFAULT_PATHS
 
     def __post_init__(self):
-        _check_db("k_factor_db", self.k_factor_db)
         lo, hi = self.theta_range_deg
         if not 0.0 <= lo <= hi <= 90.0:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
-        for name, value in (("max_delay", self.max_delay), ("delay_spread", self.delay_spread)):
-            if not 0.0 < value <= _DELAY_LIMIT:
-                raise ValueError(f"{name}: must lie in (0, {_DELAY_LIMIT:g}], got {value}")
         if self.paths:  # fig5 to fig8 record these paths whatever the kind
             power = sum(p.gain_real**2 + p.gain_imag**2 for p in self.paths)
-            if not power >= _AMPLITUDE_LIMIT**-2:
-                raise ValueError(
-                    f"paths: total power must be >= {_AMPLITUDE_LIMIT**-2:g}, got {power}"
-                )
+            floor = LEAF_RULES["channel.paths[].gain_real"].hi ** -2  # 1/A^2
+            if not power >= floor:
+                raise ValueError(f"paths: total power must be >= {floor:g}, got {power}")
 
 
 @dataclass(frozen=True)
@@ -215,23 +229,14 @@ class LinkBlock:
     normalization: str = "normalized"
 
     def __post_init__(self):
-        _check_range("symbol_period", self.symbol_period, *_SYMBOL_PERIOD_RANGE)
         if not self.snr_db:
             raise ValueError("snr_db: must be a nonempty list")
-        for i, db in enumerate(self.snr_db):
-            _check_db(f"snr_db[{i}]", db)
 
 
 @dataclass(frozen=True)
 class OutageBlock:
     r_th: float = 2.0
     trials: int = 2000
-
-    def __post_init__(self):
-        if self.r_th <= 0:
-            raise ValueError(f"r_th: must be positive, got {self.r_th}")
-        if self.trials < 1:
-            raise ValueError(f"trials: must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -259,8 +264,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"schema_version: must be {SCHEMA_VERSION}, got {self.schema_version}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
     # conversions to domain objects ------------------------------------
 
@@ -285,7 +288,7 @@ class ExperimentConfig:
         return PulseSpec(l.symbol_period, l.rolloff)
 
     def manual_paths(self) -> PathSet:
-        return PathSet(tuple(p.to_path() for p in self.channel.paths))
+        return PathSet(self.channel_config.paths)
 
     @functools.cached_property
     def _profile_text(self) -> str | None:
@@ -298,7 +301,9 @@ class ExperimentConfig:
         except UnicodeDecodeError:
             raise ConfigError("channel.profile_path: not UTF-8") from None
 
+    @functools.cached_property
     def channel_config(self) -> ChannelConfig:
+        """The channel's domain object, built once per config and shared by its scenarios."""
         c = self.channel
         return ChannelConfig(
             kind=c.kind,
@@ -323,7 +328,7 @@ class ExperimentConfig:
             geom=self.geometry(rows, cols),
             ref=self.reference_wave(),
             pulse=self.pulse(),
-            channel=self.channel_config(),
+            channel=self.channel_config,
             system=system,
             strategy=self.weights.strategy,
             recording_snr_db=self.recording.snr_db,
@@ -406,10 +411,9 @@ _type_hints = functools.cache(typing.get_type_hints)  # resolved once per block 
 def _build(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: must be an object")
-    hints = _type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = _type_hints(cls)  # one hint per field
     for key in data:
-        if key not in names:
+        if key not in hints:
             raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -417,42 +421,38 @@ def _build(cls, data, path: str):
             sub = f"{path}.{f.name}" if path else f.name
             kwargs[f.name] = _coerce(data[f.name], hints[f.name], sub)
     try:
-        return cls(**kwargs)
-    except ValueError as exc:  # "<field>: <reason>" from the block's own rules
+        block = cls(**kwargs)
+        _check_leaves(block, path)
+    except ValueError as exc:  # "<field>: <reason>" from the block's own rules or its leaf rows
         raise ConfigError(f"{path}.{exc}" if path else str(exc)) from None
-
-
-_KEY_RENAMES = {"rows": "M", "cols": "N"}  # domain field -> key
+    return block
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object and validate it.
 
-    Builds each domain object the sweeps use once; a constructor's
+    Builds the channel and an rrm scenario once (the leaf rows already keep
+    the rules of its geometry and pulse); a constructor's
     ``"<field>: <reason>"``, where <field> is one of that object's fields,
-    becomes ``ConfigError("<block>.<key>: <reason>")``. Any other
+    becomes ``ConfigError("<block>.<field>: <reason>")``. Any other
     ValueError is not a rule on a config value and propagates unchanged. A
     cdl_profile table is read and parsed here too, so a malformed row fails
     as ``channel.profile_path: line <n>: ...``.
     """
     cfg = _build(ExperimentConfig, data, "")
     for block, make, domain in (
-        ("surface", cfg.geometry, SurfaceGeometry),
-        ("channel", cfg.channel_config, ChannelConfig),
-        ("link", cfg.pulse, PulseSpec),
+        ("channel", lambda: cfg.channel_config, ChannelConfig),
         ("link", cfg.scenario, LinkScenario),
     ):
         try:
             make()
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # a ConfigError names a dotted key, not a field: re-raised
             key, _, reason = str(exc).partition(": ")
-            if key not in _field_names(domain):
+            if key not in {f.name for f in dataclasses.fields(domain)}:
                 raise
-            raise ConfigError(f"{block}.{_KEY_RENAMES.get(key, key)}: {reason}") from None
+            raise ConfigError(f"{block}.{key}: {reason}") from None
     try:
-        check_profile(cfg.channel_config())
+        check_profile(cfg.channel_config)
     except ProfileError as exc:
         raise ConfigError(f"channel.profile_path: {exc}") from None
     return cfg
@@ -479,11 +479,6 @@ def merge_config(config: ExperimentConfig | None, *layers: dict | None) -> Exper
         if layer:
             data = _deep_merge(data, layer)
     return config_from_dict(data)
-
-
-@functools.cache
-def _field_names(cls) -> frozenset:
-    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -86,7 +86,7 @@ class RecordingConfig:
 
 
 def check_recording(duration_symbols: int) -> None:
-    """The rule on the recording field that ``RecordingConfig``, ``LinkScenario`` and the config share.
+    """The rule on the recording field that ``RecordingConfig`` and ``LinkScenario`` share.
 
     Raises ValueError as "<field>: <reason>".
     """

@@ -26,14 +26,14 @@ arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi`` and
 rhs) that share geometry, pulse and K. They run the stack in chunks that
 keep each (T, K, K) and (T, M, N, S) stack of all scenarios within
 STACK_BYTES (16 MiB) (``chunk_trials``). A chunk's ``path_terms`` (carrier
-gains, steering factors, object field, pulse matrix) are computed once:
+gains, steering factors, object field) are computed once:
 ``weight_stack_for`` reads the object field (``record_power`` adds the
 reference and the noise to it, ``rhs_weight_stack`` conjugates it), which
-is then dropped; ``alpha_stack`` reads the steering factors and gains and
-``tap_stack`` is one product with the pulse matrix. For MI, each scenario's
-taps, (T, K, K) Gram stack, ``eigvalsh`` call and (T, n_snr) MI expression
-are one piece of ``_cores.thread_map``, so with BLAS pinned rrm and rhs
-overlap. In normalized mode the taps of each block are scaled to unit
+then gives way to the pulse matrix; ``alpha_stack`` reads the steering
+factors and gains, and ``tap_stack`` is one product with the pulse matrix.
+For MI, each scenario's taps, (T, K, K) Gram stack, ``eigvalsh`` call and
+(T, n_snr) MI expression are one piece of ``_cores.thread_map``, so with
+BLAS pinned rrm and rhs overlap. In normalized mode the taps of each block are scaled to unit
 average receive power before any matrix is formed, so no later step knows
 the mode. Every MI sweep is ``stack_mi``, and every outage sweep
 ``stack_outage``: seeded draws, or a manual path set broadcast over its
@@ -412,7 +412,7 @@ class PathTerms(NamedTuple):
     ax: np.ndarray
     ay: np.ndarray
     field: np.ndarray
-    pulses: np.ndarray
+    pulses: np.ndarray | None = None  # made once the weights exist (``_terms_and_weights``)
 
 
 def path_terms(scenario: LinkScenario, paths: PathArrays) -> PathTerms:
@@ -422,8 +422,7 @@ def path_terms(scenario: LinkScenario, paths: PathArrays) -> PathTerms:
         raise ValueError("a link needs at least one path")
     gains = paths.carrier_gains(s.geom.angular_frequency)
     ax, ay = steering_stack(s.geom, paths.theta, paths.phi)
-    pulses = pulse_matrix(paths.delay, s.pulse, s.K)
-    return PathTerms(paths, gains, ax, ay, superpose(ax, ay, gains), pulses)
+    return PathTerms(paths, gains, ax, ay, superpose(ax, ay, gains))
 
 
 def weight_stack_for(scenario: LinkScenario, terms: PathTerms, seeds) -> WeightStack:
@@ -525,10 +524,11 @@ def _per_chunk(scenarios, paths: PathArrays, seeds, fn, width: int, dtype) -> li
 
 
 def _terms_and_weights(scenarios, paths: PathArrays, seeds, chunk: slice):
-    """(terms, [weights per scenario]) of a chunk; the object field goes once the weights exist."""
-    terms = path_terms(scenarios[0], PathArrays(*(c[chunk] for c in paths)))
-    weights = [weight_stack_for(s, terms, seeds[chunk]).values for s in scenarios]
-    return terms._replace(field=None), weights
+    """(terms, [weights per scenario]) of a chunk; pulses replace the field once weights exist."""
+    s = scenarios[0]
+    terms = path_terms(s, PathArrays(*(c[chunk] for c in paths)))
+    weights = [weight_stack_for(scenario, terms, seeds[chunk]).values for scenario in scenarios]
+    return terms._replace(field=None, pulses=pulse_matrix(terms.paths.delay, s.pulse, s.K)), weights
 
 
 def _tap_spectrum(h: np.ndarray):

@@ -611,6 +611,11 @@ class TestCli:
         for system in ("rrm", "rhs"):
             assert cfg.scenario(system).channel.profile_text.startswith("0.0, 0.0, 10.0")
 
+    def test_scenarios_of_one_config_share_one_channel_config(self):
+        cfg = config_from_dict({"channel": {"kind": "rician_random"}})
+        rrm, rhs = cfg.scenario("rrm"), cfg.scenario("rhs", rows=8, cols=8)
+        assert rrm.channel is rhs.channel is cfg.channel_config
+
     def test_only_domain_value_errors_become_config_errors(self, monkeypatch):
         def broken(self):
             raise ValueError("not a rule on any field")

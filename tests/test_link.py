@@ -295,8 +295,8 @@ class TestMutualInformation:
         calls = []
         normalize = link._normalize_taps
         monkeypatch.setattr(link, "_normalize_taps", lambda h: calls.append(h) or normalize(h))
-        terms = link.path_terms(scenario, make_five_paths().arrays)
-        weights = link.weight_stack_for(scenario, terms, [3]).values
+        paths = make_five_paths().arrays
+        terms, (weights,) = link._terms_and_weights([scenario], paths, [3], slice(None))
         H = build_toeplitz(link._scenario_taps(scenario, terms, weights))
         K = scenario.K
         assert H.shape == (K, K)

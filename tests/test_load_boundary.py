@@ -1,9 +1,10 @@
 """The load boundary: a config that loads runs, and one that does not exits 2.
 
 Draws the reference amplitude and the gain fields, ``recording.snr_db`` and
-``link.snr_db`` inside, at and beyond their load-time bounds
-(docs/config.md), ``link.normalization``, and a second manual path that is
-another direction or the first path with its gain negated (the two cancel).
+``link.snr_db`` inside, at and beyond their load-time bounds (their
+``LEAF_RULES`` rows), ``link.normalization``, and a second manual path that
+is another direction or the first path with its gain negated (the two
+cancel).
 It runs ``record``, ``mi-sweep --reps 1`` and ``outage`` (two trials) on a
 4x4 surface. A config that ``config_from_dict`` accepts must exit 0 from
 each, without a numeric warning; one it rejects must exit 2 from each,
@@ -19,13 +20,19 @@ that leaf.
 A third property draws one leaf key of the schema and gives it a value of
 a JSON type it does not accept, or adds an unknown key beside it: the
 ``ConfigError`` must name the dotted key and ``record`` must exit 2.
+
+Every numeric leaf has one ``LEAF_RULES`` row, and docs/config.md lists
+each row with the same numbers. Each leaf without an upper end runs at an
+extreme value.
 """
 
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
+import pathlib
 import re
 import string
 import types
@@ -36,11 +43,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmsim import channel
 from rrmsim.harness.cli import main
-from rrmsim.harness.config import ConfigError, ExperimentConfig, config_from_dict
+from rrmsim.harness.config import (
+    LEAF_RULES,
+    ConfigError,
+    ExperimentConfig,
+    _deep_merge,
+    config_from_dict,
+)
 
-LIMIT = 1.0e4  # the amplitude bound A of docs/config.md; A_r lies in [1/A^2, A^2]
-DB_LIMIT = 300.0
+
+def _rule(key: str):
+    """The ``LEAF_RULES`` row of a dotted key; a list entry [0] reads the row of []."""
+    return LEAF_RULES[key.replace("[0]", "[]")]
+
+
+A_R = _rule("reference.amplitude")  # [1/A^2, A^2] for the amplitude bound A of docs/config.md
+A = _rule("channel.paths[].gain_real").hi
+DB = _rule("recording.snr_db")
+LINK_DB = _rule("link.snr_db[]")
 
 
 def _beyond(value: float) -> float:
@@ -56,40 +78,45 @@ def _signed(magnitudes):
     return magnitudes.flatmap(lambda v: st.sampled_from([v, -v]))
 
 
+def _range(lo: float, hi: float):
+    """Both edges of [lo, hi] and values log-uniform between them (lo > 0)."""
+    return st.one_of(st.sampled_from([lo, hi]), _log_scale(math.log10(lo), math.log10(hi)))
+
+
 # (within, beyond) strategies of each drawn field. The beyond values that
 # name a mid-run failure loaded before the bounds and then exited 4; they
 # come first, where the derandomized search draws most often.
 FIELDS = {
     "amplitude": (
-        st.one_of(st.sampled_from([LIMIT**-2, LIMIT**2]), _log_scale(-8.0, 8.0)),
+        _range(A_R.lo, A_R.hi),
         # 1e150: all-zero weights; 1e200: infinite recorded power
-        st.sampled_from([1e200, 1e150, math.nextafter(LIMIT**-2, 0.0), _beyond(LIMIT**2)]),
+        st.sampled_from([1e200, 1e150, math.nextafter(A_R.lo, 0.0), _beyond(A_R.hi)]),
     ),
     "snr_db": (
-        st.one_of(st.sampled_from([None, DB_LIMIT, -DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)),
-        st.sampled_from([-3100.0, 3100.0, _beyond(DB_LIMIT), _beyond(-DB_LIMIT)]),
+        st.one_of(st.sampled_from([None, DB.hi, DB.lo]), st.floats(DB.lo, DB.hi)),
+        st.sampled_from([-3100.0, 3100.0, _beyond(DB.hi), _beyond(DB.lo)]),
     ),
     # one or two SNRs; 3100 dB overflowed the MI
     "link_snr_db": (
         st.lists(
-            st.one_of(st.sampled_from([DB_LIMIT, -DB_LIMIT]), st.floats(-DB_LIMIT, DB_LIMIT)),
+            st.one_of(st.sampled_from([LINK_DB.hi, LINK_DB.lo]), st.floats(LINK_DB.lo, LINK_DB.hi)),
             min_size=1,
             max_size=2,
         ),
-        st.sampled_from([3100.0, -3100.0, _beyond(DB_LIMIT), _beyond(-DB_LIMIT)]).map(
+        st.sampled_from([3100.0, -3100.0, _beyond(LINK_DB.hi), _beyond(LINK_DB.lo)]).map(
             lambda db: [0.0, db]
         ),
     ),
     # Components below 1/A are within their own bound; a path set made only
     # of them falls short of the total-power bound.
     "gain_real": (
-        _signed(st.one_of(st.sampled_from([LIMIT, 1.0 / LIMIT, 0.0]), _log_scale(-6.0, 4.0))),
+        _signed(st.one_of(st.sampled_from([A, 1.0 / A, 0.0]), _log_scale(-6.0, math.log10(A)))),
         # 1e200: a non-finite channel matrix; 1e-100: all-zero weights
-        _signed(st.sampled_from([1e200, 1e-100, _beyond(LIMIT)])),
+        _signed(st.sampled_from([1e200, 1e-100, _beyond(A)])),
     ),
     "gain_imag": (
-        _signed(st.one_of(st.sampled_from([LIMIT, 0.0]), _log_scale(-6.0, 4.0))),
-        _signed(st.sampled_from([1e200, _beyond(LIMIT)])),
+        _signed(st.one_of(st.sampled_from([A, 0.0]), _log_scale(-6.0, math.log10(A)))),
+        _signed(st.sampled_from([1e200, _beyond(A)])),
     ),
 }
 
@@ -150,38 +177,44 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
         assert out.exists() == (want == 0)
 
 
-def _range(lo: float, hi: float):
-    """Both edges of [lo, hi] and values log-uniform between them (lo > 0)."""
-    return st.one_of(st.sampled_from([lo, hi]), _log_scale(math.log10(lo), math.log10(hi)))
+def _drawn(key: str, lo: float, hi: float, *far: float, open_lo=False, optional=False):
+    """(key, within, beyond) strategies of a leaf bounded to [lo, hi], or (lo, hi] when open_lo.
+
+    Within: ``_range``, where a lower edge at 0 becomes 1e-15 (and 0 itself
+    is drawn too unless the end is open), and None for an optional leaf.
+    Beyond: the far values that failed before the bounds, then one float
+    past each edge (lo itself when the end is open).
+    """
+    within = _range(max(lo, 1e-15), hi)
+    if lo == 0.0 and not open_lo:
+        within = st.one_of(st.just(0.0), within)
+    if optional:
+        within = st.one_of(st.none(), within)
+    below = lo if open_lo else math.nextafter(lo, -math.inf)
+    return key, within, st.sampled_from([*far, below, _beyond(hi)])
 
 
-def _past(lo: float, hi: float, *far: float):
-    """The far values that failed before the bounds, then one float past each edge."""
-    return st.sampled_from([*far, math.nextafter(lo, -math.inf), _beyond(hi)])
+def _physical(key: str, *far: float, optional=False):
+    """``_drawn`` over the leaf's ``LEAF_RULES`` row."""
+    rule = _rule(key)
+    return _drawn(key, rule.lo, rule.hi, *far, open_lo=rule.open_lo, optional=optional)
 
 
 # (dotted key, within, beyond) of the carrier, spacing, index, delay and
-# symbol-period leaves and of a profile row's normalized delay. The far
-# beyond values loaded before the bounds and then exited 4, or overflowed
-# with a warning (symbol_period, the profile delay).
+# symbol-period leaves, and of a profile row's normalized delay, a rule of
+# the profile parser. The far beyond values loaded before the bounds and
+# then exited 4, or overflowed with a warning (symbol_period, the profile
+# delay).
 PHYSICAL = (
-    ("surface.fc", _range(1e6, 1e13), _past(1e6, 1e13, 1e-300)),
-    ("surface.dx", st.one_of(st.none(), _range(1e-9, 1e3)), _past(1e-9, 1e3, 1e307)),
-    ("surface.dy", st.one_of(st.none(), _range(1e-9, 1e3)), _past(1e-9, 1e3)),
-    (
-        "surface.substrate_index",
-        st.one_of(st.sampled_from([1.0, 100.0]), st.floats(1.0, 100.0)),
-        _past(1.0, 100.0, 1e307),
-    ),
-    (
-        "channel.paths[0].delay",
-        st.one_of(st.just(0.0), _range(1e-15, 1e-3)),
-        _past(0.0, 1e-3, 1e300),
-    ),
-    ("channel.max_delay", _range(1e-15, 1e-3), st.sampled_from([1e300, 0.0, _beyond(1e-3)])),
-    ("channel.delay_spread", _range(1e-15, 1e-3), st.sampled_from([1e300, 0.0, _beyond(1e-3)])),
-    ("link.symbol_period", _range(1e-12, 1.0), _past(1e-12, 1.0, 1e-300)),
-    ("channel.profile_path", st.one_of(st.just(0.0), _range(1e-6, 1e3)), _past(0.0, 1e3, 1e300)),
+    _physical("surface.fc", 1e-300),
+    _physical("surface.dx", 1e307, optional=True),
+    _physical("surface.dy", optional=True),
+    _physical("surface.substrate_index", 1e307),
+    _physical("channel.paths[0].delay", 1e300),
+    _physical("channel.max_delay", 1e300),
+    _physical("channel.delay_spread", 1e300),
+    _physical("link.symbol_period", 1e-300),
+    _drawn("channel.profile_path", 0.0, channel._NORMALIZED_DELAY_LIMIT, 1e300),
 )
 
 
@@ -329,3 +362,87 @@ def test_a_rejected_key_is_named_and_exits_2(tmp_path_factory, data):
         code = main(["record", "--config", str(path), "--out", str(out), "--quiet"])
     assert code == 2 and not out.exists()
     assert err.getvalue() == f"config error: {message}\n"
+
+
+# Numeric leaves that take no row: the schema version is one exact value,
+# and the angle ranges' rules order their two ends (ChannelBlock).
+NO_ROW = {"schema_version", "channel.theta_range_deg", "channel.phi_range_deg"}
+
+
+def _row_key(key: str, hint):
+    """The ``LEAF_RULES`` key of a numeric leaf, else None (a list of numbers: its entries' row)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    key, args = key.replace("[0]", "[]"), typing.get_args(hint)
+    if args[1:] == (Ellipsis,):
+        hint, key = args[0], key + "[]"
+    elif args and all(a in (int, float) for a in args):
+        hint = float  # a fixed-length list of numbers: the angle ranges
+    return key if hint in (int, float) else None
+
+
+def test_every_numeric_leaf_has_one_rule_row():
+    assert NO_ROW <= {key for key, _, _ in LEAVES}
+    rows = {_row_key(key, hint) for key, hint, _ in LEAVES if key not in NO_ROW} - {None}
+    assert rows == set(LEAF_RULES)
+    assert "link.snr_db[]" in rows and "channel.paths[].delay" in rows
+    for key, rule in LEAF_RULES.items():
+        assert rule.lo < rule.hi, key
+        assert bool(rule.why) == (rule.hi == math.inf), key  # a reason exactly where hi is open
+        assert not rule.open_lo or rule.lo == 0.0, key
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "config.md"
+
+
+def _docs_rules() -> dict:
+    """key -> (lo, hi, open_lo, unit, why) of each row of the leaf-rules table in docs/config.md."""
+    lines = DOCS.read_text("utf-8").partition("\n## Leaf rules\n")[2].splitlines()
+    head = lines.index("| key | rule | unit | why no upper end |")
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[head + 2 :]):
+        key, rule, unit, why = (cell.strip() for cell in line.strip("|").split("|"))
+        rule = rule.replace("−", "-")
+        if rule == "any":
+            bounds = (-math.inf, math.inf, False)
+        elif rule.startswith(">"):
+            bounds = (float(rule.lstrip(">= ")), math.inf, not rule.startswith(">="))
+        else:
+            lo, hi = rule[1:-1].split(",")
+            bounds = (float(lo), float(hi), rule[0] == "(")
+        rows[key.strip("`")] = (*bounds, unit, why)
+    return rows
+
+
+def test_docs_list_each_rule_row_with_the_same_numbers():
+    docs = _docs_rules()
+    assert list(docs) == list(LEAF_RULES)
+    for key, rule in LEAF_RULES.items():
+        assert docs[key] == (rule.lo, rule.hi, rule.open_lo, rule.unit, rule.why), key
+
+
+# Leaves with no upper end (and the angle range, whose rule only orders its
+# ends) at an extreme value: the reasons in LEAF_RULES say why each runs.
+EXTREMES = {
+    "reference.phase_offset": {"reference": {"phase_offset": 1e300}},
+    "channel.paths[0].phi_deg": {"channel": {"paths": [{"theta_deg": 20.0, "phi_deg": 1e300}]}},
+    "outage.r_th": {"outage": {"r_th": 1e300}},
+    "channel.phi_range_deg": {
+        "channel": {"kind": "rician_random", "phi_range_deg": [-1e300, 1e300]}
+    },
+    "seed": {"seed": 2**128 + 1},
+}
+
+
+@pytest.mark.parametrize("key", list(EXTREMES))
+def test_an_unbounded_leaf_at_an_extreme_value_runs(tmp_path, key):
+    config = {"surface": {"M": 4, "N": 4}, "link": {"K": 4}, "outage": {"trials": 2}}
+    config = _deep_merge(config, EXTREMES[key])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for command in (["record"], ["mi-sweep", "--reps", "1"], ["outage"]):
+        out = tmp_path / command[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 0, command[0]

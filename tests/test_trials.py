@@ -217,7 +217,7 @@ def test_property_shared_pass_equals_per_scenario_blocks(
 
 def test_scenarios_of_one_pass_share_geometry_pulse_and_k():
     cfg = config_from_dict({"surface": {"M": 4, "N": 4}, "link": {"K": 4}})
-    paths, seeds = link.draw_trials(cfg.channel_config(), 2, SEED)
+    paths, seeds = link.draw_trials(cfg.channel_config, 2, SEED)
     rhs = cfg.scenario("rhs")
     for other in (cfg.scenario("rhs", rows=5), replace(rhs, K=5), replace(rhs, pulse=PulseSpec(rolloff=0.5))):
         with pytest.raises(ValueError, match="share geometry, pulse and K"):

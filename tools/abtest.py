@@ -2,7 +2,7 @@
 
     python tools/abtest.py --against REV --workload W [--workload W2 ...]
                            --pairs N --seconds S [--seed K]
-                           [--claim METRIC=RATIO] [--change TEXT] [--out FILE]
+                           [--claim WORKLOAD/METRIC=RATIO] [--change TEXT] [--out FILE]
 
 REV's committed files are exported with ``git archive`` into a temporary
 directory (nothing is registered in ``.git``, so an interrupted run leaves
@@ -26,9 +26,11 @@ lists the metrics that regressed or are unresolved, and holds, per workload:
   or the parent's own quartiles further apart than the bound, there is no
   telling it from the spread, unless every change run is better than every
   parent run);
-- with ``--claim items_per_s=1.15``, whether the change's median is at least
-  that ratio of the parent's, the change wins at least nine pairs in ten, and
-  the medians differ by more than the parent's interquartile range.
+- with ``--claim outage_mc/items_per_s=1.15``, under that workload only,
+  whether the change's median is at least that ratio of the parent's, the
+  change wins at least nine pairs in ten, and the medians differ by more
+  than the parent's interquartile range. A claim on a workload that the run
+  does not measure is an argument error.
 The record is written to --out, or printed when --out is not given.
 """
 
@@ -63,7 +65,7 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--claim", action="append", default=[], metavar="METRIC=RATIO")
+    p.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC=RATIO")
     p.add_argument("--change", default="", help="one-line description for the record")
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
@@ -71,10 +73,22 @@ def parse_args(argv):
         p.error(f"--pairs: must be >= 1, got {args.pairs}")
     if not args.seconds > 0:
         p.error(f"--seconds: must be > 0, got {args.seconds}")
-    try:
-        args.claim = {name: float(ratio) for name, ratio in (c.split("=", 1) for c in args.claim)}
-    except ValueError:
-        p.error("--claim: expected METRIC=RATIO, e.g. items_per_s=1.15")
+    claims = {}  # workload -> {metric: ratio}
+    for text in args.claim:
+        target, _, ratio = text.partition("=")
+        workload, _, metric = target.partition("/")
+        try:
+            if not (workload and metric):
+                raise ValueError(text)
+            ratio = float(ratio)
+        except ValueError:
+            p.error(f"--claim: expected WORKLOAD/METRIC=RATIO, e.g. outage_mc/items_per_s=1.15, "
+                    f"got {text!r}")
+        if workload not in args.workload:
+            p.error(f"--claim: workload {workload!r} is not run; the --workload list is "
+                    f"{args.workload}")
+        claims.setdefault(workload, {})[metric] = ratio
+    args.claim = claims
     return args
 
 
@@ -175,7 +189,8 @@ def run(args) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     metrics = spec["end_to_end"] + [WALL_METRIC]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    unknown = set(args.claim) - {m["name"] for m in metrics}
+    unknown = {name for claims in args.claim.values() for name in claims}
+    unknown -= {m["name"] for m in metrics}
     if unknown:
         raise SystemExit(f"abtest: no metric {sorted(unknown)}; choose from {[m['name'] for m in metrics]}")
     head = git("rev-parse", "HEAD").decode().strip()
@@ -201,7 +216,7 @@ def run(args) -> dict:
                 "metrics": {m["name"]: judge(m, summary[m["name"]]) for m in spec["end_to_end"]},
                 "claims": {
                     name: claim_met(next(m for m in metrics if m["name"] == name), summary[name], r)
-                    for name, r in args.claim.items()
+                    for name, r in args.claim.get(workload, {}).items()
                     if summary[name].get("pairs")
                 },
             }
