@@ -34,6 +34,8 @@ class ProfileError(ValueError):
 # 1 ms bound on delay_spread a row's delay stays within 1 s (docs/config.md).
 _NORMALIZED_DELAY_LIMIT = 1.0e3
 
+CHANNEL_KINDS = ("manual", "rician_random", "cdl_profile")
+
 
 @dataclass(frozen=True)
 class Path:
@@ -157,7 +159,7 @@ class ChannelConfig:
     profile_text: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("manual", "rician_random", "cdl_profile"):
+        if self.kind not in CHANNEL_KINDS:
             raise ValueError("kind: must be manual, rician_random or cdl_profile")
         if self.L < 1:
             raise ValueError(f"L: must be >= 1, got {self.L}")
@@ -314,9 +316,10 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
 
     try:
         amps = np.sqrt(np.array([10.0 ** (r[1] / 10.0) for r in rows]))
-    except OverflowError:
+        with np.errstate(over="raise"):  # finite powers whose sum is not
+            total = float(np.sum(amps**2))
+    except (OverflowError, FloatingPointError):
         raise ProfileError("cluster powers overflow; power_db is too large") from None
-    total = float(np.sum(amps**2))
     if total == 0.0:
         raise ProfileError("cluster powers underflow to zero; power_db is too small")
     amps = amps / math.sqrt(total)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import beampattern as bp
 from .. import holography, link
-from ..channel import ProfileError, sample_paths
+from ..channel import sample_paths
 from . import invariants
 from .config import ConfigError, ExperimentConfig, load_config, merge_config
 from .presets import (
@@ -71,7 +71,8 @@ def _cmd_record(cfg: ExperimentConfig, args) -> int:
         print(f"recorded {power.shape[0]}x{power.shape[1]} power matrix")
         print(
             f"weights: strategy={cfg.weights.strategy} b={float(weights.b):.6g} "
-            f"rho={float(weights.rho):.6g} clipped={bool(weights.clipped)}"
+            f"rho={float(weights.rho):.6g} clipped={bool(weights.clipped)} "
+            f"degenerate={bool(weights.degenerate)}"
         )
         print(f"wrote {out / 'hologram.csv'} and {out / 'weights.csv'}")
     return EXIT_OK
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "preset":  # the preset merges its own defaults under the flags
             return _cmd_preset(base, overrides, args)
         return args.fn(merge_config(base, overrides), args)
-    except (ConfigError, ProfileError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -12,9 +12,11 @@ path. Every numeric leaf has one row in ``LEAF_RULES``: its range, or the
 reason it has no upper end. Each block built from JSON is checked against
 its rows by one helper (``_check_leaves``), after the block's own rules,
 which are only those that are not a range: the string choices, the
-angle-range ordering, the manual paths' total power. ``config_from_dict``
-then builds the domain objects once, whose own rules stay for library
-callers, and maps their ``"<field>: <reason>"`` errors to dotted keys.
+angle-range ordering, the manual paths' count and total power. Together
+they imply every rule of the domain objects a config builds, so loading
+catches no domain error: it only maps a cluster profile's ``ProfileError``
+to ``channel.profile_path``. A ``ValueError`` from a domain object of a
+loaded config is a library bug, not a config error.
 ``load_config(save_config(cfg))`` returns an equal config, field for field.
 """
 
@@ -31,9 +33,9 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from ..channel import ChannelConfig, Path, PathSet, ProfileError, check_profile
+from ..channel import CHANNEL_KINDS, ChannelConfig, Path, PathSet, ProfileError, check_profile
 from ..holography import WEIGHT_STRATEGIES
-from ..link import LinkScenario, PulseSpec
+from ..link import NORMALIZATIONS, LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
 
 SCHEMA_VERSION = 5
@@ -177,7 +179,8 @@ class ReferenceBlock:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        ReferenceWaveSpec(self.amplitude, self.phase_offset)  # its rule first: amplitude > 0
+        if not self.amplitude > 0:  # before its row: 0 says "must be positive", not the range
+            raise ValueError(f"amplitude: must be positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,15 @@ class ChannelBlock:
     paths: tuple[PathSpec, ...] = DEFAULT_PATHS
 
     def __post_init__(self):
+        if self.kind not in CHANNEL_KINDS:
+            raise ValueError("kind: must be manual, rician_random or cdl_profile")
         lo, hi = self.theta_range_deg
         if not 0.0 <= lo <= hi <= 90.0:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
+        if self.kind == "manual" and not self.paths:
+            raise ValueError("paths: manual channel needs at least one path")
         if self.paths:  # fig5 to fig8 record these paths whatever the kind
             power = sum(p.gain_real**2 + p.gain_imag**2 for p in self.paths)
             floor = LEAF_RULES["channel.paths[].gain_real"].hi ** -2  # 1/A^2
@@ -231,6 +238,8 @@ class LinkBlock:
     def __post_init__(self):
         if not self.snr_db:
             raise ValueError("snr_db: must be a nonempty list")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError("normalization: must be normalized or absolute")
 
 
 @dataclass(frozen=True)
@@ -431,26 +440,11 @@ def _build(cls, data, path: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object and validate it.
 
-    Builds the channel and an rrm scenario once (the leaf rows already keep
-    the rules of its geometry and pulse); a constructor's
-    ``"<field>: <reason>"``, where <field> is one of that object's fields,
-    becomes ``ConfigError("<block>.<field>: <reason>")``. Any other
-    ValueError is not a rule on a config value and propagates unchanged. A
-    cdl_profile table is read and parsed here too, so a malformed row fails
-    as ``channel.profile_path: line <n>: ...``.
+    Each block is checked as it is built (its own rules, then its
+    ``LEAF_RULES`` rows). A cdl_profile table is then read and parsed, so a
+    malformed row fails as ``channel.profile_path: line <n>: ...``.
     """
     cfg = _build(ExperimentConfig, data, "")
-    for block, make, domain in (
-        ("channel", lambda: cfg.channel_config, ChannelConfig),
-        ("link", cfg.scenario, LinkScenario),
-    ):
-        try:
-            make()
-        except ValueError as exc:  # a ConfigError names a dotted key, not a field: re-raised
-            key, _, reason = str(exc).partition(": ")
-            if key not in {f.name for f in dataclasses.fields(domain)}:
-                raise
-            raise ConfigError(f"{block}.{key}: {reason}") from None
     try:
         check_profile(cfg.channel_config)
     except ProfileError as exc:

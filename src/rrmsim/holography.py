@@ -32,7 +32,6 @@ degenerate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -274,19 +273,14 @@ def weight_stack(power: np.ndarray, strategy: str = "mean") -> WeightStack:
 def make_weights(power: np.ndarray, strategy: str = "mean") -> WeightStack:
     """Reindex a recorded (M, N) power matrix and map it to weights in [0, 1].
 
-    The single-matrix view of ``weight_stack``; an all-zero result also
-    warns. A power matrix that is not 2-D, finite and nonnegative raises
-    ValueError.
+    The single-matrix view of ``weight_stack``: an all-zero result is
+    marked only by ``degenerate``. A power matrix that is not 2-D, finite
+    and nonnegative raises ValueError.
     """
     power = np.asarray(power, dtype=float)
     if power.ndim != 2 or not np.all(np.isfinite(power)) or np.any(power < 0):
         raise ValueError(f"power: must be finite, nonnegative and 2-D, got shape {power.shape}")
-    weights = weight_stack(power, strategy)
-    if weights.degenerate:
-        warnings.warn(
-            "weight matrix is all zero after constant subtraction", RuntimeWarning
-        )
-    return weights
+    return weight_stack(power, strategy)
 
 
 def reconstruct_field(

@@ -90,6 +90,8 @@ from .surface import (
 # and (T, M, N, S) float stacks; trials per chunk follow from it.
 STACK_BYTES = 16 * 2**20
 
+NORMALIZATIONS = ("normalized", "absolute")
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -397,7 +399,7 @@ class LinkScenario:
     def __post_init__(self):
         if self.system not in ("rrm", "rhs"):
             raise ValueError(f"system: must be rrm or rhs, got {self.system!r}")
-        if self.normalization not in ("normalized", "absolute"):
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError("normalization: must be normalized or absolute")
         if self.K < 1:
             raise ValueError(f"K: must be >= 1, got {self.K}")

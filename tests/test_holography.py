@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -308,7 +309,8 @@ class TestMakeWeights:
 
     def test_constant_hologram_mean_strategy_degenerates(self):
         holo = self._hologram(np.full((4, 4), 2.5))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the flag is the only signal
             w = make_weights(holo, "mean")
         assert w.degenerate
         assert w.rho == 1.0

@@ -21,6 +21,13 @@ A third property draws one leaf key of the schema and gives it a value of
 a JSON type it does not accept, or adds an unknown key beside it: the
 ``ConfigError`` must name the dotted key and ``record`` must exit 2.
 
+Loading builds no domain object to check a config, so a fourth property
+draws every leaf and choice (``DOMAIN``, ``PHYSICAL``, ``FIELDS``), all
+within their rules or one beyond: a config that loads must build its
+channel and each system's scenario. A fifth draws cluster-profile files
+with defective rows: one that loads must draw trials, and one that does
+not must name ``channel.profile_path``.
+
 Every numeric leaf has one ``LEAF_RULES`` row, and docs/config.md lists
 each row with the same numbers. Each leaf without an upper end runs at an
 extreme value.
@@ -51,7 +58,9 @@ from rrmsim.harness.config import (
     ExperimentConfig,
     _deep_merge,
     config_from_dict,
+    load_config,
 )
+from rrmsim.link import draw_trials
 
 
 def _rule(key: str):
@@ -168,10 +177,6 @@ def test_a_config_that_loads_runs_and_one_that_does_not_exits_2(tmp_path_factory
         out = tmp / command[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if second == "cancelling":
-                # paths that cancel send nothing to record: with little noise the
-                # hologram is constant, and record warns of its all-zero weights
-                warnings.filterwarnings("ignore", "weight matrix is all zero", RuntimeWarning)
             code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code == want, (command[0], config)
         assert out.exists() == (want == 0)
@@ -279,6 +284,189 @@ def test_carrier_spacing_and_delays_within_their_bounds_run(tmp_path_factory, da
 @given(data=st.data())
 def test_a_carrier_spacing_or_delay_beyond_its_bound_exits_2(tmp_path_factory, data, past):
     _physical_case(tmp_path_factory, data, past)
+
+
+LEAF_PHYSICAL = PHYSICAL[:-1]  # without the profile row's delay, which is no config leaf
+
+# (within, beyond) of the leaves and choices that FIELDS and PHYSICAL do
+# not draw: the sizes, the Rician leaves and the three rules that loading
+# checked by building the domain objects (kind, normalization, a manual
+# channel's nonempty paths).
+DOMAIN = {
+    "surface.M": (st.integers(1, 8), st.sampled_from([0, 10001])),
+    "surface.N": (st.integers(1, 8), st.sampled_from([0, 10001])),
+    "recording.duration_symbols": (st.integers(1, 3), st.just(0)),
+    "channel.kind": (st.sampled_from(channel.CHANNEL_KINDS), st.sampled_from(["ray_traced", ""])),
+    "channel.L": (st.integers(1, 6), st.just(0)),
+    "channel.k_factor_db": (st.floats(DB.lo, DB.hi), st.sampled_from([-3100.0, _beyond(DB.hi)])),
+    "channel.theta_range_deg": (
+        st.lists(st.floats(0.0, 90.0), min_size=2, max_size=2).map(sorted),
+        st.sampled_from([[60.0, 5.0], [-1.0, 10.0], [10.0, 90.5]]),
+    ),
+    "channel.phi_range_deg": (
+        st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted),
+        st.just([10.0, 5.0]),
+    ),
+    "channel.paths": (st.integers(1, 2), st.just(0)),  # a count
+    "link.K": (st.integers(1, 8), st.just(0)),
+    "link.rolloff": (st.floats(0.0, 1.0), st.sampled_from([-0.1, _beyond(1.0)])),
+    "link.normalization": (
+        st.sampled_from(["normalized", "absolute"]),
+        st.sampled_from(["peak", ""]),
+    ),
+    "weights.strategy": (st.sampled_from(["none", "mean", "min"]), st.just("max")),
+}
+
+
+def _nested(flat: dict) -> dict:
+    """A config object from dotted keys (no list entries)."""
+    config = {}
+    for key, value in flat.items():
+        head, _, leaf = key.rpartition(".")
+        config.setdefault(head, {})[leaf] = value
+    return config
+
+
+def _domain_case(data, past):
+    """Draw the DOMAIN, PHYSICAL and FIELDS leaves, past's beyond its rule.
+
+    Loading checks only the blocks, so their rules must imply every rule of
+    the domain objects built from them: a config that loads must build its
+    channel, and each system's scenario at its own size and at 8x8.
+    """
+
+    def draw(key, strategies):
+        within, beyond = strategies
+        return data.draw(beyond if key == past else within, label=key)
+
+    flat = {key: draw(key, DOMAIN[key]) for key in DOMAIN}
+    flat.update((key, draw(key, (within, beyond))) for key, within, beyond in LEAF_PHYSICAL)
+    field = {name: draw(name, FIELDS[name]) for name in FIELDS}
+    paths = [
+        {"theta_deg": 10.0 * (i + 1), "phi_deg": 30.0, "gain_real": field["gain_real"],
+         "gain_imag": field["gain_imag"], "delay": flat["channel.paths[0].delay"]}
+        for i in range(flat.pop("channel.paths"))
+    ]
+    del flat["channel.paths[0].delay"]
+    config = _nested({key: value for key, value in flat.items() if value is not None})
+    config["channel"]["paths"] = paths
+    config["reference"] = {"amplitude": field["amplitude"]}
+    config["recording"]["snr_db"] = field["snr_db"]
+    config["link"]["snr_db"] = field["link_snr_db"]
+    try:
+        cfg = config_from_dict(config)
+    except ConfigError:
+        return
+    for system in ("rrm", "rhs"):  # the first builds the channel too
+        cfg.scenario(system)
+        cfg.scenario(system, rows=8, cols=8)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_config_that_loads_builds_its_domain_objects(data):
+    _domain_case(data, None)
+
+
+@pytest.mark.parametrize(
+    "past", [*DOMAIN, *(key for key, _, _ in LEAF_PHYSICAL), *FIELDS]
+)
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_config_with_a_leaf_beyond_its_rule_loads_only_if_it_builds(data, past):
+    _domain_case(data, past)
+
+
+# Defects of a cluster-profile row (normalized_delay, power_db, aod_deg,
+# zod_deg): too few or too many fields, a value that is not a number or not
+# finite, a delay outside [0, 1e3], and powers whose linear value or sum
+# leaves the float range.
+_VALID_ROW = st.tuples(
+    st.floats(0.0, channel._NORMALIZED_DELAY_LIMIT),
+    st.floats(-300.0, 30.0),
+    st.floats(-720.0, 720.0),
+    st.floats(-180.0, 180.0),
+).map(lambda row: ", ".join(map(repr, row)))
+_BAD_ROW = st.sampled_from([
+    "0.0, 0.0, 90.0",
+    "0.0, 0.0, 0.0, 90.0, 1.0",
+    "0.0, x, 0.0, 90.0",
+    "0.0, 0.0, nan, 90.0",
+    "0.0, -inf, 0.0, 90.0",
+    "inf, 0.0, 0.0, 90.0",
+    "-1e-9, 0.0, 0.0, 90.0",
+    "1000.5, 0.0, 0.0, 90.0",
+    "0.0, 3090.0, 0.0, 90.0",  # 10^309: the linear power overflows
+    "0.0, 3080.0, 0.0, 90.0",  # finite alone; two such rows sum past the float range
+    "0.0, -3300.0, 0.0, 90.0",  # underflows to 0
+    "0.0, -3200.0, 0.0, 90.0",  # subnormal
+    "# a comment only",
+    "",
+])
+
+
+@st.composite
+def _profile_bytes(draw):
+    """Profile file bytes: valid and defective rows, comments, maybe a byte that is not UTF-8."""
+    rows = draw(st.lists(st.one_of(_VALID_ROW, _BAD_ROW), min_size=0, max_size=4), label="rows")
+    text = "\n".join(row + draw(st.sampled_from(["", "  # note"])) for row in rows).encode()
+    if draw(st.booleans(), label="not UTF-8") and draw(st.booleans()):
+        at = draw(st.integers(0, len(text)), label="at")
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_profile_that_loads_draws_and_one_that_does_not_names_its_key(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("profile")
+    profile, path = tmp / "rows.profile", tmp / "cfg.json"
+    profile.write_bytes(data.draw(_profile_bytes(), label="profile"))
+    path.write_text(
+        json.dumps({"channel": {"kind": "cdl_profile", "profile_path": str(profile)}})
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            assert str(exc).startswith("channel.profile_path: "), exc
+            return
+        paths, seeds = draw_trials(cfg.channel_config, 3, cfg.seed)
+    assert paths.gain.shape[0] == len(seeds) == 3
+
+
+@pytest.mark.parametrize(
+    "profile, want",
+    [
+        (b"0.0, 0.0, 0.0, 90.0\n1.0, -3.0, 40.0, 80.0\n", 0),
+        (b"0.0, 3080.0, 0.0, 90.0\n1.0, 3080.0, 40.0, 80.0\n", 2),  # was a zero channel
+        (b"0.0, 0.0, 0.0\xff, 90.0\n", 2),
+        (b"# nothing\n", 2),
+        (None, 3),  # the file is missing
+    ],
+)
+def test_profile_contents_exit_0_2_or_3(tmp_path, capsys, profile, want):
+    prof = tmp_path / "rows.profile"
+    if profile is not None:
+        prof.write_bytes(profile)
+    config = {
+        "surface": {"M": 4, "N": 4},
+        "channel": {"kind": "cdl_profile", "profile_path": str(prof)},
+        "link": {"K": 4},
+        "outage": {"trials": 2},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for command in (["record"], ["outage"]):
+        out = tmp_path / command[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == want, command[0]
+        assert out.exists() == (want == 0)
+    err = capsys.readouterr().err
+    assert err.startswith({0: "", 2: "config error: channel.profile_path: ", 3: "i/o error: "}[want])
 
 
 def _leaves(cls, prefix=""):
