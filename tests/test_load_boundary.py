@@ -318,15 +318,6 @@ DOMAIN = {
 }
 
 
-def _nested(flat: dict) -> dict:
-    """A config object from dotted keys (no list entries)."""
-    config = {}
-    for key, value in flat.items():
-        head, _, leaf = key.rpartition(".")
-        config.setdefault(head, {})[leaf] = value
-    return config
-
-
 def _domain_case(data, past):
     """Draw the DOMAIN, PHYSICAL and FIELDS leaves, past's beyond its rule.
 
@@ -348,8 +339,10 @@ def _domain_case(data, past):
         for i in range(flat.pop("channel.paths"))
     ]
     del flat["channel.paths[0].delay"]
-    config = _nested({key: value for key, value in flat.items() if value is not None})
-    config["channel"]["paths"] = paths
+    config = {"channel": {"paths": paths}}
+    for key, value in flat.items():
+        if value is not None:
+            config = _deep_merge(config, _config_with(key, value))
     config["reference"] = {"amplitude": field["amplitude"]}
     config["recording"]["snr_db"] = field["snr_db"]
     config["link"]["snr_db"] = field["link_snr_db"]
