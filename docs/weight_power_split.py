@@ -26,10 +26,10 @@ from rrmsim.surface import ReferenceWaveSpec, SurfaceGeometry
 def main(trials: int = 500) -> None:
     channel = ChannelConfig("rician_random", L=5)
     paths, seeds = link.draw_trials(channel, trials, 909)
+    ref = ReferenceWaveSpec(2.0)
     print("size   rrm_mean_share  rhs_mean_share  alpha_power_rrm/rhs")
     for size in (8, 16, 32):
         geom = SurfaceGeometry.half_wavelength(size, size, 30.0e9)
-        ref = ReferenceWaveSpec.for_geometry(geom, 2.0)
         share, power, terms = {}, {}, None
         for system in ("rrm", "rhs"):
             scenario = LinkScenario(

@@ -7,10 +7,11 @@ channel is assumed quasi-static and reciprocal across both phases.
 
 Three sources of path sets are supported: manual lists, a seeded Rician
 ensemble for outage Monte-Carlo, and simplified cluster tables in the
-`normalized_delay,power_db,aod_deg,zod_deg` text format. ``draw_paths``
-makes the draws of T realizations, one Generator each, into a ``PathArrays``
-of (T, L) arrays for the Monte-Carlo kernel; ``sample_paths`` wraps the
-draw of one Generator into a ``PathSet``.
+`normalized_delay,power_db,aod_deg,zod_deg` text format, which a
+``ChannelConfig`` reads and parses when it is built. ``draw_paths`` makes
+the draws of T realizations, one Generator each, into a ``PathArrays`` of
+(T, L) arrays for the Monte-Carlo kernel; ``sample_paths`` wraps the draw
+of one Generator into a ``PathSet``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path as FsPath
 from typing import NamedTuple
 
 import numpy as np
@@ -144,8 +146,11 @@ class ChannelConfig:
     line-of-sight path (deterministic gain set by the K-factor, delay 0,
     uniform direction) plus L-1 scattered paths with circular complex
     Gaussian gains and uniform delays/directions, then normalizes to unit
-    power. kind "cdl_profile" loads a cluster table and applies one random
-    phase per cluster per realization.
+    power. kind "cdl_profile" applies one random phase per cluster per
+    realization to the cluster table at ``profile_path`` (the bundled CDL-D
+    table when None; a relative path resolves against the working directory).
+    Construction reads and parses that table (or takes the manual paths) into
+    ``rows`` once, None for rician_random: a config that constructs draws.
     """
 
     kind: str  # "manual" | "rician_random" | "cdl_profile"
@@ -156,7 +161,8 @@ class ChannelConfig:
     theta_range: tuple[float, float] = (math.radians(5.0), math.radians(60.0))
     phi_range: tuple[float, float] = (0.0, 2.0 * math.pi)
     paths: tuple[Path, ...] = field(default=())
-    profile_text: str | None = None
+    profile_path: str | None = None
+    rows: PathArrays | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -166,10 +172,21 @@ class ChannelConfig:
         for name, value in (("max_delay", self.max_delay), ("delay_spread", self.delay_spread)):
             if value <= 0:
                 raise ValueError(f"{name}: must be positive, got {value}")
-        if self.kind == "manual" and len(self.paths) == 0:
-            raise ValueError("paths: manual channel needs at least one path")
-        if self.kind == "manual" and PathSet(self.paths).total_power() == 0.0:
-            raise ValueError("paths: manual channel needs nonzero total power")
+        rows = None
+        if self.kind == "manual":
+            if len(self.paths) == 0:
+                raise ValueError("paths: manual channel needs at least one path")
+            rows = PathSet(self.paths).arrays
+            if rows.total_power() == 0.0:
+                raise ValueError("paths: manual channel needs nonzero total power")
+        elif self.kind == "cdl_profile":
+            path = self.profile_path
+            try:
+                text = bundled_cdl_d() if path is None else FsPath(path).read_text("utf-8")
+            except UnicodeDecodeError:
+                raise ProfileError("not UTF-8") from None
+            rows = load_cdl_profile(text, self.delay_spread).arrays
+        object.__setattr__(self, "rows", rows)
 
 
 def sample_paths(cfg: ChannelConfig, rng) -> PathSet:
@@ -200,11 +217,11 @@ def draw_paths(cfg: ChannelConfig, rngs) -> PathArrays:
     Generator's ``random`` and ``standard_normal``, which is how
     ``Generator.uniform`` and ``Generator.normal`` form them.
     """
-    if cfg.kind == "manual":
-        return PathSet(cfg.paths).arrays.broadcast(len(rngs))
     if cfg.kind == "rician_random":
         return _draw_rician(cfg, rngs)
-    base = _parsed_profile(cfg.profile_text, cfg.delay_spread).arrays
+    base = cfg.rows
+    if cfg.kind == "manual":
+        return base.broadcast(len(rngs))
     (u,) = _fill(rngs, (("random", base.gain.size),))
     phases = 2.0 * math.pi * u
     return base.broadcast(len(rngs))._replace(gain=base.gain * np.exp(1j * phases))
@@ -217,23 +234,6 @@ def _fill(rngs, draws):
         for (method, _), array in zip(draws, out):
             getattr(rng, method)(out=array[t])
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _parsed_profile(profile_text: str | None, delay_spread: float) -> PathSet:
-    """Cached ``load_cdl_profile`` of the text (the bundled CDL-D table when None)."""
-    text = bundled_cdl_d() if profile_text is None else profile_text
-    return load_cdl_profile(text, delay_spread)
-
-
-def check_profile(cfg: ChannelConfig) -> None:
-    """Parse a cdl_profile config's table now (cached), so a bad row fails at load.
-
-    Raises:
-        ProfileError: malformed or empty table.
-    """
-    if cfg.kind == "cdl_profile":
-        _parsed_profile(cfg.profile_text, cfg.delay_spread)
 
 
 def _directions(cfg: ChannelConfig, u: np.ndarray):
@@ -267,7 +267,7 @@ def _draw_rician(cfg: ChannelConfig, rngs) -> PathArrays:
     return raw._replace(gain=raw.gain * (1.0 / np.sqrt(power))[:, None])
 
 
-def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
+def load_cdl_profile(text: str, delay_spread: float) -> PathSet:
     """Parse a cluster table into a unit-power path set.
 
     Expected row format, one cluster per line, `#` starts a comment:
@@ -290,7 +290,7 @@ def load_cdl_profile(profile_text: str, delay_spread: float) -> PathSet:
     if delay_spread <= 0:
         raise ValueError("delay_spread must be positive")
     rows: list[tuple[float, float, float, float]] = []
-    for lineno, raw in enumerate(profile_text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -12,11 +12,13 @@ path. Every numeric leaf has one row in ``LEAF_RULES``: its range, or the
 reason it has no upper end. Each block built from JSON is checked against
 its rows by one helper (``_check_leaves``), after the block's own rules,
 which are only those that are not a range: the string choices, the
-angle-range ordering, the manual paths' count and total power. Together
-they imply every rule of the domain objects a config builds, so loading
-catches no domain error: it only maps a cluster profile's ``ProfileError``
-to ``channel.profile_path``. A ``ValueError`` from a domain object of a
-loaded config is a library bug, not a config error.
+angle-range ordering, a nonempty profile path, the manual paths' count and
+total power. Together they imply every rule of the domain objects a config
+builds, so loading catches no domain error: it only maps the ``ProfileError``
+of the cluster table that its ``ChannelConfig`` reads and parses when built
+to ``channel.profile_path`` (a relative path resolves against the working
+directory). A ``ValueError`` from a domain object of a loaded config is a
+library bug, not a config error.
 ``load_config(save_config(cfg))`` returns an equal config, field for field.
 """
 
@@ -33,7 +35,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from ..channel import CHANNEL_KINDS, ChannelConfig, Path, PathSet, ProfileError, check_profile
+from ..channel import CHANNEL_KINDS, ChannelConfig, Path, PathSet, ProfileError
 from ..holography import WEIGHT_STRATEGIES
 from ..link import NORMALIZATIONS, LinkScenario, PulseSpec
 from ..surface import SPEED_OF_LIGHT, Direction, ReferenceWaveSpec, SurfaceGeometry
@@ -209,6 +211,8 @@ class ChannelBlock:
             raise ValueError(f"theta_range_deg: must satisfy 0 <= lo <= hi <= 90, got [{lo}, {hi}]")
         if self.phi_range_deg[0] > self.phi_range_deg[1]:
             raise ValueError(f"phi_range_deg: must satisfy lo <= hi, got {self.phi_range_deg}")
+        if self.profile_path == "":
+            raise ValueError("profile_path: must be nonempty")
         if self.kind == "manual" and not self.paths:
             raise ValueError("paths: manual channel needs at least one path")
         if self.paths:  # fig5 to fig8 record these paths whatever the kind
@@ -300,17 +304,6 @@ class ExperimentConfig:
         return PathSet(self.channel_config.paths)
 
     @functools.cached_property
-    def _profile_text(self) -> str | None:
-        """Text of ``channel.profile_path``, read once per config (None: bundled table)."""
-        c = self.channel
-        if c.kind != "cdl_profile" or c.profile_path is None:
-            return None
-        try:
-            return FsPath(c.profile_path).read_text("utf-8")
-        except UnicodeDecodeError:
-            raise ConfigError("channel.profile_path: not UTF-8") from None
-
-    @functools.cached_property
     def channel_config(self) -> ChannelConfig:
         """The channel's domain object, built once per config and shared by its scenarios."""
         c = self.channel
@@ -323,7 +316,7 @@ class ExperimentConfig:
             theta_range=tuple(math.radians(v) for v in c.theta_range_deg),
             phi_range=tuple(math.radians(v) for v in c.phi_range_deg),
             paths=tuple(p.to_path() for p in c.paths),
-            profile_text=self._profile_text,
+            profile_path=c.profile_path,
         )
 
     def scenario(
@@ -441,12 +434,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a parsed JSON object and validate it.
 
     Each block is checked as it is built (its own rules, then its
-    ``LEAF_RULES`` rows). A cdl_profile table is then read and parsed, so a
-    malformed row fails as ``channel.profile_path: line <n>: ...``.
+    ``LEAF_RULES`` rows); building its ``channel_config`` then parses a
+    cdl_profile table, so a malformed row fails as ``channel.profile_path: line <n>: ...``.
     """
     cfg = _build(ExperimentConfig, data, "")
     try:
-        check_profile(cfg.channel_config)
+        cfg.channel_config  # reads and parses a cdl_profile table now
     except ProfileError as exc:
         raise ConfigError(f"channel.profile_path: {exc}") from None
     return cfg

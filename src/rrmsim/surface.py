@@ -197,7 +197,10 @@ class ReferenceWaveSpec:
         amplitude: float = 1.0,
         phase_offset: float = 0.0,
     ) -> "ReferenceWaveSpec":
-        """The wave of that amplitude and phase; ``geom`` is not read (it owns the carrier)."""
+        """The wave of that amplitude and phase; ``geom`` is not read (it owns the carrier).
+
+        Its last caller is ``perfbench/workloads.py``; ROADMAP item 4 deletes it.
+        """
         return cls(amplitude, phase_offset)
 
 

@@ -18,7 +18,7 @@ def make_geometry(rows=32, cols=32, fc=30.0e9):
     return SurfaceGeometry.half_wavelength(rows, cols, fc)
 
 def make_reference(geom, amplitude=2.0, phase=0.0):
-    return ReferenceWaveSpec.for_geometry(geom, amplitude, phase)
+    return ReferenceWaveSpec(amplitude, phase)
 
 def make_five_paths(delays=None, gains=None):
     delays = FIVE_PATH_DELAYS if delays is None else delays

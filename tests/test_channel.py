@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrmsim import ChannelConfig, Direction, PathSet, ProfileError, load_cdl_profile, sample_paths
-from rrmsim.channel import Path, _parsed_profile, bundled_cdl_d
+from rrmsim.channel import Path, bundled_cdl_d
 
 
 class TestPathSet:
@@ -167,17 +167,37 @@ class TestCdlProfile:
         assert all(pa.delay == pb.delay for pa, pb in zip(a.paths, b.paths))
         assert all(abs(pa.gain) == pytest.approx(abs(pb.gain)) for pa, pb in zip(a.paths, b.paths))
 
-    def test_parsed_profile_cached_and_equal(self):
+    def test_bundled_rows_parsed_at_construction(self):
         cfg = ChannelConfig("cdl_profile", delay_spread=3e-8)
-        first = _parsed_profile(None, 3e-8)
-        assert _parsed_profile(None, 3e-8) is first
-        assert first == load_cdl_profile(bundled_cdl_d(), 3e-8)
+        expected = load_cdl_profile(bundled_cdl_d(), 3e-8).arrays
+        for row, want in zip(cfg.rows, expected):
+            np.testing.assert_array_equal(row, want)
         a, b = sample_paths(cfg, 5), sample_paths(cfg, 5)
         assert a == b
-        assert [p.delay for p in a.paths] == [p.delay for p in first.paths]
+        assert [p.delay for p in a.paths] == expected.delay.tolist()
 
-    def test_cached_sampler_still_rejects_malformed_profile(self):
-        cfg = ChannelConfig("cdl_profile", profile_text="0,0,0,90\n1,x,10,95\n")
-        for _ in range(2):
-            with pytest.raises(ProfileError, match="line 2"):
-                sample_paths(cfg, 0)
+    @pytest.mark.parametrize(
+        "profile, match",
+        [
+            (b"0,0,0,90\n1,x,10,95\n", "line 2"),
+            (b"# comments only\n", "no cluster rows"),
+            (b"\xff\xfe\x00", "not UTF-8"),
+        ],
+    )
+    def test_bad_table_fails_at_construction(self, tmp_path, profile, match):
+        path = tmp_path / "bad.profile"
+        path.write_bytes(profile)
+        with pytest.raises(ProfileError, match=match):
+            ChannelConfig("cdl_profile", profile_path=str(path))
+
+    def test_missing_table_fails_at_construction(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ChannelConfig("cdl_profile", profile_path=str(tmp_path / "missing.profile"))
+
+    def test_configs_of_one_path_equal_and_hash_alike(self, tmp_path):
+        path = tmp_path / "two.profile"
+        path.write_text("0.0, 0.0, 10.0, 90.0\n1.0, -3.0, 200.0, 80.0\n")
+        a, b = (ChannelConfig("cdl_profile", profile_path=str(path)) for _ in range(2))
+        assert a.rows is not b.rows
+        assert a == b and hash(a) == hash(b)
+        assert "rows" not in repr(a)

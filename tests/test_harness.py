@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rrmsim import link as link_module
+from rrmsim.channel import sample_paths
 from rrmsim.harness import (
     ConfigError,
     ExperimentConfig,
@@ -69,6 +70,8 @@ REJECTED = [
     ({"channel": {"theta_range_deg": [60.0, 5.0]}}, "channel.theta_range_deg"),
     ({"channel": {"phi_range_deg": [90.0, 10.0]}}, "channel.phi_range_deg"),
     ({"channel": {"paths": []}}, "channel.paths"),
+    # An empty path named the directory ".", not the key, and exited 3.
+    ({"channel": {"kind": "cdl_profile", "profile_path": ""}}, "channel.profile_path"),
     ({"channel": {"paths": [_path(theta_deg=95.0)]}}, "channel.paths[0].theta_deg"),
     ({"channel": {"paths": [_path(), _path(theta_deg=-1.0)]}}, "channel.paths[1].theta_deg"),
     ({"channel": {"paths": [_path(delay=-1e-9)]}}, "channel.paths[0].delay"),
@@ -610,7 +613,8 @@ class TestCli:
         )
         prof.unlink()  # later scenarios must not read the file again
         for system in ("rrm", "rhs"):
-            assert cfg.scenario(system).channel.profile_text.startswith("0.0, 0.0, 10.0")
+            paths = sample_paths(cfg.scenario(system).channel, 0)
+            assert [p.delay for p in paths.paths] == [0.0, cfg.channel.delay_spread]
 
     def test_scenarios_of_one_config_share_one_channel_config(self):
         cfg = config_from_dict({"channel": {"kind": "rician_random"}})
