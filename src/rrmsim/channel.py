@@ -150,7 +150,7 @@ class ChannelConfig:
     realization to the cluster table at ``profile_path`` (the bundled CDL-D
     table when None; a relative path resolves against the working directory).
     Construction reads and parses that table (or takes the manual paths) into
-    ``rows`` once, None for rician_random: a config that constructs draws.
+    ``rows`` once, None for rician_random, so a config that builds can draw.
     """
 
     kind: str  # "manual" | "rician_random" | "cdl_profile"
