@@ -435,13 +435,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     Each block is checked as it is built (its own rules, then its
     ``LEAF_RULES`` rows); building its ``channel_config`` then parses a
-    cdl_profile table, so a malformed row fails as ``channel.profile_path: line <n>: ...``.
+    cdl_profile table, so a malformed row fails as ``channel.profile_path: line <n>: ...``
+    and an unreadable file as the same ``OSError`` subclass with that prefix.
     """
     cfg = _build(ExperimentConfig, data, "")
     try:
         cfg.channel_config  # reads and parses a cdl_profile table now
     except ProfileError as exc:
         raise ConfigError(f"channel.profile_path: {exc}") from None
+    except OSError as exc:
+        raise type(exc)(f"channel.profile_path: {exc}") from None
     return cfg
 
 
@@ -474,7 +477,7 @@ def load_config(path) -> ExperimentConfig:
     Raises:
         ConfigError: JSON syntax errors (with line and column), unknown keys,
             or schema violations (naming the offending key).
-        OSError: an unreadable ``channel.profile_path``.
+        OSError: an unreadable ``channel.profile_path``, its message prefixed by that key.
     """
     try:
         text = FsPath(path).read_text("utf-8")

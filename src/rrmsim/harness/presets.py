@@ -110,7 +110,7 @@ def add_curve_rows(
 
 
 def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, _quiet: bool) -> None:
-    scenario = cfg.scenario("rrm", recording_snr_db=None)
+    scenario = cfg.scenario("rrm")
     geom, ref = scenario.geom, scenario.ref
     paths = cfg.manual_paths()
     terms = link.path_terms(scenario, paths.arrays)

@@ -15,9 +15,7 @@ CSV_HEADER = "experiment,sweep_name,sweep_value,metric,value,ci_half_width,seed"
 
 
 def fmt9(value) -> str:
-    """Format a number with 9 significant digits (integers stay bare)."""
-    if isinstance(value, int):
-        return str(value)
+    """Format a number with 9 significant digits."""
     return f"{float(value):.9g}"
 
 
@@ -25,7 +23,7 @@ def fmt9(value) -> str:
 class Row:
     experiment: str
     sweep_name: str
-    sweep_value: float | int | str
+    sweep_value: float | str
     metric: str
     value: float
     ci_half_width: float | None

@@ -23,7 +23,8 @@ the invariant suite (``harness.invariants``) and the tests.
 The formulas work on stacks: ``record_power`` and ``rhs_weight_stack``
 take object fields (..., M, N), the ``surface.superpose`` of each trial's
 paths, ``weight_stack`` takes power matrices (..., M, N), and each returns
-(..., M, N) matrices, one per Monte-Carlo trial. ``record_hologram``,
+(..., M, N) matrices, one per Monte-Carlo trial. A stack's recording noise
+is zero for every matrix or positive for every matrix. ``record_hologram``,
 ``make_weights`` and ``rhs_weights`` are their single-matrix views and
 return what the stacked functions return for one matrix: an (M, N) power
 array, and a ``WeightStack`` with (M, N) values and 0-d b, rho, clipped and
@@ -139,12 +140,15 @@ def record_power(
     samples, z_k i.i.d. circular complex Gaussian with variance noise_power
     (independent per element). With zero noise the entry is exactly |c|^2.
 
-    noise_power broadcasts over the leading shape; seeds holds one seed per
-    matrix, in C order of the leading shape. Each noisy matrix draws from
+    noise_power broadcasts over the leading shape and is either zero for
+    every matrix (the stack is recorded exactly) or positive for every
+    matrix; a stack that mixes zero and positive entries, or holds a
+    negative one, raises ValueError. seeds holds one seed per matrix, in C
+    order of the leading shape. Each matrix of a noisy stack draws from
     its own Philox stream seeded with its seed: one (M, N, S) array of
     standard normals for the real parts x, then one for the imaginary parts
     y, each scaled by sqrt(noise_power / 2); reordering them would change
-    every noisy hologram. The real parts of all noisy matrices are drawn
+    every noisy hologram. The real parts of all matrices are drawn
     into one (..., M, N, S) stack. The imaginary parts are then drawn in
     blocks of about _BLOCK_BYTES, whole matrices per block when one fits
     and row ranges of one matrix otherwise, each stream continuing where it
@@ -162,20 +166,19 @@ def record_power(
         return e + np.exp(1j * ref.phase_offset) * (ref.amplitude * reference_phase(geom)[rows])
 
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), field.shape[:-2]).ravel()
-    noisy = np.flatnonzero(noise != 0.0)
-    if noisy.size == 0:
+    if not np.any(noise):
         return np.abs(carrier(field)) ** 2
+    if not np.all(noise > 0.0):
+        raise ValueError("noise_power: must be zero for every matrix or positive for every matrix")
 
-    every = noisy.size == noise.size
-    flat = field.reshape((-1,) + geom.shape)
-    e = flat if every else flat[noisy]
+    e = field.reshape((-1,) + geom.shape)
     T, M, N = e.shape
     S = num_samples
     acc = np.empty(e.shape + (S,))
-    rngs = [np.random.Generator(np.random.Philox(int(seeds[t]))) for t in noisy]
+    rngs = [np.random.Generator(np.random.Philox(int(seeds[t]))) for t in range(T)]
     for rng, x in zip(rngs, acc):
         rng.standard_normal(out=x)
-    scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
+    scale = np.sqrt(noise / 2.0)[:, None, None, None]
     # A block is per_block whole matrices when one fits, else rows of one.
     rows = max(1, min(M, _BLOCK_BYTES // (8 * N * S)))
     per_block = max(1, min(T, _BLOCK_BYTES // (8 * M * N * S)))
@@ -207,11 +210,7 @@ def record_power(
             else:
                 np.add.reduce(x, axis=-1, out=out)
             out /= S
-    if every:
-        return mean.reshape(field.shape)
-    power = np.abs(carrier(field)) ** 2
-    power.reshape(flat.shape)[noisy] = mean
-    return power
+    return mean.reshape(field.shape)
 
 
 def reindex(matrix: np.ndarray) -> np.ndarray:

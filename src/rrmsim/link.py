@@ -305,11 +305,6 @@ def _toeplitz_index(K: int) -> np.ndarray:
     return idx
 
 
-def _gram(H: np.ndarray) -> np.ndarray:
-    """H H^H of each matrix of a (..., K, K) stack."""
-    return H @ np.swapaxes(H.conj(), -1, -2)
-
-
 def _gram_stack(h: np.ndarray) -> np.ndarray:
     """(..., K, K) Gram matrices H H^H of the Toeplitz blocks of (..., 2K-1) taps.
 
@@ -341,12 +336,10 @@ def _mi_bits(lam: np.ndarray, gammas) -> np.ndarray:
     return np.sum(terms, axis=-1) / lam.shape[-1]
 
 
-def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> float:
+def mutual_information(H: np.ndarray, gamma: float) -> float:
     """Block mutual information (1/K) * log2 det(I + gamma * H * H^H) in bits.
 
-    "eig" sums log2(1 + gamma * lambda_k) over the eigenvalues of H H^H;
-    "logdet" evaluates the determinant directly. Both agree to 1e-9 relative
-    and exist so each can check the other.
+    Sums log2(1 + gamma * lambda_k) over the eigenvalues of H H^H.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -355,15 +348,7 @@ def mutual_information(H: np.ndarray, gamma: float, method: str = "eig") -> floa
         raise ValueError("H contains non-finite entries")
     if gamma < 0:
         raise ValueError("snr must be nonnegative")
-    if method == "eig":
-        return float(_mi_bits(_eigvals(_gram(H)), [gamma])[0])
-    if method == "logdet":
-        k = H.shape[0]
-        sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * (H @ H.conj().T))
-        if sign <= 0:
-            raise ArithmeticError("determinant of I + gamma*H*H^H must be positive")
-        return float(logdet / math.log(2.0) / k)
-    raise ValueError(f"unknown method {method!r}")
+    return float(_mi_bits(_eigvals(H @ H.conj().T), [gamma])[0])
 
 
 def gamma_from_db(snr_db: float) -> float:

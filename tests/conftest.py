@@ -1,4 +1,5 @@
 
+import math
 import os
 
 import numpy as np
@@ -60,6 +61,18 @@ def block_matrix(scenario, paths, recording_seed=0):
         if power > 0.0:
             H = H / np.sqrt(power)
     return H
+
+
+def logdet_mutual_information(H, gamma):
+    """(1/K) * log2 det(I + gamma * H * H^H) from the determinant itself.
+
+    The oracle of ``link.mutual_information``, which sums over the
+    eigenvalues of H H^H.
+    """
+    k = H.shape[0]
+    sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * (H @ H.conj().T))
+    assert sign.real > 0, "determinant of I + gamma*H*H^H must be positive"
+    return float(logdet / math.log(2.0) / k)
 
 
 def per_trial_mi(scenario, snr_db_list, trials, seed):

@@ -416,6 +416,18 @@ class TestPresets:
             assert 0.0 <= row.value <= 1.0
             assert row.ci_half_width is not None
 
+    def test_fig5_records_at_its_configured_snr(self, tmp_path):
+        small = {"surface": {"M": 8, "N": 8}}
+        run_preset("fig5_beampattern", overrides=small, out_dir=tmp_path / "exact", quiet=True)
+        noisy = {**small, "recording": {"snr_db": 0.0}}
+        run_preset("fig5_beampattern", overrides=noisy, out_dir=tmp_path / "noisy", quiet=True)
+        for name in ("pattern_b_none.csv", "pattern_b_mean.csv"):
+            exact = (tmp_path / "exact" / name).read_bytes()
+            assert (tmp_path / "noisy" / name).read_bytes() != exact
+        for run, snr in (("exact", None), ("noisy", 0.0)):
+            meta = json.loads((tmp_path / run / "meta.json").read_text())
+            assert meta["config"]["recording"]["snr_db"] == snr
+
     def test_validate_preset_all_pass(self, tmp_path):
         rs = run_preset("validate", out_dir=tmp_path, quiet=True)
         assert all(r.value == 1.0 for r in rs.rows if r.metric == "passed")
@@ -564,7 +576,9 @@ class TestCli:
             ["mi-sweep", "--config", str(cfg), "--reps", "1", "--out", str(out), "--quiet"]
         )
         assert code == 3
-        assert "i/o error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"i/o error: channel.profile_path: [Errno 2] No such file or directory: '{missing}'\n"
+        )
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(

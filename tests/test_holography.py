@@ -122,21 +122,18 @@ def two_stack_record_power(geom, ref, field, noise_power, num_samples, seeds):
     """
     reference = np.exp(1j * ref.phase_offset) * reference_field(geom, ref)
     carrier = field + reference
-    flat = carrier.reshape((-1,) + geom.shape)
+    c = carrier.reshape((-1,) + geom.shape)
     noise = np.broadcast_to(np.asarray(noise_power, dtype=float), carrier.shape[:-2]).ravel()
-    noisy = np.flatnonzero(noise != 0.0)
-    if noisy.size == 0:
+    if np.all(noise == 0.0):
         return np.abs(carrier) ** 2
 
-    every = noisy.size == noise.size
-    c = flat if every else flat[noisy]
     acc = np.empty(c.shape + (num_samples,))
     imag = np.empty_like(acc)
-    for i, t in enumerate(noisy):
+    for t in range(c.shape[0]):
         rng = np.random.Generator(np.random.Philox(int(seeds[t])))
-        rng.standard_normal(out=acc[i])
-        rng.standard_normal(out=imag[i])
-    scale = np.sqrt(noise[noisy] / 2.0)[:, None, None, None]
+        rng.standard_normal(out=acc[t])
+        rng.standard_normal(out=imag[t])
+    scale = np.sqrt(noise / 2.0)[:, None, None, None]
     acc *= scale
     acc += c.real[..., None]
     np.square(acc, out=acc)
@@ -144,15 +141,10 @@ def two_stack_record_power(geom, ref, field, noise_power, num_samples, seeds):
     imag += c.imag[..., None]
     np.square(imag, out=imag)
     acc += imag
-    mean = np.mean(acc, axis=-1)
-    if every:
-        return mean.reshape(carrier.shape)
-    power = np.abs(carrier) ** 2
-    power.reshape(flat.shape)[noisy] = mean
-    return power
+    return np.mean(acc, axis=-1).reshape(carrier.shape)
 
 
-NOISE_PATTERNS = ("all", "mixed", "zero")
+NOISE_PATTERNS = ("all", "zero")
 
 
 def _noise_stack(rows, cols, samples, trials, pattern):
@@ -163,9 +155,7 @@ def _noise_stack(rows, cols, samples, trials, pattern):
         [np.random.default_rng(100 + t) for t in range(trials)],
     )
     noise = np.linspace(0.05, 2.5, trials)
-    if pattern == "mixed":
-        noise[::2] = 0.0
-    elif pattern == "zero":
+    if pattern == "zero":
         noise[:] = 0.0
     seeds = [2**63 + 977 * t for t in range(trials)]
     return (geom, ref, object_fields(geom, stack), noise, samples, seeds)
@@ -219,6 +209,20 @@ class TestBlockedNoise:
         args = _noise_stack(rows, cols, samples, 3, pattern)
         assert holography._BLOCK_BYTES == 8 * 32768
         assert np.array_equal(record_power(*args), two_stack_record_power(*args))
+
+    @pytest.mark.parametrize("zeroed", [[0], [1], [0, 2]])
+    def test_a_stack_mixing_zero_and_positive_noise_is_rejected(self, zeroed):
+        geom, ref, field, noise, samples, seeds = _noise_stack(3, 4, 2, 3, "all")
+        noise[zeroed] = 0.0
+        with pytest.raises(ValueError, match="^noise_power: "):
+            record_power(geom, ref, field, noise, samples, seeds)
+
+    @pytest.mark.parametrize("pattern", NOISE_PATTERNS)
+    def test_a_negative_noise_power_is_rejected(self, pattern):
+        geom, ref, field, noise, samples, seeds = _noise_stack(3, 4, 2, 3, pattern)
+        noise[1] = -0.5
+        with pytest.raises(ValueError, match="^noise_power: "):
+            record_power(geom, ref, field, noise, samples, seeds)
 
 
 @st.composite

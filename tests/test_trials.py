@@ -314,13 +314,13 @@ def test_degenerate_weights_give_mi_zero_in_a_chunk(normalization, monkeypatch):
         assert np.array_equal(bits, mi < r_th) and bits[1].all()
 
 
-def test_record_power_mixed_noise_equals_single_recordings():
+def test_record_power_noisy_stack_equals_single_recordings():
     geom = make_geometry(6, 5)
     ref = make_reference(geom)
     cfg = ChannelConfig("rician_random", L=4)
     rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
     stack = draw_paths(cfg, rngs)
-    noise = np.array([0.3, 0.0, 0.05])
+    noise = np.array([0.3, 0.1, 0.05])
     seeds = [11, 12, 13]
     got = record_power(geom, ref, object_fields(geom, stack), noise, 4, seeds)
     for t in range(3):
