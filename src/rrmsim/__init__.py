@@ -21,7 +21,6 @@ from .holography import (
     make_weights,
     noise_power_for_snr,
     record_hologram,
-    reconstruct_field,
     reindex,
     rhs_weights,
 )
@@ -31,7 +30,6 @@ from .link import (
     PulseSpec,
     build_toeplitz,
     equivalent_taps,
-    mutual_information,
 )
 
 __version__ = "0.1.0"
@@ -55,11 +53,9 @@ __all__ = [
     "find_peaks",
     "load_cdl_profile",
     "make_weights",
-    "mutual_information",
     "noise_power_for_snr",
     "object_field",
     "record_hologram",
-    "reconstruct_field",
     "reference_field",
     "reindex",
     "rhs_weights",

@@ -15,11 +15,6 @@ normalized weights undo, so only the gains' ratio to A_r shapes a hologram.
 ``rhs_weights`` implements the baseline that skips recording entirely and
 computes weights from known directions and gains (perfect CSI).
 
-``reconstruct_field`` is the field E_r * W' that the raw reindexed power
-radiates, and ``reconstruction_terms`` builds its four term groups directly
-from the paths. The reindexing identities are checked through the two, by
-the invariant suite (``harness.invariants``) and the tests.
-
 The formulas work on stacks: ``record_power`` and ``rhs_weight_stack``
 take object fields (..., M, N), the ``surface.superpose`` of each trial's
 paths, ``weight_stack`` takes power matrices (..., M, N), and each returns
@@ -46,7 +41,6 @@ from .surface import (
     object_field,
     reference_field,
     reference_phase,
-    steering_field,
     steering_stack,
     superpose,
 )
@@ -280,65 +274,6 @@ def make_weights(power: np.ndarray, strategy: str = "mean") -> WeightStack:
     if power.ndim != 2 or not np.all(np.isfinite(power)) or np.any(power < 0):
         raise ValueError(f"power: must be finite, nonnegative and 2-D, got shape {power.shape}")
     return weight_stack(power, strategy)
-
-
-def reconstruct_field(
-    geom: SurfaceGeometry, ref: ReferenceWaveSpec, weights_raw: np.ndarray
-) -> np.ndarray:
-    """(M, N) field radiated by raw (reindexed, un-subtracted) weights: E_r * W'.
-
-    Elementwise product of the reference field with the raw weight matrix.
-    For a noise-free recording of paths with real gains and zero delays this
-    decomposes exactly into a constant-times-reference term, the
-    conjugate-object term |E_r|^2 * conj(E_o) that carries the beams, a
-    cross-path term and a reference-squared term. Weights that do not
-    match the grid or are not finite raise ValueError.
-    """
-    w = np.asarray(weights_raw, dtype=float)
-    if w.shape != geom.shape:
-        raise ValueError(f"weights shape {w.shape} does not match grid {geom.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights: must be finite")
-    return reference_field(geom, ref) * w
-
-
-def reconstruction_terms(
-    geom: SurfaceGeometry, ref: ReferenceWaveSpec, paths: PathSet
-) -> dict[str, np.ndarray]:
-    """The four term groups of the reconstructed field, each built directly.
-
-    Independent of ``reconstruct_field``: every group is assembled from the
-    constituent fields, not from the recorded power matrix. Their sum equals
-    reconstruct_field(geom, ref, reindex(|E_o + E_r|^2)) exactly when all
-    composite path gains (gain * exp(-j*omega_r*delay)) are real.
-
-    Returns:
-        dict with keys "constant", "conjugate_object", "cross_path",
-        "reference_squared": M x N complex arrays.
-    """
-    e_r = reference_field(geom, ref)
-    e_o = object_field(geom, paths)
-    a_c = ref.amplitude**2 + paths.total_power()
-    return {
-        "constant": a_c * e_r,
-        "conjugate_object": np.abs(e_r) ** 2 * np.conj(e_o),
-        "cross_path": _cross_path_sum(geom, paths) * e_r,
-        "reference_squared": e_o * e_r**2,
-    }
-
-
-def _cross_path_sum(
-    geom: SurfaceGeometry, paths: PathSet
-) -> np.ndarray:
-    """sum over i != j of e_i * conj(e_j), e_i the incident field of path i."""
-    gains = paths.carrier_gains(geom.angular_frequency)
-    per_path = [g * steering_field(geom, p.direction) for g, p in zip(gains, paths.paths)]
-    cross = np.zeros(geom.shape, dtype=complex)
-    for i, ei in enumerate(per_path):
-        for j, ej in enumerate(per_path):
-            if i != j:
-                cross += ei * np.conj(ej)
-    return cross
 
 
 def rhs_weights(

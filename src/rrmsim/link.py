@@ -69,7 +69,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._cores import thread_map
 from .channel import ChannelConfig, PathArrays, PathSet, draw_paths
 from .holography import (
-    RecordingConfig,
     WeightStack,
     check_recording,
     noise_power_for_snr,
@@ -81,7 +80,6 @@ from .surface import (
     ReferenceWaveSpec,
     SurfaceGeometry,
     reference_phase,
-    steering_field,
     steering_stack,
     superpose,
 )
@@ -116,9 +114,12 @@ def raised_cosine(t_symbols, rolloff: float) -> np.ndarray:
     """
     t = np.asarray(t_symbols, dtype=float)
     a = rolloff
-    if a == 0.0:
+    edge = 1.0 / (2.0 * a) if a > 0.0 else math.inf
+    if math.pi * edge == math.inf:
+        # a = 0, or a rolloff below about 8.7e-309, where pi*edge overflows in
+        # sinc(edge). There cos(pi*a*t) rounds to 1 and (2*a*t)^2 to 0 for
+        # every |t| < 1e299, so the general form is sinc(t) bit for bit.
         return np.sinc(t)
-    edge = 1.0 / (2.0 * a)
     # np.isclose(|t|, edge) at its default tolerances, without its overhead
     rest = ~(np.abs(np.abs(t) - edge) <= 1e-8 + 1e-5 * edge)
     out = np.full(t.shape, (math.pi / 4.0) * np.sinc(edge))
@@ -161,90 +162,6 @@ def alpha_stack(
     beta = reference_phase(geom)
     sums = np.sum(ax * ((weights * beta) @ ay), axis=-2)
     return a_tx[..., None] * gains * sums
-
-
-def alpha_taps_split(
-    geom: SurfaceGeometry,
-    ref: ReferenceWaveSpec,
-    weights: WeightStack,
-    paths: PathSet,
-    recording: RecordingConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path amplitudes decomposed into dominant and residual components.
-
-    Expands the weight matrix into its recording term groups (constant minus
-    offset, the two conjugate reference cross terms, the cross-path sum) and
-    accumulates each group's contribution separately, so this never forms
-    the weight matrix itself. The dominant component is the one that sums
-    coherently over all M*N elements; everything else is residual. Their sum
-    equals ``alpha_taps`` output.
-
-    Only valid when the algebraic form W = rho*(W' - b) holds exactly, i.e.
-    for a noise-free recording whose subtraction clipped nothing.
-
-    Returns:
-        (dominant, residual) complex arrays of length L.
-    """
-    if recording.noise_power != 0.0:
-        raise ValueError("term-group split requires a noise-free recording")
-    if weights.clipped:
-        raise ValueError("term-group split is invalid once negatives were clipped")
-
-    den = float(np.sum(weights.values**2))
-    a_tx = math.sqrt(1.0 / den) if den > 0.0 else 0.0  # as alpha_stack
-    rho = float(weights.rho)
-    b = float(weights.b)
-    a_r = ref.amplitude
-    phi = ref.phase_offset
-
-    beta = reference_phase(geom)
-    steer = [steering_field(geom, p.direction) for p in paths.paths]
-    g = paths.carrier_gains(geom.angular_frequency)
-    L = len(paths)
-    const = a_r**2 + paths.total_power()
-
-    dominant = np.zeros(L, dtype=complex)
-    residual = np.zeros(L, dtype=complex)
-    scale = a_tx * rho
-    for i in range(L):
-        mode_i = beta * steer[i]
-        # constant group (includes the -b offset)
-        residual[i] += scale * (const - b) * g[i] * np.sum(mode_i)
-        for j in range(L):
-            # reference cross term carrying the conjugated incident profile
-            coherent = (
-                scale
-                * a_r
-                * np.exp(-1j * phi)
-                * g[j]
-                * g[i]
-                * np.sum(np.conj(steer[j]) * steer[i])
-            )
-            if j == i:
-                dominant[i] += coherent  # sums to M*N per element pair
-            else:
-                residual[i] += coherent
-            # opposite-conjugate cross term, curvature-spoiled by beta^2
-            residual[i] += (
-                scale
-                * a_r
-                * np.exp(1j * phi)
-                * np.conj(g[j])
-                * g[i]
-                * np.sum(steer[j] * steer[i] * beta**2)
-            )
-            # incident cross-path terms
-            for k in range(L):
-                if k == j:
-                    continue
-                residual[i] += (
-                    scale
-                    * g[k]
-                    * np.conj(g[j])
-                    * g[i]
-                    * np.sum(np.conj(steer[k]) * steer[j] * beta * steer[i])
-                )
-    return dominant, residual
 
 
 def equivalent_taps(
@@ -334,21 +251,6 @@ def _mi_bits(lam: np.ndarray, gammas) -> np.ndarray:
     gammas = np.asarray(gammas, dtype=float)
     terms = np.log2(1.0 + gammas[:, None] * lam[..., None, :])
     return np.sum(terms, axis=-1) / lam.shape[-1]
-
-
-def mutual_information(H: np.ndarray, gamma: float) -> float:
-    """Block mutual information (1/K) * log2 det(I + gamma * H * H^H) in bits.
-
-    Sums log2(1 + gamma * lambda_k) over the eigenvalues of H H^H.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("H contains non-finite entries")
-    if gamma < 0:
-        raise ValueError("snr must be nonnegative")
-    return float(_mi_bits(_eigvals(H @ H.conj().T), [gamma])[0])
 
 
 def gamma_from_db(snr_db: float) -> float:

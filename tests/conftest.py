@@ -7,6 +7,7 @@ import pytest
 
 from rrmsim import Direction, PathSet, ReferenceWaveSpec, SurfaceGeometry, holography, link
 from rrmsim.channel import Path, sample_paths
+from rrmsim.harness.invariants import _mutual_information
 from rrmsim.surface import steering_stack, superpose
 
 FIVE_PATH_ANGLES = [(15.0, 100.0), (30.0, 60.0), (40.0, 35.0), (45.0, 45.0), (45.0, 140.0)]
@@ -66,8 +67,8 @@ def block_matrix(scenario, paths, recording_seed=0):
 def logdet_mutual_information(H, gamma):
     """(1/K) * log2 det(I + gamma * H * H^H) from the determinant itself.
 
-    The oracle of ``link.mutual_information``, which sums over the
-    eigenvalues of H H^H.
+    The oracle of ``harness.invariants._mutual_information``, which sums
+    over the eigenvalues of H H^H.
     """
     k = H.shape[0]
     sign, logdet = np.linalg.slogdet(np.eye(k) + gamma * (H @ H.conj().T))
@@ -80,14 +81,14 @@ def per_trial_mi(scenario, snr_db_list, trials, seed):
 
     Trial t draws its paths with one ``sample_paths`` call on the trial's
     path seed, forms its ``block_matrix`` with its recording seed, and takes
-    ``mutual_information`` per SNR.
+    ``harness.invariants._mutual_information`` per SNR.
     """
     gammas = [link.gamma_from_db(snr) for snr in snr_db_list]
     rows = []
     for path_ss, rec_seed in link._trial_seeds(seed, trials):
         paths = sample_paths(scenario.channel, np.random.default_rng(path_ss))
         H = block_matrix(scenario, paths, rec_seed)
-        rows.append([link.mutual_information(H, gamma) for gamma in gammas])
+        rows.append([_mutual_information(H, gamma) for gamma in gammas])
     return np.array(rows)
 
 

@@ -26,7 +26,11 @@ draws every leaf and choice (``DOMAIN``, ``PHYSICAL``, ``FIELDS``), all
 within their rules or one beyond: a config that loads must build its
 channel and each system's scenario. A fifth draws cluster-profile files
 with defective rows: one that loads must draw trials, and one that does
-not must name ``channel.profile_path``.
+not must name ``channel.profile_path``. A sixth draws the leaves that no
+other property runs (``RUNS``: reference phase, channel kind and Rician
+leaves, ``link.K``, rolloff, outage leaves, seed) within, at and beyond
+their rules: the three commands exit 0 without a numeric warning, or 2
+naming the leaf.
 
 Every numeric leaf has one ``LEAF_RULES`` row, and docs/config.md lists
 each row with the same numbers. Each leaf without an upper end runs at an
@@ -629,3 +633,76 @@ def test_an_unbounded_leaf_at_an_extreme_value_runs(tmp_path, key):
             warnings.simplefilter("error")
             code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code == 0, command[0]
+
+
+# (within, beyond) of the leaves that no property above runs: the reference
+# phase, the channel kind and its Rician leaves, the block length, the
+# rolloff, the outage leaves and the seed. Within draws each edge and values
+# between; beyond is one value past each edge (a non-finite JSON number for
+# a leaf with no end). The sizes (L, K, trials) stay small.
+K_DB = _rule("channel.k_factor_db")
+RUNS = {
+    "reference.phase_offset": (
+        st.one_of(st.sampled_from([0.0, -1e300, 1e300]), st.floats(-1e300, 1e300)),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    ),
+    "channel.kind": (st.sampled_from(channel.CHANNEL_KINDS), st.sampled_from(["ray_traced", ""])),
+    "channel.L": (st.integers(1, 4), st.just(0)),
+    "channel.k_factor_db": (
+        st.one_of(st.sampled_from([K_DB.lo, K_DB.hi]), st.floats(K_DB.lo, K_DB.hi)),
+        st.sampled_from([_beyond(K_DB.lo), _beyond(K_DB.hi)]),
+    ),
+    "channel.theta_range_deg": (
+        st.one_of(
+            st.sampled_from([[0.0, 0.0], [0.0, 90.0], [90.0, 90.0]]),
+            st.lists(st.floats(0.0, 90.0), min_size=2, max_size=2).map(sorted),
+        ),
+        st.sampled_from([[math.nextafter(0.0, -1.0), 10.0], [10.0, _beyond(90.0)], [60.0, 5.0]]),
+    ),
+    "channel.phi_range_deg": (
+        st.one_of(
+            st.sampled_from([[-1e300, 1e300], [30.0, 30.0]]),
+            st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted),
+        ),
+        st.sampled_from([[10.0, math.nextafter(10.0, 0.0)], [0.0, math.inf]]),
+    ),
+    "link.K": (st.integers(1, 6), st.just(0)),
+    "link.rolloff": (
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.sampled_from([math.nextafter(0.0, -1.0), _beyond(1.0)]),
+    ),
+    "outage.r_th": (
+        st.one_of(st.sampled_from([5e-324, 1e300]), _log_scale(-300.0, 300.0)),
+        st.sampled_from([0.0, -5e-324, math.inf]),
+    ),
+    "outage.trials": (st.integers(1, 3), st.just(0)),
+    "seed": (st.one_of(st.sampled_from([0, 2**128 + 1]), st.integers(0, 2**64)), st.just(-1)),
+}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_remaining_leaves_load_then_run_or_exit_2(tmp_path_factory, data):
+    # Half the examples keep every leaf within its rule; the other half push
+    # one leaf beyond it, which must exit 2 and name it.
+    names = list(RUNS)
+    pick = data.draw(st.integers(0, 2 * len(names) - 1), label="past")
+    past = names[pick] if pick < len(names) else None
+    config = {"surface": {"M": 4, "N": 4}}
+    for key, (within, beyond) in RUNS.items():
+        value = data.draw(beyond if key == past else within, label=key)
+        config = _deep_merge(config, _config_with(key, value))
+    want = 0 if past is None else 2
+    if want:
+        with pytest.raises(ConfigError, match="^" + re.escape(past) + r"(\[\d\])?: "):
+            config_from_dict(config)
+    tmp = tmp_path_factory.mktemp("runs")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(config))
+    for command in (["record"], ["mi-sweep", "--reps", "1"], ["outage"]):
+        out = tmp / command[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == want, (command[0], config)
+        assert out.exists() == (want == 0)

@@ -1,9 +1,11 @@
 """The stacked Monte-Carlo kernel against its single-block views.
 
 ``stack_mi`` evaluates chunks of trials as (T, ...) stacks; every trial must
-give what ``sample_paths``, the single-block views and ``mutual_information``
-give for that trial alone (``conftest.per_trial_mi``), and the same bits whatever the chunk boundaries. The
-sweeps draw each trial once and hand the same draws to rrm and rhs.
+give what ``sample_paths``, the single-block views and the validate oracle
+``harness.invariants._mutual_information`` give for that trial alone
+(``conftest.per_trial_mi``), and the same bits whatever the chunk
+boundaries. The sweeps draw each trial once and hand the same draws to rrm
+and rhs.
 """
 
 import os
