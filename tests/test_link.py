@@ -154,6 +154,17 @@ class TestEquivalentTaps:
             err = np.abs(direct - (dominant + residual)) / np.maximum(np.abs(direct), 1e-30)
             assert float(np.max(err)) < 1e-9
 
+    def test_split_requires_clean_context(self):
+        # "mean" subtraction clips the negatives, so W = rho*(W' - b) no longer holds
+        geom = make_geometry(6, 6)
+        ref = make_reference(geom)
+        paths = make_five_paths()
+        holo = record_hologram(geom, ref, paths, RecordingConfig(0.0, 1, 0))
+        weights = make_weights(holo, "mean")
+        assert bool(weights.clipped)
+        with pytest.raises(ValueError, match="clipped"):
+            _alpha_split(geom, ref, weights, paths)
+
     def test_fractional_delay_taps_follow_pulse(self):
         geom = make_geometry(8, 8)
         ref = make_reference(geom)
