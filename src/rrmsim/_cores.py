@@ -10,7 +10,7 @@ side forced by replacing the thread rule:
 - BLAS pinned, the benchmark's ``pattern`` workload (6 alternating pairs of
   6 s runs, seeds 1-6): 0.96-1.18M directions/s on two threads against
   0.65-0.75M serial;
-- BLAS pinned, ``paired_curves`` of 16x16 Rician MI with 300 trials: in
+- BLAS pinned, one rrm+rhs ``stack_mi`` call, 16x16 Rician, 300 trials: in
   four of five batches of 8 alternating pairs, medians of 0.18-0.25 s on
   two threads against 0.30-0.36 s serial; in the fifth, 0.27 s and 0.26 s;
 - BLAS unset, the same sweep with two threads forced over the

@@ -24,11 +24,11 @@ from . import invariants
 from .config import ConfigError, ExperimentConfig, load_config, merge_config
 from .presets import (
     PRESET_NAMES,
-    add_curve_rows,
+    add_curves,
     check_pattern_weights,
     make_output_dir,
     output_dir,
-    paired_curves,
+    paired_systems,
     run_preset,
     write_results,
 )
@@ -121,8 +121,8 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         experiment, prefix = "mi_sweep", "mi"
     out = output_dir(cfg)
     rs = ResultSet()
-    for system, curves in paired_curves(cfg, trials, cfg.seed, r_th=r_th):
-        add_curve_rows(rs, experiment, f"{prefix}_{system}", cfg, curves)
+    draw = link.draw_trials(cfg.channel_config, trials, cfg.seed)
+    add_curves(rs, experiment, cfg, paired_systems(cfg, prefix), draw, r_th)
     write_results(rs, out, args.quiet)
     return EXIT_OK
 

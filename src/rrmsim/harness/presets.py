@@ -91,19 +91,36 @@ def check_pattern_weights(weights: holography.WeightStack, strategy: str) -> Non
         )
 
 
-def add_curve_rows(
-    rs: ResultSet, experiment: str, metric: str, cfg: ExperimentConfig, samples
+def add_curves(
+    rs: ResultSet, experiment: str, cfg: ExperimentConfig, curves, draw, r_th: float | None = None
 ) -> None:
-    """One row per SNR of cfg.link.snr_db from (trials, n_snr) samples.
+    """One row per SNR of cfg.link.snr_db for each (metric, scenario) of curves, in order.
 
-    Each row holds the mean MI with its 95% CI for float MI samples, or the
-    outage probability with its binomial half-width for boolean outage bits.
+    draw is the (T, L) path stack and the T recording seeds that every
+    scenario shares, so the curves are paired trial by trial. All scenarios
+    go through one ``link.stack_mi`` call (its MI pieces may run on threads;
+    any scenario's exception is raised here), or one ``link.stack_outage``
+    call when r_th is given; either computes each chunk's steering factors,
+    object field and pulse matrix once for all. A row holds the mean MI with
+    its 95% CI, or the outage probability with its binomial half-width.
     """
-    samples = np.asarray(samples)
-    summarise = link.outage_ci if samples.dtype == bool else link.mean_ci
-    for snr, column in zip(cfg.link.snr_db, samples.T):
-        value, half = summarise(column)
-        rs.add(experiment, "snr_db", snr, metric, value, half, cfg.seed)
+    metrics, scenarios = zip(*curves)
+    paths, seeds = draw
+    if r_th is None:
+        samples = link.stack_mi(scenarios, paths, seeds, cfg.link.snr_db)
+        summarise = link.mean_ci
+    else:
+        samples = link.stack_outage(scenarios, paths, seeds, cfg.link.snr_db, r_th)
+        summarise = link.outage_ci
+    for metric, curve in zip(metrics, samples):
+        for snr, column in zip(cfg.link.snr_db, curve.T):
+            rs.add(experiment, "snr_db", snr, metric, *summarise(column), cfg.seed)
+
+
+def paired_systems(cfg: ExperimentConfig, prefix: str, size: int | None = None) -> list:
+    """[(metric, scenario)] of rrm, then rhs; size gives a size x size surface in place of cfg's."""
+    tail = "" if size is None else f"_{size}x{size}"
+    return [(f"{prefix}_{s}{tail}", cfg.scenario(s, rows=size, cols=size)) for s in ("rrm", "rhs")]
 
 
 # ------------------------------------------------------------------ presets
@@ -141,82 +158,50 @@ def _preset_fig5(cfg: ExperimentConfig, rs: ResultSet, out_dir: FsPath, _quiet: 
 def _preset_fig6(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     paths = cfg.manual_paths().arrays.broadcast(1)
     for size in (8, 64):
-        for strategy in ("none", "mean", "min"):
-            scenario = cfg.scenario("rrm", rows=size, cols=size, strategy=strategy)
-            (mi,) = link.stack_mi([scenario], paths, [_seed_for(cfg, size)], cfg.link.snr_db)
-            add_curve_rows(rs, "fig6_b_sweep", f"mi_{size}x{size}_{strategy}", cfg, mi)
+        curves = [
+            (f"mi_{size}x{size}_{s}", cfg.scenario("rrm", rows=size, cols=size, strategy=s))
+            for s in ("none", "mean", "min")
+        ]
+        add_curves(rs, "fig6_b_sweep", cfg, curves, (paths, [_seed_for(cfg, size)]))
 
 
 def _preset_fig7(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     n_rep = 50
     paths = cfg.manual_paths().arrays.broadcast(n_rep)
     seeds = [_seed_for(cfg, 1000 + 97 * r) for r in range(n_rep)]
-    for rec_snr in (0.0, 10.0):
-        for duration in (1, 5):
-            scenario = cfg.scenario(
-                "rrm", recording_snr_db=rec_snr, duration_symbols=duration
-            )
-            (samples,) = link.stack_mi([scenario], paths, seeds, cfg.link.snr_db)
-            metric = f"mi_dur{duration}_recsnr{rec_snr:g}dB"
-            add_curve_rows(rs, "fig7_recording", metric, cfg, samples)
+    curves = [
+        (
+            f"mi_dur{duration}_recsnr{rec_snr:g}dB",
+            cfg.scenario("rrm", recording_snr_db=rec_snr, duration_symbols=duration),
+        )
+        for rec_snr in (0.0, 10.0)
+        for duration in (1, 5)
+    ]
+    add_curves(rs, "fig7_recording", cfg, curves, (paths, seeds))
 
 
 def _preset_fig8(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     n_rep = 10
     paths = cfg.manual_paths().arrays
     for size in _SWEEP_SIZES:
-        for system in ("rrm", "rhs"):
-            scenario = cfg.scenario(system, rows=size, cols=size)
-            reps = n_rep if system == "rrm" and cfg.recording.snr_db is not None else 1
+        for curve in paired_systems(cfg, "mi", size):
+            reps = n_rep if curve[1].system == "rrm" and cfg.recording.snr_db is not None else 1
             seeds = [_seed_for(cfg, 2000 + 13 * size + r) for r in range(reps)]
-            (samples,) = link.stack_mi([scenario], paths.broadcast(reps), seeds, cfg.link.snr_db)
-            add_curve_rows(rs, "fig8_size_sweep", f"mi_{system}_{size}x{size}", cfg, samples)
-
-
-def paired_curves(
-    cfg: ExperimentConfig, trials: int, seed: int, size: int | None = None,
-    r_th: float | None = None,
-):
-    """[(system, (trials, n_snr) samples)] of rrm, then rhs, on one shared draw.
-
-    The samples are MI values (``link.stack_mi``), or, when r_th is given,
-    the outage bits MI < r_th (``link.stack_outage``). Both systems see the
-    same path draws and recording seeds of the trials (``link.draw_trials``),
-    so they are paired trial by trial. size gives a size x size surface in
-    place of the configured one.
-
-    Both systems go through one call, which computes each chunk's steering
-    factors, object field and pulse matrix once for the two. Outage decides
-    both systems' bits of a chunk in one screened pass in the calling
-    thread. For MI, when ``_cores.workers(2)`` allows two threads (BLAS
-    pinned to one thread, two usable CPUs), the rhs taps to ``eigvalsh`` of
-    each chunk run on a worker thread while the rrm ones run in the calling
-    thread. Either way the samples keep their bytes, and an exception from
-    either system is raised here.
-    """
-    systems = ("rrm", "rhs")
-    scenarios = [cfg.scenario(system, rows=size, cols=size) for system in systems]
-    paths, seeds = link.draw_trials(scenarios[0].channel, trials, seed)
-    if r_th is None:
-        curves = link.stack_mi(scenarios, paths, seeds, cfg.link.snr_db)
-    else:
-        curves = link.stack_outage(scenarios, paths, seeds, cfg.link.snr_db, r_th)
-    return list(zip(systems, curves))
+            add_curves(rs, "fig8_size_sweep", cfg, [curve], (paths.broadcast(reps), seeds))
 
 
 def _preset_fig9(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
-    n_rep = 20
     for size in _SWEEP_SIZES:
-        for system, curves in paired_curves(cfg, n_rep, _seed_for(cfg, 3000 + size), size):
-            add_curve_rows(rs, "fig9_cdl", f"mi_{system}_{size}x{size}", cfg, curves)
+        draw = link.draw_trials(cfg.channel_config, 20, _seed_for(cfg, 3000 + size))
+        add_curves(rs, "fig9_cdl", cfg, paired_systems(cfg, "mi", size), draw)
 
 
 def _preset_fig10(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, _quiet: bool) -> None:
     outage = cfg.outage
     for size in (8, 16):
-        seed = _seed_for(cfg, 4000 + size)
-        for system, bits in paired_curves(cfg, outage.trials, seed, size, outage.r_th):
-            add_curve_rows(rs, "fig10_outage", f"outage_{system}_{size}x{size}", cfg, bits)
+        draw = link.draw_trials(cfg.channel_config, outage.trials, _seed_for(cfg, 4000 + size))
+        curves = paired_systems(cfg, "outage", size)
+        add_curves(rs, "fig10_outage", cfg, curves, draw, outage.r_th)
 
 
 def _preset_validate(cfg: ExperimentConfig, rs: ResultSet, _out: FsPath, quiet: bool) -> None:

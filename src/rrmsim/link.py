@@ -22,11 +22,11 @@ whose MI falls below a threshold rate.
 Monte-Carlo trials run as stacks. ``draw_trials`` gives each trial its
 own seeded path draw, in the order of one ``sample_paths`` call, into (T, L)
 arrays, and the 64-bit Philox seed of its recording noise. ``stack_mi`` and
-``stack_outage`` take the scenarios of one draw: one, or several (rrm and
-rhs) that share geometry, pulse and K. They run the stack in chunks that
-keep each (T, K, K) and (T, M, N, S) stack of all scenarios within
-STACK_BYTES (16 MiB) (``chunk_trials``). A chunk's ``path_terms`` (carrier
-gains, steering factors, object field) are computed once:
+``stack_outage`` take the scenarios of one draw, which share geometry,
+pulse and K (their systems, strategies and recordings may differ). They
+run the stack in chunks that keep each (T, K, K) and (T, M, N, S) stack
+of all scenarios within STACK_BYTES (16 MiB) (``chunk_trials``). A chunk's
+``path_terms`` (carrier gains, steering factors, object field) are computed once:
 ``weight_stack_for`` reads the object field (``record_power`` adds the
 reference and the noise to it, ``rhs_weight_stack`` conjugates it), which
 then gives way to the pulse matrix; ``alpha_stack`` reads the steering

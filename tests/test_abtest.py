@@ -47,12 +47,13 @@ def test_a_claim_is_judged_only_on_its_own_workload(monkeypatch):
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
     def bench(tree, workload, seed, seconds):
-        value = 110.0 if tree == abtest.ROOT else 100.0  # the change runs in ROOT
+        value = 110.0 if tree.name == "change" else 100.0  # the change runs in its copy
         return {"correct": True, "failed": 0, "metrics": {n: {"value": value} for n in names},
                 "info": {"wall_items_per_s": value}}
 
     monkeypatch.setattr(abtest, "bench", bench)
     monkeypatch.setattr(abtest, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(abtest, "copy_tree", lambda dest: None)
     monkeypatch.setattr(abtest, "git", lambda *argv: b"")
     args = abtest.parse_args([*RUN, "--claim", "outage_mc/items_per_s=1.05"])
     verdict = abtest.run(args)["verdict"]["workloads"]

@@ -20,7 +20,8 @@ from rrmsim import _cores, link
 from rrmsim.beampattern import array_factor, default_axes
 from rrmsim.harness import run_preset
 from rrmsim.harness.cli import main
-from rrmsim.harness.presets import paired_curves, resolve_config
+from rrmsim.harness.presets import add_curves, paired_systems, resolve_config
+from rrmsim.harness.results import ResultSet
 
 from conftest import make_geometry, make_reference
 
@@ -150,7 +151,7 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_paired_curves_reraises_worker_error(self, force_threads, monkeypatch):
+    def test_shared_sweep_reraises_worker_error(self, force_threads, monkeypatch):
         force_threads(2)
         scenario_mi = link._scenario_mi
         raised_in = []
@@ -163,8 +164,9 @@ class TestConcurrency:
 
         monkeypatch.setattr(link, "_scenario_mi", rhs_fails)
         cfg = resolve_config("fig10_outage")
+        draw = link.draw_trials(cfg.channel_config, 3, 11)
         with pytest.raises(ArithmeticError, match="rhs curve failed"):
-            list(paired_curves(cfg, 3, 11, size=4))
+            add_curves(ResultSet(), "mi", cfg, paired_systems(cfg, "mi", 4), draw)
         assert raised_in and raised_in[0] != threading.get_ident()
 
     def test_library_error_is_internal_with_threads(

@@ -34,7 +34,8 @@ def _path(**fields):
     return {"theta_deg": 10.0, "phi_deg": 0.0, **fields}
 
 
-# One config per load-time rule, with the dotted key its ConfigError must name.
+# One config per load-time rule, with the dotted key its ConfigError must
+# name, or its whole message.
 REJECTED = [
     ({"surface": {"M": 0}}, "surface.M"),
     ({"surface": {"N": 0}}, "surface.N"),
@@ -57,7 +58,10 @@ REJECTED = [
     ({"recording": {"duration_symbols": 0}}, "recording.duration_symbols"),
     ({"recording": {"snr_db": 3090.0}}, "recording.snr_db"),
     ({"recording": {"snr_db": -3240.0}}, "recording.snr_db"),
-    ({"channel": {"kind": "ray_traced"}}, "channel.kind"),
+    (
+        {"channel": {"kind": "ray_traced"}},
+        "channel.kind: must be manual, rician_random or cdl_profile",
+    ),
     # The K-factor is a dB leaf too: -3100 dB loaded and then overflowed the
     # Rician LOS fraction mid-run (exit 4).
     ({"channel": {"kind": "rician_random", "k_factor_db": -3100.0}}, "channel.k_factor_db"),
@@ -71,7 +75,10 @@ REJECTED = [
     ({"channel": {"phi_range_deg": [90.0, 10.0]}}, "channel.phi_range_deg"),
     ({"channel": {"paths": []}}, "channel.paths"),
     # An empty path named the directory ".", not the key, and exited 3.
-    ({"channel": {"kind": "cdl_profile", "profile_path": ""}}, "channel.profile_path"),
+    (
+        {"channel": {"kind": "cdl_profile", "profile_path": ""}},
+        "channel.profile_path: must be nonempty",
+    ),
     ({"channel": {"paths": [_path(theta_deg=95.0)]}}, "channel.paths[0].theta_deg"),
     ({"channel": {"paths": [_path(), _path(theta_deg=-1.0)]}}, "channel.paths[1].theta_deg"),
     ({"channel": {"paths": [_path(delay=-1e-9)]}}, "channel.paths[0].delay"),
@@ -127,8 +134,8 @@ REJECTED_IDS = [json.dumps(data, separators=(",", ":")) for data, _key in REJECT
 
 
 def _names_key(message: str, key: str) -> bool:
-    """A rule's error starts with its dotted key; a removed key is an unknown one."""
-    return message.startswith(key + ": ") or message == f"unknown key {key}"
+    """A rule's error is key or starts with its dotted key; a removed key is an unknown one."""
+    return message in (key, f"unknown key {key}") or message.startswith(key + ": ")
 
 
 class TestConfig:
@@ -552,7 +559,7 @@ class TestCli:
         assert code == 2
         message = capsys.readouterr().err.partition("config error: ")[2]
         assert _names_key(message.rstrip("\n"), key)
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     def test_negative_seed_flag_exits_before_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -617,6 +624,40 @@ class TestCli:
         )
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "profile, code, error",
+        [
+            (
+                b"0.0, 0.0, 90.0\n",
+                2,
+                "config error: channel.profile_path: line 1: expected 4 comma-separated values, "
+                "got 3",
+            ),
+            (
+                None,
+                3,
+                "i/o error: channel.profile_path: [Errno 2] No such file or directory: "
+                "'rows.profile'",
+            ),
+        ],
+        ids=["three_values", "absent"],
+    )
+    def test_relative_profile_path_is_read_from_the_working_directory(
+        self, tmp_path, capsys, monkeypatch, profile, code, error
+    ):
+        # The config sits in another directory, so only the working directory holds the file.
+        monkeypatch.chdir(tmp_path)
+        if profile is not None:
+            (tmp_path / "rows.profile").write_bytes(profile)
+        cfg = tmp_path / "config" / "cfg.json"
+        cfg.parent.mkdir()
+        channel = {"kind": "cdl_profile", "profile_path": "rows.profile"}
+        cfg.write_text(json.dumps({"channel": channel}))
+        out = tmp_path / "out"
+        assert main(["record", "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+        assert capsys.readouterr().err == error + "\n"
         assert not out.exists()
 
     def test_profile_read_once_at_load(self, tmp_path):

@@ -72,10 +72,14 @@ def _rule(key: str):
     return LEAF_RULES[key.replace("[0]", "[]")]
 
 
-A_R = _rule("reference.amplitude")  # [1/A^2, A^2] for the amplitude bound A of docs/config.md
-A = _rule("channel.paths[].gain_real").hi
-DB = _rule("recording.snr_db")
-LINK_DB = _rule("link.snr_db[]")
+def _from_row(key: str, pair):
+    """(within, beyond) strategies ``pair(row)`` of key's ``LEAF_RULES`` row, built on first draw.
+
+    The row is read in a deferred strategy, not at import, so a deleted row
+    fails the tests that draw it and the row-coverage tests, not the
+    collection of this module.
+    """
+    return tuple(st.deferred(lambda i=i: pair(_rule(key))[i]) for i in (0, 1))
 
 
 def _beyond(value: float) -> float:
@@ -100,36 +104,56 @@ def _range(lo: float, hi: float):
 # name a mid-run failure loaded before the bounds and then exited 4; they
 # come first, where the derandomized search draws most often.
 FIELDS = {
-    "amplitude": (
-        _range(A_R.lo, A_R.hi),
-        # 1e150: all-zero weights; 1e200: infinite recorded power
-        st.sampled_from([1e200, 1e150, math.nextafter(A_R.lo, 0.0), _beyond(A_R.hi)]),
+    # [1/A^2, A^2] for the amplitude bound A of docs/config.md
+    "amplitude": _from_row(
+        "reference.amplitude",
+        lambda a_r: (
+            _range(a_r.lo, a_r.hi),
+            # 1e150: all-zero weights; 1e200: infinite recorded power
+            st.sampled_from([1e200, 1e150, math.nextafter(a_r.lo, 0.0), _beyond(a_r.hi)]),
+        ),
     ),
-    "snr_db": (
-        st.one_of(st.sampled_from([None, DB.hi, DB.lo]), st.floats(DB.lo, DB.hi)),
-        st.sampled_from([-3100.0, 3100.0, _beyond(DB.hi), _beyond(DB.lo)]),
+    "snr_db": _from_row(
+        "recording.snr_db",
+        lambda db: (
+            st.one_of(st.sampled_from([None, db.hi, db.lo]), st.floats(db.lo, db.hi)),
+            st.sampled_from([-3100.0, 3100.0, _beyond(db.hi), _beyond(db.lo)]),
+        ),
     ),
     # one or two SNRs; 3100 dB overflowed the MI
-    "link_snr_db": (
-        st.lists(
-            st.one_of(st.sampled_from([LINK_DB.hi, LINK_DB.lo]), st.floats(LINK_DB.lo, LINK_DB.hi)),
-            min_size=1,
-            max_size=2,
-        ),
-        st.sampled_from([3100.0, -3100.0, _beyond(LINK_DB.hi), _beyond(LINK_DB.lo)]).map(
-            lambda db: [0.0, db]
+    "link_snr_db": _from_row(
+        "link.snr_db[]",
+        lambda db: (
+            st.lists(
+                st.one_of(st.sampled_from([db.hi, db.lo]), st.floats(db.lo, db.hi)),
+                min_size=1,
+                max_size=2,
+            ),
+            st.sampled_from([3100.0, -3100.0, _beyond(db.hi), _beyond(db.lo)]).map(
+                lambda v: [0.0, v]
+            ),
         ),
     ),
     # Components below 1/A are within their own bound; a path set made only
     # of them falls short of the total-power bound.
-    "gain_real": (
-        _signed(st.one_of(st.sampled_from([A, 1.0 / A, 0.0]), _log_scale(-6.0, math.log10(A)))),
-        # 1e200: a non-finite channel matrix; 1e-100: all-zero weights
-        _signed(st.sampled_from([1e200, 1e-100, _beyond(A)])),
+    "gain_real": _from_row(
+        "channel.paths[].gain_real",
+        lambda g: (
+            _signed(
+                st.one_of(
+                    st.sampled_from([g.hi, 1.0 / g.hi, 0.0]), _log_scale(-6.0, math.log10(g.hi))
+                )
+            ),
+            # 1e200: a non-finite channel matrix; 1e-100: all-zero weights
+            _signed(st.sampled_from([1e200, 1e-100, _beyond(g.hi)])),
+        ),
     ),
-    "gain_imag": (
-        _signed(st.one_of(st.sampled_from([A, 0.0]), _log_scale(-6.0, math.log10(A)))),
-        _signed(st.sampled_from([1e200, _beyond(A)])),
+    "gain_imag": _from_row(
+        "channel.paths[].gain_imag",
+        lambda g: (
+            _signed(st.one_of(st.sampled_from([g.hi, 0.0]), _log_scale(-6.0, math.log10(g.hi)))),
+            _signed(st.sampled_from([1e200, _beyond(g.hi)])),
+        ),
     ),
 }
 
@@ -204,9 +228,10 @@ def _drawn(key: str, lo: float, hi: float, *far: float, open_lo=False, optional=
 
 
 def _physical(key: str, *far: float, optional=False):
-    """``_drawn`` over the leaf's ``LEAF_RULES`` row."""
-    rule = _rule(key)
-    return _drawn(key, rule.lo, rule.hi, *far, open_lo=rule.open_lo, optional=optional)
+    """``_drawn`` over the leaf's ``LEAF_RULES`` row (``_from_row``)."""
+    return key, *_from_row(
+        key, lambda r: _drawn(key, r.lo, r.hi, *far, open_lo=r.open_lo, optional=optional)[1:]
+    )
 
 
 # (dotted key, within, beyond) of the carrier, spacing, index, delay and
@@ -302,7 +327,10 @@ DOMAIN = {
     "recording.duration_symbols": (st.integers(1, 3), st.just(0)),
     "channel.kind": (st.sampled_from(channel.CHANNEL_KINDS), st.sampled_from(["ray_traced", ""])),
     "channel.L": (st.integers(1, 6), st.just(0)),
-    "channel.k_factor_db": (st.floats(DB.lo, DB.hi), st.sampled_from([-3100.0, _beyond(DB.hi)])),
+    "channel.k_factor_db": _from_row(
+        "channel.k_factor_db",
+        lambda k: (st.floats(k.lo, k.hi), st.sampled_from([-3100.0, _beyond(k.hi)])),
+    ),
     "channel.theta_range_deg": (
         st.lists(st.floats(0.0, 90.0), min_size=2, max_size=2).map(sorted),
         st.sampled_from([[60.0, 5.0], [-1.0, 10.0], [10.0, 90.5]]),
@@ -640,7 +668,6 @@ def test_an_unbounded_leaf_at_an_extreme_value_runs(tmp_path, key):
 # rolloff, the outage leaves and the seed. Within draws each edge and values
 # between; beyond is one value past each edge (a non-finite JSON number for
 # a leaf with no end). The sizes (L, K, trials) stay small.
-K_DB = _rule("channel.k_factor_db")
 RUNS = {
     "reference.phase_offset": (
         st.one_of(st.sampled_from([0.0, -1e300, 1e300]), st.floats(-1e300, 1e300)),
@@ -648,9 +675,12 @@ RUNS = {
     ),
     "channel.kind": (st.sampled_from(channel.CHANNEL_KINDS), st.sampled_from(["ray_traced", ""])),
     "channel.L": (st.integers(1, 4), st.just(0)),
-    "channel.k_factor_db": (
-        st.one_of(st.sampled_from([K_DB.lo, K_DB.hi]), st.floats(K_DB.lo, K_DB.hi)),
-        st.sampled_from([_beyond(K_DB.lo), _beyond(K_DB.hi)]),
+    "channel.k_factor_db": _from_row(
+        "channel.k_factor_db",
+        lambda k: (
+            st.one_of(st.sampled_from([k.lo, k.hi]), st.floats(k.lo, k.hi)),
+            st.sampled_from([_beyond(k.lo), _beyond(k.hi)]),
+        ),
     ),
     "channel.theta_range_deg": (
         st.one_of(

@@ -158,38 +158,49 @@ def _composed_mi(scenario, paths, seed, gammas):
     return link._mi_bits(lam, gammas)
 
 
+# (system, strategy, recording_snr_db, duration_symbols) of one scenario of a shared pass
+SCENARIO = st.tuples(
+    st.sampled_from(("rrm", "rhs")),
+    st.sampled_from(WEIGHT_STRATEGIES),
+    st.sampled_from((None, 0.0, 10.0)),
+    st.integers(1, 3),
+)
+
+
 @pytest.mark.parametrize("threads", (False, True))
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
-    systems=st.sampled_from((("rrm", "rhs"), ("rhs", "rrm"), ("rrm",), ("rhs",))),
+    variants=st.lists(SCENARIO, min_size=1, max_size=4),
     normalization=st.sampled_from(("absolute", "normalized")),
-    strategy=st.sampled_from(WEIGHT_STRATEGIES),
-    recording_snr_db=st.sampled_from((None, 10.0)),
     size=st.integers(1, 5),
     trials=st.integers(1, 7),
     budget=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_property_shared_pass_equals_per_scenario_blocks(
-    threads, kind, systems, normalization, strategy, recording_snr_db, size, trials, budget, seed
+    threads, kind, variants, normalization, size, trials, budget, seed
 ):
     """Each scenario's MI and outage bits from one shared call equal its blocks composed alone.
 
-    The chunks are a few trials at most (STACK_BYTES forced small), and the
-    call runs serially or with each system's MI part on its own thread.
+    One to four scenarios of one geometry share the call, each with its own
+    system, weight strategy, recording SNR and duration, as fig6 (three
+    strategies) and fig7 (four recording settings) send them. The chunks
+    are a few trials at most (STACK_BYTES forced small), and the call runs
+    serially or with each scenario's MI part on a thread.
     """
     K = 6
     cfg = config_from_dict(
         {
             "surface": {"M": size, "N": size},
-            "recording": {"snr_db": recording_snr_db},
             "channel": {"kind": kind},
-            "weights": {"strategy": strategy},
             "link": {"K": K, "normalization": normalization},
         }
     )
-    scenarios = [cfg.scenario(system) for system in systems]
+    scenarios = [
+        cfg.scenario(system, strategy=strategy, recording_snr_db=snr, duration_symbols=duration)
+        for system, strategy, snr, duration in variants
+    ]
     paths, seeds = link.draw_trials(scenarios[0].channel, trials, seed)
     gammas = [link.gamma_from_db(snr) for snr in SNRS]
     want = [

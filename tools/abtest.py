@@ -6,8 +6,10 @@
 
 REV's committed files are exported with ``git archive`` into a temporary
 directory (nothing is registered in ``.git``, so an interrupted run leaves
-no stale checkout behind) and ``perfbench/run.py`` runs there and in this
-checkout, one process at a time, with the same seed and run length. Pair i
+no stale checkout behind), and the working tree's tracked and untracked
+files, not ignored ones, are copied beside that export, so both sides run
+from a fresh tree with no bytecode cache. ``perfbench/run.py`` runs in
+each, one process at a time, with the same seed and run length. Pair i
 runs the parent (REV) first when i is even and the change first when it is
 odd. Nothing under ``perfbench/`` or in ``BENCHMARK.json`` is written.
 
@@ -104,6 +106,16 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into dest."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a deleted but still tracked file is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` process in tree: its parsed report, or the failure."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -197,8 +209,9 @@ def run(args) -> dict:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
     tmp = Path(tempfile.mkdtemp(prefix="abtest-"))
     try:
-        parent_commit = export(args.against, tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
+        parent_commit = export(args.against, trees["parent"])
+        copy_tree(trees["change"])
         batches, verdict = [], {}
         for workload in args.workload:
             pairs = []
@@ -234,8 +247,9 @@ def run(args) -> dict:
         "method": (
             f"tools/abtest.py: python3 perfbench/run.py --workload W --seed {args.seed} "
             f"--seconds {args.seconds:g} --trace 0, {args.pairs} pairs per workload, the "
-            f"parent {parent_commit} from a git archive export and the change from the "
-            "working tree, one process at a time, alternating which side runs first"
+            f"parent {parent_commit} from a git archive export and the change from a "
+            "copy of the working tree beside it, one process at a time, alternating which "
+            "side runs first"
         ),
         "parent": parent_commit,
         "change_head": head,
@@ -252,7 +266,7 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    # SIGTERM ends the run through SystemExit, so the export is still removed.
+    # SIGTERM ends the run through SystemExit, so the export and the copy are still removed.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     record = json.dumps(run(args), indent=1) + "\n"
     if args.out is None:

@@ -20,6 +20,7 @@ the unmutated run fails or pytest cannot run a node id; else 0.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -31,7 +32,13 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+# abtest is loaded from its file, as tools/outputs.py loads it, for the one
+# copy of the working tree that both tools make (``abtest.copy_tree``).
+_spec = importlib.util.spec_from_file_location("abtest", Path(__file__).resolve().parent / "abtest.py")
+abtest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(abtest)
+
+ROOT = abtest.ROOT
 CATALOGUE = ROOT / "tools" / "mutants.json"
 FIELDS = ("id", "file", "old", "new", "tests", "claim")
 # A mutant that hangs its tests counts as killed once this many seconds pass.
@@ -69,19 +76,6 @@ def problems(entries: list[dict], root: Path = ROOT) -> list[str]:
             if not func or not re.search(rf"^\s*def {re.escape(func)}\(", text, re.M):
                 out.append(f"{name}: no test {node}")
     return out
-
-
-def copy_tree(dest: Path) -> None:
-    """Copy the working tree's tracked and untracked, not ignored, files into dest."""
-    listed = subprocess.run(
-        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        stdout=subprocess.PIPE, check=True,
-    ).stdout.decode().split("\0")
-    for name in filter(None, listed):
-        source = ROOT / name
-        if source.is_file():  # a deleted but still tracked file is skipped
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, dest / name)
 
 
 def run_tests(tree: Path, nodes: list[str]) -> tuple[int | None, set[str]]:
@@ -127,7 +121,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     tmp = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
-        copy_tree(tmp)
+        abtest.copy_tree(tmp)
         nodes = list(dict.fromkeys(n for e in entries for n in e["tests"]))
         code, failed = run_tests(tmp, nodes)
         if code != 0:
